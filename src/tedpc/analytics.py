@@ -95,18 +95,35 @@ class StrataSpec:
 
     @classmethod
     def from_json(cls, path: Path | str) -> "StrataSpec":
+        """Read a spec from a JSON object; any bad value raises ConfigError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
+        unknown = set(raw) - {"cutoff", "pre_window", "peri_window", "threshold"}
+        if unknown:
+            raise ConfigError(f"{path}: unknown strata keys {sorted(unknown)}")
         kwargs = {}
-        if "cutoff" in raw:
-            kwargs["cutoff"] = date.fromisoformat(raw["cutoff"])
-        for key in ("pre_window", "peri_window"):
-            if key in raw:
-                lo, hi = raw[key]
-                kwargs[key] = (date.fromisoformat(lo), date.fromisoformat(hi))
-        if "threshold" in raw:
-            kwargs["threshold"] = int(raw["threshold"])
-        return cls(**kwargs)
+        try:
+            if "cutoff" in raw:
+                kwargs["cutoff"] = date.fromisoformat(raw["cutoff"])
+            for key in ("pre_window", "peri_window"):
+                if key in raw:
+                    window = raw[key]
+                    if not isinstance(window, list) or len(window) != 2:
+                        raise ValueError(f"{key} must be a list of two ISO dates, got {window!r}")
+                    kwargs[key] = (date.fromisoformat(window[0]), date.fromisoformat(window[1]))
+            if "threshold" in raw:
+                threshold = raw["threshold"]
+                if type(threshold) is not int:
+                    raise ValueError(f"threshold must be an integer, got {threshold!r}")
+                kwargs["threshold"] = threshold
+            return cls(**kwargs)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def earliest_index_event(
@@ -190,26 +207,21 @@ class StratifiedTable:
                 rows.append([section, category] + list(counts))
         return rows
 
-    def _cell(self, count: int, total: int, suppress: bool) -> str:
-        if suppress and count < self.threshold:
+    def _cell(self, count: int, total: int) -> str:
+        if count < self.threshold:
             return "-"
         pct = f" ({100.0 * count / total:.1f}%)" if total else ""
         return f"{count}{pct}"
 
-    def render_markdown(self, suppress: bool = True) -> str:
+    def render_markdown(self) -> str:
         lines = ["| Characteristic | " + " | ".join(self.columns) + " |"]
         lines.append("| --- |" + " --- |" * len(self.columns))
-        totals = [
-            "-" if suppress and t < self.threshold else str(t) for t in self.column_totals
-        ]
+        totals = [suppress_small_cells(t, self.threshold) for t in self.column_totals]
         lines.append("| Episodes (n) | " + " | ".join(totals) + " |")
         for section, categories in self.sections:
             lines.append(f"| **{section}** |" + "  |" * len(self.columns))
             for category, counts in categories:
-                cells = [
-                    self._cell(count, total, suppress)
-                    for count, total in zip(counts, self.column_totals)
-                ]
+                cells = [self._cell(count, total) for count, total in zip(counts, self.column_totals)]
                 lines.append(f"| {category} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
@@ -231,68 +243,54 @@ def stratified_table(
     unsuppressed column totals.
     """
     spec = spec or StrataSpec()
-    keys = [key for key, _ in COLUMN_LABELS]
-    features = []
+    width = len(COLUMN_LABELS)
+    column_totals = [0] * width
+    age_rows = {band: [0] * width for band in AGE_BANDS}
+    race_rows = {category: [0] * width for category in RACE_CATEGORIES}
+    condition_yes = {name: [0] * width for name in sorted(condition_sets)}
     for episode in episodes:
         stratum = spec.stratum_of(episode.dod)
         if stratum is None:
             continue
-        person = persons.get(episode.person_id)
         events = events_by_person.get(episode.person_id, [])
         hit = earliest_index_event(events, index_concepts, episode.dod)
         week = gestational_week_of(hit.event_date, episode).week if hit else None
-        flags = {}
         peri = stratum is PandemicStratum.PERI
         long_gestation = episode.gestation_days > SECOND_TRIMESTER_MAX_DAYS
-        flags["pre_total"] = stratum is PandemicStratum.PRE
-        flags["peri_total"] = peri
-        flags["index_yes"] = peri and week is not None
-        flags["index_no"] = peri and week is None
         t12 = week is not None and 1 <= week <= 27
-        flags["t12_yes"] = peri and t12
-        flags["t12_no"] = peri and not t12
         t3 = week is not None and week >= 28
-        flags["t3_yes"] = peri and long_gestation and t3
-        flags["t3_no"] = peri and long_gestation and not t3
-        conditions = {
-            name: any(
-                e.concept_id in concept_ids and e.event_date <= episode.dod for e in events
-            )
-            for name, concept_ids in condition_sets.items()
-        }
-        features.append((episode, person, flags, conditions))
-
-    column_totals = [sum(1 for _, _, flags, _ in features if flags[key]) for key in keys]
-
-    def count_where(predicate) -> list[int]:
-        return [
-            sum(1 for f in features if f[2][key] and predicate(f)) for key in keys
+        # One flag per column, in COLUMN_LABELS order.
+        flags = [
+            stratum is PandemicStratum.PRE,
+            peri,
+            peri and week is None,
+            peri and week is not None,
+            peri and not t12,
+            peri and t12,
+            peri and long_gestation and not t3,
+            peri and long_gestation and t3,
         ]
+        rows = [column_totals]
+        person = persons.get(episode.person_id)
+        if person is not None:
+            band = age_band_of(age_at(person.birth_date, episode.dod))
+            if band is not None:
+                rows.append(age_rows[band])
+            rows.append(race_rows[race_category_of(person)])
+        for name, yes in condition_yes.items():
+            concept_ids = condition_sets[name]
+            if any(e.concept_id in concept_ids and e.event_date <= episode.dod for e in events):
+                rows.append(yes)
+        columns = [j for j, flag in enumerate(flags) if flag]
+        for row in rows:
+            for j in columns:
+                row[j] += 1
 
-    sections: list[tuple[str, list[tuple[str, list[int]]]]] = []
-    age_rows = []
-    for band in AGE_BANDS:
-        age_rows.append(
-            (
-                band,
-                count_where(
-                    lambda f, b=band: f[1] is not None
-                    and age_band_of(age_at(f[1].birth_date, f[0].dod)) == b
-                ),
-            )
-        )
-    sections.append(("Age group", age_rows))
-    race_rows = []
-    for category in RACE_CATEGORIES:
-        race_rows.append(
-            (
-                category,
-                count_where(lambda f, c=category: f[1] is not None and race_category_of(f[1]) == c),
-            )
-        )
-    sections.append(("Race", race_rows))
-    for name in sorted(condition_sets):
-        yes = count_where(lambda f, n=name: f[3][n])
+    sections: list[tuple[str, list[tuple[str, list[int]]]]] = [
+        ("Age group", list(age_rows.items())),
+        ("Race", list(race_rows.items())),
+    ]
+    for name, yes in condition_yes.items():
         no = [total - y for total, y in zip(column_totals, yes)]
         sections.append((name, [("No", no), ("Yes", yes)]))
 
@@ -304,13 +302,10 @@ def stratified_table(
     )
 
 
-def render_histogram_markdown(
-    counts: dict[int, int], threshold: int = SUPPRESSION_THRESHOLD, suppress: bool = True
-) -> str:
+def render_histogram_markdown(counts: dict[int, int], threshold: int = SUPPRESSION_THRESHOLD) -> str:
     """Render the week histogram as a markdown table (week 0 = pre-pregnancy)."""
     lines = ["| Gestational week | Episodes |", "| --- | --- |"]
     for week in sorted(counts):
         label = "0 (pre-pregnancy)" if week == 0 else str(week)
-        value = suppress_small_cells(counts[week], threshold) if suppress else str(counts[week])
-        lines.append(f"| {label} | {value} |")
+        lines.append(f"| {label} | {suppress_small_cells(counts[week], threshold)} |")
     return "\n".join(lines) + "\n"

@@ -50,7 +50,6 @@ def _common_overrides(args: argparse.Namespace) -> dict:
         "match_max_days",
         "pandemic_cutoff",
         "threads",
-        "seed",
         "emit_cohorts",
         "apply_filters",
     )

@@ -51,15 +51,6 @@ _DOMAIN_BY_TOKEN = {d.value.lower(): d for d in Domain}
 DOMAIN_RANKS = {Domain.PROCEDURE: 1, Domain.CONDITION: 2, Domain.OBSERVATION: 3}
 
 
-def domain_rank(domain: Domain) -> int:
-    """Rank a delivery concept's domain; unranked domains fall back to 3."""
-    rank = DOMAIN_RANKS.get(domain)
-    if rank is None:
-        logger.warning("domain %s has no delivery rank; treating as rank 3", domain.value)
-        return 3
-    return rank
-
-
 class AccuracyLevel(IntEnum):
     """Four-tier accuracy of a GA concept; lower value means higher accuracy."""
 

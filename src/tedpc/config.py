@@ -73,7 +73,6 @@ class RunConfig:
     apply_filters: bool = True
     emit_cohorts: bool = False
     threads: int = 1
-    seed: int = 0
 
     def validate(self) -> None:
         positive = {
@@ -96,8 +95,6 @@ class RunConfig:
             raise ConfigError("cohort_start must not be after cohort_end")
         if not 0 <= self.min_age <= self.max_age:
             raise ConfigError("age bounds must satisfy 0 <= min <= max")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
     def to_json(self) -> str:
         payload = {}

@@ -3,7 +3,8 @@
 Delivery events for one birth concentrate within days of the true delivery,
 so clustering here runs on raw event dates. Procedure-domain records are the
 most trustworthy, then conditions, then observations; within a rank the
-latest record wins.
+latest record wins. Clustering is the same anchor-and-absorb rule the start
+engine uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 from .concept_registry import DODRegistry
 from .errors import InvariantError
-from .ga_engine import SEPARATION_WINDOW_DAYS
+from .ga_engine import SEPARATION_WINDOW_DAYS, anchor_and_absorb
 from .ingestion import ClinicalEvent
 
 
@@ -47,24 +48,11 @@ def infer_delivery_dates(
     person_id = pool[0][0].person_id
     if any(e.person_id != person_id for e, _ in pool):
         raise InvariantError("events for more than one person in one inference call")
-    n = len(pool)
-    order = sorted(
-        range(n),
-        key=lambda i: (pool[i][1], -pool[i][0].event_date.toordinal(), pool[i][0].concept_id),
-    )
     date_ord = [e.event_date.toordinal() for e, _ in pool]
-    alive = bytearray([1]) * n
+    order = sorted(range(len(pool)), key=lambda i: (pool[i][1], -date_ord[i], pool[i][0].concept_id))
     results = []
-    for i in order:
-        if not alive[i]:
-            continue
+    for i, members in anchor_and_absorb(date_ord, order, window_days):
         anchor, rank = pool[i]
-        anchor_ord = date_ord[i]
-        size = 0
-        for j in range(n):
-            if alive[j] and abs(date_ord[j] - anchor_ord) <= window_days:
-                alive[j] = 0
-                size += 1
-        results.append(DeliveryRecord(person_id, anchor.event_date, anchor.concept_id, rank, size))
+        results.append(DeliveryRecord(person_id, anchor.event_date, anchor.concept_id, rank, len(members)))
     results.sort(key=lambda r: r.dod, reverse=True)
     return results

@@ -264,6 +264,8 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(EPISODE_HEADER):
+                raise DataFormatError(f"{path}:{line_no}: expected {len(EPISODE_HEADER)} fields, got {len(row)}")
             try:
                 episodes.append(
                     PregnancyEpisode(

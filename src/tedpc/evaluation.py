@@ -8,7 +8,6 @@ ground truth.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -61,7 +60,6 @@ class KappaResult:
     expected_agreement: float
     weighting: Weighting
     degenerate: bool = False
-    standard_error: float | None = None
 
 
 def _weights(k: int, weighting: Weighting) -> list[list[float]]:
@@ -90,10 +88,7 @@ def cohen_kappa(matrix: ConfusionMatrix, weighting: Weighting) -> KappaResult:
     if p_e >= 1.0:
         # Only reachable when all mass sits in one cell, forcing p_o = 1 too.
         return KappaResult(1.0, p_o, p_e, weighting, degenerate=True)
-    kappa = (p_o - p_e) / (1.0 - p_e)
-    # Large-sample approximation, reported for information only.
-    se = math.sqrt(max(p_o * (1.0 - p_o), 0.0) / n) / (1.0 - p_e)
-    return KappaResult(kappa, p_o, p_e, weighting, standard_error=se)
+    return KappaResult((p_o - p_e) / (1.0 - p_e), p_o, p_e, weighting)
 
 
 def read_matrix_csv(path: Path | str) -> ConfusionMatrix:

@@ -10,7 +10,7 @@ falls within the separation window of the anchor's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, GAConceptSpec, GARegistry
@@ -53,7 +53,7 @@ def ga_days(spec: GAConceptSpec) -> int:
 
 def start_date_from_event(event_date: date, spec: GAConceptSpec) -> date:
     """Pregnancy start implied by one GA event: exact calendar arithmetic."""
-    return event_date - timedelta(days=ga_days(spec))
+    return date.fromordinal(event_date.toordinal() - ga_days(spec))
 
 
 def build_candidates(events: Iterable[ClinicalEvent], registry: GARegistry) -> list[GACandidate]:
@@ -63,9 +63,34 @@ def build_candidates(events: Iterable[ClinicalEvent], registry: GARegistry) -> l
         spec = registry.get(event.concept_id)
         if spec is None:
             continue
-        start = date.fromordinal(event.event_date.toordinal() - ga_days(spec))
-        candidates.append(GACandidate(event, spec, start, spec.accuracy))
+        candidates.append(GACandidate(event, spec, start_date_from_event(event.event_date, spec), spec.accuracy))
     return candidates
+
+
+def anchor_and_absorb(
+    positions: list[int], order: Iterable[int], window_days: int
+) -> list[tuple[int, list[int]]]:
+    """Greedy clustering shared by the start and delivery engines.
+
+    Walks `order` (indices into `positions`, best first). Each index not yet
+    absorbed becomes an anchor and absorbs every remaining index whose
+    position lies within ±window_days (inclusive) of its own, itself
+    included. Returns (anchor, members) pairs in anchor order, members in
+    index order.
+    """
+    alive = bytearray([1]) * len(positions)
+    clusters = []
+    for i in order:
+        if not alive[i]:
+            continue
+        anchor = positions[i]
+        members = []
+        for j in range(len(positions)):
+            if alive[j] and abs(positions[j] - anchor) <= window_days:
+                alive[j] = 0
+                members.append(j)
+        clusters.append((i, members))
+    return clusters
 
 
 def infer_gestation_starts(
@@ -87,9 +112,8 @@ def infer_gestation_starts(
     person_id = candidates[0].event.person_id
     if any(c.event.person_id != person_id for c in candidates):
         raise InvariantError("candidates for more than one person in one inference call")
-    n = len(candidates)
     order = sorted(
-        range(n),
+        range(len(candidates)),
         key=lambda i: (
             candidates[i].accuracy,
             candidates[i].event.event_date,
@@ -97,26 +121,15 @@ def infer_gestation_starts(
         ),
     )
     start_ord = [c.start_date.toordinal() for c in candidates]
-    alive = bytearray([1]) * n
+    high = AccuracyLevel.HIGH  # looked up once: attribute access on an Enum class is slow
     results = []
-    for i in order:
-        if not alive[i]:
-            continue
+    for i, members in anchor_and_absorb(start_ord, order, window_days):
         anchor = candidates[i]
-        anchor_ord = start_ord[i]
-        size = 0
-        conflict = False
-        for j in range(n):
-            if alive[j] and abs(start_ord[j] - anchor_ord) <= window_days:
-                alive[j] = 0
-                size += 1
-                if (
-                    candidates[j].accuracy is AccuracyLevel.HIGH
-                    and abs(start_ord[j] - anchor_ord) > conflict_days
-                ):
-                    conflict = True
+        conflict = any(
+            candidates[j].accuracy is high and abs(start_ord[j] - start_ord[i]) > conflict_days for j in members
+        )
         results.append(
-            GestationStart(person_id, anchor.start_date, anchor, anchor.accuracy, conflict, size)
+            GestationStart(person_id, anchor.start_date, anchor, anchor.accuracy, conflict, len(members))
         )
     results.sort(key=lambda g: g.start_date)
     return results

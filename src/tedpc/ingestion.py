@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import _DOMAIN_BY_TOKEN, DODRegistry, Domain, GARegistry
+from .concept_registry import DODRegistry, Domain, GARegistry
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -121,6 +121,8 @@ def load_events(
     mismatches = 0
     mismatch_samples: list[ClinicalEvent] = []
     total = 0
+    # Bound once: attribute lookup on an Enum class costs more than the parse itself.
+    parse_domain = Domain.parse
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         _read_header(reader, path, EVENT_HEADER)
@@ -132,9 +134,9 @@ def load_events(
             try:
                 person_id = int(row[0])
                 concept_id = int(row[1])
-                domain = _DOMAIN_BY_TOKEN[row[2].strip().lower()]
+                domain = parse_domain(row[2])
                 event_date = date.fromisoformat(row[3])
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise DataFormatError(f"{path}:{line_no}: bad event row {row!r}: {exc}") from None
             if not (MIN_EVENT_DATE <= event_date <= MAX_EVENT_DATE):
                 raise DataFormatError(

@@ -97,3 +97,124 @@ def kappa_reference(counts, linear):
     if p_e == 1.0:
         return 1.0, p_o, p_e
     return (p_o - p_e) / (1.0 - p_e), p_o, p_e
+
+
+TABLE_COLUMNS = [
+    "Pre-pandemic (all)",
+    "Peri-pandemic (all)",
+    "Index before delivery: no",
+    "Index before delivery: yes",
+    "Index in weeks 1-27: no",
+    "Index in weeks 1-27: yes",
+    "Index in week 28+: no",
+    "Index in week 28+: yes",
+]
+AGE_BAND_LIMITS = [(15, 19), (20, 24), (25, 29), (30, 34), (35, 39), (40, 44), (45, 49)]
+RACE_ROWS = ["White", "Black", "Hispanic/Latino", "Asian", "NHOPI", "Other/unknown", "Multiracial"]
+RACE_TEXT = {
+    "white": "White",
+    "black": "Black",
+    "black or african american": "Black",
+    "hispanic/latino": "Hispanic/Latino",
+    "hispanic or latino": "Hispanic/Latino",
+    "asian": "Asian",
+    "nhopi": "NHOPI",
+    "native hawaiian or other pacific islander": "NHOPI",
+    "multiracial": "Multiracial",
+    "multiple": "Multiracial",
+}
+
+
+def table_reference(
+    episodes, persons, events_by_person, index_concepts, condition_sets,
+    cutoff=date(2020, 3, 1), pre_window=None, peri_window=None,
+):
+    """Raw rows of the stratified table, counted cell by cell.
+
+    episodes need person_id, start_date, dod, gestation_days; persons need
+    birth_date, race, ethnicity; events need concept_id, event_date. Returns
+    the header row, the totals row and one row per category, like csv_rows().
+    """
+
+    def stratum(dod):
+        if pre_window is not None:
+            if pre_window[0] <= dod <= pre_window[1]:
+                return "pre"
+            if peri_window[0] <= dod <= peri_window[1]:
+                return "peri"
+            return None
+        return "pre" if dod < cutoff else "peri"
+
+    def index_week(ep):
+        hits = [
+            e.event_date
+            for e in events_by_person.get(ep.person_id, [])
+            if e.concept_id in index_concepts and e.event_date <= ep.dod
+        ]
+        if not hits:
+            return None
+        first = min(hits)
+        if first < ep.start_date:
+            return 0
+        return (first - ep.start_date).days // 7 + 1
+
+    def in_column(ep, column):
+        s = stratum(ep.dod)
+        week = index_week(ep)
+        early = week is not None and 1 <= week <= 27
+        late = week is not None and week >= 28
+        long_gestation = ep.gestation_days > 189
+        return [
+            s == "pre",
+            s == "peri",
+            s == "peri" and week is None,
+            s == "peri" and week is not None,
+            s == "peri" and not early,
+            s == "peri" and early,
+            s == "peri" and long_gestation and not late,
+            s == "peri" and long_gestation and late,
+        ][column]
+
+    def age_band(ep):
+        person = persons.get(ep.person_id)
+        if person is None:
+            return None
+        birth = person.birth_date
+        age = ep.dod.year - birth.year - ((ep.dod.month, ep.dod.day) < (birth.month, birth.day))
+        for low, high in AGE_BAND_LIMITS:
+            if low <= age <= high:
+                return f"{low}-{high}"
+        return None
+
+    def race(ep):
+        person = persons.get(ep.person_id)
+        if person is None:
+            return None
+        ethnicity = person.ethnicity.lower()
+        if "hispanic" in ethnicity and "not" not in ethnicity:
+            return "Hispanic/Latino"
+        return RACE_TEXT.get(person.race.strip().lower(), "Other/unknown")
+
+    def has_condition(ep, concept_ids):
+        return any(
+            e.concept_id in concept_ids and e.event_date <= ep.dod
+            for e in events_by_person.get(ep.person_id, [])
+        )
+
+    def count(predicate):
+        return [
+            sum(1 for ep in episodes if in_column(ep, column) and predicate(ep))
+            for column in range(len(TABLE_COLUMNS))
+        ]
+
+    rows = [["section", "category"] + TABLE_COLUMNS, ["total", "episodes"] + count(lambda ep: True)]
+    for low, high in AGE_BAND_LIMITS:
+        band = f"{low}-{high}"
+        rows.append(["Age group", band] + count(lambda ep: age_band(ep) == band))
+    for category in RACE_ROWS:
+        rows.append(["Race", category] + count(lambda ep: race(ep) == category))
+    for name in sorted(condition_sets):
+        concept_ids = condition_sets[name]
+        rows.append([name, "No"] + count(lambda ep: not has_condition(ep, concept_ids)))
+        rows.append([name, "Yes"] + count(lambda ep: has_condition(ep, concept_ids)))
+    return rows

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from oracles import table_reference
 from tedpc.analytics import (
     PandemicStratum,
     StrataSpec,
@@ -248,3 +249,70 @@ class TestStratifiedTable:
         assert by_label["Index before delivery: yes"] == 9
         assert by_label["Index before delivery: no"] == 14
         assert by_label["Index in weeks 1-27: yes"] == 9
+
+
+class TestTableOracle:
+    RACES = ["White", " black ", "Black or African American", "Asian", "NHOPI",
+             "Native Hawaiian or Other Pacific Islander", "Multiple", "multiracial", "Martian", ""]
+    ETHNICITIES = ["Hispanic or Latino", "Not Hispanic or Latino", "HISPANIC", "", "Unknown"]
+    CONCEPTS = [INDEX, INDEX + 1, 777, 778, 779, 5]
+    CONDITIONS = {"B_set": {779}, "A_set": {777, 778}}
+
+    def random_instance(self, rng):
+        base = date(2018, 1, 1).toordinal()
+        persons, events, episodes = {}, {}, []
+        for person_id in range(1, int(rng.integers(1, 12)) + 1):
+            if rng.random() < 0.8:
+                birth = date.fromordinal(date(1960, 1, 1).toordinal() + int(rng.integers(0, 52 * 365)))
+                race = self.RACES[int(rng.integers(len(self.RACES)))]
+                ethnicity = self.ETHNICITIES[int(rng.integers(len(self.ETHNICITIES)))]
+                persons[person_id] = Person(person_id, birth, "F", race, ethnicity)
+            person_events = []
+            for index in range(1, int(rng.integers(0, 3)) + 1):
+                start = date.fromordinal(base + int(rng.integers(0, 4 * 365)))
+                dod = start + timedelta(days=int(rng.integers(120, 320)))
+                episodes.append(episode(start, dod, person_id=person_id, index=index))
+                for _ in range(int(rng.integers(0, 5))):
+                    day = start + timedelta(days=int(rng.integers(-60, (dod - start).days + 60)))
+                    concept = self.CONCEPTS[int(rng.integers(len(self.CONCEPTS)))]
+                    person_events.append(ClinicalEvent(person_id, concept, Domain.CONDITION, day))
+            events[person_id] = sorted(person_events, key=lambda e: (e.event_date, e.concept_id))
+        return persons, events, episodes
+
+    def test_matches_brute_force_reference(self):
+        rng = np.random.default_rng(2024)
+        seen = set()
+        for trial in range(300):
+            persons, events, episodes = self.random_instance(rng)
+            if trial % 2:
+                windows = {
+                    "pre_window": (date(2018, 6, 1), date(2019, 12, 31)),
+                    "peri_window": (date(2020, 4, 1), date(2021, 12, 31)),
+                }
+                spec = StrataSpec(**windows)
+            else:
+                windows = {"cutoff": date.fromordinal(date(2019, 1, 1).toordinal() + int(rng.integers(0, 900)))}
+                spec = StrataSpec(**windows)
+            table = stratified_table(episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, spec)
+            expected = table_reference(
+                episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, **windows
+            )
+            assert table.csv_rows() == expected
+            for ep in episodes:
+                person = persons.get(ep.person_id)
+                if person is None:
+                    seen.add("missing person")
+                else:
+                    age = ep.dod.year - person.birth_date.year
+                    if not 16 <= age <= 49:
+                        seen.add("age outside bands")
+                    if person.ethnicity in ("Hispanic or Latino", "HISPANIC") and person.race.strip():
+                        seen.add("ethnicity overrides race")
+                if spec.stratum_of(ep.dod) is None:
+                    seen.add("dropped by windows")
+                if any(e.event_date > ep.dod for e in events[ep.person_id]):
+                    seen.add("event after delivery")
+        assert seen == {
+            "missing person", "age outside bands", "ethnicity overrides race",
+            "dropped by windows", "event after delivery",
+        }

@@ -318,6 +318,65 @@ class TestTimelineAndStats:
         )
         assert code == 0
 
+    def test_short_episode_row_exit_2_naming_line(self, sim_dir, tmp_path, capsys):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        episodes = tmp_path / "run" / "episodes.csv"
+        lines = episodes.read_text().splitlines()
+        episodes.write_text("\n".join([lines[0], lines[1], "1,2,2020-01-01"]) + "\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "timeline",
+                "--episodes",
+                str(episodes),
+                "--events",
+                str(sim_dir / "events.csv"),
+                "--index-events",
+                str(sim_dir / "index_concepts.csv"),
+                "--out",
+                str(tmp_path / "run"),
+            ]
+        )
+        assert code == 2
+        assert f"{episodes}:3: expected 9 fields, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"cutoff": "notadate"}',
+            '{"pre_window": ["2018-06-01"], "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"threshold": "five"}',
+            '{"pre_window": [',
+            '{"no_such_key": 1}',
+        ],
+        ids=["bad-date", "one-item-window", "non-integer-threshold", "invalid-json", "unknown-key"],
+    )
+    def test_bad_strata_spec_exit_3_naming_file(self, sim_dir, tmp_path, capsys, content):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        strata = tmp_path / "strata.json"
+        strata.write_text(content)
+        capsys.readouterr()
+        code = main(
+            [
+                "stats",
+                "--episodes",
+                str(tmp_path / "run" / "episodes.csv"),
+                "--persons",
+                str(sim_dir / "persons.csv"),
+                "--events",
+                str(sim_dir / "events.csv"),
+                "--index-events",
+                str(sim_dir / "index_concepts.csv"),
+                "--strata",
+                str(strata),
+                "--out",
+                str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(strata) in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_all_files(self, tmp_path):

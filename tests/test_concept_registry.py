@@ -8,7 +8,6 @@ from tedpc.concept_registry import (
     Domain,
     VocabularyEntry,
     classify_accuracy,
-    domain_rank,
     load_dod_concepts,
     load_ga_concepts,
     load_vocabulary,
@@ -186,13 +185,6 @@ class TestDODLoader:
         assert reloaded == dod_registry
         reloaded.write_csv(second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_unranked_domain_falls_back_to_rank_3(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING):
-            assert domain_rank(Domain.MEASUREMENT) == 3
-        assert "rank 3" in caplog.text
 
 
 def _vocab(*rows):

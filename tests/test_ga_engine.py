@@ -7,6 +7,7 @@ from conftest import random_ga_events
 from oracles import ga_reference, median_days
 from tedpc.concept_registry import AccuracyLevel, Domain, GAConceptSpec
 from tedpc.ga_engine import (
+    anchor_and_absorb,
     build_candidates,
     ga_days,
     infer_gestation_starts,
@@ -84,6 +85,17 @@ def assert_matches_reference(events, registry):
         assert out.anchor.event.concept_id == ref["anchor"]
         assert out.cluster_size == ref["size"]
         assert out.conflict_flag == ref["conflict"]
+
+
+class TestAnchorAndAbsorb:
+    def test_empty(self):
+        assert anchor_and_absorb([], [], 270) == []
+
+    def test_anchor_order_decides_clusters(self):
+        positions = [0, 200, 400]
+        # Anchoring the middle first swallows both ends; anchoring an end first leaves the other.
+        assert anchor_and_absorb(positions, [1, 0, 2], 270) == [(1, [0, 1, 2])]
+        assert anchor_and_absorb(positions, [0, 1, 2], 270) == [(0, [0, 1]), (2, [2])]
 
 
 class TestInferGestationStarts:

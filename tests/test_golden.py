@@ -1,0 +1,68 @@
+"""Byte-level regression pins for infer, timeline and stats.
+
+One noisy simulated cohort goes through every operation; the sha256 of each
+file written must match the digests recorded below. A refactor that keeps
+behaviour keeps these; a deliberate output change updates them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from tedpc.cli import main
+from tedpc.concept_registry import Domain
+
+EXPECTED = {
+    "run/dod_cohort.csv": "d736770f556aca52d0e232fde24bbe8aa423e34c734eb8c393702e28d92b8a32",
+    "run/episodes.csv": "f182d89efe256233135f88c57c020ca929cf9e094c5a1ae3be5217985f6ce236",
+    "run/excluded_episodes.csv": "287c454690687e92f30f35202bb3ab6e6c1ab8fe8cae35a907fb2c432ae7e715",
+    "run/ga_cohort.csv": "0852aa5e04e07e3189e9117f2a93dbb138830ab8213b67278f265123ba51d730",
+    "run/quarantine.csv": "51b33a0c2a3737a3e174731e3e2685d4e5d23720eb57829b966f9c6d2f1b6217",
+    "run/summary.json": "e0df5782c9a7bcd88ea57a58dfa2187a5b318058503216b928798d645f363da7",
+    "run/unmatched_dods.csv": "be3ed6f219bd7d3720553d26d316390dc2a450de7911968a37ac6183edbbaf93",
+    "run/unmatched_starts.csv": "2206f7ed2305adfce196ea93598455ac4694a828ad0c441bfc0e88cafd6c2d1f",
+    "timeline/timing.csv": "faf98ff95d438c1abb8681c94e4a0cc5c8ab1464e45122235005c5cb669aaf43",
+    "stats/histogram.csv": "ba2d98e3bbfb46d3aa04bb3fc77a8dfcffcce4415ef209506a468a3d481cff2f",
+    "stats/report.csv": "c88bc7d68e58af358bd1e6634c94b8f54bd5db1c863dc39345457fa83688af25",
+    "stats/report.md": "6be731d98dfc178d1901a992cd903311e152b71ef1224c96c5a626ade8029e40",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory, ga_registry, dod_registry):
+    root = tmp_path_factory.mktemp("golden")
+    sim, run, timeline, stats = (root / name for name in ("sim", "run", "timeline", "stats"))
+    assert main(
+        ["simulate", "--out", str(sim), "--seed", "77", "--n-persons", "300", "--index-rate", "0.9",
+         "--drop-ga", "0.1", "--conflict-ga", "0.15", "--shift", "0.3", "--shift-max-days", "30",
+         "--drop-dod", "0.1", "--pre-index", "0.3"]
+    ) == 0
+    # Every 50th person goes missing from persons.csv, so quarantine has rows.
+    lines = (sim / "persons.csv").read_text().splitlines(keepends=True)
+    (sim / "persons.csv").write_text("".join(line for i, line in enumerate(lines) if i == 0 or i % 50))
+    conditions = {
+        "first_trimester": [s.concept_id for s in ga_registry if s.week_high <= 13],
+        "procedure_delivery": [s.concept_id for s in dod_registry if s.domain is Domain.PROCEDURE],
+    }
+    for name, ids in conditions.items():
+        (root / f"{name}.csv").write_text("concept_id\n" + "".join(f"{i}\n" for i in sorted(ids)))
+    assert main(
+        ["infer", "--persons", str(sim / "persons.csv"), "--events", str(sim / "events.csv"),
+         "--out", str(run), "--emit-cohorts"]
+    ) == 0
+    common = ["--episodes", str(run / "episodes.csv"), "--events", str(sim / "events.csv"),
+              "--index-events", str(sim / "index_concepts.csv")]
+    assert main(["timeline", *common, "--out", str(timeline)]) == 0
+    assert main(
+        ["stats", *common, "--persons", str(sim / "persons.csv"), "--out", str(stats), "--unsuppressed",
+         *(f"--condition={name}={root / name}.csv" for name in conditions)]
+    ) == 0
+    return {
+        f"{directory.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for directory in (run, timeline, stats)
+        for path in sorted(directory.iterdir())
+    }
+
+
+def test_outputs_match_recorded_digests(outputs):
+    assert outputs == EXPECTED
