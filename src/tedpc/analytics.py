@@ -8,7 +8,7 @@ time only: raw counts are computed once and never altered by suppression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -94,8 +94,11 @@ class StrataSpec:
         return pandemic_stratum_of(dod, self.cutoff)
 
     @classmethod
-    def from_json(cls, path: Path | str) -> "StrataSpec":
-        """Read a spec from a JSON object; any bad value raises ConfigError naming the file."""
+    def from_json(cls, path: Path | str, base: "StrataSpec | None" = None) -> "StrataSpec":
+        """Read a spec from a JSON object; keys it leaves out keep `base`'s values.
+
+        Any bad value raises ConfigError naming the file.
+        """
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -121,7 +124,7 @@ class StrataSpec:
                 if type(threshold) is not int:
                     raise ValueError(f"threshold must be an integer, got {threshold!r}")
                 kwargs["threshold"] = threshold
-            return cls(**kwargs)
+            return replace(base or cls(), **kwargs)
         except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
 

@@ -14,7 +14,6 @@ import logging
 import sys
 from pathlib import Path
 
-from .analytics import StrataSpec
 from .concept_registry import Domain, load_vocabulary, phenotype_search
 from .config import RunConfig, build_config, resolve_input_path
 from .episode_builder import read_episodes
@@ -119,10 +118,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         if not name or not raw_path:
             raise ConfigError(f"--condition expects name=path, got {item!r}")
         condition_sets[name] = resolve_input_path(raw_path)
-    strata = None
-    if args.strata:
-        strata = StrataSpec.from_json(resolve_input_path(args.strata))
-    run_stats(config, condition_sets, strata=strata, unsuppressed=args.unsuppressed)
+    strata_path = resolve_input_path(args.strata) if args.strata else None
+    run_stats(config, condition_sets, strata_path=strata_path, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")
 
 
@@ -269,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
+    except FileExistsError as exc:
+        print(f"config error: output path {exc.filename} exists and is not a directory", file=sys.stderr)
+        return EXIT_CONFIG
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,6 +17,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .csvio import read_rows
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -146,38 +147,11 @@ class GARegistry:
     def __iter__(self) -> Iterator[GAConceptSpec]:
         return iter(sorted(self._by_id.values(), key=lambda s: s.concept_id))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GARegistry) and self._by_id == other._by_id
-
     def get(self, concept_id: int) -> GAConceptSpec | None:
         return self._by_id.get(concept_id)
 
     def by_accuracy(self, level: AccuracyLevel) -> list[GAConceptSpec]:
         return [s for s in self if s.accuracy == level]
-
-    def write_csv(self, path: Path | str) -> None:
-        """Serialize in canonical form (manifest, header, rows by concept id)."""
-        c = self.counts
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(
-                f"#manifest total={len(self)} high={c[AccuracyLevel.HIGH]} "
-                f"mh={c[AccuracyLevel.MODERATE_HIGH]} ml={c[AccuracyLevel.MODERATE_LOW]} "
-                f"low={c[AccuracyLevel.LOW]}\n"
-            )
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(GA_HEADER)
-            for spec in self:
-                writer.writerow(
-                    [
-                        spec.concept_id,
-                        spec.name,
-                        TOKEN_BY_ACCURACY[spec.accuracy],
-                        spec.week_low,
-                        spec.week_high,
-                        spec.domain.value,
-                        spec.vocabulary,
-                    ]
-                )
 
 
 class DODRegistry:
@@ -195,24 +169,12 @@ class DODRegistry:
     def __iter__(self) -> Iterator[DODConceptSpec]:
         return iter(sorted(self._by_id.values(), key=lambda s: s.concept_id))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DODRegistry) and self._by_id == other._by_id
-
     def get(self, concept_id: int) -> DODConceptSpec | None:
         return self._by_id.get(concept_id)
 
     def rank_of(self, concept_id: int) -> int | None:
         spec = self._by_id.get(concept_id)
         return spec.domain_rank if spec else None
-
-    def write_csv(self, path: Path | str) -> None:
-        """Serialize in canonical form (manifest, header, rows by concept id)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"#manifest total={len(self)}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(DOD_HEADER)
-            for spec in self:
-                writer.writerow([spec.concept_id, spec.name, spec.domain.value, spec.vocabulary])
 
 
 GA_HEADER = ["concept_id", "name", "accuracy_level", "week_low", "week_high", "domain", "vocabulary"]
@@ -235,71 +197,53 @@ def default_dod_concepts_path() -> Path:
     return _DATA_DIR / "dod_concepts.csv"
 
 
-def _read_table(path: Path, header: list[str], manifest_re: re.Pattern) -> tuple[re.Match | None, list[tuple[int, list[str]]]]:
-    """Read a concept CSV, returning its manifest match and (line_no, row) pairs.
+def _load_concept_table(
+    path: Path | str, header: list[str], parse, manifest_re: re.Pattern
+) -> tuple[re.Match | None, list]:
+    """Read a concept CSV into its manifest match and its rows, deduplicated on concept id.
 
     Lines beginning with '#' are comments; the first one matching the manifest
-    pattern is captured. Field values never contain newlines in these files.
+    pattern is captured. Identical repeats of a concept collapse; conflicting
+    repeats fail.
     """
-    manifest = None
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        numbered = []
-        for line_no, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                if manifest is None:
-                    manifest = manifest_re.match(line.strip())
-                continue
-            if line.strip():
-                numbered.append((line_no, line))
-        if not numbered:
-            raise DataFormatError(f"{path}: empty file, expected header {header}")
-        parsed = list(csv.reader([line for _, line in numbered]))
-        if parsed[0] != header:
-            raise DataFormatError(f"{path}: bad header {parsed[0]!r}, expected {header}")
-        rows = [(numbered[i][0], parsed[i]) for i in range(1, len(parsed))]
-    return manifest, rows
+    comments: list[str] = []
+    by_id: dict = {}
+
+    def parse_unique(row: list[str]):
+        spec = parse(row)
+        if by_id.get(spec.concept_id, spec) != spec:
+            raise ValueError(f"conflicting duplicate for concept {spec.concept_id}")
+        return spec
+
+    for spec in read_rows(path, header, parse_unique, on_comment=comments.append):
+        by_id[spec.concept_id] = spec
+    manifest = next(filter(None, (manifest_re.match(line.strip()) for line in comments)), None)
+    return manifest, list(by_id.values())
+
+
+def _parse_ga_concept(row: list[str]) -> GAConceptSpec:
+    concept_id, week_low, week_high = int(row[0]), int(row[3]), int(row[4])
+    domain = Domain.parse(row[5])
+    declared = ACCURACY_TOKENS.get(row[2].strip().lower())
+    if declared is None:
+        raise ValueError(f"unknown accuracy level {row[2]!r}")
+    derived = classify_accuracy(week_low, week_high)
+    if derived != declared:
+        raise ValueError(
+            f"concept {concept_id} declares accuracy {row[2]!r} but weeks ({week_low}, {week_high}) "
+            f"imply {TOKEN_BY_ACCURACY[derived]!r}"
+        )
+    return GAConceptSpec(concept_id, row[1], week_low, week_high, derived, domain, row[6])
 
 
 def load_ga_concepts(path: Path | str) -> GARegistry:
     """Load the GA concept set; re-derives and checks every row's accuracy.
 
-    Rows are deduplicated on concept id (identical repeats collapse,
-    conflicting repeats fail). When a manifest header is present its total and
-    per-level counts are enforced.
+    Rows are deduplicated on concept id. When a manifest header is present
+    its total and per-level counts are enforced.
     """
-    path = Path(path)
-    manifest, rows = _read_table(path, GA_HEADER, _GA_MANIFEST_RE)
-    by_id: dict[int, GAConceptSpec] = {}
-    for line_no, row in rows:
-        if len(row) != len(GA_HEADER):
-            raise DataFormatError(f"{path}:{line_no}: expected {len(GA_HEADER)} fields, got {len(row)}")
-        try:
-            concept_id = int(row[0])
-            week_low = int(row[3])
-            week_high = int(row[4])
-            domain = Domain.parse(row[5])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{line_no}: {exc}") from None
-        declared = ACCURACY_TOKENS.get(row[2].strip().lower())
-        if declared is None:
-            raise DataFormatError(f"{path}:{line_no}: unknown accuracy level {row[2]!r}")
-        try:
-            derived = classify_accuracy(week_low, week_high)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{line_no}: {exc}") from None
-        if derived != declared:
-            raise DataFormatError(
-                f"{path}:{line_no}: concept {concept_id} declares accuracy "
-                f"{row[2]!r} but weeks ({week_low}, {week_high}) imply "
-                f"{TOKEN_BY_ACCURACY[derived]!r}"
-            )
-        spec = GAConceptSpec(concept_id, row[1], week_low, week_high, derived, domain, row[6])
-        previous = by_id.get(concept_id)
-        if previous is not None and previous != spec:
-            raise DataFormatError(f"{path}:{line_no}: conflicting duplicate for concept {concept_id}")
-        by_id[concept_id] = spec
-    registry = GARegistry(by_id.values())
+    manifest, specs = _load_concept_table(path, GA_HEADER, _parse_ga_concept, _GA_MANIFEST_RE)
+    registry = GARegistry(specs)
     if manifest is not None:
         expected = [int(g) for g in manifest.groups()]
         actual = [
@@ -318,34 +262,22 @@ def load_ga_concepts(path: Path | str) -> GARegistry:
     return registry
 
 
+def _parse_dod_concept(row: list[str]) -> DODConceptSpec:
+    concept_id, domain = int(row[0]), Domain.parse(row[2])
+    rank = DOMAIN_RANKS.get(domain)
+    if rank is None:
+        raise ValueError(f"concept {concept_id} has unrankable domain {domain.value!r}")
+    return DODConceptSpec(concept_id, row[1], domain, rank, row[3])
+
+
 def load_dod_concepts(path: Path | str) -> DODRegistry:
     """Load the delivery concept set; deduplicates and assigns domain ranks.
 
     Only procedure, condition, and observation domains are rankable here;
     any other domain in the file is a load failure.
     """
-    path = Path(path)
-    manifest, rows = _read_table(path, DOD_HEADER, _DOD_MANIFEST_RE)
-    by_id: dict[int, DODConceptSpec] = {}
-    for line_no, row in rows:
-        if len(row) != len(DOD_HEADER):
-            raise DataFormatError(f"{path}:{line_no}: expected {len(DOD_HEADER)} fields, got {len(row)}")
-        try:
-            concept_id = int(row[0])
-            domain = Domain.parse(row[2])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{line_no}: {exc}") from None
-        rank = DOMAIN_RANKS.get(domain)
-        if rank is None:
-            raise DataFormatError(
-                f"{path}:{line_no}: concept {concept_id} has unrankable domain {domain.value!r}"
-            )
-        spec = DODConceptSpec(concept_id, row[1], domain, rank, row[3])
-        previous = by_id.get(concept_id)
-        if previous is not None and previous != spec:
-            raise DataFormatError(f"{path}:{line_no}: conflicting duplicate for concept {concept_id}")
-        by_id[concept_id] = spec
-    registry = DODRegistry(by_id.values())
+    manifest, specs = _load_concept_table(path, DOD_HEADER, _parse_dod_concept, _DOD_MANIFEST_RE)
+    registry = DODRegistry(specs)
     if manifest is not None and int(manifest.group(1)) != len(registry):
         raise DataFormatError(
             f"{path}: manifest check failed, declared total {manifest.group(1)} "
@@ -358,27 +290,20 @@ def load_dod_concepts(path: Path | str) -> DODRegistry:
 _BOOL_TOKENS = {"true": True, "false": False}
 
 
+def _parse_vocabulary_entry(row: list[str]) -> VocabularyEntry:
+    return VocabularyEntry(
+        int(row[0]),
+        row[1],
+        Domain.parse(row[2]),
+        _BOOL_TOKENS[row[3].strip().lower()],
+        _BOOL_TOKENS[row[4].strip().lower()],
+    )
+
+
 def load_vocabulary(path: Path | str) -> list[VocabularyEntry]:
     """Load a local vocabulary table for phenotyping."""
-    path = Path(path)
-    _, rows = _read_table(path, VOCABULARY_HEADER, _DOD_MANIFEST_RE)
-    by_id: dict[int, VocabularyEntry] = {}
-    for line_no, row in rows:
-        if len(row) != len(VOCABULARY_HEADER):
-            raise DataFormatError(f"{path}:{line_no}: expected {len(VOCABULARY_HEADER)} fields, got {len(row)}")
-        try:
-            concept_id = int(row[0])
-            domain = Domain.parse(row[2])
-            standard = _BOOL_TOKENS[row[3].strip().lower()]
-            valid = _BOOL_TOKENS[row[4].strip().lower()]
-        except (ValueError, KeyError) as exc:
-            raise DataFormatError(f"{path}:{line_no}: bad vocabulary row: {exc}") from None
-        entry = VocabularyEntry(concept_id, row[1], domain, standard, valid)
-        previous = by_id.get(concept_id)
-        if previous is not None and previous != entry:
-            raise DataFormatError(f"{path}:{line_no}: conflicting duplicate for concept {concept_id}")
-        by_id[concept_id] = entry
-    return sorted(by_id.values(), key=lambda e: e.concept_id)
+    _, entries = _load_concept_table(path, VOCABULARY_HEADER, _parse_vocabulary_entry, _DOD_MANIFEST_RE)
+    return sorted(entries, key=lambda e: e.concept_id)
 
 
 def phenotype_search(

@@ -33,6 +33,8 @@ _PATH_FIELDS = {
     "out_dir",
 }
 
+_JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
+
 
 def resolve_input_path(path: Path | str | None) -> Path | None:
     """Resolve an input path, falling back to $TEDPC_DATA_DIR for relative names."""
@@ -117,10 +119,18 @@ def build_config(config_file: Path | str | None, overrides: dict) -> RunConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{config_file}: invalid JSON: {exc}") from None
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{config_file}: expected a JSON object")
+        defaults = RunConfig()
+        unknown = set(raw) - set(vars(defaults))
         if unknown:
             raise ConfigError(f"{config_file}: unknown config keys {sorted(unknown)}")
+        for key, value in raw.items():
+            default = getattr(defaults, key)
+            expected = str if key in _DATE_FIELDS or key in _PATH_FIELDS else type(default)
+            # Exact type: bool subclasses int, but true is not a window length.
+            if type(value) is not expected and not (value is None and default is None):
+                raise ConfigError(f"{config_file}: {key} must be a JSON {_JSON_NAMES[expected]}, got {value!r}")
         values.update(raw)
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key in list(values):

@@ -1,0 +1,76 @@
+"""The one CSV dialect of every tedpc table.
+
+A table is UTF-8 text, optionally behind a byte-order mark, whose first
+non-blank row is a fixed header. Blank rows are skipped, every other row must
+have the header's field count, and a row that does not parse is reported as
+`path:line`. Tables are written as UTF-8 with `\\n` line ends.
+"""
+
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+from .errors import DataFormatError
+
+T = TypeVar("T")
+
+
+def _blank_comments(lines: Iterable[str], on_comment: Callable[[str], None]) -> Iterator[str]:
+    """Pass '#' lines to on_comment and read them, and whitespace-only lines, as blank."""
+    for line in lines:
+        if line.startswith("#"):
+            on_comment(line)
+            line = "\n"
+        yield line if line.strip() else "\n"
+
+
+def read_rows(
+    path: Path | str,
+    header: list[str],
+    parse: Callable[[list[str]], T],
+    on_comment: Callable[[str], None] | None = None,
+) -> Iterator[T]:
+    """Yield parse(row) for each data row of a header-first table, one row at a time.
+
+    A ValueError or KeyError raised by `parse` becomes a DataFormatError
+    naming `path:line`, so checks that span rows (duplicates) belong in
+    `parse` too: it runs only after the caller has taken every earlier value.
+    With `on_comment`, lines starting with '#' are handed to it instead of
+    being parsed; without it they are ordinary rows.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh if on_comment is None else _blank_comments(fh, on_comment))
+        for row in reader:
+            if row:
+                break
+        else:
+            raise DataFormatError(f"{path}: empty file, expected header {header}")
+        if row != header:
+            raise DataFormatError(f"{path}: bad header {row!r}, expected {header}")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
+            try:
+                value = parse(row)
+            except (ValueError, KeyError) as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {_describe(exc)}") from None
+            # The value alone: pairing each with its line number costs ~7% of load_events.
+            yield value
+
+
+def _describe(exc: ValueError | KeyError) -> str:
+    # str(KeyError('x')) is just "'x'", which says nothing about what was wrong.
+    return f"unknown value {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+def write_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as UTF-8 CSV with '\\n' line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -9,7 +9,6 @@ the gestational week of arbitrary index events.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -18,7 +17,8 @@ from typing import Iterable
 
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DeliveryRecord
-from .errors import DataFormatError, InvariantError
+from .csvio import read_rows, write_rows
+from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
 
@@ -233,53 +233,40 @@ EPISODE_HEADER = [
 
 def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> None:
     """Write episodes in canonical (person, episode index) order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EPISODE_HEADER)
-        for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
-            writer.writerow(
-                [
-                    e.person_id,
-                    e.episode_index,
-                    e.start_date.isoformat(),
-                    e.dod.isoformat(),
-                    e.gestation_days,
-                    TOKEN_BY_ACCURACY[e.ga_accuracy],
-                    e.dod_domain_rank,
-                    e.extreme_flag.value,
-                    str(e.conflict_flag).lower(),
-                ]
-            )
+    write_rows(
+        path,
+        EPISODE_HEADER,
+        (
+            [
+                e.person_id,
+                e.episode_index,
+                e.start_date.isoformat(),
+                e.dod.isoformat(),
+                e.gestation_days,
+                TOKEN_BY_ACCURACY[e.ga_accuracy],
+                e.dod_domain_rank,
+                e.extreme_flag.value,
+                str(e.conflict_flag).lower(),
+            ]
+            for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
+        ),
+    )
+
+
+def _parse_episode(row: list[str]) -> PregnancyEpisode:
+    return PregnancyEpisode(
+        person_id=int(row[0]),
+        episode_index=int(row[1]),
+        start_date=date.fromisoformat(row[2]),
+        dod=date.fromisoformat(row[3]),
+        gestation_days=int(row[4]),
+        ga_accuracy=ACCURACY_TOKENS[row[5]],
+        dod_domain_rank=int(row[6]),
+        extreme_flag=ExtremeFlag(row[7]),
+        conflict_flag=row[8] == "true",
+    )
 
 
 def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
     """Read an episodes table written by write_episodes."""
-    path = Path(path)
-    episodes = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != EPISODE_HEADER:
-            raise DataFormatError(f"{path}: bad header {header!r}, expected {EPISODE_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EPISODE_HEADER):
-                raise DataFormatError(f"{path}:{line_no}: expected {len(EPISODE_HEADER)} fields, got {len(row)}")
-            try:
-                episodes.append(
-                    PregnancyEpisode(
-                        person_id=int(row[0]),
-                        episode_index=int(row[1]),
-                        start_date=date.fromisoformat(row[2]),
-                        dod=date.fromisoformat(row[3]),
-                        gestation_days=int(row[4]),
-                        ga_accuracy=ACCURACY_TOKENS[row[5]],
-                        dod_domain_rank=int(row[6]),
-                        extreme_flag=ExtremeFlag(row[7]),
-                        conflict_flag=row[8] == "true",
-                    )
-                )
-            except (ValueError, KeyError) as exc:
-                raise DataFormatError(f"{path}:{line_no}: bad episode row: {exc}") from None
-    return episodes
+    return list(read_rows(path, EPISODE_HEADER, _parse_episode))

@@ -8,7 +8,6 @@ silently.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from datetime import date
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import DODRegistry, Domain, GARegistry
-from .errors import DataFormatError
+from .csvio import read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -56,47 +55,28 @@ class EventTable:
         return sum(len(evs) for evs in self.events_by_person.values())
 
 
-def _read_header(reader, path: Path, expected: list[str]):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{path}: empty file, expected header {expected}") from None
-    if header != expected:
-        raise DataFormatError(f"{path}: bad header {header!r}, expected {expected}")
-
-
 def load_persons(path: Path | str, today: date | None = None) -> dict[int, Person]:
     """Load the persons table keyed by person id.
 
     Identical duplicate rows collapse; conflicting duplicates fail. Birth
     dates must parse and lie in [1900-01-01, today].
     """
-    path = Path(path)
     today = today or date.today()
     persons: dict[int, Person] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, PERSON_HEADER)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(PERSON_HEADER):
-                raise DataFormatError(f"{path}:{line_no}: expected {len(PERSON_HEADER)} fields, got {len(row)}")
-            try:
-                person_id = int(row[0])
-                birth = date.fromisoformat(row[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{line_no}: {exc}") from None
-            if not (MIN_EVENT_DATE <= birth <= today):
-                raise DataFormatError(
-                    f"{path}:{line_no}: birth_date {birth.isoformat()} outside "
-                    f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
-                )
-            person = Person(person_id, birth, row[2], row[3], row[4])
-            previous = persons.get(person_id)
-            if previous is not None and previous != person:
-                raise DataFormatError(f"{path}:{line_no}: conflicting duplicate for person {person_id}")
-            persons[person_id] = person
+
+    def parse(row: list[str]) -> Person:
+        person = Person(int(row[0]), date.fromisoformat(row[1]), row[2], row[3], row[4])
+        if not (MIN_EVENT_DATE <= person.birth_date <= today):
+            raise ValueError(
+                f"birth_date {person.birth_date.isoformat()} outside "
+                f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
+            )
+        if persons.get(person.person_id, person) != person:
+            raise ValueError(f"conflicting duplicate for person {person.person_id}")
+        return person
+
+    for person in read_rows(path, PERSON_HEADER, parse):
+        persons[person.person_id] = person
     logger.info("loaded %d persons from %s", len(persons), path)
     return persons
 
@@ -114,7 +94,6 @@ def load_events(
     When registries are given, an event whose domain disagrees with the
     registry's domain for that concept is kept but counted and warned about.
     """
-    path = Path(path)
     known = set(known_persons) if known_persons is not None else None
     by_person: dict[int, list[ClinicalEvent]] = {}
     quarantined: list[ClinicalEvent] = []
@@ -123,45 +102,36 @@ def load_events(
     total = 0
     # Bound once: attribute lookup on an Enum class costs more than the parse itself.
     parse_domain = Domain.parse
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _read_header(reader, path, EVENT_HEADER)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(EVENT_HEADER):
-                raise DataFormatError(f"{path}:{line_no}: expected {len(EVENT_HEADER)} fields, got {len(row)}")
-            try:
-                person_id = int(row[0])
-                concept_id = int(row[1])
-                domain = parse_domain(row[2])
-                event_date = date.fromisoformat(row[3])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{line_no}: bad event row {row!r}: {exc}") from None
-            if not (MIN_EVENT_DATE <= event_date <= MAX_EVENT_DATE):
-                raise DataFormatError(
-                    f"{path}:{line_no}: event_date {event_date.isoformat()} outside "
-                    f"[{MIN_EVENT_DATE.isoformat()}, {MAX_EVENT_DATE.isoformat()}]"
-                )
-            total += 1
-            event = ClinicalEvent(person_id, concept_id, domain, event_date)
-            if known is not None and person_id not in known:
-                quarantined.append(event)
-                continue
-            expected = None
-            if ga_registry is not None:
-                spec = ga_registry.get(concept_id)
-                if spec is not None:
-                    expected = spec.domain
-            if expected is None and dod_registry is not None:
-                spec = dod_registry.get(concept_id)
-                if spec is not None:
-                    expected = spec.domain
-            if expected is not None and expected != domain:
-                mismatches += 1
-                if len(mismatch_samples) < 5:
-                    mismatch_samples.append(event)
-            by_person.setdefault(person_id, []).append(event)
+
+    def parse(row: list[str]) -> ClinicalEvent:
+        event = ClinicalEvent(int(row[0]), int(row[1]), parse_domain(row[2]), date.fromisoformat(row[3]))
+        if not (MIN_EVENT_DATE <= event.event_date <= MAX_EVENT_DATE):
+            raise ValueError(
+                f"event_date {event.event_date.isoformat()} outside "
+                f"[{MIN_EVENT_DATE.isoformat()}, {MAX_EVENT_DATE.isoformat()}]"
+            )
+        return event
+
+    for event in read_rows(path, EVENT_HEADER, parse):
+        total += 1
+        person_id, concept_id, domain, _ = event
+        if known is not None and person_id not in known:
+            quarantined.append(event)
+            continue
+        expected = None
+        if ga_registry is not None:
+            spec = ga_registry.get(concept_id)
+            if spec is not None:
+                expected = spec.domain
+        if expected is None and dod_registry is not None:
+            spec = dod_registry.get(concept_id)
+            if spec is not None:
+                expected = spec.domain
+        if expected is not None and expected != domain:
+            mismatches += 1
+            if len(mismatch_samples) < 5:
+                mismatch_samples.append(event)
+        by_person.setdefault(person_id, []).append(event)
     for events in by_person.values():
         events.sort(key=lambda e: (e.event_date, e.concept_id))
     if quarantined:
@@ -179,17 +149,23 @@ def load_events(
 
 def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
     """Write a persons table in canonical (person id) order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PERSON_HEADER)
-        for p in sorted(persons, key=lambda p: p.person_id):
-            writer.writerow([p.person_id, p.birth_date.isoformat(), p.sex, p.race, p.ethnicity])
+    write_rows(
+        path,
+        PERSON_HEADER,
+        (
+            [p.person_id, p.birth_date.isoformat(), p.sex, p.race, p.ethnicity]
+            for p in sorted(persons, key=lambda p: p.person_id)
+        ),
+    )
 
 
 def write_events(path: Path | str, events: Iterable[ClinicalEvent]) -> None:
     """Write an events table in canonical (person, date, concept) order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_HEADER)
-        for e in sorted(events, key=lambda e: (e.person_id, e.event_date, e.concept_id)):
-            writer.writerow([e.person_id, e.concept_id, e.domain.value, e.event_date.isoformat()])
+    write_rows(
+        path,
+        EVENT_HEADER,
+        (
+            [e.person_id, e.concept_id, e.domain.value, e.event_date.isoformat()]
+            for e in sorted(events, key=lambda e: (e.person_id, e.event_date, e.concept_id))
+        ),
+    )

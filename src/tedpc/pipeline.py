@@ -7,7 +7,6 @@ in person-id order, making output bytes independent of the thread count.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +26,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
+from .csvio import write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates
 from .episode_builder import (
     MatchDiagnostics,
@@ -54,13 +54,6 @@ def _check_separation(values: list, window_days: int, kind: str, person_id: int)
                 f"person {person_id}: two {kind} values {b - a} days apart, "
                 f"expected more than {window_days}"
             )
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def run_infer(config: RunConfig) -> dict:
@@ -123,7 +116,7 @@ def run_infer(config: RunConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_episodes(out / "episodes.csv", episodes)
-    _write_csv(
+    write_rows(
         out / "unmatched_starts.csv",
         ["person_id", "start_date", "anchor_concept_id", "accuracy"],
         [
@@ -131,13 +124,13 @@ def run_infer(config: RunConfig) -> dict:
             for s in unmatched_starts
         ],
     )
-    _write_csv(
+    write_rows(
         out / "unmatched_dods.csv",
         ["person_id", "dod", "anchor_concept_id", "domain_rank"],
         [[r.person_id, r.dod.isoformat(), r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
     )
     write_events(out / "quarantine.csv", table.quarantined)
-    _write_csv(
+    write_rows(
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
         [
@@ -146,7 +139,7 @@ def run_infer(config: RunConfig) -> dict:
         ],
     )
     if config.emit_cohorts:
-        _write_csv(
+        write_rows(
             out / "ga_cohort.csv",
             ["person_id", "start_date", "anchor_concept_id", "anchor_event_date", "accuracy", "cluster_size", "conflict_flag"],
             [
@@ -162,7 +155,7 @@ def run_infer(config: RunConfig) -> dict:
                 for s in all_starts
             ],
         )
-        _write_csv(
+        write_rows(
             out / "dod_cohort.csv",
             ["person_id", "dod", "anchor_concept_id", "domain_rank", "cluster_size"],
             [
@@ -218,7 +211,7 @@ def run_timeline(config: RunConfig) -> int:
                     timing.trimester.value,
                 ]
             )
-    _write_csv(
+    write_rows(
         out / "timing.csv",
         ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"],
         rows,
@@ -229,22 +222,24 @@ def run_timeline(config: RunConfig) -> int:
 def run_stats(
     config: RunConfig,
     condition_set_paths: dict[str, Path],
-    strata: StrataSpec | None = None,
+    strata_path: Path | None = None,
     unsuppressed: bool = False,
 ) -> None:
     """Render the index-week histogram and stratified table into out_dir.
 
-    report.md is always suppression-masked; the raw CSV exports are written
-    only when `unsuppressed` is set.
+    The strata come from the run's cutoff and suppression threshold; a strata
+    file overrides the keys it sets. report.md is always suppression-masked;
+    the raw CSV exports are written only when `unsuppressed` is set.
     """
     config.validate()
+    strata = StrataSpec(cutoff=config.pandemic_cutoff, threshold=config.suppression_threshold)
+    if strata_path is not None:
+        strata = StrataSpec.from_json(strata_path, strata)
     episodes = read_episodes(config.episodes_path)
     persons = load_persons(config.persons_path)
     table = load_events(config.events_path)
     index_concepts = read_concept_ids(config.index_events_path)
     condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
-    if strata is None:
-        strata = StrataSpec(cutoff=config.pandemic_cutoff, threshold=config.suppression_threshold)
 
     histogram = infection_week_histogram(episodes, table.events_by_person, index_concepts)
     report_table = stratified_table(
@@ -269,6 +264,6 @@ def run_stats(
     ]
     (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
     if unsuppressed:
-        _write_csv(out / "histogram.csv", ["gestational_week", "episodes"], sorted(histogram.items()))
+        write_rows(out / "histogram.csv", ["gestational_week", "episodes"], sorted(histogram.items()))
         rows = report_table.csv_rows()
-        _write_csv(out / "report.csv", rows[0], rows[1:])
+        write_rows(out / "report.csv", rows[0], rows[1:])

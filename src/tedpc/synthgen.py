@@ -13,7 +13,6 @@ output does not depend on generation order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .concept_registry import AccuracyLevel, DODRegistry, Domain, GARegistry
+from .csvio import read_rows, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
@@ -160,44 +160,37 @@ class SyntheticCohort:
         write_persons(paths["persons"], self.persons)
         write_events(paths["events"], self.events)
         write_truth(paths["truth"], self.truth)
-        with open(paths["noise_log"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(NOISE_LOG_HEADER)
-            for entry in sorted(self.noise_log):
-                writer.writerow(
-                    [entry.channel, entry.person_id, entry.concept_id, entry.event_date.isoformat(), entry.detail]
-                )
-        with open(paths["index_concepts"], "w", newline="", encoding="utf-8") as fh:
-            fh.write("concept_id\n")
-            fh.write(f"{self.index_concept_id}\n")
+        write_rows(
+            paths["noise_log"],
+            NOISE_LOG_HEADER,
+            (
+                [e.channel, e.person_id, e.concept_id, e.event_date.isoformat(), e.detail]
+                for e in sorted(self.noise_log)
+            ),
+        )
+        write_rows(paths["index_concepts"], ["concept_id"], [[self.index_concept_id]])
         return paths
 
 
 def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRUTH_HEADER)
-        for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index)):
-            week = "" if t.index_event_week is None else t.index_event_week
-            writer.writerow([t.person_id, t.episode_index, t.true_start.isoformat(), t.true_dod.isoformat(), week])
+    write_rows(
+        path,
+        TRUTH_HEADER,
+        (
+            [t.person_id, t.episode_index, t.true_start.isoformat(), t.true_dod.isoformat(),
+             "" if t.index_event_week is None else t.index_event_week]
+            for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index))
+        ),
+    )
+
+
+def _parse_truth(row: list[str]) -> TruthRecord:
+    week = int(row[4]) if row[4] != "" else None
+    return TruthRecord(int(row[0]), int(row[1]), date.fromisoformat(row[2]), date.fromisoformat(row[3]), week)
 
 
 def read_truth(path: Path | str) -> list[TruthRecord]:
-    path = Path(path)
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_HEADER:
-            raise GenerationError(f"{path}: bad truth header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            week = int(row[4]) if row[4] != "" else None
-            records.append(
-                TruthRecord(int(row[0]), int(row[1]), date.fromisoformat(row[2]), date.fromisoformat(row[3]), week)
-            )
-    return records
+    return list(read_rows(path, TRUTH_HEADER, _parse_truth))
 
 
 def _person_rng(seed: int, stream: int, person_id: int) -> np.random.Generator:

@@ -118,6 +118,32 @@ class TestInfer:
         code = run_infer(sim_dir, tmp_path / "run", "--config", str(config_path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"window_days": "abc"},
+            {"threads": True},
+            {"emit_cohorts": 1},
+            {"pandemic_cutoff": 20200301},
+            {"out_dir": 5},
+        ],
+        ids=["int-given-string", "int-given-bool", "bool-given-int", "date-given-int", "path-given-int"],
+    )
+    def test_config_value_of_wrong_json_type_exit_3(self, sim_dir, tmp_path, capsys, setting):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(setting))
+        code = run_infer(sim_dir, tmp_path / "run", "--config", str(config_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(config_path) in err and next(iter(setting)) in err and "Traceback" not in err
+
+    def test_out_naming_existing_file_exit_3(self, sim_dir, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert run_infer(sim_dir, target) == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+
     def test_data_dir_env_fallback(self, sim_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("TEDPC_DATA_DIR", str(sim_dir))
         monkeypatch.chdir(tmp_path)
@@ -318,6 +344,32 @@ class TestTimelineAndStats:
         )
         assert code == 0
 
+    def test_strata_file_keys_left_out_take_the_run_config(self, sim_dir, tmp_path):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text('{"suppression_threshold": 3}')
+
+        def stats(name, *extra, strata=None):
+            out = tmp_path / name
+            args = [
+                "stats", "--episodes", str(tmp_path / "run" / "episodes.csv"),
+                "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv"),
+                "--index-events", str(sim_dir / "index_concepts.csv"), "--config", str(config_path),
+                "--unsuppressed", "--out", str(out), *extra,
+            ]
+            if strata is not None:
+                (tmp_path / f"{name}.json").write_text(json.dumps(strata))
+                args += ["--strata", str(tmp_path / f"{name}.json")]
+            assert main(args) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        late = stats("late", "--cutoff", "2021-01-01")
+        early = stats("early", "--cutoff", "2020-03-01")
+        assert late != early
+        assert stats("cutoff-from-flag", "--cutoff", "2021-01-01", strata={"threshold": 3}) == late
+        assert stats("threshold-from-config", strata={"cutoff": "2021-01-01"}) == late
+        assert stats("file-wins", "--cutoff", "2021-01-01", strata={"cutoff": "2020-03-01"}) == early
+
     def test_short_episode_row_exit_2_naming_line(self, sim_dir, tmp_path, capsys):
         assert run_infer(sim_dir, tmp_path / "run") == 0
         episodes = tmp_path / "run" / "episodes.csv"
@@ -376,6 +428,41 @@ class TestTimelineAndStats:
         assert code == 3
         err = capsys.readouterr().err
         assert str(strata) in err and "Traceback" not in err
+
+
+class TestTableDialect:
+    @pytest.mark.parametrize(
+        "table, content, expected",
+        [
+            ("truth", "person_id,episode_index,true_start,true_dod,index_event_week\n1,1,2020-13-01,2020-10-01,\n",
+             "{path}:2: month must be in 1..12"),
+            ("truth", "person_id,episode_index,true_start,true_dod,index_event_week\n\n1,1,2020-01-01\n",
+             "{path}:3: expected 5 fields, got 3"),
+            ("truth", "person,episode\n1,1\n", "{path}: bad header"),
+            ("episodes", "", "{path}: empty file, expected header"),
+        ],
+        ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty"],
+    )
+    def test_malformed_table_exit_2_naming_file(self, sim_dir, tmp_path, capsys, table, content, expected):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        paths = {"truth": sim_dir / "truth.csv", "episodes": tmp_path / "run" / "episodes.csv"}
+        paths[table] = tmp_path / f"{table}.csv"
+        paths[table].write_text(content)
+        capsys.readouterr()
+        code = main(["evaluate", "--truth", str(paths["truth"]), "--episodes", str(paths["episodes"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert expected.format(path=paths[table]) in err and "Traceback" not in err
+
+    def test_byte_order_mark_is_accepted(self, sim_dir, tmp_path):
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("persons.csv", "events.csv"):
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + (sim_dir / name).read_bytes())
+        assert run_infer(sim_dir, tmp_path / "plain", "--emit-cohorts") == 0
+        assert run_infer(bom, tmp_path / "with-bom", "--emit-cohorts") == 0
+        plain = {path.name: path.read_bytes() for path in (tmp_path / "plain").iterdir()}
+        assert plain == {path.name: path.read_bytes() for path in (tmp_path / "with-bom").iterdir()}
 
 
 class TestSimulate:

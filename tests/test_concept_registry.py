@@ -131,15 +131,6 @@ class TestGALoader:
         with pytest.raises(DataFormatError, match="manifest check failed"):
             load_ga_concepts(tmp_path / "ga.csv")
 
-    def test_load_serialize_load_fixed_point(self, ga_registry, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        ga_registry.write_csv(first)
-        reloaded = load_ga_concepts(first)
-        assert reloaded == ga_registry
-        reloaded.write_csv(second)
-        assert first.read_bytes() == second.read_bytes()
-
 
 class TestDODLoader:
     def test_shipped_file_count(self, dod_registry):
@@ -176,15 +167,6 @@ class TestDODLoader:
         )
         with pytest.raises(DataFormatError, match="manifest check failed"):
             load_dod_concepts(path)
-
-    def test_load_serialize_load_fixed_point(self, dod_registry, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        dod_registry.write_csv(first)
-        reloaded = load_dod_concepts(first)
-        assert reloaded == dod_registry
-        reloaded.write_csv(second)
-        assert first.read_bytes() == second.read_bytes()
 
 
 def _vocab(*rows):

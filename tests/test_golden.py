@@ -1,7 +1,8 @@
-"""Byte-level regression pins for infer, timeline and stats.
+"""Byte-level regression pins for simulate, infer, timeline and stats.
 
 One noisy simulated cohort goes through every operation; the sha256 of each
-file written must match the digests recorded below. A refactor that keeps
+file written must match the digests recorded below. The simulate files are
+digested as written, before persons.csv loses rows. A refactor that keeps
 behaviour keeps these; a deliberate output change updates them and says why.
 """
 
@@ -25,7 +26,20 @@ EXPECTED = {
     "stats/histogram.csv": "ba2d98e3bbfb46d3aa04bb3fc77a8dfcffcce4415ef209506a468a3d481cff2f",
     "stats/report.csv": "c88bc7d68e58af358bd1e6634c94b8f54bd5db1c863dc39345457fa83688af25",
     "stats/report.md": "6be731d98dfc178d1901a992cd903311e152b71ef1224c96c5a626ade8029e40",
+    "sim/events.csv": "622482e8a1c3f1fbc0eb96e291ab712b2b27947808fb24b5c1d8d6df1a22fc2c",
+    "sim/index_concepts.csv": "d183c99aa5ce9dc75a6292f9eb938cc6a10a4f39c22199b55a8ea86aeebe7cb1",
+    "sim/noise_log.csv": "19bcb28f0f5b93f3f86f66d8396fde90fa958651711818546556f5cc401d19a2",
+    "sim/persons.csv": "e3f754a3cd82870c75f11ed825d493703508af7e67bdf93e399fa1c91c3b7990",
+    "sim/truth.csv": "45ecb45db85e1ebf8d34f1fd115b0a22b4cb8e401ab77f1440b6add7503e1c8f",
 }
+
+
+def _digests(*directories):
+    return {
+        f"{directory.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for directory in directories
+        for path in sorted(directory.iterdir())
+    }
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +51,7 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
          "--drop-ga", "0.1", "--conflict-ga", "0.15", "--shift", "0.3", "--shift-max-days", "30",
          "--drop-dod", "0.1", "--pre-index", "0.3"]
     ) == 0
+    digests = _digests(sim)
     # Every 50th person goes missing from persons.csv, so quarantine has rows.
     lines = (sim / "persons.csv").read_text().splitlines(keepends=True)
     (sim / "persons.csv").write_text("".join(line for i, line in enumerate(lines) if i == 0 or i % 50))
@@ -57,11 +72,7 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
         ["stats", *common, "--persons", str(sim / "persons.csv"), "--out", str(stats), "--unsuppressed",
          *(f"--condition={name}={root / name}.csv" for name in conditions)]
     ) == 0
-    return {
-        f"{directory.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for directory in (run, timeline, stats)
-        for path in sorted(directory.iterdir())
-    }
+    return {**digests, **_digests(run, timeline, stats)}
 
 
 def test_outputs_match_recorded_digests(outputs):
