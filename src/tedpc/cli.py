@@ -19,8 +19,7 @@ from .config import RunConfig, build_config, resolve_input_path
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
 from .evaluation import Weighting, cohen_kappa, read_matrix_csv, round_trip_score
-from .pipeline import run_infer, run_stats, run_timeline
-from .synthgen import NoiseSpec, SynthConfig, generate_cohort, read_truth
+from .pipeline import make_output_dir, run_infer, run_stats, run_timeline
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -84,7 +83,10 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
             [entry.concept_id, entry.name, entry.domain.value, str(entry.standard).lower(), str(entry.valid).lower()]
         )
     if args.out:
-        Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(buffer.getvalue())
 
@@ -124,7 +126,9 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    # numpy comes in with synthgen: only simulate and evaluate --truth pay for it.
     from .concept_registry import load_dod_concepts, load_ga_concepts
+    from .synthgen import NoiseSpec, SynthConfig, generate_cohort
 
     noise = NoiseSpec(
         drop_ga_rate=args.drop_ga,
@@ -139,8 +143,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     dod_path = resolve_input_path(args.dod_concepts_path) if args.dod_concepts_path else None
     ga_registry = load_ga_concepts(ga_path) if ga_path else load_ga_concepts(RunConfig().ga_concepts_path)
     dod_registry = load_dod_concepts(dod_path) if dod_path else load_dod_concepts(RunConfig().dod_concepts_path)
+    out = make_output_dir(args.out_dir)
     cohort = generate_cohort(config, ga_registry, dod_registry)
-    paths = cohort.write(args.out_dir)
+    paths = cohort.write(out)
     print(
         f"persons={len(cohort.persons)} events={len(cohort.events)} "
         f"gestations={len(cohort.truth)} out={paths['events'].parent}"
@@ -158,6 +163,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         )
         return
     if args.truth and args.episodes:
+        from .synthgen import read_truth
+
         report = round_trip_score(
             read_truth(resolve_input_path(args.truth)),
             read_episodes(resolve_input_path(args.episodes)),
@@ -263,12 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        # Output directories are made by make_output_dir, so these name an input.
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileExistsError as exc:
-        print(f"config error: output path {exc.filename} exists and is not a directory", file=sys.stderr)
-        return EXIT_CONFIG
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -335,10 +335,10 @@ def phenotype_search(
 
 
 def read_concept_ids(path: Path | str) -> frozenset[int]:
-    """Read a concept-id set file: CSV with a concept_id column or bare ids."""
+    """Read a concept-id set file: CSV with a concept_id column or bare ids, optionally behind a BOM."""
     path = Path(path)
     ids: set[int] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         return frozenset()

@@ -35,6 +35,9 @@ _PATH_FIELDS = {
 
 _JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
+# More inference threads than this only add GIL contention.
+MAX_THREADS = 64
+
 
 def resolve_input_path(path: Path | str | None) -> Path | None:
     """Resolve an input path, falling back to $TEDPC_DATA_DIR for relative names."""
@@ -87,6 +90,8 @@ class RunConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if self.threads > MAX_THREADS:
+            raise ConfigError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
         if self.suppression_threshold < 0:
             raise ConfigError("suppression_threshold must be non-negative")
         if self.match_min_days >= self.match_max_days:

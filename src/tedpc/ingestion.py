@@ -86,6 +86,7 @@ def load_events(
     ga_registry: GARegistry | None = None,
     dod_registry: DODRegistry | None = None,
     known_persons: Iterable[int] | None = None,
+    concepts: Iterable[int] | None = None,
 ) -> EventTable:
     """Load the events table grouped by person.
 
@@ -93,24 +94,42 @@ def load_events(
     persons absent from `known_persons` are quarantined with a diagnostic.
     When registries are given, an event whose domain disagrees with the
     registry's domain for that concept is kept but counted and warned about.
+    With `concepts`, every row is still parsed, checked and counted, but only
+    events of those concepts are grouped.
     """
     known = set(known_persons) if known_persons is not None else None
+    wanted = frozenset(concepts) if concepts is not None else None
+    # The GA registry's domain wins where a concept is in both registries.
+    expected_domain = {spec.concept_id: spec.domain for spec in dod_registry or ()}
+    expected_domain.update((spec.concept_id, spec.domain) for spec in ga_registry or ())
     by_person: dict[int, list[ClinicalEvent]] = {}
     quarantined: list[ClinicalEvent] = []
     mismatches = 0
     mismatch_samples: list[ClinicalEvent] = []
     total = 0
-    # Bound once: attribute lookup on an Enum class costs more than the parse itself.
-    parse_domain = Domain.parse
+    # Dates and domains repeat across rows: each distinct text is parsed and
+    # checked once. A bad value raises before it is cached.
+    dates: dict[str, date] = {}
+    domains: dict[str, Domain] = {}
 
-    def parse(row: list[str]) -> ClinicalEvent:
-        event = ClinicalEvent(int(row[0]), int(row[1]), parse_domain(row[2]), date.fromisoformat(row[3]))
-        if not (MIN_EVENT_DATE <= event.event_date <= MAX_EVENT_DATE):
+    def parse_date(text: str) -> date:
+        day = date.fromisoformat(text)
+        if not (MIN_EVENT_DATE <= day <= MAX_EVENT_DATE):
             raise ValueError(
-                f"event_date {event.event_date.isoformat()} outside "
+                f"event_date {day.isoformat()} outside "
                 f"[{MIN_EVENT_DATE.isoformat()}, {MAX_EVENT_DATE.isoformat()}]"
             )
-        return event
+        return day
+
+    def parse(row: list[str]) -> ClinicalEvent:
+        person_id, concept_id = int(row[0]), int(row[1])
+        domain = domains.get(row[2])
+        if domain is None:
+            domain = domains[row[2]] = Domain.parse(row[2])
+        day = dates.get(row[3])
+        if day is None:
+            day = dates[row[3]] = parse_date(row[3])
+        return ClinicalEvent(person_id, concept_id, domain, day)
 
     for event in read_rows(path, EVENT_HEADER, parse):
         total += 1
@@ -118,20 +137,13 @@ def load_events(
         if known is not None and person_id not in known:
             quarantined.append(event)
             continue
-        expected = None
-        if ga_registry is not None:
-            spec = ga_registry.get(concept_id)
-            if spec is not None:
-                expected = spec.domain
-        if expected is None and dod_registry is not None:
-            spec = dod_registry.get(concept_id)
-            if spec is not None:
-                expected = spec.domain
+        expected = expected_domain.get(concept_id)
         if expected is not None and expected != domain:
             mismatches += 1
             if len(mismatch_samples) < 5:
                 mismatch_samples.append(event)
-        by_person.setdefault(person_id, []).append(event)
+        if wanted is None or concept_id in wanted:
+            by_person.setdefault(person_id, []).append(event)
     for events in by_person.values():
         events.sort(key=lambda e: (e.event_date, e.concept_id))
     if quarantined:

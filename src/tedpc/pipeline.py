@@ -3,6 +3,11 @@
 Inference runs per person and persons are independent, so the person loop
 can fan out across a thread pool; results are always collected and written
 in person-id order, making output bytes independent of the thread count.
+
+Timeline and stats read their concept-id sets first and pass them to
+`load_events`, which still validates every event row but groups only the
+events of those concepts: the index set for timeline, the index set plus
+every condition set for stats.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .episode_builder import (
     read_episodes,
     write_episodes,
 )
-from .errors import InvariantError
+from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, infer_gestation_starts
 from .ingestion import load_events, load_persons, write_events
 
@@ -54,6 +59,16 @@ def _check_separation(values: list, window_days: int, kind: str, person_id: int)
                 f"person {person_id}: two {kind} values {b - a} days apart, "
                 f"expected more than {window_days}"
             )
+
+
+def make_output_dir(path: Path | str) -> Path:
+    """Create an output directory; a path that cannot be one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def run_infer(config: RunConfig) -> dict:
@@ -113,8 +128,7 @@ def run_infer(config: RunConfig) -> dict:
             max_age=config.max_age,
         )
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(config.out_dir)
     write_episodes(out / "episodes.csv", episodes)
     write_rows(
         out / "unmatched_starts.csv",
@@ -191,10 +205,9 @@ def run_timeline(config: RunConfig) -> int:
     """
     config.validate()
     episodes = read_episodes(config.episodes_path)
-    table = load_events(config.events_path)
     index_concepts = read_concept_ids(config.index_events_path)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    table = load_events(config.events_path, concepts=index_concepts)
+    out = make_output_dir(config.out_dir)
     rows = []
     for episode in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
         for event in table.events_by_person.get(episode.person_id, []):
@@ -237,17 +250,16 @@ def run_stats(
         strata = StrataSpec.from_json(strata_path, strata)
     episodes = read_episodes(config.episodes_path)
     persons = load_persons(config.persons_path)
-    table = load_events(config.events_path)
     index_concepts = read_concept_ids(config.index_events_path)
     condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
+    table = load_events(config.events_path, concepts=index_concepts.union(*condition_sets.values()))
 
     histogram = infection_week_histogram(episodes, table.events_by_person, index_concepts)
     report_table = stratified_table(
         episodes, persons, table.events_by_person, index_concepts, condition_sets, strata
     )
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(config.out_dir)
     lines = [
         "# Episode statistics",
         "",

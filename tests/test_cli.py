@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tedpc
 from tedpc.cli import main
+from tedpc.config import MAX_THREADS, RunConfig
+from tedpc.errors import ConfigError
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
 
@@ -204,6 +211,16 @@ class TestPhenotype:
         target = tmp_path / "hits.csv"
         assert main(["phenotype", "--vocabulary", str(vocab), "--out", str(target)]) == 0
         assert "gestation" in target.read_text()
+
+    @pytest.mark.parametrize("target", ["adir", "afile/hits.csv"], ids=["directory", "under-a-file"])
+    def test_out_that_cannot_be_written_exit_3_naming_path(self, tmp_path, capsys, target):
+        vocab = tmp_path / "vocab.csv"
+        vocab.write_text("concept_id,name,domain,standard,valid\n1,gestation,Condition,true,true\n")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        assert main(["phenotype", "--vocabulary", str(vocab), "--out", str(tmp_path / target)]) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / target) in err and "Traceback" not in err
 
     def test_missing_vocabulary_exit_2(self, tmp_path):
         assert main(["phenotype", "--vocabulary", str(tmp_path / "none.csv")]) == 2
@@ -484,3 +501,157 @@ class TestSimulate:
 
         monkeypatch.setattr(pipeline, "match_episodes", boom)
         assert run_infer(sim_dir, tmp_path / "run") == 4
+
+
+def analytics_argv(command, sim_dir, episodes, out_dir, events=None, index_events=None):
+    """Arguments of a timeline or stats run over sim_dir's cohort."""
+    argv = [
+        command,
+        "--episodes",
+        str(episodes),
+        "--events",
+        str(events or sim_dir / "events.csv"),
+        "--index-events",
+        str(index_events or sim_dir / "index_concepts.csv"),
+        "--out",
+        str(out_dir),
+    ]
+    if command == "stats":
+        argv += ["--persons", str(sim_dir / "persons.csv")]
+    return argv
+
+
+class TestFilteredEventLoading:
+    @pytest.mark.parametrize("command", ["timeline", "stats"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,999999999,Condition,2020-13-01",
+            "1,999999999,Condition,1899-12-31",
+            "1,999999999,Widget,2020-01-01",
+            "1,999999999,Condition",
+        ],
+        ids=["bad-date", "out-of-range-date", "unknown-domain", "short-row"],
+    )
+    def test_bad_row_outside_the_filter_exit_2_naming_line(self, sim_dir, tmp_path, capsys, command, row):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        lines = (sim_dir / "events.csv").read_text().splitlines()
+        events = tmp_path / "e.csv"
+        events.write_text("\n".join(lines + [row]) + "\n")
+        capsys.readouterr()
+        code = main(analytics_argv(command, sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "out", events))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{events}:{len(lines) + 1}:" in err and "Traceback" not in err
+
+    def test_byte_order_mark_in_concept_id_file(self, sim_dir, tmp_path):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        index = tmp_path / "index.csv"
+        index.write_bytes(b"\xef\xbb\xbf" + (sim_dir / "index_concepts.csv").read_bytes())
+        episodes = tmp_path / "run" / "episodes.csv"
+        assert main(analytics_argv("timeline", sim_dir, episodes, tmp_path / "plain")) == 0
+        assert main(analytics_argv("timeline", sim_dir, episodes, tmp_path / "bom", index_events=index)) == 0
+        plain = (tmp_path / "plain" / "timing.csv").read_bytes()
+        assert plain.count(b"\n") > 1 and plain == (tmp_path / "bom" / "timing.csv").read_bytes()
+
+
+class TestPathsUnderAFile:
+    @pytest.mark.parametrize("command", ["infer", "timeline", "stats"])
+    def test_out_under_a_file_exit_3_naming_path(self, sim_dir, tmp_path, capsys, command):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        capsys.readouterr()
+        if command == "infer":
+            code = run_infer(sim_dir, target)
+        else:
+            code = main(analytics_argv(command, sim_dir, tmp_path / "run" / "episodes.csv", target))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+
+    def test_simulate_out_under_a_file_exit_3(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        assert main(["simulate", "--out", str(tmp_path / "afile" / "sim"), "--n-persons", "2"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_input_under_a_file_exit_2_naming_path(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        events = tmp_path / "afile" / "x.csv"
+        code = main(
+            ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(events), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(events) in err and "Traceback" not in err
+
+
+class TestThreadBound:
+    def test_validate_rejects_more_than_max_threads(self):
+        RunConfig(threads=MAX_THREADS).validate()
+        with pytest.raises(ConfigError, match="threads"):
+            RunConfig(threads=MAX_THREADS + 1).validate()
+
+    def test_cli_exit_3_before_running(self, sim_dir, tmp_path, capsys):
+        # Validation happens while the config is built, before any pool exists.
+        assert run_infer(sim_dir, tmp_path / "run", "--threads", str(MAX_THREADS + 1)) == 3
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+NUMPY_FREE_RUN = """
+import json, sys
+import tedpc.cli
+assert "numpy" not in sys.modules, "import tedpc.cli imported numpy"
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+for argv in json.loads(sys.argv[1]):
+    code = tedpc.cli.main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+class TestNumpyFree:
+    def test_infer_timeline_stats_import_no_numpy_and_write_the_same_bytes(self, sim_dir, tmp_path):
+        condition = tmp_path / "condition.csv"
+        condition.write_text("concept_id\n" + (sim_dir / "events.csv").read_text().splitlines()[1].split(",")[1] + "\n")
+
+        def argvs(root):
+            episodes = root / "run" / "episodes.csv"
+            return [
+                ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv"),
+                 "--out", str(root / "run"), "--match-min", "100", "--match-max", "320", "--emit-cohorts"],
+                analytics_argv("timeline", sim_dir, episodes, root / "timeline"),
+                analytics_argv("stats", sim_dir, episodes, root / "stats")
+                + ["--condition", f"first={condition}", "--unsuppressed"],
+            ]
+
+        for argv in argvs(tmp_path / "normal"):
+            assert main(argv) == 0
+        src = str(Path(tedpc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_FREE_RUN, json.dumps(argvs(tmp_path / "numpy_free"))],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
+        def outputs(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        normal = outputs(tmp_path / "normal")
+        assert {"run/ga_cohort.csv", "timeline/timing.csv", "stats/report.csv", "stats/histogram.csv"} <= set(normal)
+        assert normal == outputs(tmp_path / "numpy_free")
+
+    def test_package_still_exports_the_generator(self):
+        from tedpc import synthgen
+
+        assert (tedpc.SynthConfig, tedpc.generate_cohort, tedpc.inject_noise) == (
+            synthgen.SynthConfig,
+            synthgen.generate_cohort,
+            synthgen.inject_noise,
+        )
+        with pytest.raises(AttributeError):
+            tedpc.no_such_name

@@ -145,3 +145,52 @@ class TestWriters:
         path = tmp_path / "p.csv"
         write_persons(path, persons)
         assert load_persons(path)[5] == persons[0]
+
+
+class TestConceptFilter:
+    ROWS = (
+        "3,500,Condition,2020-02-01\n"
+        "1,444098,Observation,2020-01-05\n"
+        "1,400,Procedure,2020-01-02\n"
+        "2,401,Condition,2020-03-01\n"
+        "1,500,Condition,2020-01-01\n"
+        "2,500,Observation,2020-01-01\n"
+        "4,401,Condition,2020-03-01\n"
+        "1,400,Condition,2020-01-01\n"
+    )
+
+    @pytest.mark.parametrize("wanted", [set(), {400}, {500, 401}, {400, 401, 500, 444098}, {999}])
+    def test_groups_the_unfiltered_events_restricted_to_the_set(self, tmp_path, ga_registry, wanted):
+        path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS)
+        kwargs = {"ga_registry": ga_registry, "known_persons": {1, 2, 3}}
+        full = load_events(path, **kwargs)
+        filtered = load_events(path, concepts=wanted, **kwargs)
+        restricted = {
+            person_id: [e for e in events if e.concept_id in wanted]
+            for person_id, events in full.events_by_person.items()
+        }
+        assert filtered.events_by_person == {pid: events for pid, events in restricted.items() if events}
+        assert (filtered.total_rows, filtered.domain_mismatches) == (full.total_rows, full.domain_mismatches) == (8, 1)
+        assert filtered.quarantined == full.quarantined and len(full.quarantined) == 1
+
+    @pytest.mark.parametrize("wanted", [None, {400}])
+    @pytest.mark.parametrize("bad", ["2020-02-30", "1899-12-31"], ids=["bad-date", "out-of-range"])
+    def test_repeated_bad_date_reported_at_first_line(self, tmp_path, wanted, bad):
+        path = write(
+            tmp_path / "e.csv",
+            EVENT_HEADER
+            + "1,400,Condition,2020-01-01\n"
+            + "1,400,Condition,2020-01-01\n"
+            + f"1,500,Condition,{bad}\n"
+            + f"1,400,Condition,{bad}\n",
+        )
+        with pytest.raises(DataFormatError, match=r"e.csv:4: "):
+            load_events(path, concepts=wanted)
+
+    def test_repeated_bad_domain_reported_at_first_line(self, tmp_path):
+        path = write(
+            tmp_path / "e.csv",
+            EVENT_HEADER + "1,400,Condition,2020-01-01\n1,500,Widget,2020-01-01\n1,400,Widget,2020-01-01\n",
+        )
+        with pytest.raises(DataFormatError, match=r"e.csv:3: unknown domain 'Widget'"):
+            load_events(path, concepts={400})
