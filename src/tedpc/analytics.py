@@ -7,11 +7,9 @@ time only: raw counts are computed once and never altered by suppression.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 from .episode_builder import PregnancyEpisode, age_at, gestational_week_of
@@ -92,41 +90,6 @@ class StrataSpec:
                 return PandemicStratum.PERI
             return None
         return pandemic_stratum_of(dod, self.cutoff)
-
-    @classmethod
-    def from_json(cls, path: Path | str, base: "StrataSpec | None" = None) -> "StrataSpec":
-        """Read a spec from a JSON object; keys it leaves out keep `base`'s values.
-
-        Any bad value raises ConfigError naming the file.
-        """
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: expected a JSON object")
-        unknown = set(raw) - {"cutoff", "pre_window", "peri_window", "threshold"}
-        if unknown:
-            raise ConfigError(f"{path}: unknown strata keys {sorted(unknown)}")
-        kwargs = {}
-        try:
-            if "cutoff" in raw:
-                kwargs["cutoff"] = date.fromisoformat(raw["cutoff"])
-            for key in ("pre_window", "peri_window"):
-                if key in raw:
-                    window = raw[key]
-                    if not isinstance(window, list) or len(window) != 2:
-                        raise ValueError(f"{key} must be a list of two ISO dates, got {window!r}")
-                    kwargs[key] = (date.fromisoformat(window[0]), date.fromisoformat(window[1]))
-            if "threshold" in raw:
-                threshold = raw["threshold"]
-                if type(threshold) is not int:
-                    raise ValueError(f"threshold must be an integer, got {threshold!r}")
-                kwargs["threshold"] = threshold
-            return replace(base or cls(), **kwargs)
-        except (TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
 
 
 def earliest_index_event(

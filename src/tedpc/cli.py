@@ -12,6 +12,7 @@ import csv
 import io
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .concept_registry import Domain, load_vocabulary, phenotype_search
@@ -35,23 +36,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _common_overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "persons_path",
-        "events_path",
-        "ga_concepts_path",
-        "dod_concepts_path",
-        "index_events_path",
-        "episodes_path",
-        "out_dir",
-        "window_days",
-        "match_min_days",
-        "match_max_days",
-        "pandemic_cutoff",
-        "threads",
-        "emit_cohorts",
-        "apply_filters",
-    )
-    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
+    """The RunConfig fields this subcommand has flags for, as parsed (None if not given)."""
+    return {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -120,8 +106,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         if not name or not raw_path:
             raise ConfigError(f"--condition expects name=path, got {item!r}")
         condition_sets[name] = resolve_input_path(raw_path)
-    strata_path = resolve_input_path(args.strata) if args.strata else None
-    run_stats(config, condition_sets, strata_path=strata_path, unsuppressed=args.unsuppressed)
+    run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")
 
 
@@ -230,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", type=Path)
     p.add_argument("--cutoff", dest="pandemic_cutoff", help="pandemic cutoff date (ISO)")
     p.add_argument("--condition", action="append", metavar="NAME=PATH", help="named concept-id set; repeatable")
-    p.add_argument("--strata", type=Path, help="JSON strata spec (windows/cutoff/threshold)")
     p.add_argument("--unsuppressed", action="store_true", help="also write raw, unsuppressed CSV exports")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_stats)

@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .csvio import read_rows
+from .csvio import open_text, read_rows
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -338,7 +338,7 @@ def read_concept_ids(path: Path | str) -> frozenset[int]:
     """Read a concept-id set file: CSV with a concept_id column or bare ids, optionally behind a BOM."""
     path = Path(path)
     ids: set[int] = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         return frozenset()

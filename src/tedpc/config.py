@@ -16,13 +16,15 @@ from .episode_builder import (
     MAX_AGE_AT_DELIVERY,
     MIN_AGE_AT_DELIVERY,
 )
+from .csvio import open_text
 from .errors import ConfigError
 from .ga_engine import CONFLICT_WINDOW_DAYS, SEPARATION_WINDOW_DAYS
-from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD
+from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, StrataSpec
 
 ENV_DATA_DIR = "TEDPC_DATA_DIR"
 
 _DATE_FIELDS = {"pandemic_cutoff", "cohort_start", "cohort_end"}
+_WINDOW_FIELDS = {"pre_window", "peri_window"}
 _PATH_FIELDS = {
     "persons_path",
     "events_path",
@@ -71,6 +73,8 @@ class RunConfig:
     conflict_days: int = CONFLICT_WINDOW_DAYS
     suppression_threshold: int = SUPPRESSION_THRESHOLD
     pandemic_cutoff: date = PANDEMIC_CUTOFF
+    pre_window: tuple[date, date] | None = None
+    peri_window: tuple[date, date] | None = None
     cohort_start: date = COHORT_WINDOW[0]
     cohort_end: date = COHORT_WINDOW[1]
     min_age: int = MIN_AGE_AT_DELIVERY
@@ -92,8 +96,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.threads > MAX_THREADS:
             raise ConfigError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
-        if self.suppression_threshold < 0:
-            raise ConfigError("suppression_threshold must be non-negative")
         if self.match_min_days >= self.match_max_days:
             raise ConfigError(
                 f"match bounds must satisfy min < max, got [{self.match_min_days}, {self.match_max_days}]"
@@ -102,6 +104,16 @@ class RunConfig:
             raise ConfigError("cohort_start must not be after cohort_end")
         if not 0 <= self.min_age <= self.max_age:
             raise ConfigError("age bounds must satisfy 0 <= min <= max")
+        self.strata()
+
+    def strata(self) -> StrataSpec:
+        """The pre/peri split of `stats`: explicit windows if set, else the cutoff."""
+        return StrataSpec(
+            cutoff=self.pandemic_cutoff,
+            pre_window=self.pre_window,
+            peri_window=self.peri_window,
+            threshold=self.suppression_threshold,
+        )
 
     def to_json(self) -> str:
         payload = {}
@@ -111,41 +123,68 @@ class RunConfig:
                 value = str(value)
             elif isinstance(value, date):
                 value = value.isoformat()
+            elif isinstance(value, tuple):
+                value = [day.isoformat() for day in value]
             payload[f.name] = value
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _typed(key: str, value, default):
+    """A config-file value as its field's type; ValueError says what is wrong with it."""
+    if value is None and default is None:
+        return None
+    if key in _WINDOW_FIELDS:
+        if type(value) is not list or len(value) != 2 or any(type(day) is not str for day in value):
+            raise ValueError(f"{key} must be a JSON list of two ISO date strings, got {value!r}")
+        return tuple(_parse_date(key, day) for day in value)
+    expected = str if key in _DATE_FIELDS or key in _PATH_FIELDS else type(default)
+    # Exact type: bool subclasses int, but true is not a window length.
+    if type(value) is not expected:
+        raise ValueError(f"{key} must be a JSON {_JSON_NAMES[expected]}, got {value!r}")
+    return _parse_date(key, value) if key in _DATE_FIELDS else value
+
+
+def _parse_date(key: str, text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError as exc:
+        raise ValueError(f"bad date for {key}: {exc}") from None
 
 
 def build_config(config_file: Path | str | None, overrides: dict) -> RunConfig:
     """Assemble a RunConfig: defaults, then config-file values, then flags."""
     values: dict = {}
     if config_file is not None:
-        with open(config_file, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_file}: invalid JSON: {exc}") from None
+        with open_text(config_file, ConfigError) as fh:
+            text = fh.read()
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # Also an integer of over 4300 digits, or arrays nested too deep to decode.
+            raise ConfigError(f"{config_file}: invalid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{config_file}: expected a JSON object")
         defaults = RunConfig()
         unknown = set(raw) - set(vars(defaults))
         if unknown:
             raise ConfigError(f"{config_file}: unknown config keys {sorted(unknown)}")
-        for key, value in raw.items():
-            default = getattr(defaults, key)
-            expected = str if key in _DATE_FIELDS or key in _PATH_FIELDS else type(default)
-            # Exact type: bool subclasses int, but true is not a window length.
-            if type(value) is not expected and not (value is None and default is None):
-                raise ConfigError(f"{config_file}: {key} must be a JSON {_JSON_NAMES[expected]}, got {value!r}")
-        values.update(raw)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    for key in list(values):
-        if key in _DATE_FIELDS and isinstance(values[key], str):
+        try:
+            values = {key: _typed(key, value, getattr(defaults, key)) for key, value in raw.items()}
+        except ValueError as exc:
+            raise ConfigError(f"{config_file}: {exc}") from None
+    for key, value in overrides.items():
+        if value is not None:
             try:
-                values[key] = date.fromisoformat(values[key])
+                values[key] = _parse_date(key, value) if key in _DATE_FIELDS else value
             except ValueError as exc:
-                raise ConfigError(f"bad date for {key}: {exc}") from None
-        elif key in _PATH_FIELDS and values[key] is not None:
-            values[key] = resolve_input_path(values[key])
+                raise ConfigError(str(exc)) from None
+    for key in _PATH_FIELDS & values.keys():
+        values[key] = resolve_input_path(values[key])
     config = RunConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        if config_file is None:
+            raise
+        raise ConfigError(f"{exc} (set in {config_file} or by a flag)") from None
     return config

@@ -3,18 +3,30 @@
 A table is UTF-8 text, optionally behind a byte-order mark, whose first
 non-blank row is a fixed header. Blank rows are skipped, every other row must
 have the header's field count, and a row that does not parse is reported as
-`path:line`. Tables are written as UTF-8 with `\\n` line ends.
+`path:line`. Tables are written as UTF-8 with `\\n` line ends. Every input,
+table or not, is opened by `open_text`, so one encoding rule holds for all.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .errors import DataFormatError
+from .errors import DataFormatError, TedpcError
 
 T = TypeVar("T")
+
+
+@contextmanager
+def open_text(path: Path | str, error: type[TedpcError] = DataFormatError) -> Iterator[TextIO]:
+    """Open an input as UTF-8 behind an optional BOM; a byte that is not UTF-8 raises `error` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _blank_comments(lines: Iterable[str], on_comment: Callable[[str], None]) -> Iterator[str]:
@@ -40,7 +52,7 @@ def read_rows(
     With `on_comment`, lines starting with '#' are handed to it instead of
     being parsed; without it they are ordinary rows.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh if on_comment is None else _blank_comments(fh, on_comment))
         for row in reader:
             if row:

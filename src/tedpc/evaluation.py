@@ -13,6 +13,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .csvio import open_text
 from .episode_builder import PregnancyEpisode
 from .errors import DataFormatError
 
@@ -94,7 +95,7 @@ def cohen_kappa(matrix: ConfusionMatrix, weighting: Weighting) -> KappaResult:
 def read_matrix_csv(path: Path | str) -> ConfusionMatrix:
     """Read a labeled square matrix: header `,label1,...`, one labeled row each."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
     if len(rows) < 3:
         raise DataFormatError(f"{path}: expected a labeled square matrix of size >= 2")

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .analytics import (
-    StrataSpec,
     infection_week_histogram,
     render_histogram_markdown,
     stratified_table,
@@ -79,6 +78,7 @@ def run_infer(config: RunConfig) -> dict:
     are byte-identical.
     """
     config.validate()
+    out = make_output_dir(config.out_dir)
     ga_registry = load_ga_concepts(config.ga_concepts_path)
     dod_registry = load_dod_concepts(config.dod_concepts_path)
     persons = load_persons(config.persons_path)
@@ -128,7 +128,6 @@ def run_infer(config: RunConfig) -> dict:
             max_age=config.max_age,
         )
 
-    out = make_output_dir(config.out_dir)
     write_episodes(out / "episodes.csv", episodes)
     write_rows(
         out / "unmatched_starts.csv",
@@ -204,10 +203,10 @@ def run_timeline(config: RunConfig) -> int:
     before that episode's delivery; events before the start map to week 0.
     """
     config.validate()
+    out = make_output_dir(config.out_dir)
     episodes = read_episodes(config.episodes_path)
     index_concepts = read_concept_ids(config.index_events_path)
     table = load_events(config.events_path, concepts=index_concepts)
-    out = make_output_dir(config.out_dir)
     rows = []
     for episode in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
         for event in table.events_by_person.get(episode.person_id, []):
@@ -232,22 +231,16 @@ def run_timeline(config: RunConfig) -> int:
     return len(rows)
 
 
-def run_stats(
-    config: RunConfig,
-    condition_set_paths: dict[str, Path],
-    strata_path: Path | None = None,
-    unsuppressed: bool = False,
-) -> None:
+def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppressed: bool = False) -> None:
     """Render the index-week histogram and stratified table into out_dir.
 
-    The strata come from the run's cutoff and suppression threshold; a strata
-    file overrides the keys it sets. report.md is always suppression-masked;
-    the raw CSV exports are written only when `unsuppressed` is set.
+    The strata come from the run config (`RunConfig.strata`). report.md is
+    always suppression-masked; the raw CSV exports are written only when
+    `unsuppressed` is set.
     """
     config.validate()
-    strata = StrataSpec(cutoff=config.pandemic_cutoff, threshold=config.suppression_threshold)
-    if strata_path is not None:
-        strata = StrataSpec.from_json(strata_path, strata)
+    strata = config.strata()
+    out = make_output_dir(config.out_dir)
     episodes = read_episodes(config.episodes_path)
     persons = load_persons(config.persons_path)
     index_concepts = read_concept_ids(config.index_events_path)
@@ -259,7 +252,6 @@ def run_stats(
         episodes, persons, table.events_by_person, index_concepts, condition_sets, strata
     )
 
-    out = make_output_dir(config.out_dir)
     lines = [
         "# Episode statistics",
         "",

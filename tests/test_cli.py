@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -330,62 +331,32 @@ class TestTimelineAndStats:
         )
         assert code == 0
 
-    def test_strata_spec_file(self, sim_dir, tmp_path):
+    def test_config_windows_split_the_table(self, sim_dir, tmp_path):
         assert run_infer(sim_dir, tmp_path / "run") == 0
-        strata = tmp_path / "strata.json"
-        strata.write_text(
+        episodes = tmp_path / "run" / "episodes.csv"
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(
             json.dumps(
                 {
                     "pre_window": ["2018-06-01", "2020-02-29"],
                     "peri_window": ["2020-05-01", "2021-05-31"],
-                    "threshold": 5,
+                    "suppression_threshold": 5,
                 }
             )
         )
-        code = main(
-            [
-                "stats",
-                "--episodes",
-                str(tmp_path / "run" / "episodes.csv"),
-                "--persons",
-                str(sim_dir / "persons.csv"),
-                "--events",
-                str(sim_dir / "events.csv"),
-                "--index-events",
-                str(sim_dir / "index_concepts.csv"),
-                "--strata",
-                str(strata),
-                "--out",
-                str(tmp_path / "run"),
-            ]
-        )
-        assert code == 0
-
-    def test_strata_file_keys_left_out_take_the_run_config(self, sim_dir, tmp_path):
-        assert run_infer(sim_dir, tmp_path / "run") == 0
-        config_path = tmp_path / "cfg.json"
-        config_path.write_text('{"suppression_threshold": 3}')
-
-        def stats(name, *extra, strata=None):
-            out = tmp_path / name
-            args = [
-                "stats", "--episodes", str(tmp_path / "run" / "episodes.csv"),
-                "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv"),
-                "--index-events", str(sim_dir / "index_concepts.csv"), "--config", str(config_path),
-                "--unsuppressed", "--out", str(out), *extra,
-            ]
-            if strata is not None:
-                (tmp_path / f"{name}.json").write_text(json.dumps(strata))
-                args += ["--strata", str(tmp_path / f"{name}.json")]
-            assert main(args) == 0
-            return {path.name: path.read_bytes() for path in out.iterdir()}
-
-        late = stats("late", "--cutoff", "2021-01-01")
-        early = stats("early", "--cutoff", "2020-03-01")
-        assert late != early
-        assert stats("cutoff-from-flag", "--cutoff", "2021-01-01", strata={"threshold": 3}) == late
-        assert stats("threshold-from-config", strata={"cutoff": "2021-01-01"}) == late
-        assert stats("file-wins", "--cutoff", "2021-01-01", strata={"cutoff": "2020-03-01"}) == early
+        argv = analytics_argv("stats", sim_dir, episodes, tmp_path / "out") + ["--config", str(config_path)]
+        assert main(argv + ["--unsuppressed"]) == 0
+        dods = [date.fromisoformat(line.split(",")[3]) for line in episodes.read_text().splitlines()[1:]]
+        pre = sum(date(2018, 6, 1) <= d <= date(2020, 2, 29) for d in dods)
+        peri = sum(date(2020, 5, 1) <= d <= date(2021, 5, 31) for d in dods)
+        assert 0 < pre + peri < len(dods)
+        totals = (tmp_path / "out" / "report.csv").read_text().splitlines()[1]
+        assert totals.split(",")[2:4] == [str(pre), str(peri)]
+        assert "fewer than 5 episodes" in (tmp_path / "out" / "report.md").read_text()
+        # With windows set, the cutoff plays no part.
+        assert main(argv + ["--unsuppressed", "--cutoff", "2021-01-01", "--out", str(tmp_path / "cut")]) == 0
+        for name in ("report.md", "report.csv", "histogram.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "cut" / name).read_bytes()
 
     def test_short_episode_row_exit_2_naming_line(self, sim_dir, tmp_path, capsys):
         assert run_infer(sim_dir, tmp_path / "run") == 0
@@ -412,39 +383,53 @@ class TestTimelineAndStats:
     @pytest.mark.parametrize(
         "content",
         [
-            '{"cutoff": "notadate"}',
+            '{"pandemic_cutoff": "notadate"}',
             '{"pre_window": ["2018-06-01"], "peri_window": ["2020-05-01", "2021-05-31"]}',
-            '{"threshold": "five"}',
+            '{"pre_window": ["2018-06-01", "notadate"], "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"pre_window": "2018-06-01", "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"suppression_threshold": "five"}',
             '{"pre_window": [',
-            '{"no_such_key": 1}',
+            '{"window_days": ' + "9" * 5000 + "}",
+            '{"window_days": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"threshold": 5}',
+            '{"pre_window": ["2018-06-01", "2020-02-29"]}',
+            '{"suppression_threshold": -1}',
         ],
-        ids=["bad-date", "one-item-window", "non-integer-threshold", "invalid-json", "unknown-key"],
+        ids=[
+            "bad-date",
+            "one-item-window",
+            "bad-window-date",
+            "window-not-a-list",
+            "non-integer-threshold",
+            "invalid-json",
+            "integer-too-long",
+            "nested-too-deep",
+            "unknown-key",
+            "unpaired-windows",
+            "negative-threshold",
+        ],
     )
-    def test_bad_strata_spec_exit_3_naming_file(self, sim_dir, tmp_path, capsys, content):
-        assert run_infer(sim_dir, tmp_path / "run") == 0
-        strata = tmp_path / "strata.json"
-        strata.write_text(content)
-        capsys.readouterr()
-        code = main(
-            [
-                "stats",
-                "--episodes",
-                str(tmp_path / "run" / "episodes.csv"),
-                "--persons",
-                str(sim_dir / "persons.csv"),
-                "--events",
-                str(sim_dir / "events.csv"),
-                "--index-events",
-                str(sim_dir / "index_concepts.csv"),
-                "--strata",
-                str(strata),
-                "--out",
-                str(tmp_path / "run"),
-            ]
-        )
-        assert code == 3
+    def test_bad_stats_config_exit_3_naming_file_before_reading_input(self, sim_dir, tmp_path, capsys, content):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(content)
+        # No input exists, so a config error reported now came before any read.
+        argv = analytics_argv("stats", sim_dir, tmp_path / "missing.csv", tmp_path / "out")
+        assert main(argv + ["--config", str(config_path)]) == 3
         err = capsys.readouterr().err
-        assert str(strata) in err and "Traceback" not in err
+        assert str(config_path) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_print_config_with_windows_round_trips(self, sim_dir, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({"pre_window": ["2018-06-01", "2020-02-29"], "peri_window": ["2020-05-01", "2021-05-31"]}))
+        argv = analytics_argv("stats", sim_dir, tmp_path / "episodes.csv", tmp_path / "out") + ["--print-config"]
+        assert main(argv + ["--config", str(first)]) == 0
+        printed = capsys.readouterr().out
+        assert json.loads(printed)["peri_window"] == ["2020-05-01", "2021-05-31"]
+        second = tmp_path / "second.json"
+        second.write_text(printed)
+        assert main(argv + ["--config", str(second)]) == 0
+        assert capsys.readouterr().out == printed
 
 
 class TestTableDialect:
@@ -480,6 +465,46 @@ class TestTableDialect:
         assert run_infer(bom, tmp_path / "with-bom", "--emit-cohorts") == 0
         plain = {path.name: path.read_bytes() for path in (tmp_path / "plain").iterdir()}
         assert plain == {path.name: path.read_bytes() for path in (tmp_path / "with-bom").iterdir()}
+
+
+class TestEncoding:
+    @pytest.mark.parametrize(
+        "target, code",
+        [("events", 2), ("persons", 2), ("config", 3), ("index-events", 2), ("matrix", 2)],
+    )
+    def test_byte_that_is_not_utf8_names_the_file(self, sim_dir, tmp_path, capsys, target, code):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        inputs = {
+            "events": (sim_dir / "events.csv").read_bytes(),
+            "persons": (sim_dir / "persons.csv").read_bytes(),
+            "config": b'{"suppression_threshold": 5}',
+            "index-events": (sim_dir / "index_concepts.csv").read_bytes(),
+            "matrix": TABLE4.encode(),
+        }
+        paths = {}
+        for name, content in inputs.items():
+            paths[name] = tmp_path / f"{name}.in"
+            paths[name].write_bytes(content + b"\xff\n" if name == target else content)
+        episodes = tmp_path / "run" / "episodes.csv"
+        if target == "matrix":
+            argv = ["evaluate", "--matrix", str(paths["matrix"])]
+        elif target in ("events", "persons"):
+            argv = ["infer", "--persons", str(paths["persons"]), "--events", str(paths["events"]),
+                    "--out", str(tmp_path / "o")]
+        else:
+            argv = analytics_argv("stats", sim_dir, episodes, tmp_path / "o", index_events=paths["index-events"])
+            argv += ["--config", str(paths["config"])]
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert f"{paths[target]}: not UTF-8 text" in err and "Traceback" not in err
+
+    def test_byte_order_mark_in_config_file(self, sim_dir, tmp_path, capsys):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"suppression_threshold": 5}).encode())
+        argv = analytics_argv("stats", sim_dir, tmp_path / "e.csv", tmp_path / "o") + ["--print-config"]
+        assert main(argv + ["--config", str(config_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["suppression_threshold"] == 5
 
 
 class TestSimulate:
@@ -569,6 +594,15 @@ class TestPathsUnderAFile:
         assert code == 3
         err = capsys.readouterr().err
         assert str(target) in err and "Traceback" not in err
+
+    def test_out_checked_before_any_input_is_read(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        missing = tmp_path / "missing.csv"
+        code = main(["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(missing), "--out", str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(target) in err and str(missing) not in err
 
     def test_simulate_out_under_a_file_exit_3(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
