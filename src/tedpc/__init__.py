@@ -18,7 +18,7 @@ from .episode_builder import (
     trimester_of,
 )
 from .evaluation import ConfusionMatrix, Weighting, cohen_kappa, round_trip_score
-from .ga_engine import GestationStart, ga_days, infer_gestation_starts, start_date_from_event
+from .ga_engine import GestationStart, ga_days, infer_gestation_starts
 from .ingestion import ClinicalEvent, Person, load_events, load_persons
 
 __version__ = "0.1.0"

@@ -3,6 +3,8 @@
 Produces the index-event gestational-week histogram and the stratified
 demographics/conditions table, with small-cell suppression applied at render
 time only: raw counts are computed once and never altered by suppression.
+Events are `(day ordinal, concept id)` pairs as `load_events` groups them;
+each episode's start and delivery become ordinals once, to compare with them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable
 
 from .episode_builder import PregnancyEpisode, age_at, gestational_week_of
 from .errors import ConfigError
-from .ingestion import ClinicalEvent, Person
+from .ingestion import Event, Person
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
 SUPPRESSION_THRESHOLD = 20
@@ -79,6 +81,13 @@ class StrataSpec:
     def __post_init__(self):
         if (self.pre_window is None) != (self.peri_window is None):
             raise ConfigError("pre_window and peri_window must be given together")
+        if self.pre_window is not None:
+            for name, (first, last) in (("pre_window", self.pre_window), ("peri_window", self.peri_window)):
+                if first > last:
+                    raise ConfigError(f"{name} starts {first.isoformat()}, after its end {last.isoformat()}")
+            # An episode in both windows would be counted pre only.
+            if self.pre_window[0] <= self.peri_window[1] and self.peri_window[0] <= self.pre_window[1]:
+                raise ConfigError("pre_window and peri_window overlap")
         if self.threshold < 0:
             raise ConfigError("suppression threshold must be non-negative")
 
@@ -92,21 +101,17 @@ class StrataSpec:
         return pandemic_stratum_of(dod, self.cutoff)
 
 
-def earliest_index_event(
-    events: Iterable[ClinicalEvent], index_concepts: frozenset[int] | set[int], on_or_before: date
-) -> ClinicalEvent | None:
-    """Earliest event in the index concept set dated on or before a date."""
-    best = None
-    for event in events:
-        if event.concept_id in index_concepts and event.event_date <= on_or_before:
-            if best is None or (event.event_date, event.concept_id) < (best.event_date, best.concept_id):
-                best = event
-    return best
+def earliest_index_day(
+    events: Iterable[Event], index_concepts: frozenset[int] | set[int], on_or_before: int
+) -> int | None:
+    """Earliest day of an event in the index concept set on or before a day, if any."""
+    hits = (day for day, concept_id in events if concept_id in index_concepts and day <= on_or_before)
+    return min(hits, default=None)
 
 
 def infection_week_histogram(
     episodes: Iterable[PregnancyEpisode],
-    events_by_person: dict[int, list[ClinicalEvent]],
+    events_by_person: dict[int, list[Event]],
     index_concepts: frozenset[int] | set[int],
     max_week: int = MAX_HISTOGRAM_WEEK,
 ) -> dict[int, int]:
@@ -118,11 +123,11 @@ def infection_week_histogram(
     """
     counts = {week: 0 for week in range(max_week + 1)}
     for episode in episodes:
-        events = events_by_person.get(episode.person_id, [])
-        hit = earliest_index_event(events, index_concepts, episode.dod)
+        dod_day = episode.dod.toordinal()
+        hit = earliest_index_day(events_by_person.get(episode.person_id, ()), index_concepts, dod_day)
         if hit is None:
             continue
-        timing = gestational_week_of(hit.event_date, episode)
+        timing = gestational_week_of(hit, episode.start_date.toordinal(), dod_day)
         counts[min(timing.week, max_week)] += 1
     return counts
 
@@ -195,7 +200,7 @@ class StratifiedTable:
 def stratified_table(
     episodes: Iterable[PregnancyEpisode],
     persons: dict[int, Person],
-    events_by_person: dict[int, list[ClinicalEvent]],
+    events_by_person: dict[int, list[Event]],
     index_concepts: frozenset[int] | set[int],
     condition_sets: dict[str, frozenset[int] | set[int]],
     spec: StrataSpec | None = None,
@@ -218,9 +223,10 @@ def stratified_table(
         stratum = spec.stratum_of(episode.dod)
         if stratum is None:
             continue
-        events = events_by_person.get(episode.person_id, [])
-        hit = earliest_index_event(events, index_concepts, episode.dod)
-        week = gestational_week_of(hit.event_date, episode).week if hit else None
+        events = events_by_person.get(episode.person_id, ())
+        dod_day = episode.dod.toordinal()
+        hit = earliest_index_day(events, index_concepts, dod_day)
+        week = None if hit is None else gestational_week_of(hit, episode.start_date.toordinal(), dod_day).week
         peri = stratum is PandemicStratum.PERI
         long_gestation = episode.gestation_days > SECOND_TRIMESTER_MAX_DAYS
         t12 = week is not None and 1 <= week <= 27
@@ -245,7 +251,7 @@ def stratified_table(
             rows.append(race_rows[race_category_of(person)])
         for name, yes in condition_yes.items():
             concept_ids = condition_sets[name]
-            if any(e.concept_id in concept_ids and e.event_date <= episode.dod for e in events):
+            if any(concept_id in concept_ids and day <= dod_day for day, concept_id in events):
                 rows.append(yes)
         columns = [j for j, flag in enumerate(flags) if flag]
         for row in rows:

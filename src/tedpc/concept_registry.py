@@ -172,10 +172,6 @@ class DODRegistry:
     def get(self, concept_id: int) -> DODConceptSpec | None:
         return self._by_id.get(concept_id)
 
-    def rank_of(self, concept_id: int) -> int | None:
-        spec = self._by_id.get(concept_id)
-        return spec.domain_rank if spec else None
-
 
 GA_HEADER = ["concept_id", "name", "accuracy_level", "week_low", "week_high", "domain", "vocabulary"]
 DOD_HEADER = ["concept_id", "name", "domain", "vocabulary"]

@@ -16,7 +16,7 @@ from .episode_builder import (
     MAX_AGE_AT_DELIVERY,
     MIN_AGE_AT_DELIVERY,
 )
-from .csvio import open_text
+from .csvio import iso_date, open_text
 from .errors import ConfigError
 from .ga_engine import CONFLICT_WINDOW_DAYS, SEPARATION_WINDOW_DAYS
 from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, StrataSpec
@@ -146,7 +146,7 @@ def _typed(key: str, value, default):
 
 def _parse_date(key: str, text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return iso_date(text)
     except ValueError as exc:
         raise ValueError(f"bad date for {key}: {exc}") from None
 

@@ -3,20 +3,43 @@
 A table is UTF-8 text, optionally behind a byte-order mark, whose first
 non-blank row is a fixed header. Blank rows are skipped, every other row must
 have the header's field count, and a row that does not parse is reported as
-`path:line`. Tables are written as UTF-8 with `\\n` line ends. Every input,
-table or not, is opened by `open_text`, so one encoding rule holds for all.
+`path:line`. A date field is `YYYY-MM-DD` and nothing else (`iso_date`).
+Tables are written as UTF-8 with `\\n` line ends, dates from day ordinals
+through one `DayText` memo per run. Every input, table or not, is opened by
+`open_text`, so one encoding rule holds for all.
 """
 
 from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
+from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, TedpcError
 
 T = TypeVar("T")
+
+
+def iso_date(text: str) -> date:
+    """Parse a `YYYY-MM-DD` date field; raises ValueError on anything else.
+
+    From Python 3.11 on, `date.fromisoformat` also takes `20200503` and
+    `2020-W19-7`. Given ten characters with dashes at 4 and 7, it accepts only
+    ASCII `YYYY-MM-DD`, on 3.10 as on 3.11, so the shape is checked first.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"bad date {text!r}, expected YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
+class DayText(dict):
+    """Day ordinal -> ISO text, each distinct day formatted once: `texts[day]`."""
+
+    def __missing__(self, day: int) -> str:
+        text = self[day] = date.fromordinal(day).isoformat()
+        return text
 
 
 @contextmanager

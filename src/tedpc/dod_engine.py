@@ -1,58 +1,56 @@
 """Delivery-date inference from delivery-indicating clinical events.
 
 Delivery events for one birth concentrate within days of the true delivery,
-so clustering here runs on raw event dates. Procedure-domain records are the
+so clustering here runs on raw event days. Procedure-domain records are the
 most trustworthy, then conditions, then observations; within a rank the
 latest record wins. Clustering is the same anchor-and-absorb rule the start
-engine uses.
+engine uses, on the same `(day ordinal, concept id)` events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import date
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .concept_registry import DODRegistry
-from .errors import InvariantError
 from .ga_engine import SEPARATION_WINDOW_DAYS, anchor_and_absorb
-from .ingestion import ClinicalEvent
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One inferred delivery date, anchored by its best event."""
+class DeliveryRecord(NamedTuple):
+    """One inferred delivery day (an ordinal), anchored by its best event."""
 
     person_id: int
-    dod: date
+    dod_day: int
     anchor_concept_id: int
     domain_rank: int
     cluster_size: int
 
 
+def rank_table(registry: DODRegistry) -> dict[int, int]:
+    """The registry as `infer_delivery_dates` reads it: concept -> domain rank."""
+    return {spec.concept_id: spec.domain_rank for spec in registry}
+
+
 def infer_delivery_dates(
-    events: Iterable[ClinicalEvent],
-    registry: DODRegistry,
+    person_id: int,
+    events: Iterable[tuple[int, int]],
+    ranks: dict[int, int],
     window_days: int = SEPARATION_WINDOW_DAYS,
 ) -> list[DeliveryRecord]:
-    """Collapse one person's delivery events into one date per gestation.
+    """Collapse one person's `(day, concept id)` delivery events into one day per gestation.
 
     Iteratively selects the best remaining event (domain rank, then latest
-    event date, then lowest concept id), emits its date, and removes every
-    remaining event dated within ±window_days (inclusive) of it. Events whose
-    concept is not in the registry are ignored. Result is sorted latest first.
+    day, then lowest concept id), emits its day, and removes every remaining
+    event dated within ±window_days (inclusive) of it. Events whose concept
+    is not in `ranks` are ignored. Result is sorted latest first.
     """
-    pool = [(e, registry.rank_of(e.concept_id)) for e in events if e.concept_id in registry]
-    if not pool:
-        return []
-    person_id = pool[0][0].person_id
-    if any(e.person_id != person_id for e, _ in pool):
-        raise InvariantError("events for more than one person in one inference call")
-    date_ord = [e.event_date.toordinal() for e, _ in pool]
-    order = sorted(range(len(pool)), key=lambda i: (pool[i][1], -date_ord[i], pool[i][0].concept_id))
+    # (rank, -day, concept id) sorts natively into anchor order.
+    pool = sorted(
+        (rank, -day, concept_id) for day, concept_id in events if (rank := ranks.get(concept_id)) is not None
+    )
+    days = [-p[1] for p in pool]
     results = []
-    for i, members in anchor_and_absorb(date_ord, order, window_days):
-        anchor, rank = pool[i]
-        results.append(DeliveryRecord(person_id, anchor.event_date, anchor.concept_id, rank, len(members)))
-    results.sort(key=lambda r: r.dod, reverse=True)
+    for i, members in anchor_and_absorb(days, range(len(pool)), window_days):
+        rank, _, concept_id = pool[i]
+        results.append(DeliveryRecord(person_id, days[i], concept_id, rank, len(members)))
+    results.sort(reverse=True)
     return results

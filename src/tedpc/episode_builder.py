@@ -4,7 +4,8 @@ Deliveries are matched latest-first to the unused start whose implied
 gestation length is plausible and closest to 280 days. Matched pairs become
 episodes; everything unmatched is reported. Episodes can then be filtered by
 the cohort inclusion rules (delivery window, maternal age) and queried for
-the gestational week of arbitrary index events.
+the gestational week of arbitrary index events. Matching and week arithmetic
+run on day ordinals; an episode holds `date`s, built once when it is made.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DeliveryRecord
-from .csvio import read_rows, write_rows
-from .errors import InvariantError
+from .csvio import iso_date, read_rows, write_rows
 from .ga_engine import GestationStart
 from .ingestion import Person
 
@@ -54,8 +54,7 @@ class ExtremeFlag(str, Enum):
     LONG = "long"
 
 
-@dataclass(frozen=True)
-class GestationalTiming:
+class GestationalTiming(NamedTuple):
     """Gestational week (0 = pre-pregnancy) and trimester of one event."""
 
     week: int
@@ -99,27 +98,24 @@ def match_episodes(
     min_days: int = MATCH_MIN_DAYS,
     max_days: int = MATCH_MAX_DAYS,
 ) -> tuple[list[PregnancyEpisode], MatchDiagnostics]:
-    """Pair one person's delivery dates with pregnancy starts.
+    """Pair one person's delivery days with pregnancy starts.
 
     Deliveries are processed latest first. A start is eligible when the
     implied gestation length lies in [min_days, max_days]; among eligible
     starts the one closest to 280 days wins, earlier start on a tie. Each
     start and delivery is used at most once; leftovers are reported.
     """
-    person_ids = {s.person_id for s in starts} | {d.person_id for d in dods}
-    if len(person_ids) > 1:
-        raise InvariantError("episode matching called with more than one person")
     diagnostics = MatchDiagnostics()
     unused = list(starts)
     pairs: list[tuple[GestationStart, DeliveryRecord]] = []
-    for record in sorted(dods, key=lambda d: d.dod, reverse=True):
+    for record in sorted(dods, reverse=True):
         best = None
         best_key = None
         for start in unused:
-            gestation = (record.dod - start.start_date).days
+            gestation = record.dod_day - start.start_day
             if not (min_days <= gestation <= max_days):
                 continue
-            key = (abs(gestation - TYPICAL_GESTATION_DAYS), start.start_date)
+            key = (abs(gestation - TYPICAL_GESTATION_DAYS), start.start_day)
             if best_key is None or key < best_key:
                 best, best_key = start, key
         if best is None:
@@ -128,21 +124,21 @@ def match_episodes(
             unused.remove(best)
             pairs.append((best, record))
     diagnostics.unmatched_starts.extend(unused)
-    pairs.sort(key=lambda p: p[0].start_date)
+    pairs.sort()
     episodes = []
     for index, (start, record) in enumerate(pairs, start=1):
-        gestation = (record.dod - start.start_date).days
+        gestation = record.dod_day - start.start_day
         episodes.append(
             PregnancyEpisode(
-                person_id=start.person_id,
-                episode_index=index,
-                start_date=start.start_date,
-                dod=record.dod,
-                gestation_days=gestation,
-                ga_accuracy=start.accuracy,
-                dod_domain_rank=record.domain_rank,
-                extreme_flag=extreme_flag_of(gestation),
-                conflict_flag=start.conflict_flag,
+                start.person_id,
+                index,
+                date.fromordinal(start.start_day),
+                date.fromordinal(record.dod_day),
+                gestation,
+                start.accuracy,
+                record.domain_rank,
+                extreme_flag_of(gestation),
+                start.conflict_flag,
             )
         )
     return episodes, diagnostics
@@ -186,9 +182,9 @@ def apply_cohort_filters(
     return kept, excluded
 
 
-def week_of(start_date: date, event_date: date) -> int:
-    """Ordinal gestational week of a date on/after the start; day 0 is week 1."""
-    return (event_date - start_date).days // 7 + 1
+def week_of(start_day: int, day: int) -> int:
+    """Ordinal gestational week of a day on/after the start; day 0 is week 1."""
+    return (day - start_day) // 7 + 1
 
 
 def trimester_of(week: int) -> Trimester:
@@ -204,16 +200,16 @@ def trimester_of(week: int) -> Trimester:
     return Trimester.THIRD
 
 
-def gestational_week_of(event_date: date, episode: PregnancyEpisode) -> GestationalTiming:
-    """Map an event date onto an episode's gestational timeline.
+def gestational_week_of(day: int, start_day: int, dod_day: int) -> GestationalTiming:
+    """Map an event day onto an episode's gestational timeline; all three are day ordinals.
 
-    Dates before the start are week 0 (pre-pregnancy); dates after the
+    Days before the start are week 0 (pre-pregnancy); days after the
     delivery keep their computed week but are marked post-delivery.
     """
-    if event_date < episode.start_date:
+    if day < start_day:
         return GestationalTiming(0, Trimester.PRE)
-    week = week_of(episode.start_date, event_date)
-    if event_date > episode.dod:
+    week = week_of(start_day, day)
+    if day > dod_day:
         return GestationalTiming(week, Trimester.POST_DELIVERY)
     return GestationalTiming(week, trimester_of(week))
 
@@ -257,8 +253,8 @@ def _parse_episode(row: list[str]) -> PregnancyEpisode:
     return PregnancyEpisode(
         person_id=int(row[0]),
         episode_index=int(row[1]),
-        start_date=date.fromisoformat(row[2]),
-        dod=date.fromisoformat(row[3]),
+        start_date=iso_date(row[2]),
+        dod=iso_date(row[3]),
         gestation_days=int(row[4]),
         ga_accuracy=ACCURACY_TOKENS[row[5]],
         dod_domain_rank=int(row[6]),

@@ -1,43 +1,39 @@
 """Pregnancy start-date inference from GA-bearing clinical events.
 
-Each GA event implies a candidate pregnancy start: the event date minus the
+Each GA event implies a candidate pregnancy start: the event day minus the
 gestation its concept encodes (median of the concept's week range). Candidates
 for one person are collapsed into gestations by repeatedly anchoring on the
 most accurate remaining candidate and absorbing everything whose implied start
 falls within the separation window of the anchor's.
+Days are ordinals throughout: a candidate is an `(accuracy, day, concept id,
+start day)` tuple whose native order is the anchor order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from datetime import date
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, GAConceptSpec, GARegistry
-from .errors import InvariantError
-from .ingestion import ClinicalEvent
 
 # Two gestations of one person are assumed to start more than this many days apart.
 SEPARATION_WINDOW_DAYS = 270
 # An absorbed high-accuracy candidate further than this from its anchor flags a conflict.
 CONFLICT_WINDOW_DAYS = 14
 
+_HIGH = int(AccuracyLevel.HIGH)
 
-class GACandidate(NamedTuple):
-    event: ClinicalEvent
-    spec: GAConceptSpec
-    start_date: date
-    accuracy: AccuracyLevel
+# One GA candidate: (accuracy rank, event day, concept id, implied start day).
+Candidate = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class GestationStart:
-    """One inferred pregnancy start, anchored by its best candidate."""
+class GestationStart(NamedTuple):
+    """One inferred pregnancy start (a day ordinal), anchored by its best candidate."""
 
     person_id: int
-    start_date: date
-    anchor: GACandidate
+    start_day: int
     accuracy: AccuracyLevel
+    anchor_concept_id: int
+    anchor_day: int
     conflict_flag: bool
     cluster_size: int
 
@@ -51,20 +47,18 @@ def ga_days(spec: GAConceptSpec) -> int:
     return (total + 1) // 2
 
 
-def start_date_from_event(event_date: date, spec: GAConceptSpec) -> date:
-    """Pregnancy start implied by one GA event: exact calendar arithmetic."""
-    return date.fromordinal(event_date.toordinal() - ga_days(spec))
+def candidate_table(registry: GARegistry) -> dict[int, tuple[int, int]]:
+    """The registry as `build_candidates` reads it: concept -> (gestation days, accuracy rank)."""
+    return {spec.concept_id: (ga_days(spec), int(spec.accuracy)) for spec in registry}
 
 
-def build_candidates(events: Iterable[ClinicalEvent], registry: GARegistry) -> list[GACandidate]:
-    """Turn a person's events into GA candidates; non-GA events are skipped."""
-    candidates = []
-    for event in events:
-        spec = registry.get(event.concept_id)
-        if spec is None:
-            continue
-        candidates.append(GACandidate(event, spec, start_date_from_event(event.event_date, spec), spec.accuracy))
-    return candidates
+def build_candidates(events: Iterable[tuple[int, int]], table: dict[int, tuple[int, int]]) -> list[Candidate]:
+    """Turn a person's `(day, concept id)` events into GA candidates; non-GA events are skipped."""
+    return [
+        (spec[1], day, concept_id, day - spec[0])
+        for day, concept_id in events
+        if (spec := table.get(concept_id)) is not None
+    ]
 
 
 def anchor_and_absorb(
@@ -94,42 +88,29 @@ def anchor_and_absorb(
 
 
 def infer_gestation_starts(
-    candidates: list[GACandidate],
+    person_id: int,
+    candidates: list[Candidate],
     window_days: int = SEPARATION_WINDOW_DAYS,
     conflict_days: int = CONFLICT_WINDOW_DAYS,
 ) -> list[GestationStart]:
     """Collapse one person's candidates into one start per gestation.
 
     Iteratively selects the best remaining candidate (accuracy rank, then
-    earliest event date, then lowest concept id), emits its start date, and
-    removes every remaining candidate whose start lies within ±window_days
-    (inclusive) of the anchor's. The conflict flag records an absorbed
-    high-accuracy candidate disagreeing with the anchor by more than
-    conflict_days; it never alters the output. Result is sorted by start date.
+    earliest event day, then lowest concept id: the candidates' native
+    order), emits its start day, and removes every remaining candidate whose
+    start lies within ±window_days (inclusive) of the anchor's. The conflict
+    flag records an absorbed high-accuracy candidate disagreeing with the
+    anchor by more than conflict_days; it never alters the output. Result is
+    sorted by start day.
     """
-    if not candidates:
-        return []
-    person_id = candidates[0].event.person_id
-    if any(c.event.person_id != person_id for c in candidates):
-        raise InvariantError("candidates for more than one person in one inference call")
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (
-            candidates[i].accuracy,
-            candidates[i].event.event_date,
-            candidates[i].event.concept_id,
-        ),
-    )
-    start_ord = [c.start_date.toordinal() for c in candidates]
-    high = AccuracyLevel.HIGH  # looked up once: attribute access on an Enum class is slow
+    pool = sorted(candidates)
+    starts = [c[3] for c in pool]
     results = []
-    for i, members in anchor_and_absorb(start_ord, order, window_days):
-        anchor = candidates[i]
-        conflict = any(
-            candidates[j].accuracy is high and abs(start_ord[j] - start_ord[i]) > conflict_days for j in members
-        )
+    for i, members in anchor_and_absorb(starts, range(len(pool)), window_days):
+        accuracy, day, concept_id, start = pool[i]
+        conflict = any(pool[j][0] == _HIGH and abs(starts[j] - start) > conflict_days for j in members)
         results.append(
-            GestationStart(person_id, anchor.start_date, anchor, anchor.accuracy, conflict, len(members))
+            GestationStart(person_id, start, AccuracyLevel(accuracy), concept_id, day, conflict, len(members))
         )
-    results.sort(key=lambda g: g.start_date)
+    results.sort()
     return results

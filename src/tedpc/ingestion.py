@@ -1,9 +1,11 @@
 """Person and clinical-event table ingestion.
 
-Events are grouped per person and sorted by (event date, concept id) so that
-every downstream "first" selection is deterministic regardless of input row
-order. Events referencing unknown persons are quarantined, never dropped
-silently.
+Events are grouped per person as `(day ordinal, concept id)` pairs, sorted
+natively by day then concept id, so that every downstream "first" selection
+is deterministic regardless of input row order. They stay ints up to the
+writers; dates come back only in `PregnancyEpisode` and in written text.
+Events referencing unknown persons are quarantined as whole `ClinicalEvent`s,
+never dropped silently.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import DODRegistry, Domain, GARegistry
-from .csvio import read_rows, write_rows
+from .csvio import iso_date, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -25,6 +27,9 @@ MAX_EVENT_DATE = date(2100, 12, 31)
 
 PERSON_HEADER = ["person_id", "birth_date", "sex", "race", "ethnicity"]
 EVENT_HEADER = ["person_id", "concept_id", "domain", "event_date"]
+
+# One grouped event: (day ordinal, concept id).
+Event = tuple[int, int]
 
 
 class Person(NamedTuple):
@@ -44,9 +49,9 @@ class ClinicalEvent(NamedTuple):
 
 @dataclass
 class EventTable:
-    """Per-person ordered event lists plus ingestion diagnostics."""
+    """Per-person ordered `(day ordinal, concept id)` lists plus ingestion diagnostics."""
 
-    events_by_person: dict[int, list[ClinicalEvent]]
+    events_by_person: dict[int, list[Event]]
     quarantined: list[ClinicalEvent] = field(default_factory=list)
     total_rows: int = 0
     domain_mismatches: int = 0
@@ -59,13 +64,13 @@ def load_persons(path: Path | str, today: date | None = None) -> dict[int, Perso
     """Load the persons table keyed by person id.
 
     Identical duplicate rows collapse; conflicting duplicates fail. Birth
-    dates must parse and lie in [1900-01-01, today].
+    dates must be `YYYY-MM-DD` and lie in [1900-01-01, today].
     """
     today = today or date.today()
     persons: dict[int, Person] = {}
 
     def parse(row: list[str]) -> Person:
-        person = Person(int(row[0]), date.fromisoformat(row[1]), row[2], row[3], row[4])
+        person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
         if not (MIN_EVENT_DATE <= person.birth_date <= today):
             raise ValueError(
                 f"birth_date {person.birth_date.isoformat()} outside "
@@ -81,6 +86,15 @@ def load_persons(path: Path | str, today: date | None = None) -> dict[int, Perso
     return persons
 
 
+def _event_day(text: str) -> int:
+    day = iso_date(text)
+    if not (MIN_EVENT_DATE <= day <= MAX_EVENT_DATE):
+        raise ValueError(
+            f"event_date {day.isoformat()} outside [{MIN_EVENT_DATE.isoformat()}, {MAX_EVENT_DATE.isoformat()}]"
+        )
+    return day.toordinal()
+
+
 def load_events(
     path: Path | str,
     ga_registry: GARegistry | None = None,
@@ -88,64 +102,54 @@ def load_events(
     known_persons: Iterable[int] | None = None,
     concepts: Iterable[int] | None = None,
 ) -> EventTable:
-    """Load the events table grouped by person.
+    """Load the events table grouped by person as `(day ordinal, concept id)` pairs.
 
-    Within a person, events are sorted by (event_date, concept_id). Rows for
+    Within a person, pairs are sorted by day, then concept id. Rows for
     persons absent from `known_persons` are quarantined with a diagnostic.
     When registries are given, an event whose domain disagrees with the
     registry's domain for that concept is kept but counted and warned about.
     With `concepts`, every row is still parsed, checked and counted, but only
-    events of those concepts are grouped.
+    events of those concepts are grouped; no pair is built for the others.
     """
     known = set(known_persons) if known_persons is not None else None
     wanted = frozenset(concepts) if concepts is not None else None
     # The GA registry's domain wins where a concept is in both registries.
     expected_domain = {spec.concept_id: spec.domain for spec in dod_registry or ()}
     expected_domain.update((spec.concept_id, spec.domain) for spec in ga_registry or ())
-    by_person: dict[int, list[ClinicalEvent]] = {}
+    by_person: dict[int, list[Event]] = {}
     quarantined: list[ClinicalEvent] = []
     mismatches = 0
-    mismatch_samples: list[ClinicalEvent] = []
-    total = 0
+    mismatch_sample: ClinicalEvent | None = None
     # Dates and domains repeat across rows: each distinct text is parsed and
     # checked once. A bad value raises before it is cached.
-    dates: dict[str, date] = {}
+    days: dict[str, int] = {}
     domains: dict[str, Domain] = {}
 
-    def parse_date(text: str) -> date:
-        day = date.fromisoformat(text)
-        if not (MIN_EVENT_DATE <= day <= MAX_EVENT_DATE):
-            raise ValueError(
-                f"event_date {day.isoformat()} outside "
-                f"[{MIN_EVENT_DATE.isoformat()}, {MAX_EVENT_DATE.isoformat()}]"
-            )
-        return day
-
-    def parse(row: list[str]) -> ClinicalEvent:
+    def parse(row: list[str]) -> None:
+        nonlocal mismatches, mismatch_sample
         person_id, concept_id = int(row[0]), int(row[1])
         domain = domains.get(row[2])
         if domain is None:
             domain = domains[row[2]] = Domain.parse(row[2])
-        day = dates.get(row[3])
+        day = days.get(row[3])
         if day is None:
-            day = dates[row[3]] = parse_date(row[3])
-        return ClinicalEvent(person_id, concept_id, domain, day)
-
-    for event in read_rows(path, EVENT_HEADER, parse):
-        total += 1
-        person_id, concept_id, domain, _ = event
+            day = days[row[3]] = _event_day(row[3])
         if known is not None and person_id not in known:
-            quarantined.append(event)
-            continue
+            quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))
+            return
         expected = expected_domain.get(concept_id)
-        if expected is not None and expected != domain:
+        if expected is not None and expected is not domain:
             mismatches += 1
-            if len(mismatch_samples) < 5:
-                mismatch_samples.append(event)
+            if mismatch_sample is None:
+                mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
         if wanted is None or concept_id in wanted:
-            by_person.setdefault(person_id, []).append(event)
+            by_person.setdefault(person_id, []).append((day, concept_id))
+
+    total = 0
+    for _ in read_rows(path, EVENT_HEADER, parse):
+        total += 1
     for events in by_person.values():
-        events.sort(key=lambda e: (e.event_date, e.concept_id))
+        events.sort()
     if quarantined:
         logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
     if mismatches:
@@ -153,7 +157,7 @@ def load_events(
             "%s: %d events disagree with the registry domain for their concept, e.g. %s",
             path,
             mismatches,
-            mismatch_samples[0],
+            mismatch_sample,
         )
     logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
     return EventTable(by_person, quarantined, total, mismatches)

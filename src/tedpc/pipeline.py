@@ -1,5 +1,8 @@
 """End-to-end orchestration shared by the CLI and tests.
 
+Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
+built or a writer formats them through the run's one `DayText` memo.
+
 Inference runs per person and persons are independent, so the person loop
 can fan out across a thread pool; results are always collected and written
 in person-id order, making output bytes independent of the thread count.
@@ -30,8 +33,8 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import write_rows
-from .dod_engine import DeliveryRecord, infer_delivery_dates
+from .csvio import DayText, write_rows
+from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     MatchDiagnostics,
     PregnancyEpisode,
@@ -42,7 +45,7 @@ from .episode_builder import (
     write_episodes,
 )
 from .errors import ConfigError, InvariantError
-from .ga_engine import GestationStart, build_candidates, infer_gestation_starts
+from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
 from .ingestion import load_events, load_persons, write_events
 
 logger = logging.getLogger(__name__)
@@ -50,8 +53,8 @@ logger = logging.getLogger(__name__)
 _PersonResult = tuple[list[GestationStart], list[DeliveryRecord], list[PregnancyEpisode], MatchDiagnostics]
 
 
-def _check_separation(values: list, window_days: int, kind: str, person_id: int) -> None:
-    ordinals = sorted(v.toordinal() for v in values)
+def _check_separation(days: list[int], window_days: int, kind: str, person_id: int) -> None:
+    ordinals = sorted(days)
     for a, b in zip(ordinals, ordinals[1:]):
         if b - a <= window_days:
             raise InvariantError(
@@ -83,15 +86,18 @@ def run_infer(config: RunConfig) -> dict:
     dod_registry = load_dod_concepts(config.dod_concepts_path)
     persons = load_persons(config.persons_path)
     table = load_events(config.events_path, ga_registry, dod_registry, known_persons=persons)
+    ga_table = candidate_table(ga_registry)
+    dod_ranks = rank_table(dod_registry)
 
     def infer_person(person_id: int) -> _PersonResult:
         events = table.events_by_person[person_id]
         starts = infer_gestation_starts(
-            build_candidates(events, ga_registry),
+            person_id,
+            build_candidates(events, ga_table),
             window_days=config.window_days,
             conflict_days=config.conflict_days,
         )
-        records = infer_delivery_dates(events, dod_registry, window_days=config.window_days)
+        records = infer_delivery_dates(person_id, events, dod_ranks, window_days=config.window_days)
         episodes, diagnostics = match_episodes(
             starts, records, min_days=config.match_min_days, max_days=config.match_max_days
         )
@@ -110,8 +116,10 @@ def run_infer(config: RunConfig) -> dict:
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
     for person_id, (starts, records, person_episodes, diagnostics) in zip(person_ids, results):
-        _check_separation([s.start_date for s in starts], config.window_days, "start", person_id)
-        _check_separation([r.dod for r in records], config.window_days, "delivery", person_id)
+        if len(starts) > 1:
+            _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
+        if len(records) > 1:
+            _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
         all_starts.extend(starts)
         all_records.extend(records)
         episodes.extend(person_episodes)
@@ -128,21 +136,26 @@ def run_infer(config: RunConfig) -> dict:
             max_age=config.max_age,
         )
 
+    day_text = DayText()
     write_episodes(out / "episodes.csv", episodes)
     write_rows(
         out / "unmatched_starts.csv",
         ["person_id", "start_date", "anchor_concept_id", "accuracy"],
         [
-            [s.person_id, s.start_date.isoformat(), s.anchor.event.concept_id, TOKEN_BY_ACCURACY[s.accuracy]]
+            [s.person_id, day_text[s.start_day], s.anchor_concept_id, TOKEN_BY_ACCURACY[s.accuracy]]
             for s in unmatched_starts
         ],
     )
     write_rows(
         out / "unmatched_dods.csv",
         ["person_id", "dod", "anchor_concept_id", "domain_rank"],
-        [[r.person_id, r.dod.isoformat(), r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
+        [[r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
     )
-    write_events(out / "quarantine.csv", table.quarantined)
+    # The whole row sets the order, so rows that differ only in domain do not keep their input order.
+    write_events(
+        out / "quarantine.csv",
+        sorted(table.quarantined, key=lambda e: (e.person_id, e.event_date, e.concept_id, e.domain.value)),
+    )
     write_rows(
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
@@ -158,9 +171,9 @@ def run_infer(config: RunConfig) -> dict:
             [
                 [
                     s.person_id,
-                    s.start_date.isoformat(),
-                    s.anchor.event.concept_id,
-                    s.anchor.event.event_date.isoformat(),
+                    day_text[s.start_day],
+                    s.anchor_concept_id,
+                    day_text[s.anchor_day],
                     TOKEN_BY_ACCURACY[s.accuracy],
                     s.cluster_size,
                     str(s.conflict_flag).lower(),
@@ -172,7 +185,7 @@ def run_infer(config: RunConfig) -> dict:
             out / "dod_cohort.csv",
             ["person_id", "dod", "anchor_concept_id", "domain_rank", "cluster_size"],
             [
-                [r.person_id, r.dod.isoformat(), r.anchor_concept_id, r.domain_rank, r.cluster_size]
+                [r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank, r.cluster_size]
                 for r in all_records
             ],
         )
@@ -207,18 +220,20 @@ def run_timeline(config: RunConfig) -> int:
     episodes = read_episodes(config.episodes_path)
     index_concepts = read_concept_ids(config.index_events_path)
     table = load_events(config.events_path, concepts=index_concepts)
+    day_text = DayText()
     rows = []
     for episode in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
-        for event in table.events_by_person.get(episode.person_id, []):
-            if event.concept_id not in index_concepts or event.event_date > episode.dod:
+        start_day, dod_day = episode.start_date.toordinal(), episode.dod.toordinal()
+        for day, concept_id in table.events_by_person.get(episode.person_id, ()):
+            if concept_id not in index_concepts or day > dod_day:
                 continue
-            timing = gestational_week_of(event.event_date, episode)
+            timing = gestational_week_of(day, start_day, dod_day)
             rows.append(
                 [
                     episode.person_id,
                     episode.episode_index,
-                    event.concept_id,
-                    event.event_date.isoformat(),
+                    concept_id,
+                    day_text[day],
                     timing.week,
                     timing.trimester.value,
                 ]

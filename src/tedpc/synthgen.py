@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .concept_registry import AccuracyLevel, DODRegistry, Domain, GARegistry
-from .csvio import read_rows, write_rows
+from .csvio import iso_date, read_rows, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
@@ -186,7 +186,7 @@ def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
 
 def _parse_truth(row: list[str]) -> TruthRecord:
     week = int(row[4]) if row[4] != "" else None
-    return TruthRecord(int(row[0]), int(row[1]), date.fromisoformat(row[2]), date.fromisoformat(row[3]), week)
+    return TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week)
 
 
 def read_truth(path: Path | str) -> list[TruthRecord]:

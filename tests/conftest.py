@@ -9,7 +9,8 @@ from tedpc.concept_registry import (
     load_dod_concepts,
     load_ga_concepts,
 )
-from tedpc.ingestion import ClinicalEvent
+from tedpc.dod_engine import rank_table
+from tedpc.ga_engine import candidate_table
 
 
 @pytest.fixture(scope="session")
@@ -22,29 +23,29 @@ def dod_registry():
     return load_dod_concepts(default_dod_concepts_path())
 
 
-def random_ga_events(rng: np.random.Generator, ga_registry, max_events=10, person_id=1):
-    """Random GA events for one person, drawn from the shipped concept set."""
-    specs = list(ga_registry)
+@pytest.fixture(scope="session")
+def ga_table(ga_registry):
+    return candidate_table(ga_registry)
+
+
+@pytest.fixture(scope="session")
+def dod_ranks(dod_registry):
+    return rank_table(dod_registry)
+
+
+def as_events(clinical_events):
+    """ClinicalEvents as the (day ordinal, concept id) pairs load_events groups, in its order."""
+    return sorted((e.event_date.toordinal(), e.concept_id) for e in clinical_events)
+
+
+def random_events(rng: np.random.Generator, registry, max_events=10):
+    """Random (day ordinal, concept id) events for one person, drawn from a shipped concept set."""
+    specs = list(registry)
     n = int(rng.integers(0, max_events + 1))
     base = date(2018, 6, 1).toordinal()
     events = []
     for _ in range(n):
         spec = specs[int(rng.integers(0, len(specs)))]
-        day = date.fromordinal(base + int(rng.integers(0, 1100)))
-        events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, day))
-    events.sort(key=lambda e: (e.event_date, e.concept_id))
-    return events
+        events.append((base + int(rng.integers(0, 1100)), spec.concept_id))
+    return sorted(events)
 
-
-def random_dod_events(rng: np.random.Generator, dod_registry, max_events=10, person_id=1):
-    """Random delivery events for one person from the shipped concept set."""
-    specs = list(dod_registry)
-    n = int(rng.integers(0, max_events + 1))
-    base = date(2018, 6, 1).toordinal()
-    events = []
-    for _ in range(n):
-        spec = specs[int(rng.integers(0, len(specs)))]
-        day = date.fromordinal(base + int(rng.integers(0, 1100)))
-        events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, day))
-    events.sort(key=lambda e: (e.event_date, e.concept_id))
-    return events

@@ -5,13 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s`. The throughput criterion
 """
 
 import time
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_dod_events, random_ga_events
+from conftest import as_events, random_events
 from oracles import dod_reference, ga_reference
 from tedpc.analytics import PandemicStratum, pandemic_stratum_of, suppress_small_cells
 from tedpc.cli import main
@@ -30,7 +30,6 @@ from tedpc.ga_engine import build_candidates, infer_gestation_starts
 from tedpc.pipeline import run_infer
 from tedpc.synthgen import NoiseSpec, SynthConfig, generate_cohort
 from test_dod_engine import events_to_reference as dod_to_reference
-from test_episode_builder import episode
 from test_ga_engine import events_to_reference as ga_to_reference
 
 
@@ -98,27 +97,27 @@ def test_3_round_trip_exactness(cohort_1000):
     print(f"ACCEPTANCE 3 round-trip-exactness: PASS ({report.truth_episodes} gestations in {elapsed:.1f}s)")
 
 
-def test_4_oracle_equivalence(ga_registry, dod_registry):
+def test_4_oracle_equivalence(ga_registry, dod_registry, ga_table, dod_ranks):
     rng = np.random.default_rng(4040)
     mismatches = 0
     for _ in range(10_000):
-        events = random_ga_events(rng, ga_registry)
-        got = infer_gestation_starts(build_candidates(events, ga_registry))
+        events = random_events(rng, ga_registry)
+        got = infer_gestation_starts(1, build_candidates(events, ga_table))
         expected = ga_reference(ga_to_reference(events, ga_registry))
         ok = len(got) == len(expected) and all(
-            g.start_date == e["start"]
-            and g.anchor.event.concept_id == e["anchor"]
+            g.start_day == e["start"].toordinal()
+            and g.anchor_concept_id == e["anchor"]
             and g.cluster_size == e["size"]
             and g.conflict_flag == e["conflict"]
             for g, e in zip(got, expected)
         )
         mismatches += not ok
     for _ in range(10_000):
-        events = random_dod_events(rng, dod_registry)
-        got = infer_delivery_dates(events, dod_registry)
+        events = random_events(rng, dod_registry)
+        got = infer_delivery_dates(1, events, dod_ranks)
         expected = dod_reference(dod_to_reference(events, dod_registry))
         ok = len(got) == len(expected) and all(
-            g.dod == e["dod"] and g.anchor_concept_id == e["anchor"] and g.cluster_size == e["size"]
+            g.dod_day == e["dod"].toordinal() and g.anchor_concept_id == e["anchor"] and g.cluster_size == e["size"]
             for g, e in zip(got, expected)
         )
         mismatches += not ok
@@ -126,17 +125,17 @@ def test_4_oracle_equivalence(ga_registry, dod_registry):
     print("ACCEPTANCE 4 oracle-equivalence: PASS (10000 GA + 10000 delivery instances)")
 
 
-def test_5_separation_invariant(ga_registry, dod_registry, cohort_1000):
+def test_5_separation_invariant(ga_registry, dod_registry, ga_table, dod_ranks, cohort_1000):
     def check(days):
         ordered = sorted(days)
         assert all(b - a > 270 for a, b in zip(ordered, ordered[1:]))
 
     rng = np.random.default_rng(5050)
     for _ in range(2000):
-        starts = infer_gestation_starts(build_candidates(random_ga_events(rng, ga_registry), ga_registry))
-        check([s.start_date.toordinal() for s in starts])
-        records = infer_delivery_dates(random_dod_events(rng, dod_registry), dod_registry)
-        check([r.dod.toordinal() for r in records])
+        starts = infer_gestation_starts(1, build_candidates(random_events(rng, ga_registry), ga_table))
+        check([s.start_day for s in starts])
+        records = infer_delivery_dates(1, random_events(rng, dod_registry), dod_ranks)
+        check([r.dod_day for r in records])
     _, out, _ = cohort_1000
     by_person_start: dict[int, list[int]] = {}
     by_person_dod: dict[int, list[int]] = {}
@@ -150,7 +149,7 @@ def test_5_separation_invariant(ga_registry, dod_registry, cohort_1000):
     print("ACCEPTANCE 5 separation-invariant: PASS")
 
 
-def test_6_noise_robustness(ga_registry, dod_registry):
+def test_6_noise_robustness(ga_registry, dod_registry, ga_table):
     config = SynthConfig(seed=606, n_persons=300, noise=NoiseSpec(conflict_ga_rate=1.0))
     cohort = generate_cohort(config, ga_registry, dod_registry)
     truth_by_person: dict[int, list] = {}
@@ -160,13 +159,12 @@ def test_6_noise_robustness(ga_registry, dod_registry):
     for event in cohort.events:
         events_by_person.setdefault(event.person_id, []).append(event)
     for person_id, records in truth_by_person.items():
-        events = sorted(events_by_person[person_id], key=lambda e: (e.event_date, e.concept_id))
-        starts = infer_gestation_starts(build_candidates(events, ga_registry))
+        starts = infer_gestation_starts(person_id, build_candidates(as_events(events_by_person[person_id]), ga_table))
         assert len(starts) == len(records), "episode count changed under conflict noise"
         for record, start in zip(sorted(records, key=lambda r: r.true_start), starts):
-            spec = start.anchor.spec
+            spec = ga_registry.get(start.anchor_concept_id)
             half_range_days = 7 * (spec.week_high - spec.week_low + 1) / 2
-            delta = abs((start.start_date - record.true_start).days)
+            delta = abs(start.start_day - record.true_start.toordinal())
             assert delta <= half_range_days
     print("ACCEPTANCE 6 noise-robustness: PASS (300 persons, conflict rate 1.0)")
 
@@ -205,13 +203,13 @@ def test_7_determinism(tmp_path):
 
 
 def test_8_boundary_behavior():
-    ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-    assert gestational_week_of(date(2020, 1, 1), ep).week == 1
-    assert gestational_week_of(date(2020, 1, 1), ep).trimester is Trimester.FIRST
-    assert gestational_week_of(date(2019, 12, 22), ep).week == 0
-    assert gestational_week_of(date(2019, 12, 22), ep).trimester is Trimester.PRE
-    assert gestational_week_of(date(2020, 1, 1) + timedelta(days=189), ep).week == 28
-    assert gestational_week_of(date(2020, 1, 1) + timedelta(days=189), ep).trimester is Trimester.THIRD
+    start, dod = date(2020, 1, 1).toordinal(), date(2020, 10, 7).toordinal()
+    assert gestational_week_of(start, start, dod).week == 1
+    assert gestational_week_of(start, start, dod).trimester is Trimester.FIRST
+    assert gestational_week_of(start - 10, start, dod).week == 0
+    assert gestational_week_of(start - 10, start, dod).trimester is Trimester.PRE
+    assert gestational_week_of(start + 189, start, dod).week == 28
+    assert gestational_week_of(start + 189, start, dod).trimester is Trimester.THIRD
     assert trimester_of(13) is Trimester.FIRST
     assert trimester_of(14) is Trimester.SECOND
     assert trimester_of(27) is Trimester.SECOND

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from conftest import as_events
 from oracles import table_reference
 from tedpc.analytics import (
     PandemicStratum,
@@ -30,8 +31,8 @@ def episode(start, dod, person_id=1, index=1):
     )
 
 
-def index_event(person_id, day):
-    return ClinicalEvent(person_id, INDEX, Domain.CONDITION, day)
+def event_on(day, concept_id=INDEX):
+    return (day.toordinal(), concept_id)
 
 
 class TestPandemicStratum:
@@ -57,6 +58,27 @@ class TestPandemicStratum:
         with pytest.raises(ConfigError):
             StrataSpec(pre_window=(date(2018, 6, 1), date(2020, 2, 29)))
 
+    @pytest.mark.parametrize(
+        "pre, peri, message",
+        [
+            ((date(2020, 2, 29), date(2018, 6, 1)), (date(2020, 5, 1), date(2021, 5, 31)), "pre_window starts"),
+            ((date(2018, 6, 1), date(2020, 2, 29)), (date(2021, 5, 31), date(2020, 5, 1)), "peri_window starts"),
+            ((date(2018, 6, 1), date(2020, 5, 1)), (date(2020, 5, 1), date(2021, 5, 31)), "overlap"),
+            ((date(2020, 5, 1), date(2021, 5, 31)), (date(2018, 6, 1), date(2020, 5, 1)), "overlap"),
+        ],
+        ids=["pre-disordered", "peri-disordered", "shared-day", "peri-first-shared-day"],
+    )
+    def test_disordered_or_overlapping_windows_rejected(self, pre, peri, message):
+        with pytest.raises(ConfigError, match=message):
+            StrataSpec(pre_window=pre, peri_window=peri)
+
+    def test_adjacent_windows_and_one_day_windows_accepted(self):
+        spec = StrataSpec(
+            pre_window=(date(2020, 4, 30), date(2020, 4, 30)), peri_window=(date(2020, 5, 1), date(2020, 5, 1))
+        )
+        assert spec.stratum_of(date(2020, 4, 30)) is PandemicStratum.PRE
+        assert spec.stratum_of(date(2020, 5, 1)) is PandemicStratum.PERI
+
 
 class TestSuppression:
     def test_below_threshold_masked(self):
@@ -76,7 +98,7 @@ class TestSuppression:
 class TestHistogram:
     def test_pre_pregnancy_event_goes_to_bucket_zero(self):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        events = {1: [index_event(1, date(2019, 12, 27))]}
+        events = {1: [event_on(date(2019, 12, 27))]}
         counts = infection_week_histogram([ep], events, {INDEX})
         assert counts[0] == 1 and sum(counts.values()) == 1
 
@@ -89,8 +111,8 @@ class TestHistogram:
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         events = {
             1: [
-                index_event(1, date(2020, 1, 1) + timedelta(days=9 * 7)),  # week 10
-                index_event(1, date(2020, 1, 1) + timedelta(days=29 * 7)),  # week 30
+                event_on(date(2020, 1, 1) + timedelta(days=9 * 7)),  # week 10
+                event_on(date(2020, 1, 1) + timedelta(days=29 * 7)),  # week 30
             ]
         }
         counts = infection_week_histogram([ep], events, {INDEX})
@@ -98,13 +120,13 @@ class TestHistogram:
 
     def test_event_after_delivery_ignored(self):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        events = {1: [index_event(1, date(2020, 10, 8))]}
+        events = {1: [event_on(date(2020, 10, 8))]}
         assert sum(infection_week_histogram([ep], events, {INDEX}).values()) == 0
 
     def test_order_insensitive(self):
         rng = np.random.default_rng(5)
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        events = [index_event(1, date(2020, 1, 1) + timedelta(days=int(d))) for d in rng.integers(-30, 290, 8)]
+        events = [event_on(date(2020, 1, 1) + timedelta(days=int(d))) for d in rng.integers(-30, 290, 8)]
         baseline = infection_week_histogram([ep], {1: list(events)}, {INDEX})
         for _ in range(5):
             rng.shuffle(events)
@@ -116,7 +138,7 @@ class TestHistogram:
             episode(date(2020, 1, 1), date(2020, 10, 7), person_id=2),
             episode(date(2020, 2, 1), date(2020, 11, 7), person_id=3),
         ]
-        events = {1: [index_event(1, date(2019, 5, 1))], 2: []}
+        events = {1: [event_on(date(2019, 5, 1))], 2: []}
         counts = infection_week_histogram(eps, events, {INDEX})
         assert sum(counts.values()) == 1
 
@@ -157,9 +179,9 @@ def build_cohort(n, with_condition_event, index_week=None):
         episodes.append(episode(start, dod, person_id=person_id))
         person_events = []
         if with_condition_event:
-            person_events.append(ClinicalEvent(person_id, 777, Domain.CONDITION, start + timedelta(days=50)))
+            person_events.append(event_on(start + timedelta(days=50), 777))
         if index_week is not None:
-            person_events.append(index_event(person_id, start + timedelta(days=(index_week - 1) * 7)))
+            person_events.append(event_on(start + timedelta(days=(index_week - 1) * 7)))
         events[person_id] = person_events
     return persons, events, episodes
 
@@ -185,7 +207,7 @@ class TestStratifiedTable:
         persons, events, episodes = build_cohort(25, with_condition_event=False, index_week=10)
         # give some persons the condition event
         for person_id in list(events)[:11]:
-            events[person_id].append(ClinicalEvent(person_id, 777, Domain.CONDITION, date(2020, 7, 1)))
+            events[person_id].append(event_on(date(2020, 7, 1), 777))
         table = stratified_table(episodes, persons, events, {INDEX}, {"Obesity": {777}})
         rows = dict(dict(table.sections)["Obesity"])
         for j in range(len(table.columns)):
@@ -197,7 +219,7 @@ class TestStratifiedTable:
         offset = 100
         for person_id, person in p2.items():
             persons[person_id + offset] = person._replace(person_id=person_id + offset)
-            events[person_id + offset] = [ev._replace(person_id=person_id + offset) for ev in e2[person_id]]
+            events[person_id + offset] = e2[person_id]
         for ep in ep2:
             episodes.append(
                 PregnancyEpisode(
@@ -239,7 +261,7 @@ class TestStratifiedTable:
         for i in range(23):
             start = date(2020, 6, 1)
             persons[next_id] = Person(next_id, date(1990, 1, 1), "F", "Asian", "Not Hispanic or Latino")
-            events[next_id] = [index_event(next_id, start + timedelta(days=4 * 7))] if i < 9 else []
+            events[next_id] = [event_on(start + timedelta(days=4 * 7))] if i < 9 else []
             episodes.append(episode(start, start + timedelta(days=280), person_id=next_id))
             next_id += 1
         table = stratified_table(episodes, persons, events, {INDEX}, {})
@@ -276,7 +298,7 @@ class TestTableOracle:
                     day = start + timedelta(days=int(rng.integers(-60, (dod - start).days + 60)))
                     concept = self.CONCEPTS[int(rng.integers(len(self.CONCEPTS)))]
                     person_events.append(ClinicalEvent(person_id, concept, Domain.CONDITION, day))
-            events[person_id] = sorted(person_events, key=lambda e: (e.event_date, e.concept_id))
+            events[person_id] = person_events
         return persons, events, episodes
 
     def test_matches_brute_force_reference(self):
@@ -293,7 +315,8 @@ class TestTableOracle:
             else:
                 windows = {"cutoff": date.fromordinal(date(2019, 1, 1).toordinal() + int(rng.integers(0, 900)))}
                 spec = StrataSpec(**windows)
-            table = stratified_table(episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, spec)
+            grouped = {person_id: as_events(person_events) for person_id, person_events in events.items()}
+            table = stratified_table(episodes, persons, grouped, {INDEX, INDEX + 1}, self.CONDITIONS, spec)
             expected = table_reference(
                 episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, **windows
             )

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from datetime import date
@@ -77,6 +78,20 @@ class TestInfer:
         assert run_infer(sim_dir, tmp_path / "b") == 0
         for name in ("episodes.csv", "summary.json", "unmatched_dods.csv", "excluded_episodes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_quarantine_does_not_depend_on_row_order(self, tmp_path):
+        persons = tmp_path / "persons.csv"
+        persons.write_text("person_id,birth_date,sex,race,ethnicity\n1,1990-01-01,F,White,x\n")
+        rows = ["2,4014295,Condition,2020-05-03", "2,4014295,Procedure,2020-05-03"]
+        written = []
+        for order in (rows, rows[::-1]):
+            events = tmp_path / "events.csv"
+            events.write_text("person_id,concept_id,domain,event_date\n" + "\n".join(order) + "\n")
+            out = tmp_path / f"run{len(written)}"
+            assert main(["infer", "--persons", str(persons), "--events", str(events), "--out", str(out)]) == 0
+            written.append((out / "quarantine.csv").read_text())
+        assert written[0] == written[1]
+        assert written[0].splitlines()[1:] == rows
 
     def test_thread_count_does_not_change_bytes(self, sim_dir, tmp_path):
         assert run_infer(sim_dir, tmp_path / "t1", "--threads", "1") == 0
@@ -394,6 +409,11 @@ class TestTimelineAndStats:
             '{"threshold": 5}',
             '{"pre_window": ["2018-06-01", "2020-02-29"]}',
             '{"suppression_threshold": -1}',
+            '{"pre_window": ["2020-02-29", "2018-06-01"], "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"pre_window": ["2018-06-01", "2020-02-29"], "peri_window": ["2021-05-31", "2020-05-01"]}',
+            '{"pre_window": ["2018-06-01", "2020-06-30"], "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"pre_window": ["2020-06-01", "2020-06-30"], "peri_window": ["2020-05-01", "2021-05-31"]}',
+            '{"pre_window": ["2018-06-01", "2020-05-01"], "peri_window": ["2020-05-01", "2021-05-31"]}',
         ],
         ids=[
             "bad-date",
@@ -407,6 +427,11 @@ class TestTimelineAndStats:
             "unknown-key",
             "unpaired-windows",
             "negative-threshold",
+            "pre-window-start-after-end",
+            "peri-window-start-after-end",
+            "overlapping-windows",
+            "pre-window-inside-peri",
+            "windows-sharing-a-day",
         ],
     )
     def test_bad_stats_config_exit_3_naming_file_before_reading_input(self, sim_dir, tmp_path, capsys, content):
@@ -455,6 +480,32 @@ class TestTableDialect:
         assert code == 2
         err = capsys.readouterr().err
         assert expected.format(path=paths[table]) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["20200503", "2020-W19-7"], ids=["basic-format", "iso-week"])
+    @pytest.mark.parametrize("table, field", [("events", 3), ("persons", 1), ("episodes", 2)])
+    def test_date_other_than_yyyy_mm_dd_exit_2_naming_line(self, sim_dir, tmp_path, capsys, table, field, text):
+        # Python 3.11's date.fromisoformat takes both forms; 3.10's does not.
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        paths = {
+            "events": sim_dir / "events.csv",
+            "persons": sim_dir / "persons.csv",
+            "episodes": tmp_path / "run" / "episodes.csv",
+        }
+        lines = paths[table].read_text().splitlines()
+        row = lines[2].split(",")
+        row[field] = text
+        lines[2] = ",".join(row)
+        paths[table] = tmp_path / f"{table}.csv"
+        paths[table].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if table == "episodes":
+            code = main(analytics_argv("timeline", sim_dir, paths["episodes"], tmp_path / "out"))
+        else:
+            persons, events = str(paths["persons"]), str(paths["events"])
+            code = main(["infer", "--persons", persons, "--events", events, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{paths[table]}:3: bad date {text!r}, expected YYYY-MM-DD" in err and "Traceback" not in err
 
     def test_byte_order_mark_is_accepted(self, sim_dir, tmp_path):
         bom = tmp_path / "bom"
@@ -505,6 +556,46 @@ class TestEncoding:
         argv = analytics_argv("stats", sim_dir, tmp_path / "e.csv", tmp_path / "o") + ["--print-config"]
         assert main(argv + ["--config", str(config_path)]) == 0
         assert json.loads(capsys.readouterr().out)["suppression_threshold"] == 5
+
+
+class TestRowOrder:
+    def test_shuffled_events_and_persons_write_the_same_bytes(self, tmp_path, ga_registry):
+        sim = tmp_path / "sim"
+        assert main(
+            ["simulate", "--out", str(sim), "--seed", "31", "--n-persons", "200", "--index-rate", "0.9",
+             "--drop-ga", "0.1", "--conflict-ga", "0.2", "--shift", "0.3", "--shift-max-days", "30",
+             "--drop-dod", "0.1", "--pre-index", "0.3"]
+        ) == 0
+        header, *persons = (sim / "persons.csv").read_text().splitlines()
+        # Every 20th person goes missing, so quarantine.csv has rows too.
+        (sim / "persons.csv").write_text("\n".join([header] + [p for i, p in enumerate(persons) if i % 20]) + "\n")
+        condition = tmp_path / "high.csv"
+        condition.write_text("".join(f"{s.concept_id}\n" for s in ga_registry if s.accuracy == 1))
+        rng = random.Random(5)
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        for name in ("persons.csv", "events.csv"):
+            header, *rows = (sim / name).read_text().splitlines()
+            rng.shuffle(rows)
+            (shuffled / name).write_text("\n".join([header] + rows) + "\n")
+
+        def outputs(inputs, out):
+            persons, events = str(inputs / "persons.csv"), str(inputs / "events.csv")
+            infer = ["infer", "--persons", persons, "--events", events, "--emit-cohorts"]
+            assert main([*infer, "--out", str(out / "infer")]) == 0
+            analytics = ["--episodes", str(out / "infer" / "episodes.csv"), "--events", events,
+                         "--index-events", str(sim / "index_concepts.csv")]
+            assert main(["timeline", *analytics, "--out", str(out / "timeline")]) == 0
+            assert main(
+                ["stats", *analytics, "--persons", persons, "--unsuppressed", f"--condition=high={condition}",
+                 "--out", str(out / "stats")]
+            ) == 0
+            return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+        sorted_outputs = outputs(sim, tmp_path / "sorted")
+        assert sorted_outputs == outputs(shuffled, tmp_path / "from-shuffled")
+        assert len(sorted_outputs) == 12
+        assert sorted_outputs["infer/quarantine.csv"].count(b"\n") > 1
 
 
 class TestSimulate:

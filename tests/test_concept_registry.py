@@ -146,7 +146,7 @@ class TestDODLoader:
         path.write_text("concept_id,name,domain,vocabulary\n" + row + row)
         registry = load_dod_concepts(path)
         assert len(registry) == 1
-        assert registry.rank_of(2110316) == 1
+        assert registry.get(2110316).domain_rank == 1
 
     def test_measurement_domain_fails(self, tmp_path):
         path = tmp_path / "dod.csv"

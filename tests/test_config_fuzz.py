@@ -21,9 +21,12 @@ json_values = st.recursive(
     max_leaves=6,
 )
 iso_dates = st.dates().map(lambda day: day.isoformat())
+window = st.lists(iso_dates, min_size=2, max_size=2)
 # Well-typed values too, so that some files pass the type checks and reach validation.
-plausible = st.integers(-5, 400) | iso_dates | st.lists(iso_dates, min_size=2, max_size=2)
-configs = st.dictionaries(st.sampled_from(KEYS), json_values | plausible, max_size=6)
+plausible = st.integers(-5, 400) | iso_dates | window
+# Both windows, well typed but in any order and overlap, so that window validation runs often.
+window_pairs = st.fixed_dictionaries({"pre_window": window, "peri_window": window})
+configs = st.dictionaries(st.sampled_from(KEYS), json_values | plausible, max_size=6) | window_pairs
 
 
 @pytest.fixture(scope="module")
@@ -44,4 +47,10 @@ def test_any_config_file_exits_0_or_3_naming_the_file(config_path, payload):
     if code == 3:
         assert str(config_path) in err
     else:
-        assert json.loads(stdout.getvalue()).keys() == set(KEYS)
+        printed = json.loads(stdout.getvalue())
+        assert printed.keys() == set(KEYS)
+        if printed["pre_window"] is not None:
+            # Accepted windows are each in order and share no day.
+            (pre_start, pre_end), (peri_start, peri_end) = printed["pre_window"], printed["peri_window"]
+            assert pre_start <= pre_end and peri_start <= peri_end
+            assert pre_end < peri_start or peri_end < pre_start

@@ -1,23 +1,25 @@
 from datetime import date, timedelta
 
 import numpy as np
-import pytest
 
-from conftest import random_ga_events
+from conftest import random_events
 from oracles import ga_reference, median_days
 from tedpc.concept_registry import AccuracyLevel, Domain, GAConceptSpec
 from tedpc.ga_engine import (
     anchor_and_absorb,
     build_candidates,
+    candidate_table,
     ga_days,
     infer_gestation_starts,
-    start_date_from_event,
 )
-from tedpc.ingestion import ClinicalEvent
 
 
 def spec_for(week_low, week_high):
     return GAConceptSpec(0, "test", week_low, week_high, AccuracyLevel.LOW, Domain.CONDITION, "SNOMED")
+
+
+def day(*ymd):
+    return date(*ymd).toordinal()
 
 
 class TestGADays:
@@ -36,34 +38,39 @@ class TestGADays:
                 assert ga_days(spec_for(low, high)) == median_days(low, high)
 
 
-class TestStartDateFromEvent:
+class TestBuildCandidates:
     def test_forty_weeks(self):
-        assert start_date_from_event(date(2020, 9, 15), spec_for(40, 40)) == date(2019, 12, 10)
+        table = {7: (ga_days(spec_for(40, 40)), 1)}
+        assert build_candidates([(day(2020, 9, 15), 7)], table) == [(1, day(2020, 9, 15), 7, day(2019, 12, 10))]
 
     def test_across_leap_day(self):
-        assert start_date_from_event(date(2020, 3, 1), spec_for(12, 12)) == date(2019, 12, 8)
+        table = {7: (ga_days(spec_for(12, 12)), 1)}
+        assert build_candidates([(day(2020, 3, 1), 7)], table)[0][3] == day(2019, 12, 8)
 
     def test_half_week_median(self):
-        assert start_date_from_event(date(2020, 6, 1), spec_for(14, 27)) == date(2020, 1, 9)
+        table = {7: (ga_days(spec_for(14, 27)), 3)}
+        assert build_candidates([(day(2020, 6, 1), 7)], table)[0][3] == day(2020, 1, 9)
 
-    def test_build_candidates_uses_same_arithmetic(self, ga_registry):
+    def test_one_candidate_per_ga_event_with_its_registry_facts(self, ga_registry):
         rng = np.random.default_rng(31)
-        events = random_ga_events(rng, ga_registry, max_events=40)
-        for candidate in build_candidates(events, ga_registry):
-            assert candidate.start_date == start_date_from_event(
-                candidate.event.event_date, candidate.spec
-            )
-            assert candidate.accuracy is candidate.spec.accuracy
+        events = random_events(rng, ga_registry, max_events=40) + [(day(2020, 1, 1), 999999999)]
+        candidates = build_candidates(events, candidate_table(ga_registry))
+        assert len(candidates) == len(events) - 1
+        for (accuracy, event_day, concept_id, start), (want_day, want_concept) in zip(candidates, events):
+            spec = ga_registry.get(concept_id)
+            assert (event_day, concept_id) == (want_day, want_concept)
+            assert accuracy == spec.accuracy
+            assert start == event_day - ga_days(spec)
 
 
 def events_to_reference(events, registry):
     rows = []
-    for event in events:
-        spec = registry.get(event.concept_id)
+    for event_day, concept_id in events:
+        spec = registry.get(concept_id)
         rows.append(
             {
-                "event_date": event.event_date,
-                "concept_id": event.concept_id,
+                "event_date": date.fromordinal(event_day),
+                "concept_id": concept_id,
                 "rank": int(spec.accuracy),
                 "week_low": spec.week_low,
                 "week_high": spec.week_high,
@@ -73,7 +80,7 @@ def events_to_reference(events, registry):
 
 
 def run_engine(events, registry):
-    return infer_gestation_starts(build_candidates(events, registry))
+    return infer_gestation_starts(1, build_candidates(events, candidate_table(registry)))
 
 
 def assert_matches_reference(events, registry):
@@ -81,8 +88,8 @@ def assert_matches_reference(events, registry):
     expected = ga_reference(events_to_reference(events, registry))
     assert len(got) == len(expected)
     for out, ref in zip(got, expected):
-        assert out.start_date == ref["start"]
-        assert out.anchor.event.concept_id == ref["anchor"]
+        assert out.start_day == ref["start"].toordinal()
+        assert out.anchor_concept_id == ref["anchor"]
         assert out.cluster_size == ref["size"]
         assert out.conflict_flag == ref["conflict"]
 
@@ -100,75 +107,55 @@ class TestAnchorAndAbsorb:
 
 class TestInferGestationStarts:
     def test_empty_input(self):
-        assert infer_gestation_starts([]) == []
+        assert infer_gestation_starts(1, []) == []
 
     def test_single_candidate(self, ga_registry):
         # 4051642 encodes 20 weeks.
-        events = [ClinicalEvent(1, 4051642, Domain.CONDITION, date(2020, 7, 1))]
-        starts = run_engine(events, ga_registry)
+        starts = run_engine([(day(2020, 7, 1), 4051642)], ga_registry)
         assert len(starts) == 1
-        assert starts[0].start_date == date(2020, 2, 12)
+        assert starts[0].start_day == day(2020, 2, 12)
         assert starts[0].accuracy is AccuracyLevel.HIGH
+        assert (starts[0].anchor_concept_id, starts[0].anchor_day) == (4051642, day(2020, 7, 1))
         assert starts[0].cluster_size == 1
         assert not starts[0].conflict_flag
 
     def test_high_wins_and_low_absorbed(self, ga_registry):
         events = [
-            ClinicalEvent(1, 4197245, Domain.CONDITION, date(2020, 3, 1)),  # 12 weeks
-            ClinicalEvent(1, 4239938, Domain.CONDITION, date(2020, 2, 27)),  # first trimester
+            (day(2020, 2, 27), 4239938),  # first trimester
+            (day(2020, 3, 1), 4197245),  # 12 weeks
         ]
         starts = run_engine(events, ga_registry)
         assert len(starts) == 1
-        assert starts[0].start_date == date(2019, 12, 8)
+        assert starts[0].start_day == day(2019, 12, 8)
         assert starts[0].accuracy is AccuracyLevel.HIGH
         assert starts[0].cluster_size == 2
         # Absorbed candidate implies 2020-01-09, 32 days off the anchor.
-        assert abs((date(2020, 1, 9) - starts[0].start_date).days) == 32
+        assert abs(day(2020, 1, 9) - starts[0].start_day) == 32
         assert not starts[0].conflict_flag
         assert_matches_reference(events, ga_registry)
 
     def test_separated_highs_make_two_gestations(self, ga_registry):
-        first = date(2020, 7, 1)
-        events = [
-            ClinicalEvent(1, 4051642, Domain.CONDITION, first),
-            ClinicalEvent(1, 4051642, Domain.CONDITION, first + timedelta(days=300)),
-        ]
+        first = day(2020, 7, 1)
+        events = [(first, 4051642), (first + 300, 4051642)]
         starts = run_engine(events, ga_registry)
         assert len(starts) == 2
-        assert (starts[1].start_date - starts[0].start_date).days == 300
+        assert starts[1].start_day - starts[0].start_day == 300
         assert_matches_reference(events, ga_registry)
 
     def test_same_date_conflict_anchors_lower_concept_id(self, ga_registry):
         # Same-date 36-week (438543) vs 39-week (435655) records.
-        day = date(2020, 9, 15)
-        events = [
-            ClinicalEvent(1, 438543, Domain.CONDITION, day),
-            ClinicalEvent(1, 435655, Domain.CONDITION, day),
-        ]
+        when = day(2020, 9, 15)
+        events = [(when, 435655), (when, 438543)]
         starts = run_engine(events, ga_registry)
         assert len(starts) == 1
-        assert starts[0].anchor.event.concept_id == 435655
-        assert starts[0].start_date == day - timedelta(days=273)
+        assert starts[0].anchor_concept_id == 435655
+        assert starts[0].start_day == when - 273
         assert starts[0].conflict_flag
         assert_matches_reference(events, ga_registry)
 
     def test_boundary_exactly_window_days_absorbs(self, ga_registry):
-        first = date(2020, 7, 1)
-        events = [
-            ClinicalEvent(1, 4051642, Domain.CONDITION, first),
-            ClinicalEvent(1, 4051642, Domain.CONDITION, first + timedelta(days=270)),
-        ]
-        assert len(run_engine(events, ga_registry)) == 1
-
-    def test_mixed_persons_rejected(self, ga_registry):
-        from tedpc.errors import InvariantError
-
-        events = [
-            ClinicalEvent(1, 4051642, Domain.CONDITION, date(2020, 7, 1)),
-            ClinicalEvent(2, 4051642, Domain.CONDITION, date(2020, 7, 1)),
-        ]
-        with pytest.raises(InvariantError):
-            infer_gestation_starts(build_candidates(events, ga_registry))
+        first = day(2020, 7, 1)
+        assert len(run_engine([(first, 4051642), (first + 270, 4051642)], ga_registry)) == 1
 
 
 class TestProperties:
@@ -177,21 +164,21 @@ class TestProperties:
     def test_oracle_equivalence_on_random_instances(self, ga_registry):
         rng = np.random.default_rng(2024)
         for _ in range(self.N_INSTANCES):
-            assert_matches_reference(random_ga_events(rng, ga_registry), ga_registry)
+            assert_matches_reference(random_events(rng, ga_registry), ga_registry)
 
     def test_pairwise_separation(self, ga_registry):
         rng = np.random.default_rng(11)
         for _ in range(self.N_INSTANCES):
-            starts = run_engine(random_ga_events(rng, ga_registry), ga_registry)
-            days = sorted(s.start_date.toordinal() for s in starts)
+            starts = run_engine(random_events(rng, ga_registry), ga_registry)
+            days = sorted(s.start_day for s in starts)
             assert all(b - a > 270 for a, b in zip(days, days[1:]))
 
     def test_anchor_dominance_and_conservation(self, ga_registry):
         rng = np.random.default_rng(12)
         for _ in range(self.N_INSTANCES):
-            events = random_ga_events(rng, ga_registry)
-            candidates = build_candidates(events, ga_registry)
-            starts = infer_gestation_starts(candidates)
+            events = random_events(rng, ga_registry)
+            candidates = build_candidates(events, candidate_table(ga_registry))
+            starts = infer_gestation_starts(1, candidates)
             assert sum(s.cluster_size for s in starts) == len(candidates)
             # Dominance via the reference clusters (engine output is checked
             # equivalent elsewhere): nothing absorbed outranks its anchor.
@@ -200,10 +187,11 @@ class TestProperties:
 
     def test_permutation_invariance(self, ga_registry):
         rng = np.random.default_rng(13)
+        table = candidate_table(ga_registry)
         for _ in range(100):
-            events = random_ga_events(rng, ga_registry)
+            events = random_events(rng, ga_registry)
             baseline = run_engine(events, ga_registry)
             shuffled = list(events)
             rng.shuffle(shuffled)
-            shuffled.sort(key=lambda e: (e.event_date, e.concept_id))
-            assert run_engine(shuffled, ga_registry) == baseline
+            # The engine sorts its candidates itself, so even unsorted events give the same starts.
+            assert infer_gestation_starts(1, build_candidates(shuffled, table)) == baseline

@@ -60,8 +60,8 @@ class TestLoadEvents:
             + "1,500,Condition,2020-01-01\n",
         )
         table = load_events(path)
-        dates_concepts = [(e.event_date.isoformat(), e.concept_id) for e in table.events_by_person[1]]
-        assert dates_concepts == [("2020-01-01", 400), ("2020-01-01", 500), ("2020-01-02", 500)]
+        jan1, jan2 = date(2020, 1, 1).toordinal(), date(2020, 1, 2).toordinal()
+        assert table.events_by_person[1] == [(jan1, 400), (jan1, 500), (jan2, 500)]
 
     def test_unknown_person_quarantined(self, tmp_path):
         path = write(
@@ -91,6 +91,12 @@ class TestLoadEvents:
     def test_empty_date_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,\n")
         with pytest.raises(DataFormatError, match=r"e.csv:2"):
+            load_events(path)
+
+    @pytest.mark.parametrize("text", ["20200503", "2020-W19-7", "2020-5-3", "２０２０-05-03", "+202-05-03", "2020-05-03 "])
+    def test_date_other_than_yyyy_mm_dd_rejected(self, tmp_path, text):
+        path = write(tmp_path / "e.csv", EVENT_HEADER + f"1,400,Condition,2020-05-03\n1,400,Condition,{text}\n")
+        with pytest.raises(DataFormatError, match=r"e.csv:3: "):
             load_events(path)
 
     def test_date_outside_window_rejected(self, tmp_path):
@@ -135,7 +141,10 @@ class TestWriters:
         path = tmp_path / "e.csv"
         write_events(path, events)
         table = load_events(path)
-        assert table.events_by_person[1][0].concept_id == 3
+        assert table.events_by_person == {
+            1: [(date(2020, 1, 1).toordinal(), 3), (date(2020, 2, 1).toordinal(), 9)],
+            2: [(date(2020, 1, 1).toordinal(), 5)],
+        }
         assert table.total_rows == 3
 
     def test_person_round_trip(self, tmp_path):
@@ -166,7 +175,7 @@ class TestConceptFilter:
         full = load_events(path, **kwargs)
         filtered = load_events(path, concepts=wanted, **kwargs)
         restricted = {
-            person_id: [e for e in events if e.concept_id in wanted]
+            person_id: [(day, concept_id) for day, concept_id in events if concept_id in wanted]
             for person_id, events in full.events_by_person.items()
         }
         assert filtered.events_by_person == {pid: events for pid, events in restricted.items() if events}

@@ -2,11 +2,12 @@ from datetime import date
 
 import pytest
 
+from conftest import as_events
 from tedpc.concept_registry import AccuracyLevel
-from tedpc.dod_engine import infer_delivery_dates
+from tedpc.dod_engine import infer_delivery_dates, rank_table
 from tedpc.episode_builder import match_episodes
 from tedpc.errors import ConfigError, GenerationError
-from tedpc.ga_engine import build_candidates, ga_days, infer_gestation_starts
+from tedpc.ga_engine import build_candidates, candidate_table, ga_days, infer_gestation_starts
 from tedpc.synthgen import (
     NoiseSpec,
     SynthConfig,
@@ -21,11 +22,12 @@ def run_engines(cohort, ga_registry, dod_registry, bounds=(100, 320)):
     by_person = {}
     for event in cohort.events:
         by_person.setdefault(event.person_id, []).append(event)
+    ga_table, dod_ranks = candidate_table(ga_registry), rank_table(dod_registry)
     episodes = {}
-    for person_id, events in by_person.items():
-        events.sort(key=lambda e: (e.event_date, e.concept_id))
-        starts = infer_gestation_starts(build_candidates(events, ga_registry))
-        records = infer_delivery_dates(events, dod_registry)
+    for person_id, person_events in by_person.items():
+        events = as_events(person_events)
+        starts = infer_gestation_starts(person_id, build_candidates(events, ga_table))
+        records = infer_delivery_dates(person_id, events, dod_ranks)
         eps, _ = match_episodes(starts, records, min_days=bounds[0], max_days=bounds[1])
         episodes[person_id] = eps
     return episodes
