@@ -52,5 +52,5 @@ def infer_delivery_dates(
     for i, members in anchor_and_absorb(days, range(len(pool)), window_days):
         rank, _, concept_id = pool[i]
         results.append(DeliveryRecord(person_id, days[i], concept_id, rank, len(members)))
-    results.sort(reverse=True)
+    results.sort(key=lambda r: r.dod_day, reverse=True)
     return results

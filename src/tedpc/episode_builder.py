@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DeliveryRecord
 from .csvio import iso_date, read_rows, write_rows
+from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
 
@@ -105,10 +106,13 @@ def match_episodes(
     starts the one closest to 280 days wins, earlier start on a tie. Each
     start and delivery is used at most once; leftovers are reported.
     """
+    person_ids = {s.person_id for s in starts} | {d.person_id for d in dods}
+    if len(person_ids) > 1:
+        raise InvariantError("episode matching called with more than one person")
     diagnostics = MatchDiagnostics()
     unused = list(starts)
     pairs: list[tuple[GestationStart, DeliveryRecord]] = []
-    for record in sorted(dods, reverse=True):
+    for record in sorted(dods, key=lambda d: d.dod_day, reverse=True):
         best = None
         best_key = None
         for start in unused:
@@ -124,7 +128,7 @@ def match_episodes(
             unused.remove(best)
             pairs.append((best, record))
     diagnostics.unmatched_starts.extend(unused)
-    pairs.sort()
+    pairs.sort(key=lambda p: p[0].start_day)
     episodes = []
     for index, (start, record) in enumerate(pairs, start=1):
         gestation = record.dod_day - start.start_day

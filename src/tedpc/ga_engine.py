@@ -112,5 +112,5 @@ def infer_gestation_starts(
         results.append(
             GestationStart(person_id, start, AccuracyLevel(accuracy), concept_id, day, conflict, len(members))
         )
-    results.sort()
+    results.sort(key=lambda s: s.start_day)
     return results

@@ -46,7 +46,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import load_events, load_persons, write_events
+from .ingestion import EVENT_HEADER, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -116,10 +116,8 @@ def run_infer(config: RunConfig) -> dict:
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
     for person_id, (starts, records, person_episodes, diagnostics) in zip(person_ids, results):
-        if len(starts) > 1:
-            _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
-        if len(records) > 1:
-            _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
+        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
+        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
         all_starts.extend(starts)
         all_records.extend(records)
         episodes.extend(person_episodes)
@@ -151,11 +149,10 @@ def run_infer(config: RunConfig) -> dict:
         ["person_id", "dod", "anchor_concept_id", "domain_rank"],
         [[r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
     )
-    # The whole row sets the order, so rows that differ only in domain do not keep their input order.
-    write_events(
-        out / "quarantine.csv",
-        sorted(table.quarantined, key=lambda e: (e.person_id, e.event_date, e.concept_id, e.domain.value)),
-    )
+    # Sorted on the whole row (person, date, concept, domain), so rows that differ only in
+    # domain do not keep their input order.
+    quarantine = [[e.person_id, e.concept_id, e.domain.value, e.event_date.isoformat()] for e in table.quarantined]
+    write_rows(out / "quarantine.csv", EVENT_HEADER, sorted(quarantine, key=lambda r: (r[0], r[3], r[1], r[2])))
     write_rows(
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],

@@ -67,7 +67,7 @@ class TestInferDeliveryDates:
 
     def test_same_date_same_rank_lowest_concept_anchors(self, dod_ranks):
         when = day(2020, 5, 2)
-        records = infer_delivery_dates(1, [(when, 2110316), (when, 2110323)], dod_ranks)
+        records = infer_delivery_dates(1, [(when, 2110323), (when, 2110316)], dod_ranks)
         assert records[0].anchor_concept_id == 2110316
 
 

@@ -109,6 +109,15 @@ class TestMatchEpisodes:
         episodes, _ = match_episodes([make_start(date(2020, 1, 1))], [make_dod(date(2020, 1, 1) + timedelta(days=309))])
         assert episodes == []
 
+    def test_mixed_persons_rejected(self):
+        from tedpc.errors import InvariantError
+
+        start = make_start(date(2020, 1, 1), person_id=1)
+        with pytest.raises(InvariantError):
+            match_episodes([start], [make_dod(date(2020, 10, 7), person_id=2)])
+        with pytest.raises(InvariantError):
+            match_episodes([start, make_start(date(2021, 6, 1), person_id=2)], [])
+
 
 class TestExtremeFlags:
     def test_thresholds(self):

@@ -145,7 +145,7 @@ class TestInferGestationStarts:
     def test_same_date_conflict_anchors_lower_concept_id(self, ga_registry):
         # Same-date 36-week (438543) vs 39-week (435655) records.
         when = day(2020, 9, 15)
-        events = [(when, 435655), (when, 438543)]
+        events = [(when, 438543), (when, 435655)]
         starts = run_engine(events, ga_registry)
         assert len(starts) == 1
         assert starts[0].anchor_concept_id == 435655
