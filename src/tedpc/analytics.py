@@ -132,12 +132,14 @@ def infection_week_histogram(
     return counts
 
 
+# Each age that falls in a band, mapped to the band's label; parsed once from the labels.
+_BAND_OF_AGE = {
+    age: band for band in AGE_BANDS for low, high in [band.split("-")] for age in range(int(low), int(high) + 1)
+}
+
+
 def age_band_of(age: int) -> str | None:
-    for band in AGE_BANDS:
-        low, high = band.split("-")
-        if int(low) <= age <= int(high):
-            return band
-    return None
+    return _BAND_OF_AGE.get(age)
 
 
 def race_category_of(person: Person) -> str:

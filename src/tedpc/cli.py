@@ -15,7 +15,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .concept_registry import Domain, load_vocabulary, phenotype_search
+from .concept_registry import (
+    Domain,
+    default_dod_concepts_path,
+    default_ga_concepts_path,
+    load_dod_concepts,
+    load_ga_concepts,
+    load_vocabulary,
+    phenotype_search,
+)
 from .config import RunConfig, build_config, resolve_input_path
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
@@ -112,7 +120,6 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     # numpy comes in with synthgen: only simulate and evaluate --truth pay for it.
-    from .concept_registry import load_dod_concepts, load_ga_concepts
     from .synthgen import NoiseSpec, SynthConfig, generate_cohort
 
     noise = NoiseSpec(
@@ -124,10 +131,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         pre_pregnancy_index_rate=args.pre_index,
     )
     config = SynthConfig(seed=args.seed, n_persons=args.n_persons, index_event_rate=args.index_rate, noise=noise)
-    ga_path = resolve_input_path(args.ga_concepts_path) if args.ga_concepts_path else None
-    dod_path = resolve_input_path(args.dod_concepts_path) if args.dod_concepts_path else None
-    ga_registry = load_ga_concepts(ga_path) if ga_path else load_ga_concepts(RunConfig().ga_concepts_path)
-    dod_registry = load_dod_concepts(dod_path) if dod_path else load_dod_concepts(RunConfig().dod_concepts_path)
+    ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
+    dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
     out = make_output_dir(args.out_dir)
     cohort = generate_cohort(config, ga_registry, dod_registry)
     paths = cohort.write(out)

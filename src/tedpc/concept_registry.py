@@ -9,15 +9,13 @@ truncated or edited file fails loudly instead of skewing results.
 
 from __future__ import annotations
 
-import csv
 import logging
-import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .csvio import open_text, read_rows
+from .csvio import csv_rows, read_rows
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -128,59 +126,29 @@ class VocabularyEntry:
     valid: bool
 
 
-class GARegistry:
-    """Immutable lookup of GA concepts keyed by concept id."""
+class ConceptRegistry:
+    """Immutable lookup of concept specs keyed by concept id, iterated in concept-id order."""
 
-    def __init__(self, concepts: Iterable[GAConceptSpec]):
-        self._by_id = {spec.concept_id: spec for spec in concepts}
-        counts = {level: 0 for level in AccuracyLevel}
-        for spec in self._by_id.values():
-            counts[spec.accuracy] += 1
-        self.counts = counts
+    def __init__(self, specs: Iterable):
+        self._by_id = {spec.concept_id: spec for spec in specs}
+        self._specs = sorted(self._by_id.values(), key=lambda s: s.concept_id)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._specs)
 
     def __contains__(self, concept_id: int) -> bool:
         return concept_id in self._by_id
 
-    def __iter__(self) -> Iterator[GAConceptSpec]:
-        return iter(sorted(self._by_id.values(), key=lambda s: s.concept_id))
+    def __iter__(self) -> Iterator:
+        return iter(self._specs)
 
-    def get(self, concept_id: int) -> GAConceptSpec | None:
-        return self._by_id.get(concept_id)
-
-    def by_accuracy(self, level: AccuracyLevel) -> list[GAConceptSpec]:
-        return [s for s in self if s.accuracy == level]
-
-
-class DODRegistry:
-    """Immutable lookup of delivery concepts keyed by concept id."""
-
-    def __init__(self, concepts: Iterable[DODConceptSpec]):
-        self._by_id = {spec.concept_id: spec for spec in concepts}
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __contains__(self, concept_id: int) -> bool:
-        return concept_id in self._by_id
-
-    def __iter__(self) -> Iterator[DODConceptSpec]:
-        return iter(sorted(self._by_id.values(), key=lambda s: s.concept_id))
-
-    def get(self, concept_id: int) -> DODConceptSpec | None:
+    def get(self, concept_id: int):
         return self._by_id.get(concept_id)
 
 
 GA_HEADER = ["concept_id", "name", "accuracy_level", "week_low", "week_high", "domain", "vocabulary"]
 DOD_HEADER = ["concept_id", "name", "domain", "vocabulary"]
 VOCABULARY_HEADER = ["concept_id", "name", "domain", "standard", "valid"]
-
-_GA_MANIFEST_RE = re.compile(
-    r"#manifest\s+total=(\d+)\s+high=(\d+)\s+mh=(\d+)\s+ml=(\d+)\s+low=(\d+)\s*$"
-)
-_DOD_MANIFEST_RE = re.compile(r"#manifest\s+total=(\d+)\s*$")
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -194,15 +162,16 @@ def default_dod_concepts_path() -> Path:
 
 
 def _load_concept_table(
-    path: Path | str, header: list[str], parse, manifest_re: re.Pattern
-) -> tuple[re.Match | None, list]:
-    """Read a concept CSV into its manifest match and its rows, deduplicated on concept id.
+    path: Path | str, header: list[str], parse, count: Callable[[list], dict[str, int]] | None = None
+) -> list:
+    """Read a concept CSV into its rows, deduplicated on concept id.
 
-    Lines beginning with '#' are comments; the first one matching the manifest
-    pattern is captured. Identical repeats of a concept collapse; conflicting
-    repeats fail.
+    Lines beginning with '#' are comments. Identical repeats of a concept
+    collapse; conflicting repeats fail. With `count`, the first comment whose
+    first word is `#manifest` must list exactly the `name=count` pairs that
+    count(rows) returns, in that order; a file without one is not checked.
     """
-    comments: list[str] = []
+    comments: list[list[str]] = []
     by_id: dict = {}
 
     def parse_unique(row: list[str]):
@@ -211,10 +180,17 @@ def _load_concept_table(
             raise ValueError(f"conflicting duplicate for concept {spec.concept_id}")
         return spec
 
-    for spec in read_rows(path, header, parse_unique, on_comment=comments.append):
+    for spec in read_rows(path, header, parse_unique, on_comment=lambda line: comments.append(line.split())):
         by_id[spec.concept_id] = spec
-    manifest = next(filter(None, (manifest_re.match(line.strip()) for line in comments)), None)
-    return manifest, list(by_id.values())
+    specs = list(by_id.values())
+    declared = next((words[1:] for words in comments if words[0] == "#manifest"), None)
+    if count is not None and declared is not None:
+        loaded = [f"{name}={n}" for name, n in count(specs).items()]
+        if declared != loaded:
+            raise DataFormatError(
+                f"{path}: manifest check failed, declared {' '.join(declared)!r} but loaded {' '.join(loaded)!r}"
+            )
+    return specs
 
 
 def _parse_ga_concept(row: list[str]) -> GAConceptSpec:
@@ -232,28 +208,21 @@ def _parse_ga_concept(row: list[str]) -> GAConceptSpec:
     return GAConceptSpec(concept_id, row[1], week_low, week_high, derived, domain, row[6])
 
 
-def load_ga_concepts(path: Path | str) -> GARegistry:
+def _count_ga(specs: list[GAConceptSpec]) -> dict[str, int]:
+    """A GA manifest's counts: the total, then each accuracy level, best first."""
+    counts = {"total": len(specs)}
+    for name, level in zip(("high", "mh", "ml", "low"), AccuracyLevel):
+        counts[name] = sum(spec.accuracy is level for spec in specs)
+    return counts
+
+
+def load_ga_concepts(path: Path | str) -> ConceptRegistry:
     """Load the GA concept set; re-derives and checks every row's accuracy.
 
-    Rows are deduplicated on concept id. When a manifest header is present
-    its total and per-level counts are enforced.
+    Rows are deduplicated on concept id. A `#manifest` line must give the
+    total and per-level counts (`total high mh ml low`).
     """
-    manifest, specs = _load_concept_table(path, GA_HEADER, _parse_ga_concept, _GA_MANIFEST_RE)
-    registry = GARegistry(specs)
-    if manifest is not None:
-        expected = [int(g) for g in manifest.groups()]
-        actual = [
-            len(registry),
-            registry.counts[AccuracyLevel.HIGH],
-            registry.counts[AccuracyLevel.MODERATE_HIGH],
-            registry.counts[AccuracyLevel.MODERATE_LOW],
-            registry.counts[AccuracyLevel.LOW],
-        ]
-        if expected != actual:
-            raise DataFormatError(
-                f"{path}: manifest check failed, declared total/high/mh/ml/low "
-                f"{expected} but loaded {actual}"
-            )
+    registry = ConceptRegistry(_load_concept_table(path, GA_HEADER, _parse_ga_concept, _count_ga))
     logger.info("loaded %d GA concepts from %s", len(registry), path)
     return registry
 
@@ -266,19 +235,15 @@ def _parse_dod_concept(row: list[str]) -> DODConceptSpec:
     return DODConceptSpec(concept_id, row[1], domain, rank, row[3])
 
 
-def load_dod_concepts(path: Path | str) -> DODRegistry:
+def load_dod_concepts(path: Path | str) -> ConceptRegistry:
     """Load the delivery concept set; deduplicates and assigns domain ranks.
 
     Only procedure, condition, and observation domains are rankable here;
-    any other domain in the file is a load failure.
+    any other domain in the file is a load failure. A `#manifest` line must
+    give the total alone.
     """
-    manifest, specs = _load_concept_table(path, DOD_HEADER, _parse_dod_concept, _DOD_MANIFEST_RE)
-    registry = DODRegistry(specs)
-    if manifest is not None and int(manifest.group(1)) != len(registry):
-        raise DataFormatError(
-            f"{path}: manifest check failed, declared total {manifest.group(1)} "
-            f"but loaded {len(registry)} unique concepts"
-        )
+    specs = _load_concept_table(path, DOD_HEADER, _parse_dod_concept, lambda specs: {"total": len(specs)})
+    registry = ConceptRegistry(specs)
     logger.info("loaded %d delivery concepts from %s", len(registry), path)
     return registry
 
@@ -298,7 +263,7 @@ def _parse_vocabulary_entry(row: list[str]) -> VocabularyEntry:
 
 def load_vocabulary(path: Path | str) -> list[VocabularyEntry]:
     """Load a local vocabulary table for phenotyping."""
-    _, entries = _load_concept_table(path, VOCABULARY_HEADER, _parse_vocabulary_entry, _DOD_MANIFEST_RE)
+    entries = _load_concept_table(path, VOCABULARY_HEADER, _parse_vocabulary_entry)
     return sorted(entries, key=lambda e: e.concept_id)
 
 
@@ -334,11 +299,10 @@ def read_concept_ids(path: Path | str) -> frozenset[int]:
     """Read a concept-id set file: CSV with a concept_id column or bare ids, optionally behind a BOM."""
     path = Path(path)
     ids: set[int] = set()
-    with open_text(path) as fh:
-        lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    with csv_rows(path, on_comment=lambda line: None) as reader:
+        rows = [row for row in reader if row]
+    if not rows:
         return frozenset()
-    rows = list(csv.reader(lines))
     start = 0
     column = 0
     first = rows[0]

@@ -179,7 +179,8 @@ def build_config(config_file: Path | str | None, overrides: dict) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
     for key in _PATH_FIELDS & values.keys():
-        values[key] = resolve_input_path(values[key])
+        # The $TEDPC_DATA_DIR fallback is for inputs: an output directory is always where it is named.
+        values[key] = Path(values[key]) if key == "out_dir" else resolve_input_path(values[key])
     config = RunConfig(**values)
     try:
         config.validate()

@@ -52,6 +52,22 @@ def open_text(path: Path | str, error: type[TedpcError] = DataFormatError) -> It
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextmanager
+def csv_rows(path: Path | str, on_comment: Callable[[str], None] | None = None) -> Iterator[Iterator[list[str]]]:
+    """Open an input (`open_text`) as CSV rows; a row csv cannot split raises DataFormatError naming `path:line`.
+
+    With `on_comment`, lines starting with '#' are handed to it and read as
+    blank rows; without it they are ordinary rows.
+    """
+    with open_text(path) as fh:
+        reader = csv.reader(fh if on_comment is None else _blank_comments(fh, on_comment))
+        try:
+            yield reader
+        except csv.Error as exc:
+            # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _blank_comments(lines: Iterable[str], on_comment: Callable[[str], None]) -> Iterator[str]:
     """Pass '#' lines to on_comment and read them, and whitespace-only lines, as blank."""
     for line in lines:
@@ -72,11 +88,9 @@ def read_rows(
     A ValueError or KeyError raised by `parse` becomes a DataFormatError
     naming `path:line`, so checks that span rows (duplicates) belong in
     `parse` too: it runs only after the caller has taken every earlier value.
-    With `on_comment`, lines starting with '#' are handed to it instead of
-    being parsed; without it they are ordinary rows.
+    `on_comment` is as in `csv_rows`.
     """
-    with open_text(path) as fh:
-        reader = csv.reader(fh if on_comment is None else _blank_comments(fh, on_comment))
+    with csv_rows(path, on_comment) as reader:
         for row in reader:
             if row:
                 break

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .concept_registry import DODRegistry
+from .concept_registry import ConceptRegistry
 from .ga_engine import SEPARATION_WINDOW_DAYS, anchor_and_absorb
 
 
@@ -25,7 +25,7 @@ class DeliveryRecord(NamedTuple):
     cluster_size: int
 
 
-def rank_table(registry: DODRegistry) -> dict[int, int]:
+def rank_table(registry: ConceptRegistry) -> dict[int, int]:
     """The registry as `infer_delivery_dates` reads it: concept -> domain rank."""
     return {spec.concept_id: spec.domain_rank for spec in registry}
 

@@ -7,13 +7,12 @@ ground truth.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .csvio import open_text
+from .csvio import csv_rows
 from .episode_builder import PregnancyEpisode
 from .errors import DataFormatError
 
@@ -95,8 +94,8 @@ def cohen_kappa(matrix: ConfusionMatrix, weighting: Weighting) -> KappaResult:
 def read_matrix_csv(path: Path | str) -> ConfusionMatrix:
     """Read a labeled square matrix: header `,label1,...`, one labeled row each."""
     path = Path(path)
-    with open_text(path) as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    with csv_rows(path) as reader:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if len(rows) < 3:
         raise DataFormatError(f"{path}: expected a labeled square matrix of size >= 2")
     labels = [cell.strip() for cell in rows[0][1:]]

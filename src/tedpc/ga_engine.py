@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .concept_registry import AccuracyLevel, GAConceptSpec, GARegistry
+from .concept_registry import AccuracyLevel, ConceptRegistry, GAConceptSpec
 
 # Two gestations of one person are assumed to start more than this many days apart.
 SEPARATION_WINDOW_DAYS = 270
@@ -47,7 +47,7 @@ def ga_days(spec: GAConceptSpec) -> int:
     return (total + 1) // 2
 
 
-def candidate_table(registry: GARegistry) -> dict[int, tuple[int, int]]:
+def candidate_table(registry: ConceptRegistry) -> dict[int, tuple[int, int]]:
     """The registry as `build_candidates` reads it: concept -> (gestation days, accuracy rank)."""
     return {spec.concept_id: (ga_days(spec), int(spec.accuracy)) for spec in registry}
 

@@ -16,7 +16,7 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import DODRegistry, Domain, GARegistry
+from .concept_registry import ConceptRegistry, Domain
 from .csvio import iso_date, read_rows, write_rows
 
 logger = logging.getLogger(__name__)
@@ -97,8 +97,8 @@ def _event_day(text: str) -> int:
 
 def load_events(
     path: Path | str,
-    ga_registry: GARegistry | None = None,
-    dod_registry: DODRegistry | None = None,
+    ga_registry: ConceptRegistry | None = None,
+    dod_registry: ConceptRegistry | None = None,
     known_persons: Iterable[int] | None = None,
     concepts: Iterable[int] | None = None,
 ) -> EventTable:

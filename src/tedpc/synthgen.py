@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .concept_registry import AccuracyLevel, DODRegistry, Domain, GARegistry
+from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
 from .csvio import iso_date, read_rows, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
@@ -260,7 +260,7 @@ def _range_event(
 
 
 def generate_cohort(
-    config: SynthConfig, ga_registry: GARegistry, dod_registry: DODRegistry
+    config: SynthConfig, ga_registry: ConceptRegistry, dod_registry: ConceptRegistry
 ) -> SyntheticCohort:
     """Generate persons, events, and ground truth under the given config.
 
@@ -274,11 +274,11 @@ def generate_cohort(
     overlap = {spec.concept_id for spec in ga_registry if spec.concept_id in dod_registry}
     high_by_week = {
         spec.week_low: spec
-        for spec in ga_registry.by_accuracy(AccuracyLevel.HIGH)
-        if spec.concept_id not in overlap
+        for spec in ga_registry
+        if spec.accuracy is AccuracyLevel.HIGH and spec.concept_id not in overlap
     }
     range_pools = {
-        level: [s for s in ga_registry.by_accuracy(level) if s.concept_id not in overlap]
+        level: [s for s in ga_registry if s.accuracy is level and s.concept_id not in overlap]
         for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW)
     }
     dod_pool = [spec for spec in dod_registry if spec.concept_id not in overlap]
@@ -367,8 +367,8 @@ def inject_noise(
     events: list[ClinicalEvent],
     noise: NoiseSpec,
     seed: int,
-    ga_registry: GARegistry,
-    dod_registry: DODRegistry | None = None,
+    ga_registry: ConceptRegistry,
+    dod_registry: ConceptRegistry | None = None,
     truth: list[TruthRecord] | None = None,
     index_concept_id: int = DEFAULT_INDEX_CONCEPT_ID,
 ) -> tuple[list[ClinicalEvent], list[NoiseLogEntry]]:
@@ -384,7 +384,7 @@ def inject_noise(
     noise.validate()
     if noise.pre_pregnancy_index_rate > 0.0 and truth is None:
         raise ConfigError("pre_pregnancy_index_rate needs ground truth to locate starts")
-    low_pool = ga_registry.by_accuracy(AccuracyLevel.LOW)
+    low_pool = [spec for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
     truth_by_person: dict[int, list[TruthRecord]] = {}
     for record in truth or []:
         truth_by_person.setdefault(record.person_id, []).append(record)

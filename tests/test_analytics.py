@@ -153,6 +153,14 @@ class TestCategories:
         assert age_band_of(15) == "15-19"
         assert age_band_of(49) == "45-49"
         assert age_band_of(50) is None
+        # Both sides of every band edge: 14, 15, 19, 20, ..., 49, 50.
+        assert age_band_of(14) is None
+        for low in range(15, 50, 5):
+            band = f"{low}-{low + 4}"
+            assert age_band_of(low - 1) != band
+            assert age_band_of(low) == band
+            assert age_band_of(low + 4) == band
+            assert age_band_of(low + 5) != band
 
     def test_race_by_ethnicity_wins(self):
         person = Person(1, date(1990, 1, 1), "F", "White", "Hispanic or Latino")

@@ -104,6 +104,24 @@ class TestInfer:
         assert (tmp_path / "run" / "ga_cohort.csv").exists()
         assert (tmp_path / "run" / "dod_cohort.csv").exists()
 
+    def test_no_cohort_filters_keeps_exactly_the_excluded_episodes(self, tmp_path):
+        # The golden cohort: persons.csv lacks every 50th person, and some deliveries fall outside the window.
+        golden = Path(__file__).parent / "data" / "golden"
+        argv = ["infer", "--persons", str(golden / "persons.csv"), "--events", str(golden / "events.csv")]
+        assert main([*argv, "--out", str(tmp_path / "filtered")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "all"), "--no-cohort-filters"]) == 0
+
+        def rows(run, name):
+            return (tmp_path / run / name).read_text().splitlines()
+
+        kept, everything = rows("filtered", "episodes.csv"), rows("all", "episodes.csv")
+        excluded = rows("filtered", "excluded_episodes.csv")
+        assert len(excluded) > 1
+        assert rows("all", "excluded_episodes.csv") == excluded[:1]
+        assert set(kept) <= set(everything)
+        extra = [row.split(",")[:4] for row in everything if row not in set(kept)]
+        assert sorted(extra) == sorted(row.split(",")[:4] for row in excluded[1:])
+
     def test_print_config_dumps_json_and_exits_0(self, sim_dir, tmp_path, capsys):
         code = run_infer(sim_dir, tmp_path / "run", "--print-config")
         assert code == 0
@@ -175,6 +193,19 @@ class TestInfer:
              "--match-min", "100", "--match-max", "320"]
         )
         assert code == 0
+
+    def test_relative_out_is_not_looked_up_under_data_dir(self, sim_dir, tmp_path, monkeypatch, capsys):
+        (tmp_path / "data" / "run").mkdir(parents=True)
+        (tmp_path / "work").mkdir()
+        monkeypatch.setenv("TEDPC_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path / "work")
+        argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv"),
+                "--out", "run"]
+        assert main([*argv, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["out_dir"] == "run"
+        assert main(argv) == 0
+        assert (tmp_path / "work" / "run" / "episodes.csv").exists()
+        assert not any((tmp_path / "data" / "run").iterdir())
 
 
 class TestEvaluate:
@@ -506,6 +537,31 @@ class TestTableDialect:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{paths[table]}:3: bad date {text!r}, expected YYYY-MM-DD" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("reader", ["events", "index-events", "matrix"])
+    def test_field_over_the_csv_limit_exit_2_naming_line(self, sim_dir, tmp_path, capsys, reader):
+        huge = '"' + "x" * 131_073 + '"'
+        lines = {
+            "events": (sim_dir / "events.csv").read_text().splitlines()[:3] + [f"1,{huge},Condition,2020-01-01"],
+            "index-events": ["concept_id", huge],
+            "matrix": [",a,b", f"a,{huge},0", "b,0,1"],
+        }[reader]
+        path = tmp_path / f"{reader}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        line = 4 if reader == "events" else 2
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        capsys.readouterr()
+        if reader == "events":
+            code = main(["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(path),
+                         "--out", str(tmp_path / "out")])
+        elif reader == "index-events":
+            code = main(analytics_argv("timeline", sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "out",
+                                       index_events=path))
+        else:
+            code = main(["evaluate", "--matrix", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: field larger than field limit" in err and "Traceback" not in err
 
     def test_byte_order_mark_is_accepted(self, sim_dir, tmp_path):
         bom = tmp_path / "bom"

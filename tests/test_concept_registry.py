@@ -1,13 +1,17 @@
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+from tedpc.cli import main
 from tedpc.concept_registry import (
     AccuracyLevel,
     Domain,
     VocabularyEntry,
     classify_accuracy,
+    default_dod_concepts_path,
+    default_ga_concepts_path,
     load_dod_concepts,
     load_ga_concepts,
     load_vocabulary,
@@ -57,11 +61,12 @@ class TestClassifyAccuracy:
 
 class TestGALoader:
     def test_shipped_file_partition(self, ga_registry):
+        counts = Counter(spec.accuracy for spec in ga_registry)
         assert len(ga_registry) == 138
-        assert ga_registry.counts[AccuracyLevel.HIGH] == 42
-        assert ga_registry.counts[AccuracyLevel.MODERATE_HIGH] == 9
-        assert ga_registry.counts[AccuracyLevel.MODERATE_LOW] == 5
-        assert ga_registry.counts[AccuracyLevel.LOW] == 82
+        assert counts[AccuracyLevel.HIGH] == 42
+        assert counts[AccuracyLevel.MODERATE_HIGH] == 9
+        assert counts[AccuracyLevel.MODERATE_LOW] == 5
+        assert counts[AccuracyLevel.LOW] == 82
 
     def test_shipped_ranges_within_one_trimester(self, ga_registry):
         assert all(s.week_high - s.week_low + 1 <= 13 for s in ga_registry)
@@ -74,7 +79,7 @@ class TestGALoader:
         path.write_text("concept_id,name,accuracy_level,week_low,week_high,domain,vocabulary\n")
         registry = load_ga_concepts(path)
         assert len(registry) == 0
-        assert all(count == 0 for count in registry.counts.values())
+        assert [sum(spec.accuracy is level for spec in registry) for level in AccuracyLevel] == [0, 0, 0, 0]
 
     def test_identical_duplicate_rows_collapse(self, tmp_path):
         path = tmp_path / "ga.csv"
@@ -167,6 +172,51 @@ class TestDODLoader:
         )
         with pytest.raises(DataFormatError, match="manifest check failed"):
             load_dod_concepts(path)
+
+
+def _shipped_with_manifest(path, manifest, shipped, rows=None):
+    """A copy of a shipped concept file under another manifest line, cut to its first `rows` rows."""
+    header, *data = Path(shipped).read_text().splitlines()[1:]
+    path.write_text("\n".join([manifest, header, *data[:rows]]) + "\n")
+    return path
+
+
+class TestManifestRule:
+    @pytest.mark.parametrize(
+        "flag, manifest, shipped, rows",
+        [
+            ("--ga-concepts", "#manifest total=138", default_ga_concepts_path(), 128),
+            ("--ga-concepts", "#manifest Total=138 high=42 mh=9 ml=5 low=82", default_ga_concepts_path(), 128),
+            ("--dod-concepts", "#manifest total=105 high=1", default_dod_concepts_path(), None),
+        ],
+    )
+    def test_manifest_other_than_the_loaded_counts_exit_2_naming_file(
+        self, tmp_path, capsys, flag, manifest, shipped, rows
+    ):
+        path = _shipped_with_manifest(tmp_path / "concepts.csv", manifest, shipped, rows)
+        assert main(["simulate", "--out", str(tmp_path / "sim"), flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: manifest check failed" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_manifest_words_may_be_spaced_freely(self, tmp_path):
+        path = _shipped_with_manifest(
+            tmp_path / "ga.csv", "#manifest  total=138\thigh=42 mh=9 ml=5 low=82 ", default_ga_concepts_path()
+        )
+        assert len(load_ga_concepts(path)) == 138
+
+    def test_only_the_first_manifest_line_counts(self, tmp_path):
+        path = tmp_path / "dod.csv"
+        path.write_text(
+            "#manifest total=1\n#manifest total=9\n# manifest total=9\n"
+            "concept_id,name,domain,vocabulary\n1,foo,Condition,SNOMED\n"
+        )
+        assert len(load_dod_concepts(path)) == 1
+
+    def test_vocabulary_has_no_manifest_rule(self, tmp_path):
+        path = tmp_path / "vocab.csv"
+        path.write_text("#manifest total=9\nconcept_id,name,domain,standard,valid\n10,x,Condition,true,true\n")
+        assert len(load_vocabulary(path)) == 1
 
 
 def _vocab(*rows):

@@ -1,12 +1,19 @@
 """Byte-level regression pins for simulate, infer, timeline and stats.
 
-One noisy simulated cohort goes through every operation; the sha256 of each
-file written must match the digests recorded below. The simulate files are
-digested as written, before persons.csv loses rows. A refactor that keeps
-behaviour keeps these; a deliberate output change updates them and says why.
+A noisy simulated cohort goes through every operation; the sha256 of each
+file written must match the digests recorded below. The `sim/` digests pin
+the generator: `simulate --seed 77 --n-persons 300 --index-rate 0.9
+--drop-ga 0.1 --conflict-ga 0.15 --shift 0.3 --shift-max-days 30 --drop-dod
+0.1 --pre-index 0.3`, digested as written. infer, timeline and stats read
+that cohort from `data/golden/` instead: its events.csv and
+index_concepts.csv, and its persons.csv with every 50th person dropped so
+that quarantine has rows. Their digests do not depend on the generator. A
+refactor that keeps behaviour keeps these; a deliberate output change
+updates them and says why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +49,9 @@ def _digests(*directories):
     }
 
 
+FIXTURE = Path(__file__).parent / "data" / "golden"
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory, ga_registry, dod_registry):
     root = tmp_path_factory.mktemp("golden")
@@ -51,28 +61,22 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
          "--drop-ga", "0.1", "--conflict-ga", "0.15", "--shift", "0.3", "--shift-max-days", "30",
          "--drop-dod", "0.1", "--pre-index", "0.3"]
     ) == 0
-    digests = _digests(sim)
-    # Every 50th person goes missing from persons.csv, so quarantine has rows.
-    lines = (sim / "persons.csv").read_text().splitlines(keepends=True)
-    (sim / "persons.csv").write_text("".join(line for i, line in enumerate(lines) if i == 0 or i % 50))
     conditions = {
         "first_trimester": [s.concept_id for s in ga_registry if s.week_high <= 13],
         "procedure_delivery": [s.concept_id for s in dod_registry if s.domain is Domain.PROCEDURE],
     }
     for name, ids in conditions.items():
         (root / f"{name}.csv").write_text("concept_id\n" + "".join(f"{i}\n" for i in sorted(ids)))
-    assert main(
-        ["infer", "--persons", str(sim / "persons.csv"), "--events", str(sim / "events.csv"),
-         "--out", str(run), "--emit-cohorts"]
-    ) == 0
-    common = ["--episodes", str(run / "episodes.csv"), "--events", str(sim / "events.csv"),
-              "--index-events", str(sim / "index_concepts.csv")]
+    persons, events = str(FIXTURE / "persons.csv"), str(FIXTURE / "events.csv")
+    assert main(["infer", "--persons", persons, "--events", events, "--out", str(run), "--emit-cohorts"]) == 0
+    common = ["--episodes", str(run / "episodes.csv"), "--events", events,
+              "--index-events", str(FIXTURE / "index_concepts.csv")]
     assert main(["timeline", *common, "--out", str(timeline)]) == 0
     assert main(
-        ["stats", *common, "--persons", str(sim / "persons.csv"), "--out", str(stats), "--unsuppressed",
+        ["stats", *common, "--persons", persons, "--out", str(stats), "--unsuppressed",
          *(f"--condition={name}={root / name}.csv" for name in conditions)]
     ) == 0
-    return {**digests, **_digests(run, timeline, stats)}
+    return _digests(sim, run, timeline, stats)
 
 
 def test_outputs_match_recorded_digests(outputs):

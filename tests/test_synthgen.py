@@ -146,7 +146,7 @@ class TestNoise:
                     for entry in conflict_entries
                 )
         # conflicting records disagree with truth by more than the conflict window
-        low_days = {ga_days(spec) for spec in ga_registry.by_accuracy(AccuracyLevel.LOW)}
+        low_days = {ga_days(spec) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW}
         for entry in conflict_entries:
             spec = ga_registry.get(entry.concept_id)
             assert ga_days(spec) in low_days
