@@ -20,16 +20,6 @@ from .episode_builder import (
 from .evaluation import ConfusionMatrix, Weighting, cohen_kappa, round_trip_score
 from .ga_engine import GestationStart, ga_days, infer_gestation_starts
 from .ingestion import ClinicalEvent, Person, load_events, load_persons
+from .synthgen import SynthConfig, generate_cohort, inject_noise
 
 __version__ = "0.1.0"
-
-# The generator needs numpy; import it on first use so that inference does not.
-_SYNTHGEN_NAMES = ("SynthConfig", "generate_cohort", "inject_noise")
-
-
-def __getattr__(name: str):
-    if name in _SYNTHGEN_NAMES:
-        from . import synthgen
-
-        return getattr(synthgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,6 +29,7 @@ from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
 from .evaluation import Weighting, cohen_kappa, read_matrix_csv, round_trip_score
 from .pipeline import make_output_dir, run_infer, run_stats, run_timeline
+from .synthgen import NoiseSpec, SynthConfig, generate_cohort, read_truth
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -119,9 +120,6 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    # numpy comes in with synthgen: only simulate and evaluate --truth pay for it.
-    from .synthgen import NoiseSpec, SynthConfig, generate_cohort
-
     noise = NoiseSpec(
         drop_ga_rate=args.drop_ga,
         conflict_ga_rate=args.conflict_ga,
@@ -153,8 +151,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
         )
         return
     if args.truth and args.episodes:
-        from .synthgen import read_truth
-
         report = round_trip_score(
             read_truth(resolve_input_path(args.truth)),
             read_episodes(resolve_input_path(args.episodes)),

@@ -300,20 +300,20 @@ def read_concept_ids(path: Path | str) -> frozenset[int]:
     path = Path(path)
     ids: set[int] = set()
     with csv_rows(path, on_comment=lambda line: None) as reader:
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         return frozenset()
     start = 0
     column = 0
-    first = rows[0]
+    line, first = rows[0]
     if not first[0].strip().lstrip("-").isdigit():
         if "concept_id" not in first:
-            raise DataFormatError(f"{path}: no concept_id column in header {first!r}")
+            raise DataFormatError(f"{path}:{line}: no concept_id column in header {first!r}")
         column = first.index("concept_id")
         start = 1
-    for row in rows[start:]:
+    for line, row in rows[start:]:
         try:
             ids.add(int(row[column]))
         except (ValueError, IndexError):
-            raise DataFormatError(f"{path}: bad concept id row {row!r}") from None
+            raise DataFormatError(f"{path}:{line}: bad concept id row {row!r}") from None
     return frozenset(ids)

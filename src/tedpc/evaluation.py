@@ -95,22 +95,22 @@ def read_matrix_csv(path: Path | str) -> ConfusionMatrix:
     """Read a labeled square matrix: header `,label1,...`, one labeled row each."""
     path = Path(path)
     with csv_rows(path) as reader:
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
     if len(rows) < 3:
         raise DataFormatError(f"{path}: expected a labeled square matrix of size >= 2")
-    labels = [cell.strip() for cell in rows[0][1:]]
+    labels = [cell.strip() for cell in rows[0][1][1:]]
     counts = []
-    for i, row in enumerate(rows[1:], start=1):
+    for i, (line, row) in enumerate(rows[1:], start=1):
         if len(row) != len(labels) + 1:
-            raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {len(labels) + 1}")
+            raise DataFormatError(f"{path}:{line}: row {i} has {len(row)} fields, expected {len(labels) + 1}")
         if row[0].strip() != labels[i - 1]:
             raise DataFormatError(
-                f"{path}: row label {row[0]!r} does not match column label {labels[i - 1]!r}"
+                f"{path}:{line}: row label {row[0]!r} does not match column label {labels[i - 1]!r}"
             )
         try:
             counts.append([int(cell) for cell in row[1:]])
         except ValueError as exc:
-            raise DataFormatError(f"{path}: non-integer cell in row {i}: {exc}") from None
+            raise DataFormatError(f"{path}:{line}: non-integer cell in row {i}: {exc}") from None
     try:
         return ConfusionMatrix.from_rows(labels, counts)
     except ValueError as exc:

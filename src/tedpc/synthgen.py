@@ -6,21 +6,28 @@ contain the visit's true week, delivery events dated exactly on the true
 delivery, and optional index events, then applies configurable noise
 channels. Identical (seed, config) pairs produce byte-identical files.
 
-Randomness comes from numpy's PCG64, seeded per person with
-SeedSequence([seed, stream, person_id]), so persons are independent and the
-output does not depend on generation order.
+Randomness comes from the standard library's Mersenne Twister. Each
+(seed, stream, person) triple gets its own `random.Random`, seeded with the
+integer `(seed << 33) | (stream << 32) | person_id`. Stream 0 draws a
+person's base events and stream 1 their noise. The packing is injective
+while the seed and the person id are below 2**32, so no two triples share a
+stream; `SynthConfig.validate` and `inject_noise` reject anything outside
+those bounds. A person's rows therefore depend only on the seed, the config
+and their own id: persons 1-30 are the same in a 30-person cohort as in a
+60-person one. The key is built by arithmetic, never by `hash()`, which is
+salted per process for strings and may change between Python versions.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
+from .concept_registry import AccuracyLevel, ConceptRegistry, Domain, GAConceptSpec
 from .csvio import iso_date, read_rows, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
@@ -30,6 +37,9 @@ from .ingestion import ClinicalEvent, Person, write_events, write_persons
 # Sub-stream tags so base generation and noise never share a random stream.
 _BASE_STREAM = 0
 _NOISE_STREAM = 1
+# Bounds within which the stream key of `_person_rng` is injective.
+MAX_SEED = 2**32 - 1
+MAX_PERSON_ID = 2**32 - 1
 
 MIN_GAP_DAYS = SEPARATION_WINDOW_DAYS + 1
 
@@ -99,11 +109,14 @@ class SynthConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.n_persons < 0:
-            raise ConfigError("n_persons must be non-negative")
-        if abs(sum(self.gestation_count_probs) - 1.0) > 1e-9:
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
+        if not 0 <= self.n_persons <= MAX_PERSON_ID:
+            raise ConfigError(f"n_persons must be in [0, {MAX_PERSON_ID}], got {self.n_persons}")
+        probs = self.gestation_count_probs
+        if len(probs) != 3 or not all(0.0 <= p <= 1.0 for p in probs):
+            raise ConfigError(f"gestation_count_probs must be three weights in [0, 1], got {probs}")
+        if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError("gestation_count_probs must sum to 1")
         lo, hi = self.gestation_clamp_days
         if not 0 < lo <= hi:
@@ -193,11 +206,13 @@ def read_truth(path: Path | str) -> list[TruthRecord]:
     return list(read_rows(path, TRUTH_HEADER, _parse_truth))
 
 
-def _person_rng(seed: int, stream: int, person_id: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream, person_id])
+def _person_rng(seed: int, stream: int, person_id: int) -> random.Random:
+    return random.Random((seed << 33) | (stream << 32) | person_id)
 
 
-def _plan_gestations(rng: np.random.Generator, config: SynthConfig) -> list[tuple[date, date, int]]:
+def _plan_gestations(
+    rng: random.Random, config: SynthConfig, count_weights: list[float]
+) -> list[tuple[date, date, int]]:
     """Draw (start, delivery, length) triples with deliveries inside the window.
 
     Consecutive gestations are separated by a gap of at least MIN_GAP_DAYS
@@ -207,28 +222,26 @@ def _plan_gestations(rng: np.random.Generator, config: SynthConfig) -> list[tupl
     window_start, window_end = config.window
     window_len = (window_end - window_start).days
     lo, hi = config.gestation_clamp_days
-    n_gestations = 1 + int(rng.choice(3, p=list(config.gestation_count_probs)))
+    n_gestations = rng.choices((1, 2, 3), cum_weights=count_weights)[0]
+    mean, sd = config.gestation_mean_days, config.gestation_sd_days
     lengths = None
     for _ in range(100):
-        draw = np.clip(
-            np.rint(rng.normal(config.gestation_mean_days, config.gestation_sd_days, n_gestations)), lo, hi
-        ).astype(int)
-        min_span = int(sum(MIN_GAP_DAYS + int(g) for g in draw[1:]))
-        if min_span <= window_len:
-            lengths = [int(g) for g in draw]
+        draw = [min(max(round(rng.gauss(mean, sd)), lo), hi) for _ in range(n_gestations)]
+        if sum(MIN_GAP_DAYS + g for g in draw[1:]) <= window_len:
+            lengths = draw
             break
     if lengths is None:
         raise GenerationError(
             f"cannot place {n_gestations} gestations separated by {MIN_GAP_DAYS} days "
             f"inside a {window_len}-day delivery window"
         )
-    slack = window_len - int(sum(MIN_GAP_DAYS + g for g in lengths[1:]))
+    slack = window_len - sum(MIN_GAP_DAYS + g for g in lengths[1:])
     gaps = []
     for _ in range(n_gestations - 1):
-        extra = int(rng.integers(0, min(slack, 120) + 1))
+        extra = rng.randrange(min(slack, 120) + 1)
         gaps.append(MIN_GAP_DAYS + extra)
         slack -= extra
-    first_dod = window_start + timedelta(days=int(rng.integers(0, slack + 1)))
+    first_dod = window_start + timedelta(days=rng.randrange(slack + 1))
     triples = []
     dod = first_dod
     for i, length in enumerate(lengths):
@@ -239,7 +252,7 @@ def _plan_gestations(rng: np.random.Generator, config: SynthConfig) -> list[tupl
 
 
 def _range_event(
-    rng: np.random.Generator,
+    rng: random.Random,
     person_id: int,
     start: date,
     gestation_days: int,
@@ -248,13 +261,13 @@ def _range_event(
     """One GA event from a week-range pool; the event's true week stays in range."""
     max_week = gestation_days // 7
     for _ in range(8):
-        spec = pool[int(rng.integers(0, len(pool)))]
+        spec = rng.choice(pool)
         week_lo = max(spec.week_low, 1)
         week_hi = min(spec.week_high, max_week)
         if week_lo > week_hi:
             continue
-        week = int(rng.integers(week_lo, week_hi + 1))
-        offset = min(7 * week + int(rng.integers(0, 7)), gestation_days)
+        week = rng.randrange(week_lo, week_hi + 1)
+        offset = min(7 * week + rng.randrange(7), gestation_days)
         return ClinicalEvent(person_id, spec.concept_id, spec.domain, start + timedelta(days=offset))
     return None
 
@@ -286,17 +299,18 @@ def generate_cohort(
         raise GenerationError("registries too small to generate events")
 
     race_labels = [label for label, _ in _RACE_PROBS]
-    race_probs = [p for _, p in _RACE_PROBS]
+    race_weights = list(accumulate(p for _, p in _RACE_PROBS))
+    count_weights = list(accumulate(config.gestation_count_probs))
 
     persons: list[Person] = []
     events: list[ClinicalEvent] = []
     episodes: list[tuple[int, int, date, date]] = []
     for person_id in range(1, config.n_persons + 1):
         rng = _person_rng(config.seed, _BASE_STREAM, person_id)
-        triples = _plan_gestations(rng, config)
-        age_years = int(rng.integers(16, 45))
-        birth = triples[0][1] - timedelta(days=age_years * 365 + int(rng.integers(0, 365)))
-        race = race_labels[int(rng.choice(len(race_labels), p=race_probs))]
+        triples = _plan_gestations(rng, config, count_weights)
+        age_years = rng.randrange(16, 45)
+        birth = triples[0][1] - timedelta(days=age_years * 365 + rng.randrange(365))
+        race = rng.choices(race_labels, cum_weights=race_weights)[0]
         ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
         persons.append(Person(person_id, birth, "F", race, ethnicity))
         for index, (start, dod, gestation_days) in enumerate(triples, start=1):
@@ -305,11 +319,7 @@ def generate_cohort(
             schedule = [w for w in config.visit_weeks if w <= max_week and w in high_by_week]
             n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
             if schedule and n_high:
-                picks = sorted(
-                    int(i) for i in rng.choice(len(schedule), size=min(n_high, len(schedule)), replace=False)
-                )
-                for i in picks:
-                    week = schedule[i]
+                for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):
                     spec = high_by_week[week]
                     # Exact placement: the event implies precisely the true start.
                     events.append(
@@ -324,12 +334,10 @@ def generate_cohort(
                     if event is not None:
                         events.append(event)
             n_dod = min(config.dod_events_per_gestation, len(dod_pool))
-            if n_dod:
-                for i in rng.choice(len(dod_pool), size=n_dod, replace=False):
-                    spec = dod_pool[int(i)]
-                    events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, dod))
+            for spec in rng.sample(dod_pool, n_dod):
+                events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, dod))
             if config.index_event_rate and rng.random() < config.index_event_rate:
-                offset = int(rng.integers(0, gestation_days + 1))
+                offset = rng.randrange(gestation_days + 1)
                 events.append(
                     ClinicalEvent(person_id, config.index_concept_id, Domain.CONDITION, start + timedelta(days=offset))
                 )
@@ -359,7 +367,6 @@ def generate_cohort(
             week = 0 if earliest.event_date < start else (earliest.event_date - start).days // 7 + 1
         truth.append(TruthRecord(person_id, index, start, dod, week))
 
-    events.sort(key=lambda e: (e.person_id, e.event_date, e.concept_id))
     return SyntheticCohort(persons, events, truth, noise_log, config.index_concept_id)
 
 
@@ -380,21 +387,29 @@ def inject_noise(
     with the original event's by more than 14 days but stays well inside the
     clustering window, so gestation separability is preserved. The
     pre-pregnancy channel needs ground truth to know where pregnancies start.
+    Person ids and the seed must lie within the stream packing's bounds.
     """
     noise.validate()
     if noise.pre_pregnancy_index_rate > 0.0 and truth is None:
         raise ConfigError("pre_pregnancy_index_rate needs ground truth to locate starts")
-    low_pool = [spec for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be in [0, {MAX_SEED}], got {seed}")
+    low_days = [(spec, ga_days(spec)) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
+    # Conflict options depend only on the base event's gestation days.
+    options_by_days: dict[int, list[tuple[GAConceptSpec, int]]] = {}
     truth_by_person: dict[int, list[TruthRecord]] = {}
     for record in truth or []:
         truth_by_person.setdefault(record.person_id, []).append(record)
     events_by_person: dict[int, list[ClinicalEvent]] = {}
     for event in events:
         events_by_person.setdefault(event.person_id, []).append(event)
+    person_ids = sorted(set(events_by_person) | set(truth_by_person))
+    if person_ids and not (0 <= person_ids[0] and person_ids[-1] <= MAX_PERSON_ID):
+        raise ConfigError(f"person ids must be in [0, {MAX_PERSON_ID}] to seed their noise streams")
 
     result: list[ClinicalEvent] = []
     log: list[NoiseLogEntry] = []
-    for person_id in sorted(set(events_by_person) | set(truth_by_person)):
+    for person_id in person_ids:
         rng = _person_rng(seed, _NOISE_STREAM, person_id)
         kept: list[ClinicalEvent] = []
         for event in events_by_person.get(person_id, []):
@@ -407,7 +422,7 @@ def inject_noise(
                 log.append(NoiseLogEntry("drop_dod", person_id, event.concept_id, event.event_date, "dropped"))
                 continue
             if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
-                delta = int(rng.integers(1, noise.shift_max_days + 1))
+                delta = rng.randrange(1, noise.shift_max_days + 1)
                 if rng.random() < 0.5:
                     delta = -delta
                 shifted = event._replace(event_date=event.event_date + timedelta(days=delta))
@@ -424,10 +439,14 @@ def inject_noise(
                 if spec is None or rng.random() >= noise.conflict_ga_rate:
                     continue
                 base_days = ga_days(spec)
-                options = [c for c in low_pool if 14 < abs(ga_days(c) - base_days) <= 200]
+                options = options_by_days.get(base_days)
+                if options is None:
+                    options = options_by_days[base_days] = [
+                        (c, days) for c, days in low_days if 14 < abs(days - base_days) <= 200
+                    ]
                 if not options:
                     continue
-                chosen = options[int(rng.integers(0, len(options)))]
+                chosen, chosen_days = rng.choice(options)
                 additions.append(ClinicalEvent(person_id, chosen.concept_id, chosen.domain, event.event_date))
                 log.append(
                     NoiseLogEntry(
@@ -435,13 +454,13 @@ def inject_noise(
                         person_id,
                         chosen.concept_id,
                         event.event_date,
-                        f"conflicts with {event.concept_id} by {ga_days(chosen) - base_days:+d}d",
+                        f"conflicts with {event.concept_id} by {chosen_days - base_days:+d}d",
                     )
                 )
         if noise.pre_pregnancy_index_rate:
             for record in truth_by_person.get(person_id, []):
                 if rng.random() < noise.pre_pregnancy_index_rate:
-                    event_date = record.true_start - timedelta(days=int(rng.integers(7, 91)))
+                    event_date = record.true_start - timedelta(days=rng.randrange(7, 91))
                     additions.append(ClinicalEvent(person_id, index_concept_id, Domain.CONDITION, event_date))
                     log.append(
                         NoiseLogEntry("pre_index", person_id, index_concept_id, event_date, "pre-pregnancy index event")

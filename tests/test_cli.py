@@ -563,6 +563,28 @@ class TestTableDialect:
         err = capsys.readouterr().err
         assert f"{path}:{line}: field larger than field limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "reader, content, expected",
+        [
+            ("index-events", "concept_id\n5\n\nnot-a-number\n", "{path}:4: bad concept id row ['not-a-number']"),
+            ("matrix", ",a,b\n\na,1,0,9\nb,0,1\n", "{path}:3: row 1 has 4 fields, expected 3"),
+        ],
+        ids=["index-events", "matrix"],
+    )
+    def test_bad_row_of_a_list_reader_exit_2_naming_line(self, sim_dir, tmp_path, capsys, reader, content, expected):
+        path = tmp_path / f"{reader}.csv"
+        path.write_text(content)
+        if reader == "index-events":
+            assert run_infer(sim_dir, tmp_path / "run") == 0
+            capsys.readouterr()
+            code = main(analytics_argv("timeline", sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "out",
+                                       index_events=path))
+        else:
+            code = main(["evaluate", "--matrix", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert expected.format(path=path) in err and "Traceback" not in err
+
     def test_byte_order_mark_is_accepted(self, sim_dir, tmp_path):
         bom = tmp_path / "bom"
         bom.mkdir()
@@ -663,6 +685,12 @@ class TestSimulate:
 
     def test_bad_noise_rate_exit_3(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--drop-ga", "2.0"]) == 3
+
+    @pytest.mark.parametrize("flag", ["--seed", "--n-persons"])
+    def test_value_beyond_the_stream_packing_exit_3(self, tmp_path, capsys, flag):
+        assert main(["simulate", "--out", str(tmp_path / "sim"), flag, str(2**32)]) == 3
+        err = capsys.readouterr().err
+        assert flag.lstrip("-").replace("-", "_") in err and "Traceback" not in err
 
     def test_exit_4_on_invariant_breach(self, monkeypatch, sim_dir, tmp_path):
         import tedpc.pipeline as pipeline
@@ -782,9 +810,8 @@ class TestThreadBound:
 
 NUMPY_FREE_RUN = """
 import json, sys
-import tedpc.cli
-assert "numpy" not in sys.modules, "import tedpc.cli imported numpy"
 sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+import tedpc.cli
 for argv in json.loads(sys.argv[1]):
     code = tedpc.cli.main(argv)
     if code:
@@ -793,22 +820,24 @@ for argv in json.loads(sys.argv[1]):
 
 
 class TestNumpyFree:
-    def test_infer_timeline_stats_import_no_numpy_and_write_the_same_bytes(self, sim_dir, tmp_path):
-        condition = tmp_path / "condition.csv"
-        condition.write_text("concept_id\n" + (sim_dir / "events.csv").read_text().splitlines()[1].split(",")[1] + "\n")
-
+    def test_infer_timeline_stats_import_no_numpy_and_write_the_same_bytes(self, tmp_path, capsys):
         def argvs(root):
-            episodes = root / "run" / "episodes.csv"
+            sim, episodes = root / "sim", root / "run" / "episodes.csv"
             return [
-                ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv"),
+                ["simulate", "--out", str(sim), "--seed", "21", "--n-persons", "40", "--index-rate", "0.6",
+                 "--drop-ga", "0.1", "--conflict-ga", "0.2", "--shift", "0.2", "--drop-dod", "0.1",
+                 "--pre-index", "0.2"],
+                ["infer", "--persons", str(sim / "persons.csv"), "--events", str(sim / "events.csv"),
                  "--out", str(root / "run"), "--match-min", "100", "--match-max", "320", "--emit-cohorts"],
-                analytics_argv("timeline", sim_dir, episodes, root / "timeline"),
-                analytics_argv("stats", sim_dir, episodes, root / "stats")
-                + ["--condition", f"first={condition}", "--unsuppressed"],
+                analytics_argv("timeline", sim, episodes, root / "timeline"),
+                analytics_argv("stats", sim, episodes, root / "stats") + ["--unsuppressed"],
+                ["evaluate", "--truth", str(sim / "truth.csv"), "--episodes", str(episodes)],
             ]
 
+        capsys.readouterr()
         for argv in argvs(tmp_path / "normal"):
             assert main(argv) == 0
+        normal_stdout = capsys.readouterr().out.replace(str(tmp_path / "normal"), "ROOT")
         src = str(Path(tedpc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
@@ -823,8 +852,11 @@ class TestNumpyFree:
             return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
         normal = outputs(tmp_path / "normal")
-        assert {"run/ga_cohort.csv", "timeline/timing.csv", "stats/report.csv", "stats/histogram.csv"} <= set(normal)
+        assert {"sim/events.csv", "run/ga_cohort.csv", "timeline/timing.csv", "stats/histogram.csv"} <= set(normal)
         assert normal == outputs(tmp_path / "numpy_free")
+        # evaluate writes no file: its scorecard is compared as printed.
+        assert "exact_start=" in normal_stdout
+        assert normal_stdout == result.stdout.replace(str(tmp_path / "numpy_free"), "ROOT")
 
     def test_package_still_exports_the_generator(self):
         from tedpc import synthgen

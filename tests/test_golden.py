@@ -33,11 +33,11 @@ EXPECTED = {
     "stats/histogram.csv": "ba2d98e3bbfb46d3aa04bb3fc77a8dfcffcce4415ef209506a468a3d481cff2f",
     "stats/report.csv": "c88bc7d68e58af358bd1e6634c94b8f54bd5db1c863dc39345457fa83688af25",
     "stats/report.md": "6be731d98dfc178d1901a992cd903311e152b71ef1224c96c5a626ade8029e40",
-    "sim/events.csv": "622482e8a1c3f1fbc0eb96e291ab712b2b27947808fb24b5c1d8d6df1a22fc2c",
+    "sim/events.csv": "36d1fd8d1aa461f3eb9ce9bbc52c513ca2b6a86557b0ee3ebc5db558d538cb67",
     "sim/index_concepts.csv": "d183c99aa5ce9dc75a6292f9eb938cc6a10a4f39c22199b55a8ea86aeebe7cb1",
-    "sim/noise_log.csv": "19bcb28f0f5b93f3f86f66d8396fde90fa958651711818546556f5cc401d19a2",
-    "sim/persons.csv": "e3f754a3cd82870c75f11ed825d493703508af7e67bdf93e399fa1c91c3b7990",
-    "sim/truth.csv": "45ecb45db85e1ebf8d34f1fd115b0a22b4cb8e401ab77f1440b6add7503e1c8f",
+    "sim/noise_log.csv": "0f154397176bbca29311e0ad9090cb9f484ccb150161b2651a77505141ddde8b",
+    "sim/persons.csv": "5860b933c70ca523e5fc66fadd39111f33a322413542cbbfaa58fc2b89a9f1c8",
+    "sim/truth.csv": "6374c7326fe328aa583c0c178699f12f4bcfbdf45110c2559405d58155caf1bc",
 }
 
 

@@ -8,7 +8,10 @@ from tedpc.dod_engine import infer_delivery_dates, rank_table
 from tedpc.episode_builder import match_episodes
 from tedpc.errors import ConfigError, GenerationError
 from tedpc.ga_engine import build_candidates, candidate_table, ga_days, infer_gestation_starts
+from tedpc.ingestion import ClinicalEvent
 from tedpc.synthgen import (
+    MAX_PERSON_ID,
+    MAX_SEED,
     NoiseSpec,
     SynthConfig,
     generate_cohort,
@@ -54,6 +57,19 @@ class TestDeterminism:
         a = generate_cohort(SynthConfig(seed=1, n_persons=30), ga_registry, dod_registry)
         b = generate_cohort(SynthConfig(seed=2, n_persons=30), ga_registry, dod_registry)
         assert a.events != b.events
+
+    def test_persons_do_not_depend_on_cohort_size(self, ga_registry, dod_registry):
+        noise = NoiseSpec(
+            drop_ga_rate=0.1, conflict_ga_rate=0.3, shift_rate=0.3, drop_dod_rate=0.1, pre_pregnancy_index_rate=0.3
+        )
+        small, large = (
+            generate_cohort(SynthConfig(seed=31, n_persons=n, index_event_rate=0.5, noise=noise), ga_registry, dod_registry)
+            for n in (30, 60)
+        )
+        assert {entry.channel for entry in small.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        for table in ("persons", "events", "truth", "noise_log"):
+            rows = getattr(small, table)
+            assert rows and rows == [row for row in getattr(large, table) if row.person_id <= 30]
 
 
 class TestValidity:
@@ -176,6 +192,42 @@ class TestNoise:
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
             NoiseSpec(drop_ga_rate=1.5).validate()
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    def test_seed_beyond_the_stream_packing_rejected(self, ga_registry, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            inject_noise([], NoiseSpec(), seed, ga_registry)
+
+    @pytest.mark.parametrize("person_id", [-1, MAX_PERSON_ID + 1])
+    def test_person_id_beyond_the_stream_packing_rejected(self, ga_registry, person_id):
+        spec = next(iter(ga_registry))
+        event = ClinicalEvent(person_id, spec.concept_id, spec.domain, date(2020, 1, 1))
+        with pytest.raises(ConfigError, match="person ids"):
+            inject_noise([event], NoiseSpec(), 1, ga_registry)
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"gestation_count_probs": (0.9, 0.1)},
+            {"gestation_count_probs": (0.9, 0.05, 0.03, 0.02)},
+            {"gestation_count_probs": (1.2, -0.1, -0.1)},
+            {"gestation_count_probs": (0.5, 1.5, -1.0)},
+            {"seed": -1},
+            {"seed": MAX_SEED + 1},
+            {"n_persons": -1},
+            {"n_persons": MAX_PERSON_ID + 1},
+        ],
+        ids=["two-weights", "four-weights", "negative-weight", "weight-above-one", "seed-negative", "seed-too-big",
+             "persons-negative", "persons-too-many"],
+    )
+    def test_out_of_bounds_setting_rejected(self, setting):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            SynthConfig(**setting).validate()
+
+    def test_packing_bounds_themselves_accepted(self):
+        SynthConfig(seed=MAX_SEED, n_persons=MAX_PERSON_ID, gestation_count_probs=(0.0, 0.0, 1.0)).validate()
 
 
 class TestFeasibility:
