@@ -2,15 +2,18 @@
 
 Subcommands: phenotype, infer, timeline, stats, simulate, evaluate.
 Exit codes: 0 success, 2 missing/invalid input file, 3 configuration
-violation, 4 internal invariant breach.
+violation, 4 internal invariant breach, 141 stdout closed before the output
+was written (`tedpc ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,6 +38,8 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_INVARIANT = 4
+# What a shell reports for a process that SIGPIPE ended (128 + 13).
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_KEYWORDS = "trimester,gestation,pregnan"
 
@@ -251,6 +256,29 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # A command holds the rows it reads until it ends, and they form no
+    # reference cycles, so the cyclic collector would only rescan the growing
+    # tables: about a tenth of `infer`, freeing nothing (`gc.collect()` after a
+    # command frees the same ~450 objects at 8k and at 100k persons).
+    # Reference counting still frees everything else. The previous state
+    # comes back, so an in-process caller keeps its own collector.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at devnull, so the flush
+        # at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         args.func(args)
     except SystemExit as exc:

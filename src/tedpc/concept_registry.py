@@ -15,7 +15,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .csvio import csv_rows, read_rows
+from .csvio import BOOL_TOKENS, csv_rows, table
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -173,15 +173,11 @@ def _load_concept_table(
     """
     comments: list[list[str]] = []
     by_id: dict = {}
-
-    def parse_unique(row: list[str]):
-        spec = parse(row)
-        if by_id.get(spec.concept_id, spec) != spec:
-            raise ValueError(f"conflicting duplicate for concept {spec.concept_id}")
-        return spec
-
-    for spec in read_rows(path, header, parse_unique, on_comment=lambda line: comments.append(line.split())):
-        by_id[spec.concept_id] = spec
+    with table(path, header, on_comment=lambda line: comments.append(line.split())) as rows:
+        for row in rows:
+            spec = parse(row)
+            if by_id.setdefault(spec.concept_id, spec) != spec:
+                raise ValueError(f"conflicting duplicate for concept {spec.concept_id}")
     specs = list(by_id.values())
     declared = next((words[1:] for words in comments if words[0] == "#manifest"), None)
     if count is not None and declared is not None:
@@ -248,16 +244,13 @@ def load_dod_concepts(path: Path | str) -> ConceptRegistry:
     return registry
 
 
-_BOOL_TOKENS = {"true": True, "false": False}
-
-
 def _parse_vocabulary_entry(row: list[str]) -> VocabularyEntry:
     return VocabularyEntry(
         int(row[0]),
         row[1],
         Domain.parse(row[2]),
-        _BOOL_TOKENS[row[3].strip().lower()],
-        _BOOL_TOKENS[row[4].strip().lower()],
+        BOOL_TOKENS[row[3].strip().lower()],
+        BOOL_TOKENS[row[4].strip().lower()],
     )
 
 

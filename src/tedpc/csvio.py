@@ -5,8 +5,20 @@ non-blank row is a fixed header. Blank rows are skipped, every other row must
 have the header's field count, and a row that does not parse is reported as
 `path:line`. A date field is `YYYY-MM-DD` and nothing else (`iso_date`).
 Tables are written as UTF-8 with `\\n` line ends, dates from day ordinals
-through one `DayText` memo per run. Every input, table or not, is opened by
+through one `Memo(iso_text)` per run. Every input, table or not, is opened by
 `open_text`, so one encoding rule holds for all.
+
+A reader of a header-first table runs its own row loop inside `table`:
+
+    with table(path, HEADER) as rows:
+        for row in rows:
+            ...
+
+`table` checks the header, skips blank rows and checks each row's width, and
+turns a ValueError or KeyError raised in the loop into `path:line`. There is
+no per-row callback, so a reader's per-row work costs what it would around a
+bare `csv.reader`. Values that repeat across rows, such as dates and domains,
+go through a `Memo`, which parses and checks each distinct text once.
 """
 
 from __future__ import annotations
@@ -15,11 +27,9 @@ import csv
 from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataFormatError, TedpcError
-
-T = TypeVar("T")
 
 
 def iso_date(text: str) -> date:
@@ -34,12 +44,31 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-class DayText(dict):
-    """Day ordinal -> ISO text, each distinct day formatted once: `texts[day]`."""
+# The text of a true/false field, as written with `str(flag).lower()`.
+BOOL_TOKENS = {"true": True, "false": False}
 
-    def __missing__(self, day: int) -> str:
-        text = self[day] = date.fromordinal(day).isoformat()
-        return text
+
+def iso_text(day: int) -> str:
+    """The `YYYY-MM-DD` text of a day ordinal."""
+    return date.fromordinal(day).isoformat()
+
+
+class Memo(dict):
+    """key -> fn(key), each distinct key computed once: `memo[key]`.
+
+    `fn` parses and checks the key. When it raises, nothing is stored, so a
+    bad value that repeats fails at its first row and at every later one.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 @contextmanager
@@ -77,18 +106,16 @@ def _blank_comments(lines: Iterable[str], on_comment: Callable[[str], None]) -> 
         yield line if line.strip() else "\n"
 
 
-def read_rows(
-    path: Path | str,
-    header: list[str],
-    parse: Callable[[list[str]], T],
-    on_comment: Callable[[str], None] | None = None,
-) -> Iterator[T]:
-    """Yield parse(row) for each data row of a header-first table, one row at a time.
+@contextmanager
+def table(
+    path: Path | str, header: list[str], on_comment: Callable[[str], None] | None = None
+) -> Iterator[Iterator[list[str]]]:
+    """Open a header-first table and yield its data rows, each of the header's width.
 
-    A ValueError or KeyError raised by `parse` becomes a DataFormatError
-    naming `path:line`, so checks that span rows (duplicates) belong in
-    `parse` too: it runs only after the caller has taken every earlier value.
-    `on_comment` is as in `csv_rows`.
+    A ValueError or KeyError raised in the `with` body becomes a
+    DataFormatError naming `path:line` of the row read last, so checks that
+    span rows (duplicates) belong in the loop too, and work after the loop
+    belongs after the `with`. `on_comment` is as in `csv_rows`.
     """
     with csv_rows(path, on_comment) as reader:
         for row in reader:
@@ -98,18 +125,20 @@ def read_rows(
             raise DataFormatError(f"{path}: empty file, expected header {header}")
         if row != header:
             raise DataFormatError(f"{path}: bad header {row!r}, expected {header}")
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
-            try:
-                value = parse(row)
-            except (ValueError, KeyError) as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {_describe(exc)}") from None
-            # The value alone: pairing each with its line number costs ~7% of load_events.
-            yield value
+        try:
+            yield _data_rows(path, reader, len(header))
+        except UnicodeDecodeError:
+            raise  # a ValueError too, but open_text names it as a bad file, not a bad row
+        except (ValueError, KeyError) as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {_describe(exc)}") from None
+
+
+def _data_rows(path: Path | str, reader, width: int) -> Iterator[list[str]]:
+    for row in reader:
+        if len(row) == width:
+            yield row
+        elif row:
+            raise DataFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
 
 
 def _describe(exc: ValueError | KeyError) -> str:

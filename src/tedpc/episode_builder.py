@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DeliveryRecord
-from .csvio import iso_date, read_rows, write_rows
+from .csvio import BOOL_TOKENS, Memo, iso_date, table, write_rows
 from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
@@ -62,8 +62,7 @@ class GestationalTiming(NamedTuple):
     trimester: Trimester
 
 
-@dataclass(frozen=True)
-class PregnancyEpisode:
+class PregnancyEpisode(NamedTuple):
     """One consolidated (start, delivery) pair for one gestation."""
 
     person_id: int
@@ -253,20 +252,30 @@ def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> No
     )
 
 
-def _parse_episode(row: list[str]) -> PregnancyEpisode:
-    return PregnancyEpisode(
-        person_id=int(row[0]),
-        episode_index=int(row[1]),
-        start_date=iso_date(row[2]),
-        dod=iso_date(row[3]),
-        gestation_days=int(row[4]),
-        ga_accuracy=ACCURACY_TOKENS[row[5]],
-        dod_domain_rank=int(row[6]),
-        extreme_flag=ExtremeFlag(row[7]),
-        conflict_flag=row[8] == "true",
-    )
+_EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
 
 
 def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
-    """Read an episodes table written by write_episodes."""
-    return list(read_rows(path, EPISODE_HEADER, _parse_episode))
+    """Read an episodes table written by write_episodes.
+
+    Every token field takes exactly the values write_episodes writes; any
+    other text is a bad row.
+    """
+    dates = Memo(iso_date)
+    episodes = []
+    with table(path, EPISODE_HEADER) as rows:
+        for row in rows:
+            episodes.append(
+                PregnancyEpisode(
+                    int(row[0]),
+                    int(row[1]),
+                    dates[row[2]],
+                    dates[row[3]],
+                    int(row[4]),
+                    ACCURACY_TOKENS[row[5]],
+                    int(row[6]),
+                    _EXTREME_TOKENS[row[7]],
+                    BOOL_TOKENS[row[8]],
+                )
+            )
+    return episodes

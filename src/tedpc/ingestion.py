@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import ConceptRegistry, Domain
-from .csvio import iso_date, read_rows, write_rows
+from .csvio import Memo, iso_date, table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -68,20 +68,16 @@ def load_persons(path: Path | str, today: date | None = None) -> dict[int, Perso
     """
     today = today or date.today()
     persons: dict[int, Person] = {}
-
-    def parse(row: list[str]) -> Person:
-        person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
-        if not (MIN_EVENT_DATE <= person.birth_date <= today):
-            raise ValueError(
-                f"birth_date {person.birth_date.isoformat()} outside "
-                f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
-            )
-        if persons.get(person.person_id, person) != person:
-            raise ValueError(f"conflicting duplicate for person {person.person_id}")
-        return person
-
-    for person in read_rows(path, PERSON_HEADER, parse):
-        persons[person.person_id] = person
+    with table(path, PERSON_HEADER) as rows:
+        for row in rows:
+            person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
+            if not (MIN_EVENT_DATE <= person.birth_date <= today):
+                raise ValueError(
+                    f"birth_date {person.birth_date.isoformat()} outside "
+                    f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
+                )
+            if persons.setdefault(person.person_id, person) != person:
+                raise ValueError(f"conflicting duplicate for person {person.person_id}")
     logger.info("loaded %d persons from %s", len(persons), path)
     return persons
 
@@ -121,33 +117,25 @@ def load_events(
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
     # Dates and domains repeat across rows: each distinct text is parsed and
-    # checked once. A bad value raises before it is cached.
-    days: dict[str, int] = {}
-    domains: dict[str, Domain] = {}
-
-    def parse(row: list[str]) -> None:
-        nonlocal mismatches, mismatch_sample
-        person_id, concept_id = int(row[0]), int(row[1])
-        domain = domains.get(row[2])
-        if domain is None:
-            domain = domains[row[2]] = Domain.parse(row[2])
-        day = days.get(row[3])
-        if day is None:
-            day = days[row[3]] = _event_day(row[3])
-        if known is not None and person_id not in known:
-            quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))
-            return
-        expected = expected_domain.get(concept_id)
-        if expected is not None and expected is not domain:
-            mismatches += 1
-            if mismatch_sample is None:
-                mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
-        if wanted is None or concept_id in wanted:
-            by_person.setdefault(person_id, []).append((day, concept_id))
-
+    # checked once.
+    days = Memo(_event_day)
+    domains = Memo(Domain.parse)
     total = 0
-    for _ in read_rows(path, EVENT_HEADER, parse):
-        total += 1
+    with table(path, EVENT_HEADER) as rows:
+        for row in rows:
+            total += 1
+            person_id, concept_id = int(row[0]), int(row[1])
+            domain, day = domains[row[2]], days[row[3]]
+            if known is not None and person_id not in known:
+                quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))
+                continue
+            expected = expected_domain.get(concept_id)
+            if expected is not None and expected is not domain:
+                mismatches += 1
+                if mismatch_sample is None:
+                    mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
+            if wanted is None or concept_id in wanted:
+                by_person.setdefault(person_id, []).append((day, concept_id))
     for events in by_person.values():
         events.sort()
     if quarantined:

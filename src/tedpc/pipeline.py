@@ -1,7 +1,7 @@
 """End-to-end orchestration shared by the CLI and tests.
 
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
-built or a writer formats them through the run's one `DayText` memo.
+built or a writer formats them through the run's one `Memo(iso_text)`.
 
 Inference runs per person and persons are independent, so the person loop
 can fan out across a thread pool; results are always collected and written
@@ -33,7 +33,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import DayText, write_rows
+from .csvio import Memo, iso_text, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     MatchDiagnostics,
@@ -134,7 +134,7 @@ def run_infer(config: RunConfig) -> dict:
             max_age=config.max_age,
         )
 
-    day_text = DayText()
+    day_text = Memo(iso_text)
     write_episodes(out / "episodes.csv", episodes)
     write_rows(
         out / "unmatched_starts.csv",
@@ -217,7 +217,7 @@ def run_timeline(config: RunConfig) -> int:
     episodes = read_episodes(config.episodes_path)
     index_concepts = read_concept_ids(config.index_events_path)
     table = load_events(config.events_path, concepts=index_concepts)
-    day_text = DayText()
+    day_text = Memo(iso_text)
     rows = []
     for episode in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
         start_day, dod_day = episode.start_date.toordinal(), episode.dod.toordinal()

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, Domain, GAConceptSpec
-from .csvio import iso_date, read_rows, write_rows
+from .csvio import iso_date, table, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
@@ -197,13 +197,13 @@ def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
     )
 
 
-def _parse_truth(row: list[str]) -> TruthRecord:
-    week = int(row[4]) if row[4] != "" else None
-    return TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week)
-
-
 def read_truth(path: Path | str) -> list[TruthRecord]:
-    return list(read_rows(path, TRUTH_HEADER, _parse_truth))
+    truth = []
+    with table(path, TRUTH_HEADER) as rows:
+        for row in rows:
+            week = int(row[4]) if row[4] != "" else None
+            truth.append(TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week))
+    return truth
 
 
 def _person_rng(seed: int, stream: int, person_id: int) -> random.Random:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import tedpc
-from tedpc.cli import main
+from tedpc.cli import EXIT_BROKEN_PIPE, main
 from tedpc.config import MAX_THREADS, RunConfig
+from tedpc.episode_builder import EPISODE_HEADER
 from tedpc.errors import ConfigError
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
@@ -498,8 +500,14 @@ class TestTableDialect:
              "{path}:3: expected 5 fields, got 3"),
             ("truth", "person,episode\n1,1\n", "{path}: bad header"),
             ("episodes", "", "{path}: empty file, expected header"),
+            *(
+                ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-01-01,2020-10-01,274,high,1,none,{flag}\n",
+                 f"{{path}}:2: unknown value {flag!r}")
+                for flag in ("yes", "True", "")
+            ),
         ],
-        ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty"],
+        ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty",
+             "conflict-flag-yes", "conflict-flag-True", "conflict-flag-empty"],
     )
     def test_malformed_table_exit_2_naming_file(self, sim_dir, tmp_path, capsys, table, content, expected):
         assert run_infer(sim_dir, tmp_path / "run") == 0
@@ -868,3 +876,62 @@ class TestNumpyFree:
         )
         with pytest.raises(AttributeError):
             tedpc.no_such_name
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_leaves_the_collector_as_it_found_it(self, sim_dir, tmp_path, capsys, monkeypatch, enabled):
+        seen = []
+        real_run_infer = tedpc.cli.run_infer
+
+        def run_infer_noting_the_collector(config):
+            seen.append(gc.isenabled())
+            return real_run_infer(config)
+
+        monkeypatch.setattr(tedpc.cli, "run_infer", run_infer_noting_the_collector)
+        bad_episodes = tmp_path / "episodes.csv"
+        bad_episodes.write_text("person,episode\n1,1\n")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_infer(sim_dir, tmp_path / "run") == 0
+            assert gc.isenabled() is enabled
+            code = main(["evaluate", "--truth", str(sim_dir / "truth.csv"), "--episodes", str(bad_episodes)])
+            assert code == 2
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
+        assert "bad header" in capsys.readouterr().err
+
+
+CLOSED_STDOUT_RUN = """
+import sys
+from tedpc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["evaluate", "print-config"])
+    def test_closed_stdout_exits_without_a_traceback(self, tmp_path, command):
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(TABLE4)
+        argv = ["evaluate", "--matrix", str(matrix)] if command == "evaluate" else ["infer", "--print-config"]
+        src = str(Path(tedpc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # The read end is closed before the child starts, so its first write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", CLOSED_STDOUT_RUN, *argv],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr, result.stderr
+        assert result.returncode == EXIT_BROKEN_PIPE

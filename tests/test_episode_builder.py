@@ -20,6 +20,7 @@ from tedpc.episode_builder import (
     week_of,
     write_episodes,
 )
+from tedpc.errors import DataFormatError
 from tedpc.ga_engine import GestationStart
 from tedpc.ingestion import Person
 
@@ -229,3 +230,20 @@ class TestEpisodeIO:
         loaded = read_episodes(path)
         assert loaded == episodes
         assert loaded[1].extreme_flag is ExtremeFlag.SHORT
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [(2, "2020-02-30"), (2, "20191210"), (7, "huge"), (7, "None")],
+        ids=["start-date", "start-date-shape", "extreme-flag", "extreme-flag-case"],
+    )
+    def test_repeated_bad_value_reported_at_first_line(self, tmp_path, field, bad):
+        path = tmp_path / "episodes.csv"
+        write_episodes(path, [episode(date(2019, 12, 10), date(2020, 9, 15), person_id=p) for p in (1, 2, 3, 4)])
+        lines = path.read_text().splitlines()
+        for i in (3, 4):
+            row = lines[i].split(",")
+            row[field] = bad
+            lines[i] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=r"episodes.csv:4: "):
+            read_episodes(path)
