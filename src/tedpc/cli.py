@@ -166,8 +166,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
     raise ConfigError("evaluate needs either --matrix or both --truth and --episodes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError from writing --help, which would turn a
+    closed stdout into exit 0; here it reaches main like any other write's."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tedpc",
         description="Infer pregnancy episodes from normalized clinical-event tables",
     )
@@ -251,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     # A command holds the rows it reads until it ends, and they form no
     # reference cycles, so the cyclic collector would only rescan the growing
     # tables: about a tenth of `infer`, freeing nothing (`gc.collect()` after a
@@ -265,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -278,7 +281,16 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(argv: list[str] | None) -> int:
+    try:
+        # --help and a usage error end in SystemExit; its code is the exit code.
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    logging.basicConfig(
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
     try:
         args.func(args)
     except SystemExit as exc:

@@ -913,11 +913,15 @@ sys.exit(main(sys.argv[1:]))
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("command", ["evaluate", "print-config"])
+    @pytest.mark.parametrize("command", ["evaluate", "print-config", "help"])
     def test_closed_stdout_exits_without_a_traceback(self, tmp_path, command):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(TABLE4)
-        argv = ["evaluate", "--matrix", str(matrix)] if command == "evaluate" else ["infer", "--print-config"]
+        argv = {
+            "evaluate": ["evaluate", "--matrix", str(matrix)],
+            "print-config": ["infer", "--print-config"],
+            "help": ["infer", "--help"],
+        }[command]
         src = str(Path(tedpc.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         # The read end is closed before the child starts, so its first write to stdout fails.
