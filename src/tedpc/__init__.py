@@ -20,6 +20,6 @@ from .episode_builder import (
 from .evaluation import ConfusionMatrix, Weighting, cohen_kappa, round_trip_score
 from .ga_engine import GestationStart, ga_days, infer_gestation_starts
 from .ingestion import ClinicalEvent, Person, load_events, load_persons
-from .synthgen import SynthConfig, generate_cohort, inject_noise
+from .synthgen import SynthConfig, generate_cohort
 
 __version__ = "0.1.0"

@@ -63,11 +63,16 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_phenotype(args: argparse.Namespace) -> None:
-    vocabulary = load_vocabulary(resolve_input_path(args.vocabulary))
     keywords = [k.strip() for k in args.keywords.split(",") if k.strip()]
+    if not keywords:
+        raise ConfigError(f"--keywords needs at least one keyword, got {args.keywords!r}")
     domains = None
     if args.domains:
-        domains = {Domain.parse(d) for d in args.domains.split(",") if d.strip()}
+        try:
+            domains = {Domain.parse(d) for d in args.domains.split(",") if d.strip()}
+        except ValueError as exc:
+            raise ConfigError(f"--domains: {exc}") from None
+    vocabulary = load_vocabulary(resolve_input_path(args.vocabulary))
     matches = phenotype_search(
         vocabulary,
         keywords,
@@ -119,6 +124,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         name, _, raw_path = item.partition("=")
         if not name or not raw_path:
             raise ConfigError(f"--condition expects name=path, got {item!r}")
+        if name in condition_sets:
+            raise ConfigError(f"--condition name {name!r} given more than once")
         condition_sets[name] = resolve_input_path(raw_path)
     run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")

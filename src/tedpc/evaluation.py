@@ -37,6 +37,8 @@ class ConfusionMatrix:
             raise ValueError(f"counts must be {k}x{k} to match the labels")
         if any(cell < 0 for row in self.counts for cell in row):
             raise ValueError("counts must be non-negative")
+        if self.total <= 0:
+            raise ValueError("confusion matrix total must be positive")
 
     @property
     def total(self) -> int:
@@ -77,8 +79,6 @@ def cohen_kappa(matrix: ConfusionMatrix, weighting: Weighting) -> KappaResult:
     kappa 1 with the degenerate flag set.
     """
     n = matrix.total
-    if n <= 0:
-        raise ValueError("confusion matrix total must be positive")
     k = len(matrix.labels)
     weights = _weights(k, weighting)
     row_sums = [sum(row) for row in matrix.counts]

@@ -11,10 +11,11 @@ Randomness comes from the standard library's Mersenne Twister. Each
 integer `(seed << 33) | (stream << 32) | person_id`. Stream 0 draws a
 person's base events and stream 1 their noise. The packing is injective
 while the seed and the person id are below 2**32, so no two triples share a
-stream; `SynthConfig.validate` and `inject_noise` reject anything outside
-those bounds. A person's rows therefore depend only on the seed, the config
-and their own id: persons 1-30 are the same in a 30-person cohort as in a
-60-person one. The key is built by arithmetic, never by `hash()`, which is
+stream; `SynthConfig.validate` rejects a seed or person count outside those
+bounds. Each person is generated whole in one pass: base events, then noise,
+then their own events sorted and their truth worked out. A person's rows
+therefore depend only on the seed, the config and their own id: persons 1-30
+are the same in a 30-person cohort as in a 60-person one. The key is built by arithmetic, never by `hash()`, which is
 salted per process for strings and may change between Python versions.
 """
 
@@ -302,9 +303,13 @@ def generate_cohort(
     race_weights = list(accumulate(p for _, p in _RACE_PROBS))
     count_weights = list(accumulate(config.gestation_count_probs))
 
+    # Conflict options depend only on the base event's gestation days.
+    conflict_options: dict[int, list[tuple[GAConceptSpec, int]]] = {}
+
     persons: list[Person] = []
     events: list[ClinicalEvent] = []
-    episodes: list[tuple[int, int, date, date]] = []
+    truth: list[TruthRecord] = []
+    noise_log: list[NoiseLogEntry] = []
     for person_id in range(1, config.n_persons + 1):
         rng = _person_rng(config.seed, _BASE_STREAM, person_id)
         triples = _plan_gestations(rng, config, count_weights)
@@ -313,8 +318,8 @@ def generate_cohort(
         race = rng.choices(race_labels, cum_weights=race_weights)[0]
         ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
         persons.append(Person(person_id, birth, "F", race, ethnicity))
-        for index, (start, dod, gestation_days) in enumerate(triples, start=1):
-            episodes.append((person_id, index, start, dod))
+        person_events: list[ClinicalEvent] = []
+        for start, dod, gestation_days in triples:
             max_week = gestation_days // 7
             schedule = [w for w in config.visit_weeks if w <= max_week and w in high_by_week]
             n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
@@ -322,7 +327,7 @@ def generate_cohort(
                 for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):
                     spec = high_by_week[week]
                     # Exact placement: the event implies precisely the true start.
-                    events.append(
+                    person_events.append(
                         ClinicalEvent(person_id, spec.concept_id, spec.domain, start + timedelta(days=7 * week))
                     )
             for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW):
@@ -332,140 +337,108 @@ def generate_cohort(
                 for _ in range(config.ga_events_per_gestation.get(level, 0)):
                     event = _range_event(rng, person_id, start, gestation_days, pool)
                     if event is not None:
-                        events.append(event)
+                        person_events.append(event)
             n_dod = min(config.dod_events_per_gestation, len(dod_pool))
             for spec in rng.sample(dod_pool, n_dod):
-                events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, dod))
+                person_events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, dod))
             if config.index_event_rate and rng.random() < config.index_event_rate:
                 offset = rng.randrange(gestation_days + 1)
-                events.append(
+                person_events.append(
                     ClinicalEvent(person_id, config.index_concept_id, Domain.CONDITION, start + timedelta(days=offset))
                 )
 
-    events, noise_log = inject_noise(
-        events,
-        config.noise,
-        config.seed,
-        ga_registry,
-        dod_registry,
-        truth=[TruthRecord(p, i, s, d, None) for p, i, s, d in episodes],
-        index_concept_id=config.index_concept_id,
-    )
+        person_events = _add_noise(
+            person_id, person_events, triples, config, ga_registry, dod_registry, conflict_options, noise_log
+        )
+        # Stable, so on a tie the kept events stay ahead of the noise additions.
+        person_events.sort(key=lambda e: (e.event_date, e.concept_id))
+        events.extend(person_events)
 
-    # Ground-truth index weeks follow the same rule analytics applies: the
-    # earliest index event on or before the delivery, week 0 when pre-start.
-    index_by_person: dict[int, list[ClinicalEvent]] = {}
-    for event in events:
-        if event.concept_id == config.index_concept_id:
-            index_by_person.setdefault(event.person_id, []).append(event)
-    truth: list[TruthRecord] = []
-    for person_id, index, start, dod in episodes:
-        week = None
-        hits = [e for e in index_by_person.get(person_id, []) if e.event_date <= dod]
-        if hits:
-            earliest = min(hits, key=lambda e: e.event_date)
-            week = 0 if earliest.event_date < start else (earliest.event_date - start).days // 7 + 1
-        truth.append(TruthRecord(person_id, index, start, dod, week))
+        # Ground-truth index weeks follow the same rule analytics applies: the
+        # earliest index event on or before the delivery, week 0 when pre-start.
+        earliest = next((e.event_date for e in person_events if e.concept_id == config.index_concept_id), None)
+        for index, (start, dod, _) in enumerate(triples, start=1):
+            week = None
+            if earliest is not None and earliest <= dod:
+                week = 0 if earliest < start else (earliest - start).days // 7 + 1
+            truth.append(TruthRecord(person_id, index, start, dod, week))
 
     return SyntheticCohort(persons, events, truth, noise_log, config.index_concept_id)
 
 
-def inject_noise(
+def _add_noise(
+    person_id: int,
     events: list[ClinicalEvent],
-    noise: NoiseSpec,
-    seed: int,
+    triples: list[tuple[date, date, int]],
+    config: SynthConfig,
     ga_registry: ConceptRegistry,
-    dod_registry: ConceptRegistry | None = None,
-    truth: list[TruthRecord] | None = None,
-    index_concept_id: int = DEFAULT_INDEX_CONCEPT_ID,
-) -> tuple[list[ClinicalEvent], list[NoiseLogEntry]]:
-    """Apply noise channels independently per event (or per gestation).
+    dod_registry: ConceptRegistry,
+    conflict_options: dict[int, list[tuple[GAConceptSpec, int]]],
+    log: list[NoiseLogEntry],
+) -> list[ClinicalEvent]:
+    """One person's events under the noise channels, drawn from their noise stream.
 
     Channels, in order: drop GA events, drop delivery events, shift event
     dates, add a same-date conflicting GA event, add a pre-pregnancy index
-    event. Conflicts use a low-accuracy concept whose implied start disagrees
-    with the original event's by more than 14 days but stays well inside the
-    clustering window, so gestation separability is preserved. The
-    pre-pregnancy channel needs ground truth to know where pregnancies start.
-    Person ids and the seed must lie within the stream packing's bounds.
+    event before each gestation's true start. Conflicts use a low-accuracy
+    concept whose implied start disagrees with the original event's by more
+    than 14 days but stays well inside the clustering window, so gestation
+    separability is preserved. Returns the kept events, then the additions;
+    each perturbation is appended to `log`.
     """
-    noise.validate()
-    if noise.pre_pregnancy_index_rate > 0.0 and truth is None:
-        raise ConfigError("pre_pregnancy_index_rate needs ground truth to locate starts")
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-    low_days = [(spec, ga_days(spec)) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
-    # Conflict options depend only on the base event's gestation days.
-    options_by_days: dict[int, list[tuple[GAConceptSpec, int]]] = {}
-    truth_by_person: dict[int, list[TruthRecord]] = {}
-    for record in truth or []:
-        truth_by_person.setdefault(record.person_id, []).append(record)
-    events_by_person: dict[int, list[ClinicalEvent]] = {}
+    noise = config.noise
+    rng = _person_rng(config.seed, _NOISE_STREAM, person_id)
+    kept: list[ClinicalEvent] = []
     for event in events:
-        events_by_person.setdefault(event.person_id, []).append(event)
-    person_ids = sorted(set(events_by_person) | set(truth_by_person))
-    if person_ids and not (0 <= person_ids[0] and person_ids[-1] <= MAX_PERSON_ID):
-        raise ConfigError(f"person ids must be in [0, {MAX_PERSON_ID}] to seed their noise streams")
-
-    result: list[ClinicalEvent] = []
-    log: list[NoiseLogEntry] = []
-    for person_id in person_ids:
-        rng = _person_rng(seed, _NOISE_STREAM, person_id)
-        kept: list[ClinicalEvent] = []
-        for event in events_by_person.get(person_id, []):
-            in_ga = event.concept_id in ga_registry
-            in_dod = dod_registry is not None and event.concept_id in dod_registry
-            if in_ga and noise.drop_ga_rate and rng.random() < noise.drop_ga_rate:
-                log.append(NoiseLogEntry("drop_ga", person_id, event.concept_id, event.event_date, "dropped"))
+        in_ga = event.concept_id in ga_registry
+        in_dod = event.concept_id in dod_registry
+        if in_ga and noise.drop_ga_rate and rng.random() < noise.drop_ga_rate:
+            log.append(NoiseLogEntry("drop_ga", person_id, event.concept_id, event.event_date, "dropped"))
+            continue
+        if in_dod and not in_ga and noise.drop_dod_rate and rng.random() < noise.drop_dod_rate:
+            log.append(NoiseLogEntry("drop_dod", person_id, event.concept_id, event.event_date, "dropped"))
+            continue
+        if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
+            delta = rng.randrange(1, noise.shift_max_days + 1)
+            if rng.random() < 0.5:
+                delta = -delta
+            log.append(NoiseLogEntry("shift", person_id, event.concept_id, event.event_date, f"shifted {delta:+d}d"))
+            event = event._replace(event_date=event.event_date + timedelta(days=delta))
+        kept.append(event)
+    additions: list[ClinicalEvent] = []
+    if noise.conflict_ga_rate:
+        for event in kept:
+            spec = ga_registry.get(event.concept_id)
+            if spec is None or rng.random() >= noise.conflict_ga_rate:
                 continue
-            if in_dod and not in_ga and noise.drop_dod_rate and rng.random() < noise.drop_dod_rate:
-                log.append(NoiseLogEntry("drop_dod", person_id, event.concept_id, event.event_date, "dropped"))
+            base_days = ga_days(spec)
+            options = conflict_options.get(base_days)
+            if options is None:
+                options = conflict_options[base_days] = [
+                    (c, ga_days(c))
+                    for c in ga_registry
+                    if c.accuracy is AccuracyLevel.LOW and 14 < abs(ga_days(c) - base_days) <= 200
+                ]
+            if not options:
                 continue
-            if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
-                delta = rng.randrange(1, noise.shift_max_days + 1)
-                if rng.random() < 0.5:
-                    delta = -delta
-                shifted = event._replace(event_date=event.event_date + timedelta(days=delta))
-                log.append(
-                    NoiseLogEntry("shift", person_id, event.concept_id, event.event_date, f"shifted {delta:+d}d")
+            chosen, chosen_days = rng.choice(options)
+            additions.append(ClinicalEvent(person_id, chosen.concept_id, chosen.domain, event.event_date))
+            log.append(
+                NoiseLogEntry(
+                    "conflict_ga",
+                    person_id,
+                    chosen.concept_id,
+                    event.event_date,
+                    f"conflicts with {event.concept_id} by {chosen_days - base_days:+d}d",
                 )
-                kept.append(shifted)
-                continue
-            kept.append(event)
-        additions: list[ClinicalEvent] = []
-        if noise.conflict_ga_rate:
-            for event in kept:
-                spec = ga_registry.get(event.concept_id)
-                if spec is None or rng.random() >= noise.conflict_ga_rate:
-                    continue
-                base_days = ga_days(spec)
-                options = options_by_days.get(base_days)
-                if options is None:
-                    options = options_by_days[base_days] = [
-                        (c, days) for c, days in low_days if 14 < abs(days - base_days) <= 200
-                    ]
-                if not options:
-                    continue
-                chosen, chosen_days = rng.choice(options)
-                additions.append(ClinicalEvent(person_id, chosen.concept_id, chosen.domain, event.event_date))
+            )
+    if noise.pre_pregnancy_index_rate:
+        index_concept_id = config.index_concept_id
+        for start, _, _ in triples:
+            if rng.random() < noise.pre_pregnancy_index_rate:
+                event_date = start - timedelta(days=rng.randrange(7, 91))
+                additions.append(ClinicalEvent(person_id, index_concept_id, Domain.CONDITION, event_date))
                 log.append(
-                    NoiseLogEntry(
-                        "conflict_ga",
-                        person_id,
-                        chosen.concept_id,
-                        event.event_date,
-                        f"conflicts with {event.concept_id} by {chosen_days - base_days:+d}d",
-                    )
+                    NoiseLogEntry("pre_index", person_id, index_concept_id, event_date, "pre-pregnancy index event")
                 )
-        if noise.pre_pregnancy_index_rate:
-            for record in truth_by_person.get(person_id, []):
-                if rng.random() < noise.pre_pregnancy_index_rate:
-                    event_date = record.true_start - timedelta(days=rng.randrange(7, 91))
-                    additions.append(ClinicalEvent(person_id, index_concept_id, Domain.CONDITION, event_date))
-                    log.append(
-                        NoiseLogEntry("pre_index", person_id, index_concept_id, event_date, "pre-pregnancy index event")
-                    )
-        result.extend(kept)
-        result.extend(additions)
-    result.sort(key=lambda e: (e.person_id, e.event_date, e.concept_id))
-    return result, log
+    return kept + additions

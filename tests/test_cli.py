@@ -238,6 +238,13 @@ class TestEvaluate:
     def test_no_mode_exit_3(self, capsys):
         assert main(["evaluate"]) == 3
 
+    def test_all_zero_matrix_exit_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b\na,0,0\nb,0,0\n")
+        assert main(["evaluate", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: confusion matrix total must be positive" in err and "Traceback" not in err
+
 
 class TestPhenotype:
     def test_search_and_filters(self, tmp_path, capsys):
@@ -273,6 +280,16 @@ class TestPhenotype:
 
     def test_missing_vocabulary_exit_2(self, tmp_path):
         assert main(["phenotype", "--vocabulary", str(tmp_path / "none.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--keywords", ","), ("--domains", "Condition,foo")], ids=["no-keyword", "unknown-domain"]
+    )
+    def test_bad_filter_flag_exit_3_naming_flag(self, tmp_path, capsys, flag, value):
+        vocab = tmp_path / "vocab.csv"
+        vocab.write_text("concept_id,name,domain,standard,valid\n1,gestation,Condition,true,true\n")
+        assert main(["phenotype", "--vocabulary", str(vocab), flag, value]) == 3
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
 
 class TestTimelineAndStats:
@@ -357,6 +374,16 @@ class TestTimelineAndStats:
             ]
         )
         assert code == 2
+
+    def test_repeated_condition_name_exit_3(self, sim_dir, tmp_path, capsys):
+        first, second = tmp_path / "x.csv", tmp_path / "y.csv"
+        for path in (first, second):
+            path.write_text("concept_id\n777\n")
+        argv = analytics_argv("stats", sim_dir, tmp_path / "episodes.csv", tmp_path / "run")
+        assert main([*argv, "--condition", f"obesity={first}", "--condition", f"obesity={second}"]) == 3
+        err = capsys.readouterr().err
+        assert "--condition name 'obesity'" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_cutoff_flag(self, sim_dir, tmp_path):
         assert run_infer(sim_dir, tmp_path / "run") == 0
@@ -869,11 +896,7 @@ class TestNumpyFree:
     def test_package_still_exports_the_generator(self):
         from tedpc import synthgen
 
-        assert (tedpc.SynthConfig, tedpc.generate_cohort, tedpc.inject_noise) == (
-            synthgen.SynthConfig,
-            synthgen.generate_cohort,
-            synthgen.inject_noise,
-        )
+        assert (tedpc.SynthConfig, tedpc.generate_cohort) == (synthgen.SynthConfig, synthgen.generate_cohort)
         with pytest.raises(AttributeError):
             tedpc.no_such_name
 

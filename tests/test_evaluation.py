@@ -49,9 +49,8 @@ class TestCohenKappa:
         assert result.degenerate and result.kappa == 1.0
 
     def test_empty_matrix_rejected(self):
-        matrix = ConfusionMatrix.from_rows(("a", "b"), [[0, 0], [0, 0]])
-        with pytest.raises(ValueError):
-            cohen_kappa(matrix, Weighting.UNWEIGHTED)
+        with pytest.raises(ValueError, match="total must be positive"):
+            ConfusionMatrix.from_rows(("a", "b"), [[0, 0], [0, 0]])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(42)

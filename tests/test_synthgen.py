@@ -8,14 +8,12 @@ from tedpc.dod_engine import infer_delivery_dates, rank_table
 from tedpc.episode_builder import match_episodes
 from tedpc.errors import ConfigError, GenerationError
 from tedpc.ga_engine import build_candidates, candidate_table, ga_days, infer_gestation_starts
-from tedpc.ingestion import ClinicalEvent
 from tedpc.synthgen import (
     MAX_PERSON_ID,
     MAX_SEED,
     NoiseSpec,
     SynthConfig,
     generate_cohort,
-    inject_noise,
     read_truth,
 )
 
@@ -133,10 +131,24 @@ class TestRoundTrip:
 
 class TestNoise:
     def test_zero_noise_is_identity(self, ga_registry, dod_registry):
-        cohort = generate_cohort(SynthConfig(seed=10, n_persons=30), ga_registry, dod_registry)
-        perturbed, log = inject_noise(list(cohort.events), NoiseSpec(), 10, ga_registry, dod_registry)
-        assert perturbed == sorted(cohort.events, key=lambda e: (e.person_id, e.event_date, e.concept_id))
-        assert log == []
+        cohort = generate_cohort(SynthConfig(seed=10, n_persons=30, noise=NoiseSpec()), ga_registry, dod_registry)
+        assert cohort.noise_log == []
+        assert cohort.events
+        assert cohort.events == sorted(cohort.events, key=lambda e: (e.person_id, e.event_date, e.concept_id))
+
+    def test_noise_leaves_persons_and_truth_alone(self, ga_registry, dod_registry):
+        # Noise draws from its own stream, so it cannot move the base draws.
+        all_on = NoiseSpec(
+            drop_ga_rate=0.5, conflict_ga_rate=0.5, shift_rate=0.5, drop_dod_rate=0.5, pre_pregnancy_index_rate=0.5
+        )
+        clean, noisy = (
+            generate_cohort(SynthConfig(seed=19, n_persons=40, noise=noise), ga_registry, dod_registry)
+            for noise in (NoiseSpec(), all_on)
+        )
+        assert {entry.channel for entry in noisy.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        assert noisy.events != clean.events
+        assert noisy.persons == clean.persons
+        assert [t[:4] for t in noisy.truth] == [t[:4] for t in clean.truth]
 
     def test_drop_all_ga_events_leaves_no_episodes(self, ga_registry, dod_registry):
         config = SynthConfig(seed=11, n_persons=25, noise=NoiseSpec(drop_ga_rate=1.0))
@@ -185,25 +197,9 @@ class TestNoise:
         cohort = generate_cohort(config, ga_registry, dod_registry)
         assert any(entry.channel == "shift" for entry in cohort.noise_log)
 
-    def test_pre_index_without_truth_rejected(self, ga_registry, dod_registry):
-        with pytest.raises(ConfigError):
-            inject_noise([], NoiseSpec(pre_pregnancy_index_rate=0.5), 1, ga_registry, dod_registry)
-
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
             NoiseSpec(drop_ga_rate=1.5).validate()
-
-    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
-    def test_seed_beyond_the_stream_packing_rejected(self, ga_registry, seed):
-        with pytest.raises(ConfigError, match="seed"):
-            inject_noise([], NoiseSpec(), seed, ga_registry)
-
-    @pytest.mark.parametrize("person_id", [-1, MAX_PERSON_ID + 1])
-    def test_person_id_beyond_the_stream_packing_rejected(self, ga_registry, person_id):
-        spec = next(iter(ga_registry))
-        event = ClinicalEvent(person_id, spec.concept_id, spec.domain, date(2020, 1, 1))
-        with pytest.raises(ConfigError, match="person ids"):
-            inject_noise([event], NoiseSpec(), 1, ga_registry)
 
 
 class TestConfigBounds:
