@@ -3,8 +3,10 @@
 Produces the index-event gestational-week histogram and the stratified
 demographics/conditions table, with small-cell suppression applied at render
 time only: raw counts are computed once and never altered by suppression.
-Events are `(day ordinal, concept id)` pairs as `load_events` groups them;
-each episode's start and delivery become ordinals once, to compare with them.
+Events are `(day ordinal, concept id)` pairs, day-sorted as `load_events`
+groups them. `episode_exposures` walks each episode's events once, up to the
+first after its delivery; timeline, the histogram and the table all read
+from that walk.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .episode_builder import PregnancyEpisode, age_at, gestational_week_of
+from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
 from .errors import ConfigError
 from .ingestion import Event, Person
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
 SUPPRESSION_THRESHOLD = 20
 MAX_HISTOGRAM_WEEK = 45
-SECOND_TRIMESTER_MAX_DAYS = 27 * 7
+# One episode as `episode_exposures` yields it: (episode, index events, week of the first, condition sets met).
+Exposure = tuple[PregnancyEpisode, list[Event], int | None, set[str]]
 
 AGE_BANDS = ["15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49"]
 RACE_CATEGORIES = [
@@ -101,20 +104,37 @@ class StrataSpec:
         return pandemic_stratum_of(dod, self.cutoff)
 
 
-def earliest_index_day(
-    events: Iterable[Event], index_concepts: frozenset[int] | set[int], on_or_before: int
-) -> int | None:
-    """Earliest day of an event in the index concept set on or before a day, if any."""
-    hits = (day for day, concept_id in events if concept_id in index_concepts and day <= on_or_before)
-    return min(hits, default=None)
-
-
-def infection_week_histogram(
+def episode_exposures(
     episodes: Iterable[PregnancyEpisode],
     events_by_person: dict[int, list[Event]],
     index_concepts: frozenset[int] | set[int],
-    max_week: int = MAX_HISTOGRAM_WEEK,
-) -> dict[int, int]:
+    condition_sets: dict[str, frozenset[int] | set[int]],
+) -> Iterator[Exposure]:
+    """Walk each episode's day-sorted events once, up to the first after its delivery.
+
+    Yields per episode the episode, its index events on or before the delivery
+    in `(day, concept id)` order, the gestational week of the first (0 before
+    the start, None without one) and the names of the condition sets met by then.
+    """
+    no_names: frozenset[str] = frozenset()
+    concept_ids = set().union(*condition_sets.values())
+    names_of = {c: frozenset(name for name, ids in condition_sets.items() if c in ids) for c in concept_ids}
+    for episode in episodes:
+        dod_day, start_day = episode.dod.toordinal(), episode.start_date.toordinal()
+        index_events, conditions = [], set()
+        for event in events_by_person.get(episode.person_id, ()):
+            day, concept_id = event
+            if day > dod_day:
+                break
+            if concept_id in index_concepts:
+                index_events.append(event)
+            conditions |= names_of.get(concept_id, no_names)
+        first = index_events[0][0] if index_events else None
+        week = None if first is None else 0 if first < start_day else week_of(start_day, first)
+        yield episode, index_events, week, conditions
+
+
+def infection_week_histogram(exposures: Iterable[Exposure], max_week: int = MAX_HISTOGRAM_WEEK) -> dict[int, int]:
     """Count episodes by the gestational week of their earliest index event.
 
     Week 0 is pre-pregnancy; only events on or before the delivery count, and
@@ -122,13 +142,9 @@ def infection_week_histogram(
     the final bucket.
     """
     counts = {week: 0 for week in range(max_week + 1)}
-    for episode in episodes:
-        dod_day = episode.dod.toordinal()
-        hit = earliest_index_day(events_by_person.get(episode.person_id, ()), index_concepts, dod_day)
-        if hit is None:
-            continue
-        timing = gestational_week_of(hit, episode.start_date.toordinal(), dod_day)
-        counts[min(timing.week, max_week)] += 1
+    for _, _, week, _ in exposures:
+        if week is not None:
+            counts[min(week, max_week)] += 1
     return counts
 
 
@@ -200,11 +216,9 @@ class StratifiedTable:
 
 
 def stratified_table(
-    episodes: Iterable[PregnancyEpisode],
+    exposures: Iterable[Exposure],
     persons: dict[int, Person],
-    events_by_person: dict[int, list[Event]],
-    index_concepts: frozenset[int] | set[int],
-    condition_sets: dict[str, frozenset[int] | set[int]],
+    condition_names: Iterable[str],
     spec: StrataSpec | None = None,
 ) -> StratifiedTable:
     """Build the stratified demographics and conditions table.
@@ -220,19 +234,15 @@ def stratified_table(
     column_totals = [0] * width
     age_rows = {band: [0] * width for band in AGE_BANDS}
     race_rows = {category: [0] * width for category in RACE_CATEGORIES}
-    condition_yes = {name: [0] * width for name in sorted(condition_sets)}
-    for episode in episodes:
+    condition_yes = {name: [0] * width for name in sorted(condition_names)}
+    for episode, _, week, conditions in exposures:
         stratum = spec.stratum_of(episode.dod)
         if stratum is None:
             continue
-        events = events_by_person.get(episode.person_id, ())
-        dod_day = episode.dod.toordinal()
-        hit = earliest_index_day(events, index_concepts, dod_day)
-        week = None if hit is None else gestational_week_of(hit, episode.start_date.toordinal(), dod_day).week
         peri = stratum is PandemicStratum.PERI
-        long_gestation = episode.gestation_days > SECOND_TRIMESTER_MAX_DAYS
-        t12 = week is not None and 1 <= week <= 27
-        t3 = week is not None and week >= 28
+        long_gestation = episode.gestation_days > SECOND_TRIMESTER_MAX_WEEK * 7
+        t12 = week is not None and 1 <= week <= SECOND_TRIMESTER_MAX_WEEK
+        t3 = week is not None and week > SECOND_TRIMESTER_MAX_WEEK
         # One flag per column, in COLUMN_LABELS order.
         flags = [
             stratum is PandemicStratum.PRE,
@@ -251,10 +261,7 @@ def stratified_table(
             if band is not None:
                 rows.append(age_rows[band])
             rows.append(race_rows[race_category_of(person)])
-        for name, yes in condition_yes.items():
-            concept_ids = condition_sets[name]
-            if any(concept_id in concept_ids and day <= dod_day for day, concept_id in events):
-                rows.append(yes)
+        rows.extend(condition_yes[name] for name in conditions)
         columns = [j for j, flag in enumerate(flags) if flag]
         for row in rows:
             for j in columns:

@@ -72,6 +72,8 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
             domains = {Domain.parse(d) for d in args.domains.split(",") if d.strip()}
         except ValueError as exc:
             raise ConfigError(f"--domains: {exc}") from None
+        if not domains:
+            raise ConfigError(f"--domains needs at least one domain, got {args.domains!r}")
     vocabulary = load_vocabulary(resolve_input_path(args.vocabulary))
     matches = phenotype_search(
         vocabulary,

@@ -56,17 +56,14 @@ class EventTable:
     total_rows: int = 0
     domain_mismatches: int = 0
 
-    def grouped_count(self) -> int:
-        return sum(len(evs) for evs in self.events_by_person.values())
 
-
-def load_persons(path: Path | str, today: date | None = None) -> dict[int, Person]:
+def load_persons(path: Path | str) -> dict[int, Person]:
     """Load the persons table keyed by person id.
 
     Identical duplicate rows collapse; conflicting duplicates fail. Birth
     dates must be `YYYY-MM-DD` and lie in [1900-01-01, today].
     """
-    today = today or date.today()
+    today = date.today()
     persons: dict[int, Person] = {}
     with table(path, PERSON_HEADER) as rows:
         for row in rows:
@@ -164,12 +161,6 @@ def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
 
 
 def write_events(path: Path | str, events: Iterable[ClinicalEvent]) -> None:
-    """Write an events table in canonical (person, date, concept) order."""
-    write_rows(
-        path,
-        EVENT_HEADER,
-        (
-            [e.person_id, e.concept_id, e.domain.value, e.event_date.isoformat()]
-            for e in sorted(events, key=lambda e: (e.person_id, e.event_date, e.concept_id))
-        ),
-    )
+    """Write an events table with its rows in the order given."""
+    iso = Memo(date.isoformat)
+    write_rows(path, EVENT_HEADER, ([e.person_id, e.concept_id, e.domain.value, iso[e.event_date]] for e in events))

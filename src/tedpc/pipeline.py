@@ -9,8 +9,9 @@ in person-id order, making output bytes independent of the thread count.
 
 Timeline and stats read their concept-id sets first and pass them to
 `load_events`, which still validates every event row but groups only the
-events of those concepts: the index set for timeline, the index set plus
-every condition set for stats.
+events of those concepts: the index set, plus every condition set for stats.
+Each episode's events are then walked once (`analytics.episode_exposures`);
+timeline's rows and stats' histogram and table all read from that walk.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .analytics import (
+    episode_exposures,
     infection_week_histogram,
     render_histogram_markdown,
     stratified_table,
@@ -214,16 +216,14 @@ def run_timeline(config: RunConfig) -> int:
     """
     config.validate()
     out = make_output_dir(config.out_dir)
-    episodes = read_episodes(config.episodes_path)
+    episodes = sorted(read_episodes(config.episodes_path), key=lambda e: (e.person_id, e.episode_index))
     index_concepts = read_concept_ids(config.index_events_path)
     table = load_events(config.events_path, concepts=index_concepts)
     day_text = Memo(iso_text)
     rows = []
-    for episode in sorted(episodes, key=lambda e: (e.person_id, e.episode_index)):
+    for episode, index_events, _, _ in episode_exposures(episodes, table.events_by_person, index_concepts, {}):
         start_day, dod_day = episode.start_date.toordinal(), episode.dod.toordinal()
-        for day, concept_id in table.events_by_person.get(episode.person_id, ()):
-            if concept_id not in index_concepts or day > dod_day:
-                continue
+        for day, concept_id in index_events:
             timing = gestational_week_of(day, start_day, dod_day)
             rows.append(
                 [
@@ -259,10 +259,9 @@ def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppres
     condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
     table = load_events(config.events_path, concepts=index_concepts.union(*condition_sets.values()))
 
-    histogram = infection_week_histogram(episodes, table.events_by_person, index_concepts)
-    report_table = stratified_table(
-        episodes, persons, table.events_by_person, index_concepts, condition_sets, strata
-    )
+    exposures = list(episode_exposures(episodes, table.events_by_person, index_concepts, condition_sets))
+    histogram = infection_week_histogram(exposures)
+    report_table = stratified_table(exposures, persons, condition_sets, strata)
 
     lines = [
         "# Episode statistics",

@@ -218,3 +218,43 @@ def table_reference(
         rows.append([name, "No"] + count(lambda ep: not has_condition(ep, concept_ids)))
         rows.append([name, "Yes"] + count(lambda ep: has_condition(ep, concept_ids)))
     return rows
+
+
+def _index_days(ep, events_by_person, index_concepts):
+    """(date, concept id) of every index event of the person dated on or before the delivery, sorted."""
+    return sorted(
+        (e.event_date, e.concept_id)
+        for e in events_by_person.get(ep.person_id, [])
+        if e.concept_id in index_concepts and e.event_date <= ep.dod
+    )
+
+
+def _week(ep, day):
+    return 0 if day < ep.start_date else (day - ep.start_date).days // 7 + 1
+
+
+def timeline_reference(episodes, events_by_person, index_concepts):
+    """Data rows of timing.csv, one per index event on or before each delivery.
+
+    episodes need person_id, episode_index, start_date, dod; events need
+    concept_id, event_date. Rows come in (person, episode index, date,
+    concept) order. Week 0 is "pre"; weeks 1-13 are "first", 14-27
+    "second" and later weeks "third".
+    """
+    rows = []
+    for ep in sorted(episodes, key=lambda ep: (ep.person_id, ep.episode_index)):
+        for day, concept_id in _index_days(ep, events_by_person, index_concepts):
+            week = _week(ep, day)
+            trimester = "pre" if week == 0 else "first" if week <= 13 else "second" if week <= 27 else "third"
+            rows.append([ep.person_id, ep.episode_index, concept_id, day.isoformat(), week, trimester])
+    return rows
+
+
+def histogram_reference(episodes, events_by_person, index_concepts, max_week=45):
+    """Episodes per week of their earliest index event on or before delivery; later weeks share the last."""
+    counts = {week: 0 for week in range(max_week + 1)}
+    for ep in episodes:
+        hits = _index_days(ep, events_by_person, index_concepts)
+        if hits:
+            counts[min(_week(ep, hits[0][0]), max_week)] += 1
+    return counts

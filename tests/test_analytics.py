@@ -1,14 +1,16 @@
+import csv
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from conftest import as_events
-from oracles import table_reference
+from oracles import histogram_reference, table_reference, timeline_reference
 from tedpc.analytics import (
     PandemicStratum,
     StrataSpec,
     age_band_of,
+    episode_exposures,
     infection_week_histogram,
     pandemic_stratum_of,
     race_category_of,
@@ -17,9 +19,11 @@ from tedpc.analytics import (
     suppress_small_cells,
 )
 from tedpc.concept_registry import AccuracyLevel, Domain
-from tedpc.episode_builder import PregnancyEpisode, extreme_flag_of
+from tedpc.episode_builder import PregnancyEpisode, extreme_flag_of, write_episodes
 from tedpc.errors import ConfigError
-from tedpc.ingestion import ClinicalEvent, Person
+from tedpc.config import RunConfig
+from tedpc.ingestion import ClinicalEvent, Person, load_events, write_events
+from tedpc.pipeline import run_timeline
 
 INDEX = 900000001
 
@@ -33,6 +37,20 @@ def episode(start, dod, person_id=1, index=1):
 
 def event_on(day, concept_id=INDEX):
     return (day.toordinal(), concept_id)
+
+
+def exposures_of(episodes, events_by_person, condition_sets):
+    """The walk over each person's events, sorted as load_events leaves them, with INDEX as the index concept."""
+    grouped = {person_id: sorted(events) for person_id, events in events_by_person.items()}
+    return episode_exposures(episodes, grouped, {INDEX}, condition_sets)
+
+
+def histogram(episodes, events_by_person):
+    return infection_week_histogram(exposures_of(episodes, events_by_person, {}))
+
+
+def table_of(episodes, persons, events_by_person, condition_sets):
+    return stratified_table(exposures_of(episodes, events_by_person, condition_sets), persons, condition_sets)
 
 
 class TestPandemicStratum:
@@ -99,12 +117,12 @@ class TestHistogram:
     def test_pre_pregnancy_event_goes_to_bucket_zero(self):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         events = {1: [event_on(date(2019, 12, 27))]}
-        counts = infection_week_histogram([ep], events, {INDEX})
+        counts = histogram([ep], events)
         assert counts[0] == 1 and sum(counts.values()) == 1
 
     def test_no_index_event_contributes_nothing(self):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        counts = infection_week_histogram([ep], {1: []}, {INDEX})
+        counts = histogram([ep], {1: []})
         assert sum(counts.values()) == 0
 
     def test_earliest_of_two_events_counts(self):
@@ -115,22 +133,39 @@ class TestHistogram:
                 event_on(date(2020, 1, 1) + timedelta(days=29 * 7)),  # week 30
             ]
         }
-        counts = infection_week_histogram([ep], events, {INDEX})
+        counts = histogram([ep], events)
         assert counts[10] == 1 and counts[30] == 0
 
     def test_event_after_delivery_ignored(self):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         events = {1: [event_on(date(2020, 10, 8))]}
-        assert sum(infection_week_histogram([ep], events, {INDEX}).values()) == 0
+        assert sum(histogram([ep], events).values()) == 0
 
-    def test_order_insensitive(self):
+    def test_walk_stops_at_first_event_after_delivery(self):
+        ep = episode(date(2020, 1, 1), date(2020, 10, 7))
+        # None cannot be unpacked as an event: reading past the first event after delivery fails.
+        events = {1: [event_on(date(2020, 3, 1)), event_on(date(2020, 10, 8)), None]}
+        [(_, index_events, week, _)] = episode_exposures([ep], events, {INDEX}, {})
+        assert index_events == [event_on(date(2020, 3, 1))] and week == 9
+
+    def test_order_insensitive(self, tmp_path):
+        # Through load_events, which sorts each person's events for the walk.
         rng = np.random.default_rng(5)
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        events = [event_on(date(2020, 1, 1) + timedelta(days=int(d))) for d in rng.integers(-30, 290, 8)]
-        baseline = infection_week_histogram([ep], {1: list(events)}, {INDEX})
+        events = [
+            ClinicalEvent(1, INDEX, Domain.CONDITION, date(2020, 1, 1) + timedelta(days=int(d)))
+            for d in rng.integers(-30, 290, 8)
+        ]
+
+        def loaded_histogram():
+            write_events(tmp_path / "e.csv", events)
+            grouped = load_events(tmp_path / "e.csv").events_by_person
+            return infection_week_histogram(episode_exposures([ep], grouped, {INDEX}, {}))
+
+        baseline = loaded_histogram()
         for _ in range(5):
             rng.shuffle(events)
-            assert infection_week_histogram([ep], {1: list(events)}, {INDEX}) == baseline
+            assert loaded_histogram() == baseline
 
     def test_total_equals_episodes_with_index_event(self):
         eps = [
@@ -139,7 +174,7 @@ class TestHistogram:
             episode(date(2020, 2, 1), date(2020, 11, 7), person_id=3),
         ]
         events = {1: [event_on(date(2019, 5, 1))], 2: []}
-        counts = infection_week_histogram(eps, events, {INDEX})
+        counts = histogram(eps, events)
         assert sum(counts.values()) == 1
 
     def test_render_masks_small_cells(self):
@@ -197,7 +232,7 @@ def build_cohort(n, with_condition_event, index_week=None):
 class TestStratifiedTable:
     def test_saturated_condition_is_full_yes(self):
         persons, events, episodes = build_cohort(30, with_condition_event=True)
-        table = stratified_table(episodes, persons, events, {INDEX}, {"Obesity": {777}})
+        table = table_of(episodes, persons, events, {"Obesity": {777}})
         columns = dict(zip(table.columns, table.column_totals))
         assert columns["Peri-pandemic (all)"] == 30
         section = dict(table.sections)["Obesity"]
@@ -206,7 +241,7 @@ class TestStratifiedTable:
         assert rows["Yes"][peri] == 30 and rows["No"][peri] == 0
 
     def test_empty_episode_list_fully_suppressed(self):
-        table = stratified_table([], {}, {}, {INDEX}, {"Obesity": {777}})
+        table = table_of([], {}, {}, {"Obesity": {777}})
         assert all(total == 0 for total in table.column_totals)
         rendered = table.render_markdown()
         assert "| 15-19 | - | - | - | - | - | - | - | - |" in rendered
@@ -216,7 +251,7 @@ class TestStratifiedTable:
         # give some persons the condition event
         for person_id in list(events)[:11]:
             events[person_id].append(event_on(date(2020, 7, 1), 777))
-        table = stratified_table(episodes, persons, events, {INDEX}, {"Obesity": {777}})
+        table = table_of(episodes, persons, events, {"Obesity": {777}})
         rows = dict(dict(table.sections)["Obesity"])
         for j in range(len(table.columns)):
             assert rows["Yes"][j] + rows["No"][j] == table.column_totals[j]
@@ -235,7 +270,7 @@ class TestStratifiedTable:
                     ep.ga_accuracy, ep.dod_domain_rank, ep.extreme_flag, ep.conflict_flag,
                 )
             )
-        table = stratified_table(episodes, persons, events, {INDEX}, {})
+        table = table_of(episodes, persons, events, {})
         by_label = dict(zip(table.columns, table.column_totals))
         assert by_label["Index in weeks 1-27: yes"] == 10
         assert by_label["Index in week 28+: yes"] == 7
@@ -243,7 +278,7 @@ class TestStratifiedTable:
 
     def test_suppression_hides_rendered_counts_not_raw(self):
         persons, events, episodes = build_cohort(5, with_condition_event=True)
-        table = stratified_table(episodes, persons, events, {INDEX}, {"Obesity": {777}})
+        table = table_of(episodes, persons, events, {"Obesity": {777}})
         rendered = table.render_markdown()
         assert "| Episodes (n) | - | - " in rendered
         raw = table.csv_rows()
@@ -251,7 +286,7 @@ class TestStratifiedTable:
 
     def test_percentages_use_unsuppressed_denominators(self):
         persons, events, episodes = build_cohort(40, with_condition_event=True)
-        table = stratified_table(episodes, persons, events, {INDEX}, {"Obesity": {777}})
+        table = table_of(episodes, persons, events, {"Obesity": {777}})
         rendered = table.render_markdown()
         assert "40 (100.0%)" in rendered
 
@@ -272,7 +307,7 @@ class TestStratifiedTable:
             events[next_id] = [event_on(start + timedelta(days=4 * 7))] if i < 9 else []
             episodes.append(episode(start, start + timedelta(days=280), person_id=next_id))
             next_id += 1
-        table = stratified_table(episodes, persons, events, {INDEX}, {})
+        table = table_of(episodes, persons, events, {})
         by_label = dict(zip(table.columns, table.column_totals))
         assert by_label["Pre-pandemic (all)"] == 12
         assert by_label["Peri-pandemic (all)"] == 23
@@ -324,7 +359,8 @@ class TestTableOracle:
                 windows = {"cutoff": date.fromordinal(date(2019, 1, 1).toordinal() + int(rng.integers(0, 900)))}
                 spec = StrataSpec(**windows)
             grouped = {person_id: as_events(person_events) for person_id, person_events in events.items()}
-            table = stratified_table(episodes, persons, grouped, {INDEX, INDEX + 1}, self.CONDITIONS, spec)
+            exposures = episode_exposures(episodes, grouped, {INDEX, INDEX + 1}, self.CONDITIONS)
+            table = stratified_table(exposures, persons, self.CONDITIONS, spec)
             expected = table_reference(
                 episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, **windows
             )
@@ -347,3 +383,43 @@ class TestTableOracle:
             "missing person", "age outside bands", "ethnicity overrides race",
             "dropped by windows", "event after delivery",
         }
+
+    def test_timeline_and_histogram_match_brute_force(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        index_concepts = {INDEX, INDEX + 1}
+        (tmp_path / "index.csv").write_text(f"concept_id\n{INDEX}\n{INDEX + 1}\n")
+        config = RunConfig(
+            events_path=tmp_path / "e.csv",
+            episodes_path=tmp_path / "episodes.csv",
+            index_events_path=tmp_path / "index.csv",
+            out_dir=tmp_path / "out",
+        )
+        seen = set()
+        for _ in range(150):
+            _, events, episodes = self.random_instance(rng)
+            for ep in episodes:
+                if rng.random() < 0.2:
+                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, ep.dod))
+            write_events(config.events_path, [e for person_events in events.values() for e in person_events])
+            write_episodes(config.episodes_path, episodes)
+            rows = run_timeline(config)
+            with open(config.out_dir / "timing.csv", newline="", encoding="utf-8") as fh:
+                written = [[int(r[0]), int(r[1]), int(r[2]), r[3], int(r[4]), r[5]] for r in list(csv.reader(fh))[1:]]
+            assert rows == len(written)
+            assert written == timeline_reference(episodes, events, index_concepts)
+            grouped = {person_id: as_events(person_events) for person_id, person_events in events.items()}
+            exposures = episode_exposures(episodes, grouped, index_concepts, {})
+            assert infection_week_histogram(exposures) == histogram_reference(episodes, events, index_concepts)
+            for ep in episodes:
+                person_events = events[ep.person_id]
+                if not person_events:
+                    seen.add("person with no events")
+                for e in person_events:
+                    if e.concept_id in index_concepts:
+                        if e.event_date < ep.start_date:
+                            seen.add("index before start")
+                        elif e.event_date == ep.dod:
+                            seen.add("index on delivery day")
+                        elif e.event_date > ep.dod:
+                            seen.add("index after delivery")
+        assert seen == {"person with no events", "index before start", "index on delivery day", "index after delivery"}

@@ -282,7 +282,9 @@ class TestPhenotype:
         assert main(["phenotype", "--vocabulary", str(tmp_path / "none.csv")]) == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--keywords", ","), ("--domains", "Condition,foo")], ids=["no-keyword", "unknown-domain"]
+        "flag, value",
+        [("--keywords", ","), ("--domains", "Condition,foo"), ("--domains", ",")],
+        ids=["no-keyword", "unknown-domain", "no-domain"],
     )
     def test_bad_filter_flag_exit_3_naming_flag(self, tmp_path, capsys, flag, value):
         vocab = tmp_path / "vocab.csv"
@@ -290,6 +292,12 @@ class TestPhenotype:
         assert main(["phenotype", "--vocabulary", str(vocab), flag, value]) == 3
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_empty_domains_means_no_filter(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.csv"
+        vocab.write_text("concept_id,name,domain,standard,valid\n1,gestation,Condition,true,true\n")
+        assert main(["phenotype", "--vocabulary", str(vocab), "--domains", ""]) == 0
+        assert "1,gestation,Condition,true,true" in capsys.readouterr().out
 
 
 class TestTimelineAndStats:

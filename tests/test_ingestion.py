@@ -1,4 +1,4 @@
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
@@ -44,6 +44,14 @@ class TestLoadPersons:
         with pytest.raises(DataFormatError, match="birth_date"):
             load_persons(path)
 
+    def test_birth_date_bound_is_today(self, tmp_path):
+        today = date.today()
+        path = write(tmp_path / "p.csv", PERSON_HEADER + f"1,{today.isoformat()},F,White,x\n")
+        assert load_persons(path)[1].birth_date == today
+        path = write(tmp_path / "p.csv", PERSON_HEADER + f"1,{(today + timedelta(days=1)).isoformat()},F,White,x\n")
+        with pytest.raises(DataFormatError, match=r"p.csv:2: birth_date"):
+            load_persons(path)
+
     def test_bad_header_fails(self, tmp_path):
         path = write(tmp_path / "p.csv", "person,dob\n1,1990-01-01\n")
         with pytest.raises(DataFormatError, match="bad header"):
@@ -81,7 +89,7 @@ class TestLoadEvents:
             + "3,400,Condition,2020-01-03\n",
         )
         table = load_events(path, known_persons={1, 3})
-        assert table.grouped_count() + len(table.quarantined) == table.total_rows == 3
+        assert sum(len(v) for v in table.events_by_person.values()) + len(table.quarantined) == table.total_rows == 3
 
     def test_unparseable_row_names_line(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,2020-01-01\n1,xx,Condition,2020-01-01\n")
@@ -114,7 +122,7 @@ class TestLoadEvents:
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,444098,Observation,2020-01-01\n")
         table = load_events(path, ga_registry=ga_registry)
         assert table.domain_mismatches == 1
-        assert table.grouped_count() == 1
+        assert sum(len(v) for v in table.events_by_person.values()) == 1
 
     def test_reload_is_deterministic(self, tmp_path):
         path = write(

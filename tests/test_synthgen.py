@@ -150,6 +150,19 @@ class TestNoise:
         assert noisy.persons == clean.persons
         assert [t[:4] for t in noisy.truth] == [t[:4] for t in clean.truth]
 
+    def test_noisy_events_come_in_write_order(self, ga_registry, dod_registry):
+        # write_events keeps the order it is given, so events.csv rows are in
+        # (person, date, concept) order only if the generator emits them so.
+        noise = NoiseSpec(
+            drop_ga_rate=0.3, conflict_ga_rate=0.5, shift_rate=0.5, drop_dod_rate=0.3, pre_pregnancy_index_rate=0.5
+        )
+        config = SynthConfig(seed=23, n_persons=60, index_event_rate=0.8, noise=noise)
+        cohort = generate_cohort(config, ga_registry, dod_registry)
+        keys = [(e.person_id, e.event_date, e.concept_id) for e in cohort.events]
+        assert len({e.person_id for e in cohort.events}) == 60
+        assert {entry.channel for entry in cohort.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        assert keys == sorted(keys)
+
     def test_drop_all_ga_events_leaves_no_episodes(self, ga_registry, dod_registry):
         config = SynthConfig(seed=11, n_persons=25, noise=NoiseSpec(drop_ga_rate=1.0))
         cohort = generate_cohort(config, ga_registry, dod_registry)
