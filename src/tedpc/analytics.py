@@ -165,16 +165,16 @@ def race_category_of(person: Person) -> str:
     return _RACE_SYNONYMS.get(person.race.strip().lower(), "Other/unknown")
 
 
-# Column keys: totals per stratum, then index-event exposure splits.
+# Column labels: totals per stratum, then index-event exposure splits.
 COLUMN_LABELS = [
-    ("pre_total", "Pre-pandemic (all)"),
-    ("peri_total", "Peri-pandemic (all)"),
-    ("index_no", "Index before delivery: no"),
-    ("index_yes", "Index before delivery: yes"),
-    ("t12_no", "Index in weeks 1-27: no"),
-    ("t12_yes", "Index in weeks 1-27: yes"),
-    ("t3_no", "Index in week 28+: no"),
-    ("t3_yes", "Index in week 28+: yes"),
+    "Pre-pandemic (all)",
+    "Peri-pandemic (all)",
+    "Index before delivery: no",
+    "Index before delivery: yes",
+    "Index in weeks 1-27: no",
+    "Index in weeks 1-27: yes",
+    "Index in week 28+: no",
+    "Index in week 28+: yes",
 ]
 
 
@@ -276,7 +276,7 @@ def stratified_table(
         sections.append((name, [("No", no), ("Yes", yes)]))
 
     return StratifiedTable(
-        columns=[label for _, label in COLUMN_LABELS],
+        columns=list(COLUMN_LABELS),
         column_totals=column_totals,
         sections=sections,
         threshold=spec.threshold,

@@ -268,12 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A command holds the rows it reads until it ends, and they form no
-    # reference cycles, so the cyclic collector would only rescan the growing
-    # tables: about a tenth of `infer`, freeing nothing (`gc.collect()` after a
+    # The rows a command reads and the results it builds form no reference
+    # cycles, so the cyclic collector would only rescan the growing tables:
+    # about a tenth of `infer`, freeing nothing (`gc.collect()` after a
     # command frees the same ~450 objects at 8k and at 100k persons).
-    # Reference counting still frees everything else. The previous state
-    # comes back, so an in-process caller keeps its own collector.
+    # Reference counting frees everything else, as soon as it is unused:
+    # `infer` lets go of each person's events once that person is done. The
+    # previous state comes back, so an in-process caller keeps its own
+    # collector.
     collecting = gc.isenabled()
     gc.disable()
     try:

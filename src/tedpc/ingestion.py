@@ -65,9 +65,13 @@ def load_persons(path: Path | str) -> dict[int, Person]:
     """
     today = date.today()
     persons: dict[int, Person] = {}
+    # Birth dates and the sex, race and ethnicity texts repeat across rows:
+    # each distinct value is held once.
+    birth_dates = Memo(iso_date)
+    texts = Memo(str)
     with table(path, PERSON_HEADER) as rows:
         for row in rows:
-            person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
+            person = Person(int(row[0]), birth_dates[row[1]], texts[row[2]], texts[row[3]], texts[row[4]])
             if not (MIN_EVENT_DATE <= person.birth_date <= today):
                 raise ValueError(
                     f"birth_date {person.birth_date.isoformat()} outside "
@@ -113,15 +117,16 @@ def load_events(
     quarantined: list[ClinicalEvent] = []
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
-    # Dates and domains repeat across rows: each distinct text is parsed and
-    # checked once.
+    # Concept ids, dates and domains repeat across rows: each distinct text is
+    # parsed and checked once, and its value is held once.
+    concept_ids = Memo(int)
     days = Memo(_event_day)
     domains = Memo(Domain.parse)
     total = 0
     with table(path, EVENT_HEADER) as rows:
         for row in rows:
             total += 1
-            person_id, concept_id = int(row[0]), int(row[1])
+            person_id, concept_id = int(row[0]), concept_ids[row[1]]
             domain, day = domains[row[2]], days[row[3]]
             if known is not None and person_id not in known:
                 quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))

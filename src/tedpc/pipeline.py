@@ -3,9 +3,12 @@
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
-Inference runs per person and persons are independent, so the person loop
-can fan out across a thread pool; results are always collected and written
-in person-id order, making output bytes independent of the thread count.
+Inference runs per person, and persons are independent. The calling thread
+pops each person's events off the table as it hands them on, so no pool
+thread ever touches the table and a person's events are freed once used.
+With `threads` above 1 the person loop fans out across a thread pool.
+Either way, results are consumed in person-id order as they are produced,
+so output bytes do not depend on the thread count.
 
 Timeline and stats read their concept-id sets first and pass them to
 `load_events`, which still validates every event row but groups only the
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .analytics import (
@@ -48,7 +52,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, load_events, load_persons
+from .ingestion import EVENT_HEADER, Event, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -91,8 +95,7 @@ def run_infer(config: RunConfig) -> dict:
     ga_table = candidate_table(ga_registry)
     dod_ranks = rank_table(dod_registry)
 
-    def infer_person(person_id: int) -> _PersonResult:
-        events = table.events_by_person[person_id]
+    def infer_person(person_id: int, events: list[Event]) -> _PersonResult:
         starts = infer_gestation_starts(
             person_id,
             build_candidates(events, ga_table),
@@ -105,26 +108,25 @@ def run_infer(config: RunConfig) -> dict:
         )
         return starts, records, episodes, diagnostics
 
-    person_ids = sorted(table.events_by_person)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(infer_person, person_ids))
-    else:
-        results = [infer_person(pid) for pid in person_ids]
-
+    by_person = table.events_by_person
+    person_ids = sorted(by_person)
+    # Runs in the calling thread: `map` pulls it lazily, `Executor.map` submits eagerly.
+    person_events = (by_person.pop(pid) for pid in person_ids)
     all_starts: list[GestationStart] = []
     all_records: list[DeliveryRecord] = []
     episodes: list[PregnancyEpisode] = []
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
-    for person_id, (starts, records, person_episodes, diagnostics) in zip(person_ids, results):
-        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
-        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
-        all_starts.extend(starts)
-        all_records.extend(records)
-        episodes.extend(person_episodes)
-        unmatched_starts.extend(diagnostics.unmatched_starts)
-        unmatched_dods.extend(diagnostics.unmatched_dods)
+    with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
+        results = (map if pool is None else pool.map)(infer_person, person_ids, person_events)
+        for person_id, (starts, records, person_episodes, diagnostics) in zip(person_ids, results):
+            _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
+            _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
+            all_starts.extend(starts)
+            all_records.extend(records)
+            episodes.extend(person_episodes)
+            unmatched_starts.extend(diagnostics.unmatched_starts)
+            unmatched_dods.extend(diagnostics.unmatched_dods)
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
     if config.apply_filters:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tedpc
+from tedpc import pipeline
 from tedpc.cli import EXIT_BROKEN_PIPE, main
 from tedpc.config import MAX_THREADS, RunConfig
 from tedpc.episode_builder import EPISODE_HEADER
@@ -100,6 +101,26 @@ class TestInfer:
         assert run_infer(sim_dir, tmp_path / "t4", "--threads", "4") == 0
         for name in ("episodes.csv", "summary.json"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+
+    def test_every_persons_events_are_consumed(self, sim_dir, tmp_path, monkeypatch):
+        tables = []
+        load_events = pipeline.load_events
+
+        def capture(*args, **kwargs):
+            tables.append(load_events(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(pipeline, "load_events", capture)
+        for threads in ("1", "4"):
+            assert run_infer(sim_dir, tmp_path / f"t{threads}", "--threads", threads, "--emit-cohorts") == 0
+        assert len(tables) == 2
+        for table in tables:
+            assert table.total_rows > 0
+            assert table.events_by_person == {}
+        names = sorted(path.name for path in (tmp_path / "t1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "t4").iterdir())
+        for name in names:
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
 
     def test_emit_cohorts_writes_debug_tables(self, sim_dir, tmp_path):
         assert run_infer(sim_dir, tmp_path / "run", "--emit-cohorts") == 0

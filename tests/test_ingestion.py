@@ -57,6 +57,26 @@ class TestLoadPersons:
         with pytest.raises(DataFormatError, match="bad header"):
             load_persons(path)
 
+    def test_repeated_values_are_shared(self, tmp_path):
+        rows = [
+            f"{pid},{birth},{sex},{race},Not Hispanic or Latino\n"
+            for pid, (birth, sex, race) in enumerate(
+                [
+                    ("1990-05-01", "Female", "White"),
+                    ("1991-06-02", "Female", "Asian"),
+                    ("1990-05-01", "Male", "White"),
+                    ("1991-06-02", "Male", "Asian"),
+                    ("1990-05-01", "Female", "Asian"),
+                ],
+                start=1,
+            )
+        ]
+        persons = load_persons(write(tmp_path / "p.csv", PERSON_HEADER + "".join(rows))).values()
+        # One object per distinct value: as many ids as values.
+        for field in ("birth_date", "sex", "race", "ethnicity"):
+            values = [getattr(p, field) for p in persons]
+            assert len({id(v) for v in values}) == len(set(values)), field
+
 
 class TestLoadEvents:
     def test_sorted_by_date_then_concept(self, tmp_path):
@@ -123,6 +143,14 @@ class TestLoadEvents:
         table = load_events(path, ga_registry=ga_registry)
         assert table.domain_mismatches == 1
         assert sum(len(v) for v in table.events_by_person.values()) == 1
+
+    def test_repeated_concept_id_is_one_object(self, tmp_path):
+        # Above the interpreter's small-int cache, so only a memo makes them one object.
+        rows = "".join(f"{pid},4128331,Condition,2020-01-0{day}\n" for pid in (1, 2) for day in (1, 2, 3))
+        table = load_events(write(tmp_path / "e.csv", EVENT_HEADER + rows))
+        concept_ids = [concept_id for events in table.events_by_person.values() for _, concept_id in events]
+        assert len(concept_ids) == 6
+        assert all(concept_id is concept_ids[0] for concept_id in concept_ids)
 
     def test_reload_is_deterministic(self, tmp_path):
         path = write(
