@@ -134,17 +134,17 @@ def episode_exposures(
         yield episode, index_events, week, conditions
 
 
-def infection_week_histogram(exposures: Iterable[Exposure], max_week: int = MAX_HISTOGRAM_WEEK) -> dict[int, int]:
+def infection_week_histogram(exposures: Iterable[Exposure]) -> dict[int, int]:
     """Count episodes by the gestational week of their earliest index event.
 
     Week 0 is pre-pregnancy; only events on or before the delivery count, and
-    each episode contributes at most once. Weeks past max_week collapse into
-    the final bucket.
+    each episode contributes at most once. Weeks past MAX_HISTOGRAM_WEEK
+    collapse into the final bucket.
     """
-    counts = {week: 0 for week in range(max_week + 1)}
+    counts = {week: 0 for week in range(MAX_HISTOGRAM_WEEK + 1)}
     for _, _, week, _ in exposures:
         if week is not None:
-            counts[min(week, max_week)] += 1
+            counts[min(week, MAX_HISTOGRAM_WEEK)] += 1
     return counts
 
 

@@ -99,6 +99,9 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
 
 
 def _cmd_infer(args: argparse.Namespace) -> None:
+    # `infer` is single-threaded; --threads 1 is accepted, and ignored, for existing scripts.
+    if args.threads not in (None, 1):
+        raise ConfigError(f"--threads accepts only 1 (infer is single-threaded), got {args.threads}")
     config = _load_run_config(args)
     for name in ("persons_path", "events_path"):
         if getattr(config, name) is None:
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", dest="window_days", type=int)
     p.add_argument("--match-min", dest="match_min_days", type=int)
     p.add_argument("--match-max", dest="match_max_days", type=int)
-    p.add_argument("--threads", dest="threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted only as 1, for existing scripts")
     p.add_argument("--emit-cohorts", dest="emit_cohorts", action="store_const", const=True, default=None)
     p.add_argument(
         "--no-cohort-filters",

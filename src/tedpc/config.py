@@ -37,9 +37,6 @@ _PATH_FIELDS = {
 
 _JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
 
-# More inference threads than this only add GIL contention.
-MAX_THREADS = 64
-
 
 def resolve_input_path(path: Path | str | None) -> Path | None:
     """Resolve an input path, falling back to $TEDPC_DATA_DIR for relative names."""
@@ -81,7 +78,6 @@ class RunConfig:
     max_age: int = MAX_AGE_AT_DELIVERY
     apply_filters: bool = True
     emit_cohorts: bool = False
-    threads: int = 1
 
     def validate(self) -> None:
         positive = {
@@ -89,13 +85,10 @@ class RunConfig:
             "match_min_days": self.match_min_days,
             "match_max_days": self.match_max_days,
             "conflict_days": self.conflict_days,
-            "threads": self.threads,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.threads > MAX_THREADS:
-            raise ConfigError(f"threads must be at most {MAX_THREADS}, got {self.threads}")
         if self.match_min_days >= self.match_max_days:
             raise ConfigError(
                 f"match bounds must satisfy min < max, got [{self.match_min_days}, {self.match_max_days}]"

@@ -73,8 +73,16 @@ class Memo(dict):
 
 @contextmanager
 def open_text(path: Path | str, error: type[TedpcError] = DataFormatError) -> Iterator[TextIO]:
-    """Open an input as UTF-8 behind an optional BOM; a byte that is not UTF-8 raises `error` naming the file."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    """Open an input as UTF-8 behind an optional BOM; a byte that is not UTF-8 raises `error` naming the file.
+
+    A path that names a directory is a bad input path, like a missing file, so it raises
+    DataFormatError whatever `error` is.
+    """
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except IsADirectoryError:
+        raise DataFormatError(f"{path}: is a directory, expected a file") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

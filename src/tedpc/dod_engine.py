@@ -49,7 +49,7 @@ def infer_delivery_dates(
     )
     days = [-p[1] for p in pool]
     results = []
-    for i, members in anchor_and_absorb(days, range(len(pool)), window_days):
+    for i, members in anchor_and_absorb(days, window_days):
         rank, _, concept_id = pool[i]
         results.append(DeliveryRecord(person_id, days[i], concept_id, rank, len(members)))
     results.sort(key=lambda r: r.dod_day, reverse=True)

@@ -46,7 +46,6 @@ class Trimester(str, Enum):
     FIRST = "first"
     SECOND = "second"
     THIRD = "third"
-    POST_DELIVERY = "post_delivery"
 
 
 class ExtremeFlag(str, Enum):
@@ -203,17 +202,14 @@ def trimester_of(week: int) -> Trimester:
     return Trimester.THIRD
 
 
-def gestational_week_of(day: int, start_day: int, dod_day: int) -> GestationalTiming:
-    """Map an event day onto an episode's gestational timeline; all three are day ordinals.
+def gestational_week_of(day: int, start_day: int) -> GestationalTiming:
+    """Map an event day, on or before the delivery, onto an episode's timeline; both are day ordinals.
 
-    Days before the start are week 0 (pre-pregnancy); days after the
-    delivery keep their computed week but are marked post-delivery.
+    Days before the start are week 0 (pre-pregnancy).
     """
     if day < start_day:
         return GestationalTiming(0, Trimester.PRE)
     week = week_of(start_day, day)
-    if day > dod_day:
-        return GestationalTiming(week, Trimester.POST_DELIVERY)
     return GestationalTiming(week, trimester_of(week))
 
 

@@ -147,8 +147,6 @@ class RoundTripReport:
 def round_trip_score(
     truth: Iterable,  # synthgen.TruthRecord
     episodes: Iterable[PregnancyEpisode],
-    start_window_days: int = 7,
-    dod_window_days: int = 1,
 ) -> RoundTripReport:
     """Score inferred episodes against generator ground truth."""
     truth_by_person: dict[int, list] = {}
@@ -171,9 +169,9 @@ def round_trip_score(
             start_delta = abs((episode.start_date - record.true_start).days)
             dod_delta = abs((episode.dod - record.true_dod).days)
             exact_start += start_delta == 0
-            start_close += start_delta <= start_window_days
+            start_close += start_delta <= 7
             exact_dod += dod_delta == 0
-            dod_close += dod_delta <= dod_window_days
+            dod_close += dod_delta <= 1
     persons = len(truth_by_person)
 
     def rate(hits: int, total: int) -> float:

@@ -61,20 +61,18 @@ def build_candidates(events: Iterable[tuple[int, int]], table: dict[int, tuple[i
     ]
 
 
-def anchor_and_absorb(
-    positions: list[int], order: Iterable[int], window_days: int
-) -> list[tuple[int, list[int]]]:
+def anchor_and_absorb(positions: list[int], window_days: int) -> list[tuple[int, list[int]]]:
     """Greedy clustering shared by the start and delivery engines.
 
-    Walks `order` (indices into `positions`, best first). Each index not yet
-    absorbed becomes an anchor and absorbs every remaining index whose
-    position lies within ±window_days (inclusive) of its own, itself
-    included. Returns (anchor, members) pairs in anchor order, members in
-    index order.
+    Walks `positions` in index order, which is anchor order: best first.
+    Each index not yet absorbed becomes an anchor and absorbs every remaining
+    index whose position lies within ±window_days (inclusive) of its own,
+    itself included. Returns (anchor, members) pairs in anchor order, members
+    in index order.
     """
     alive = bytearray([1]) * len(positions)
     clusters = []
-    for i in order:
+    for i in range(len(positions)):
         if not alive[i]:
             continue
         anchor = positions[i]
@@ -106,7 +104,7 @@ def infer_gestation_starts(
     pool = sorted(candidates)
     starts = [c[3] for c in pool]
     results = []
-    for i, members in anchor_and_absorb(starts, range(len(pool)), window_days):
+    for i, members in anchor_and_absorb(starts, window_days):
         accuracy, day, concept_id, start = pool[i]
         conflict = any(pool[j][0] == _HIGH and abs(starts[j] - start) > conflict_days for j in members)
         results.append(

@@ -3,12 +3,9 @@
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
-Inference runs per person, and persons are independent. The calling thread
-pops each person's events off the table as it hands them on, so no pool
-thread ever touches the table and a person's events are freed once used.
-With `threads` above 1 the person loop fans out across a thread pool.
-Either way, results are consumed in person-id order as they are produced,
-so output bytes do not depend on the thread count.
+Inference is one loop over the persons in id order, in one thread. Each
+person's events are popped off the table as the loop reaches them, so they
+are freed once that person is done.
 
 Timeline and stats read their concept-id sets first and pass them to
 `load_events`, which still validates every event row but groups only the
@@ -21,8 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 
 from .analytics import (
@@ -42,7 +37,6 @@ from .config import RunConfig
 from .csvio import Memo, iso_text, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
-    MatchDiagnostics,
     PregnancyEpisode,
     apply_cohort_filters,
     gestational_week_of,
@@ -52,11 +46,9 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, Event, load_events, load_persons
+from .ingestion import EVENT_HEADER, load_events, load_persons
 
 logger = logging.getLogger(__name__)
-
-_PersonResult = tuple[list[GestationStart], list[DeliveryRecord], list[PregnancyEpisode], MatchDiagnostics]
 
 
 def _check_separation(days: list[int], window_days: int, kind: str, person_id: int) -> None:
@@ -82,9 +74,7 @@ def make_output_dir(path: Path | str) -> Path:
 def run_infer(config: RunConfig) -> dict:
     """Run ingestion, both engines, and episode consolidation; write outputs.
 
-    Returns the summary that is also written to summary.json. The summary
-    deliberately excludes runtime settings such as the thread count so reruns
-    are byte-identical.
+    Returns the summary that is also written to summary.json.
     """
     config.validate()
     out = make_output_dir(config.out_dir)
@@ -95,7 +85,14 @@ def run_infer(config: RunConfig) -> dict:
     ga_table = candidate_table(ga_registry)
     dod_ranks = rank_table(dod_registry)
 
-    def infer_person(person_id: int, events: list[Event]) -> _PersonResult:
+    by_person = table.events_by_person
+    all_starts: list[GestationStart] = []
+    all_records: list[DeliveryRecord] = []
+    episodes: list[PregnancyEpisode] = []
+    unmatched_starts: list[GestationStart] = []
+    unmatched_dods: list[DeliveryRecord] = []
+    for person_id in sorted(by_person):
+        events = by_person.pop(person_id)
         starts = infer_gestation_starts(
             person_id,
             build_candidates(events, ga_table),
@@ -103,30 +100,16 @@ def run_infer(config: RunConfig) -> dict:
             conflict_days=config.conflict_days,
         )
         records = infer_delivery_dates(person_id, events, dod_ranks, window_days=config.window_days)
-        episodes, diagnostics = match_episodes(
+        person_episodes, diagnostics = match_episodes(
             starts, records, min_days=config.match_min_days, max_days=config.match_max_days
         )
-        return starts, records, episodes, diagnostics
-
-    by_person = table.events_by_person
-    person_ids = sorted(by_person)
-    # Runs in the calling thread: `map` pulls it lazily, `Executor.map` submits eagerly.
-    person_events = (by_person.pop(pid) for pid in person_ids)
-    all_starts: list[GestationStart] = []
-    all_records: list[DeliveryRecord] = []
-    episodes: list[PregnancyEpisode] = []
-    unmatched_starts: list[GestationStart] = []
-    unmatched_dods: list[DeliveryRecord] = []
-    with ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        results = (map if pool is None else pool.map)(infer_person, person_ids, person_events)
-        for person_id, (starts, records, person_episodes, diagnostics) in zip(person_ids, results):
-            _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
-            _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
-            all_starts.extend(starts)
-            all_records.extend(records)
-            episodes.extend(person_episodes)
-            unmatched_starts.extend(diagnostics.unmatched_starts)
-            unmatched_dods.extend(diagnostics.unmatched_dods)
+        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
+        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
+        all_starts.extend(starts)
+        all_records.extend(records)
+        episodes.extend(person_episodes)
+        unmatched_starts.extend(diagnostics.unmatched_starts)
+        unmatched_dods.extend(diagnostics.unmatched_dods)
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
     if config.apply_filters:
@@ -224,9 +207,9 @@ def run_timeline(config: RunConfig) -> int:
     day_text = Memo(iso_text)
     rows = []
     for episode, index_events, _, _ in episode_exposures(episodes, table.events_by_person, index_concepts, {}):
-        start_day, dod_day = episode.start_date.toordinal(), episode.dod.toordinal()
+        start_day = episode.start_date.toordinal()
         for day, concept_id in index_events:
-            timing = gestational_week_of(day, start_day, dod_day)
+            timing = gestational_week_of(day, start_day)
             rows.append(
                 [
                     episode.person_id,

@@ -44,7 +44,12 @@ MAX_PERSON_ID = 2**32 - 1
 
 MIN_GAP_DAYS = SEPARATION_WINDOW_DAYS + 1
 
-DEFAULT_VISIT_WEEKS = (8, 12, 16, 20, 24, 28, 32, 36, 38, 40)
+# Gestation lengths are drawn from a normal law, rounded and clamped to [low, high] days.
+GESTATION_MEAN_DAYS = 274.0
+GESTATION_SD_DAYS = 12.0
+GESTATION_CLAMP_DAYS = (100, 320)
+# Weeks at which high-accuracy GA events may be recorded.
+VISIT_WEEKS = (8, 12, 16, 20, 24, 28, 32, 36, 38, 40)
 DEFAULT_INDEX_CONCEPT_ID = 900000001
 
 _RACE_PROBS = (
@@ -91,9 +96,6 @@ class SynthConfig:
     seed: int = 0
     n_persons: int = 100
     gestation_count_probs: tuple[float, float, float] = (0.90, 0.09, 0.01)
-    gestation_mean_days: float = 274.0
-    gestation_sd_days: float = 12.0
-    gestation_clamp_days: tuple[int, int] = (100, 320)
     ga_events_per_gestation: dict[AccuracyLevel, int] = field(
         default_factory=lambda: {
             AccuracyLevel.HIGH: 3,
@@ -106,7 +108,6 @@ class SynthConfig:
     index_event_rate: float = 0.3
     index_concept_id: int = DEFAULT_INDEX_CONCEPT_ID
     window: tuple[date, date] = COHORT_WINDOW
-    visit_weeks: tuple[int, ...] = DEFAULT_VISIT_WEEKS
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def validate(self) -> None:
@@ -119,9 +120,6 @@ class SynthConfig:
             raise ConfigError(f"gestation_count_probs must be three weights in [0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError("gestation_count_probs must sum to 1")
-        lo, hi = self.gestation_clamp_days
-        if not 0 < lo <= hi:
-            raise ConfigError("gestation_clamp_days must satisfy 0 < low <= high")
         if self.window[0] > self.window[1]:
             raise ConfigError("window start must not be after window end")
         if not 0.0 <= self.index_event_rate <= 1.0:
@@ -222,12 +220,13 @@ def _plan_gestations(
     """
     window_start, window_end = config.window
     window_len = (window_end - window_start).days
-    lo, hi = config.gestation_clamp_days
+    lo, hi = GESTATION_CLAMP_DAYS
     n_gestations = rng.choices((1, 2, 3), cum_weights=count_weights)[0]
-    mean, sd = config.gestation_mean_days, config.gestation_sd_days
     lengths = None
     for _ in range(100):
-        draw = [min(max(round(rng.gauss(mean, sd)), lo), hi) for _ in range(n_gestations)]
+        draw = [
+            min(max(round(rng.gauss(GESTATION_MEAN_DAYS, GESTATION_SD_DAYS)), lo), hi) for _ in range(n_gestations)
+        ]
         if sum(MIN_GAP_DAYS + g for g in draw[1:]) <= window_len:
             lengths = draw
             break
@@ -321,7 +320,7 @@ def generate_cohort(
         person_events: list[ClinicalEvent] = []
         for start, dod, gestation_days in triples:
             max_week = gestation_days // 7
-            schedule = [w for w in config.visit_weeks if w <= max_week and w in high_by_week]
+            schedule = [w for w in VISIT_WEEKS if w <= max_week and w in high_by_week]
             n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
             if schedule and n_high:
                 for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The throughput criterion
 (9) generates a 100,000-person cohort and is the slow part of the suite.
 """
 
+import random
 import time
 from collections import Counter
 from datetime import date
@@ -173,44 +174,52 @@ def test_6_noise_robustness(ga_registry, dod_registry, ga_table):
 def test_7_determinism(tmp_path):
     sim = tmp_path / "sim"
     assert main(["simulate", "--out", str(sim), "--seed", "77", "--n-persons", "60"]) == 0
+    # The same cohort with its persons.csv and events.csv data rows in another order.
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    rng = random.Random(77)
+    for name in ("persons.csv", "events.csv"):
+        header, *rows = (sim / name).read_text().splitlines()
+        rng.shuffle(rows)
+        (shuffled / name).write_text("\n".join([header, *rows]) + "\n")
 
-    def infer(out_dir, threads):
+    def infer(inputs, out_dir):
         code = main(
             [
                 "infer",
-                "--persons", str(sim / "persons.csv"),
-                "--events", str(sim / "events.csv"),
+                "--persons", str(inputs / "persons.csv"),
+                "--events", str(inputs / "events.csv"),
                 "--out", str(out_dir),
                 "--match-min", "100",
                 "--match-max", "320",
-                "--threads", str(threads),
                 "--emit-cohorts",
             ]
         )
         assert code == 0
 
-    infer(tmp_path / "a", 1)
-    infer(tmp_path / "b", 1)
-    infer(tmp_path / "c", 4)
+    infer(sim, tmp_path / "a")
+    infer(sim, tmp_path / "b")
+    infer(shuffled, tmp_path / "c")
     names = [
         "episodes.csv", "summary.json", "unmatched_starts.csv", "unmatched_dods.csv",
         "quarantine.csv", "excluded_episodes.csv", "ga_cohort.csv", "dod_cohort.csv",
     ]
+    assert sorted(path.name for path in (tmp_path / "a").iterdir()) == sorted(names)
     for name in names:
         reference = (tmp_path / "a" / name).read_bytes()
         assert (tmp_path / "b" / name).read_bytes() == reference, f"{name} differs across reruns"
-        assert (tmp_path / "c" / name).read_bytes() == reference, f"{name} differs across thread counts"
-    print("ACCEPTANCE 7 determinism: PASS (rerun and threads 1 vs 4 byte-identical)")
+        assert (tmp_path / "c" / name).read_bytes() == reference, f"{name} differs under shuffled input rows"
+    print("ACCEPTANCE 7 determinism: PASS (rerun and row-shuffled inputs byte-identical)")
 
 
 def test_8_boundary_behavior():
     start, dod = date(2020, 1, 1).toordinal(), date(2020, 10, 7).toordinal()
-    assert gestational_week_of(start, start, dod).week == 1
-    assert gestational_week_of(start, start, dod).trimester is Trimester.FIRST
-    assert gestational_week_of(start - 10, start, dod).week == 0
-    assert gestational_week_of(start - 10, start, dod).trimester is Trimester.PRE
-    assert gestational_week_of(start + 189, start, dod).week == 28
-    assert gestational_week_of(start + 189, start, dod).trimester is Trimester.THIRD
+    assert gestational_week_of(start, start).week == 1
+    assert gestational_week_of(start, start).trimester is Trimester.FIRST
+    assert gestational_week_of(start - 10, start).week == 0
+    assert gestational_week_of(start - 10, start).trimester is Trimester.PRE
+    assert gestational_week_of(start + 189, start).week == 28
+    assert gestational_week_of(start + 189, start).trimester is Trimester.THIRD
     assert trimester_of(13) is Trimester.FIRST
     assert trimester_of(14) is Trimester.SECOND
     assert trimester_of(27) is Trimester.SECOND
@@ -232,7 +241,6 @@ def test_9_throughput(ga_registry, dod_registry, tmp_path):
         out_dir=tmp_path / "run",
         match_min_days=100,
         match_max_days=320,
-        threads=1,
     )
     started = time.perf_counter()
     summary = run_infer(config)

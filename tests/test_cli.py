@@ -12,9 +12,7 @@ import pytest
 import tedpc
 from tedpc import pipeline
 from tedpc.cli import EXIT_BROKEN_PIPE, main
-from tedpc.config import MAX_THREADS, RunConfig
 from tedpc.episode_builder import EPISODE_HEADER
-from tedpc.errors import ConfigError
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
 
@@ -56,20 +54,21 @@ class TestInfer:
         for name in ("episodes.csv", "summary.json", "unmatched_starts.csv", "quarantine.csv"):
             assert (tmp_path / "run" / name).exists()
 
-    def test_missing_events_file_exits_2_naming_path(self, sim_dir, tmp_path, capsys):
-        code = main(
-            [
-                "infer",
-                "--persons",
-                str(sim_dir / "persons.csv"),
-                "--events",
-                str(tmp_path / "nope.csv"),
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert code == 2
-        assert "nope.csv" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag", [("infer", "--events"), ("timeline", "--episodes"), ("infer", "--config")])
+    def test_missing_input_exits_2_naming_path(self, sim_dir, tmp_path, capsys, command, flag, kind):
+        path = tmp_path / "nope.csv"
+        if kind == "directory":
+            path.mkdir()
+        if command == "infer":
+            argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv")]
+            argv += ["--out", str(tmp_path / "o")]
+        else:
+            argv = analytics_argv(command, sim_dir, sim_dir / "episodes.csv", tmp_path / "o")
+        # The flag given last wins, so `path` replaces any earlier value of it.
+        assert main([*argv, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_bad_match_bounds_exit_3(self, sim_dir, tmp_path, capsys):
         code = run_infer(sim_dir, tmp_path / "run", "--match-min", "400")
@@ -96,11 +95,26 @@ class TestInfer:
         assert written[0] == written[1]
         assert written[0].splitlines()[1:] == rows
 
-    def test_thread_count_does_not_change_bytes(self, sim_dir, tmp_path):
-        assert run_infer(sim_dir, tmp_path / "t1", "--threads", "1") == 0
-        assert run_infer(sim_dir, tmp_path / "t4", "--threads", "4") == 0
-        for name in ("episodes.csv", "summary.json"):
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes()
+    def test_threads_1_writes_the_same_bytes_as_no_flag(self, sim_dir, tmp_path):
+        # --threads 1 is accepted, and does nothing, for scripts written when infer had a thread pool.
+        assert run_infer(sim_dir, tmp_path / "plain", "--emit-cohorts") == 0
+        assert run_infer(sim_dir, tmp_path / "t1", "--threads", "1", "--emit-cohorts") == 0
+        names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "t1").iterdir())
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "t1" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("threads", ["0", "4"])
+    def test_threads_other_than_1_exit_3_naming_the_flag(self, sim_dir, tmp_path, capsys, threads):
+        assert run_infer(sim_dir, tmp_path / "run", "--threads", threads) == 3
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_threads_in_a_config_file_is_an_unknown_key_exit_3(self, sim_dir, tmp_path, capsys):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"threads": 1}))
+        assert run_infer(sim_dir, tmp_path / "run", "--config", str(config_path)) == 3
+        assert "unknown config keys ['threads']" in capsys.readouterr().err
 
     def test_every_persons_events_are_consumed(self, sim_dir, tmp_path, monkeypatch):
         tables = []
@@ -111,16 +125,10 @@ class TestInfer:
             return tables[-1]
 
         monkeypatch.setattr(pipeline, "load_events", capture)
-        for threads in ("1", "4"):
-            assert run_infer(sim_dir, tmp_path / f"t{threads}", "--threads", threads, "--emit-cohorts") == 0
-        assert len(tables) == 2
-        for table in tables:
-            assert table.total_rows > 0
-            assert table.events_by_person == {}
-        names = sorted(path.name for path in (tmp_path / "t1").iterdir())
-        assert names == sorted(path.name for path in (tmp_path / "t4").iterdir())
-        for name in names:
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t4" / name).read_bytes(), name
+        assert run_infer(sim_dir, tmp_path / "run", "--emit-cohorts") == 0
+        [table] = tables
+        assert table.total_rows > 0
+        assert table.events_by_person == {}
 
     def test_emit_cohorts_writes_debug_tables(self, sim_dir, tmp_path):
         assert run_infer(sim_dir, tmp_path / "run", "--emit-cohorts") == 0
@@ -186,7 +194,7 @@ class TestInfer:
         "setting",
         [
             {"window_days": "abc"},
-            {"threads": True},
+            {"conflict_days": True},
             {"emit_cohorts": 1},
             {"pandemic_cutoff": 20200301},
             {"out_dir": 5},
@@ -857,19 +865,6 @@ class TestPathsUnderAFile:
         assert code == 2
         err = capsys.readouterr().err
         assert str(events) in err and "Traceback" not in err
-
-
-class TestThreadBound:
-    def test_validate_rejects_more_than_max_threads(self):
-        RunConfig(threads=MAX_THREADS).validate()
-        with pytest.raises(ConfigError, match="threads"):
-            RunConfig(threads=MAX_THREADS + 1).validate()
-
-    def test_cli_exit_3_before_running(self, sim_dir, tmp_path, capsys):
-        # Validation happens while the config is built, before any pool exists.
-        assert run_infer(sim_dir, tmp_path / "run", "--threads", str(MAX_THREADS + 1)) == 3
-        assert "threads" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
 
 
 NUMPY_FREE_RUN = """

@@ -17,7 +17,6 @@ from tedpc.episode_builder import (
     match_episodes,
     read_episodes,
     trimester_of,
-    week_of,
     write_episodes,
 )
 from tedpc.errors import DataFormatError
@@ -34,7 +33,7 @@ def make_dod(dod, person_id=1, rank=1):
 
 
 def timing_of(event_date, ep):
-    return gestational_week_of(event_date.toordinal(), ep.start_date.toordinal(), ep.dod.toordinal())
+    return gestational_week_of(event_date.toordinal(), ep.start_date.toordinal())
 
 
 def episode(start, dod, person_id=1, index=1):
@@ -190,11 +189,6 @@ class TestGestationalWeek:
     def test_day_189_is_week_28_third(self):
         timing = timing_of(date(2020, 1, 1) + timedelta(days=189), self.EPISODE)
         assert timing.week == 28 and timing.trimester is Trimester.THIRD
-
-    def test_after_delivery_keeps_week(self):
-        timing = timing_of(date(2020, 10, 8), self.EPISODE)
-        assert timing.trimester is Trimester.POST_DELIVERY
-        assert timing.week == week_of(self.EPISODE.start_date.toordinal(), date(2020, 10, 8).toordinal())
 
     def test_monotone_in_event_date(self):
         previous = -1

@@ -96,13 +96,13 @@ def assert_matches_reference(events, registry):
 
 class TestAnchorAndAbsorb:
     def test_empty(self):
-        assert anchor_and_absorb([], [], 270) == []
+        assert anchor_and_absorb([], 270) == []
 
     def test_anchor_order_decides_clusters(self):
-        positions = [0, 200, 400]
-        # Anchoring the middle first swallows both ends; anchoring an end first leaves the other.
-        assert anchor_and_absorb(positions, [1, 0, 2], 270) == [(1, [0, 1, 2])]
-        assert anchor_and_absorb(positions, [0, 1, 2], 270) == [(0, [0, 1]), (2, [2])]
+        # Positions come best first. Anchoring the middle first swallows both ends;
+        # anchoring an end first leaves the other.
+        assert anchor_and_absorb([200, 0, 400], 270) == [(0, [0, 1, 2])]
+        assert anchor_and_absorb([0, 200, 400], 270) == [(0, [0, 1]), (2, [2])]
 
 
 class TestInferGestationStarts:
