@@ -11,10 +11,9 @@ from that walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
 from .errors import ConfigError
@@ -68,7 +67,6 @@ def suppress_small_cells(count: int, threshold: int = SUPPRESSION_THRESHOLD) -> 
     return "-" if count < threshold else str(count)
 
 
-@dataclass
 class StrataSpec:
     """Stratification settings: a single cutoff or two explicit windows.
 
@@ -76,23 +74,27 @@ class StrataSpec:
     of the table entirely.
     """
 
-    cutoff: date = PANDEMIC_CUTOFF
-    pre_window: tuple[date, date] | None = None
-    peri_window: tuple[date, date] | None = None
-    threshold: int = SUPPRESSION_THRESHOLD
+    __slots__ = ("cutoff", "pre_window", "peri_window", "threshold")
 
-    def __post_init__(self):
-        if (self.pre_window is None) != (self.peri_window is None):
+    def __init__(
+        self,
+        cutoff: date = PANDEMIC_CUTOFF,
+        pre_window: tuple[date, date] | None = None,
+        peri_window: tuple[date, date] | None = None,
+        threshold: int = SUPPRESSION_THRESHOLD,
+    ):
+        if (pre_window is None) != (peri_window is None):
             raise ConfigError("pre_window and peri_window must be given together")
-        if self.pre_window is not None:
-            for name, (first, last) in (("pre_window", self.pre_window), ("peri_window", self.peri_window)):
+        if pre_window is not None:
+            for name, (first, last) in (("pre_window", pre_window), ("peri_window", peri_window)):
                 if first > last:
                     raise ConfigError(f"{name} starts {first.isoformat()}, after its end {last.isoformat()}")
             # An episode in both windows would be counted pre only.
-            if self.pre_window[0] <= self.peri_window[1] and self.peri_window[0] <= self.pre_window[1]:
+            if pre_window[0] <= peri_window[1] and peri_window[0] <= pre_window[1]:
                 raise ConfigError("pre_window and peri_window overlap")
-        if self.threshold < 0:
+        if threshold < 0:
             raise ConfigError("suppression threshold must be non-negative")
+        self.cutoff, self.pre_window, self.peri_window, self.threshold = cutoff, pre_window, peri_window, threshold
 
     def stratum_of(self, dod: date) -> PandemicStratum | None:
         if self.pre_window is not None:
@@ -178,8 +180,7 @@ COLUMN_LABELS = [
 ]
 
 
-@dataclass
-class StratifiedTable:
+class StratifiedTable(NamedTuple):
     """Counts per (characteristic row, stratum column) plus rendering rules."""
 
     columns: list[str]

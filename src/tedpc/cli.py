@@ -15,7 +15,6 @@ import io
 import logging
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .concept_registry import (
@@ -30,9 +29,7 @@ from .concept_registry import (
 from .config import RunConfig, build_config, resolve_input_path
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
-from .evaluation import Weighting, cohen_kappa, read_matrix_csv, round_trip_score
 from .pipeline import make_output_dir, run_infer, run_stats, run_timeline
-from .synthgen import NoiseSpec, SynthConfig, generate_cohort, read_truth
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -49,16 +46,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--print-config", action="store_true", help="print the effective config and exit")
 
 
-def _common_overrides(args: argparse.Namespace) -> dict:
-    """The RunConfig fields this subcommand has flags for, as parsed (None if not given)."""
-    return {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-
-
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    config = build_config(getattr(args, "config", None), _common_overrides(args))
+def _load_run_config(args: argparse.Namespace, *required: str) -> RunConfig:
+    """The run config of the subcommand's flags and config file; each `required` path must be set."""
+    # The RunConfig fields this subcommand has flags for, as parsed (None if not given).
+    overrides = {name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}
+    config = build_config(getattr(args, "config", None), overrides)
     if getattr(args, "print_config", False):
         print(config.to_json())
         raise SystemExit(EXIT_OK)
+    for name in required:
+        if getattr(config, name) is None:
+            raise ConfigError(f"{name.replace('_path', '')} file is required for {args.command}")
     return config
 
 
@@ -102,28 +100,19 @@ def _cmd_infer(args: argparse.Namespace) -> None:
     # `infer` is single-threaded; --threads 1 is accepted, and ignored, for existing scripts.
     if args.threads not in (None, 1):
         raise ConfigError(f"--threads accepts only 1 (infer is single-threaded), got {args.threads}")
-    config = _load_run_config(args)
-    for name in ("persons_path", "events_path"):
-        if getattr(config, name) is None:
-            raise ConfigError(f"{name.replace('_path', '')} file is required for infer")
+    config = _load_run_config(args, "persons_path", "events_path")
     summary = run_infer(config)
     print(f"episodes={summary['episodes']} unmatched_starts={summary['unmatched_starts']} unmatched_dods={summary['unmatched_dods']}")
 
 
 def _cmd_timeline(args: argparse.Namespace) -> None:
-    config = _load_run_config(args)
-    for name in ("episodes_path", "events_path", "index_events_path"):
-        if getattr(config, name) is None:
-            raise ConfigError(f"{name.replace('_path', '')} file is required for timeline")
+    config = _load_run_config(args, "episodes_path", "events_path", "index_events_path")
     rows = run_timeline(config)
     print(f"timing_rows={rows}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    config = _load_run_config(args)
-    for name in ("episodes_path", "persons_path", "events_path", "index_events_path"):
-        if getattr(config, name) is None:
-            raise ConfigError(f"{name.replace('_path', '')} file is required for stats")
+    config = _load_run_config(args, "episodes_path", "persons_path", "events_path", "index_events_path")
     condition_sets: dict[str, Path] = {}
     for item in args.condition or []:
         name, _, raw_path = item.partition("=")
@@ -137,6 +126,9 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    # Only simulate and evaluate import the generator and the evaluation code.
+    from .synthgen import NoiseSpec, SynthConfig, generate_cohort
+
     noise = NoiseSpec(
         drop_ga_rate=args.drop_ga,
         conflict_ga_rate=args.conflict_ga,
@@ -158,6 +150,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    from .evaluation import Weighting, cohen_kappa, read_matrix_csv, round_trip_score
+    from .synthgen import read_truth
+
     if args.matrix:
         matrix = read_matrix_csv(resolve_input_path(args.matrix))
         result = cohen_kappa(matrix, Weighting(args.weighting))
@@ -262,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="kappa over a matrix, or round-trip scoring")
     p.add_argument("--matrix", type=Path, help="labeled square confusion-matrix CSV")
-    p.add_argument("--weighting", choices=[w.value for w in Weighting], default=Weighting.UNWEIGHTED.value)
+    # evaluation.Weighting's values, spelled out so that building the parser does not load evaluation.
+    p.add_argument("--weighting", choices=["unweighted", "linear"], default="unweighted")
     p.add_argument("--truth", type=Path, help="ground-truth table from simulate")
     p.add_argument("--episodes", type=Path, help="episodes table from infer")
     p.set_defaults(func=_cmd_evaluate)
@@ -313,6 +309,10 @@ def _run(argv: list[str] | None) -> int:
         # Output directories are made by make_output_dir, so these name an input.
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
+    except IsADirectoryError as exc:
+        # open_text reports an input that is a directory, so this names an output file.
+        print(f"config error: cannot write output file {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

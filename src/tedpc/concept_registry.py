@@ -10,10 +10,9 @@ truncated or edited file fails loudly instead of skewing results.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import BOOL_TOKENS, csv_rows, table
 from .errors import DataFormatError
@@ -91,8 +90,7 @@ def classify_accuracy(week_low: int, week_high: int) -> AccuracyLevel:
     )
 
 
-@dataclass(frozen=True)
-class GAConceptSpec:
+class GAConceptSpec(NamedTuple):
     """One GA-bearing concept with the week range its name implies."""
 
     concept_id: int
@@ -104,8 +102,7 @@ class GAConceptSpec:
     vocabulary: str
 
 
-@dataclass(frozen=True)
-class DODConceptSpec:
+class DODConceptSpec(NamedTuple):
     """One delivery-indicating concept with its domain rank."""
 
     concept_id: int
@@ -115,8 +112,7 @@ class DODConceptSpec:
     vocabulary: str
 
 
-@dataclass(frozen=True)
-class VocabularyEntry:
+class VocabularyEntry(NamedTuple):
     """One row of a local vocabulary table used for keyword phenotyping."""
 
     concept_id: int

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .concept_registry import default_dod_concepts_path, default_ga_concepts_path
 from .episode_builder import (
@@ -53,14 +53,13 @@ def resolve_input_path(path: Path | str | None) -> Path | None:
     return path
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Paths and engine constants for one pipeline run."""
 
     persons_path: Path | None = None
     events_path: Path | None = None
-    ga_concepts_path: Path = field(default_factory=default_ga_concepts_path)
-    dod_concepts_path: Path = field(default_factory=default_dod_concepts_path)
+    ga_concepts_path: Path = default_ga_concepts_path()
+    dod_concepts_path: Path = default_dod_concepts_path()
     index_events_path: Path | None = None
     episodes_path: Path | None = None
     out_dir: Path = Path("out")
@@ -110,15 +109,14 @@ class RunConfig:
 
     def to_json(self) -> str:
         payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, Path):
                 value = str(value)
             elif isinstance(value, date):
                 value = value.isoformat()
             elif isinstance(value, tuple):
                 value = [day.isoformat() for day in value]
-            payload[f.name] = value
+            payload[name] = value
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -158,7 +156,7 @@ def build_config(config_file: Path | str | None, overrides: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{config_file}: expected a JSON object")
         defaults = RunConfig()
-        unknown = set(raw) - set(vars(defaults))
+        unknown = set(raw) - set(RunConfig._fields)
         if unknown:
             raise ConfigError(f"{config_file}: unknown config keys {sorted(unknown)}")
         try:

@@ -10,7 +10,6 @@ run on day ordinals; an episode holds `date`s, built once when it is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -75,12 +74,11 @@ class PregnancyEpisode(NamedTuple):
     conflict_flag: bool
 
 
-@dataclass
-class MatchDiagnostics:
+class MatchDiagnostics(NamedTuple):
     """Starts and deliveries left unpaired by episode matching."""
 
-    unmatched_starts: list[GestationStart] = field(default_factory=list)
-    unmatched_dods: list[DeliveryRecord] = field(default_factory=list)
+    unmatched_starts: list[GestationStart]
+    unmatched_dods: list[DeliveryRecord]
 
 
 def extreme_flag_of(gestation_days: int) -> ExtremeFlag:
@@ -107,7 +105,7 @@ def match_episodes(
     person_ids = {s.person_id for s in starts} | {d.person_id for d in dods}
     if len(person_ids) > 1:
         raise InvariantError("episode matching called with more than one person")
-    diagnostics = MatchDiagnostics()
+    diagnostics = MatchDiagnostics([], [])
     unused = list(starts)
     pairs: list[tuple[GestationStart, DeliveryRecord]] = []
     for record in sorted(dods, key=lambda d: d.dod_day, reverse=True):

@@ -11,7 +11,6 @@ never dropped silently.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -47,14 +46,13 @@ class ClinicalEvent(NamedTuple):
     event_date: date
 
 
-@dataclass
-class EventTable:
+class EventTable(NamedTuple):
     """Per-person ordered `(day ordinal, concept id)` lists plus ingestion diagnostics."""
 
     events_by_person: dict[int, list[Event]]
-    quarantined: list[ClinicalEvent] = field(default_factory=list)
-    total_rows: int = 0
-    domain_mismatches: int = 0
+    quarantined: list[ClinicalEvent]
+    total_rows: int
+    domain_mismatches: int
 
 
 def load_persons(path: Path | str) -> dict[int, Person]:

@@ -3,15 +3,15 @@
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
+Each command passes `load_events` the concepts it reads: it still validates
+every event row but groups only the events of those concepts, the GA and
+delivery ones for infer, the index set for timeline, plus every condition set
+for stats.
+
 Inference is one loop over the persons in id order, in one thread. Each
 person's events are popped off the table as the loop reaches them, so they
-are freed once that person is done.
-
-Timeline and stats read their concept-id sets first and pass them to
-`load_events`, which still validates every event row but groups only the
-events of those concepts: the index set, plus every condition set for stats.
-Each episode's events are then walked once (`analytics.episode_exposures`);
-timeline's rows and stats' histogram and table all read from that walk.
+are freed once that person is done. Timeline and stats walk each episode's
+events once (`analytics.episode_exposures`), and read all they write from it.
 """
 
 from __future__ import annotations
@@ -80,10 +80,11 @@ def run_infer(config: RunConfig) -> dict:
     out = make_output_dir(config.out_dir)
     ga_registry = load_ga_concepts(config.ga_concepts_path)
     dod_registry = load_dod_concepts(config.dod_concepts_path)
-    persons = load_persons(config.persons_path)
-    table = load_events(config.events_path, ga_registry, dod_registry, known_persons=persons)
     ga_table = candidate_table(ga_registry)
     dod_ranks = rank_table(dod_registry)
+    persons = load_persons(config.persons_path)
+    engine_concepts = ga_table.keys() | dod_ranks.keys()
+    table = load_events(config.events_path, ga_registry, dod_registry, known_persons=persons, concepts=engine_concepts)
 
     by_person = table.events_by_person
     all_starts: list[GestationStart] = []

@@ -1,4 +1,6 @@
+import argparse
 import gc
+import importlib
 import json
 import os
 import random
@@ -11,8 +13,12 @@ import pytest
 
 import tedpc
 from tedpc import pipeline
-from tedpc.cli import EXIT_BROKEN_PIPE, main
+from tedpc.cli import EXIT_BROKEN_PIPE, build_parser, main
+from tedpc.dod_engine import rank_table
 from tedpc.episode_builder import EPISODE_HEADER
+from tedpc.evaluation import Weighting
+from tedpc.ga_engine import candidate_table
+from tedpc.ingestion import load_events, load_persons
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
 
@@ -263,6 +269,12 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "exact_start=1.0000" in out
         assert "episode_count_match=1.0000" in out
+
+    def test_weighting_choices_are_the_enum_values(self):
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        [weighting] = [a for a in commands.choices["evaluate"]._actions if a.dest == "weighting"]
+        assert weighting.choices == [w.value for w in Weighting]
+        assert weighting.default == Weighting.UNWEIGHTED.value
 
     def test_no_mode_exit_3(self, capsys):
         assert main(["evaluate"]) == 3
@@ -827,6 +839,64 @@ class TestFilteredEventLoading:
         assert plain.count(b"\n") > 1 and plain == (tmp_path / "bom" / "timing.csv").read_bytes()
 
 
+class TestInferConceptFilter:
+    def cohort(self, sim_dir, tmp_path, ga_registry, *extra_events):
+        """sim_dir's cohort plus a person whose only events are index events, and `extra_events` rows."""
+        persons = (sim_dir / "persons.csv").read_text().splitlines()
+        new_id = max(int(line.split(",")[0]) for line in persons[1:]) + 1
+        index_id = int((sim_dir / "index_concepts.csv").read_text().split()[1])
+        mismatched = next(spec for spec in ga_registry if spec.domain.value != "Drug")
+        extra = [
+            *(f"{new_id},{index_id},Condition,2020-0{month}-01" for month in (3, 5, 7)),
+            f"{new_id + 1},{index_id},Condition,2020-05-01",  # unknown person: quarantined
+            f"1,{mismatched.concept_id},Drug,2012-06-01",  # domain mismatch
+            *extra_events,
+        ]
+        (tmp_path / "persons.csv").write_text("\n".join(persons + [f"{new_id},1990-01-01,F,White,x"]) + "\n")
+        lines = (sim_dir / "events.csv").read_text().splitlines() + extra
+        (tmp_path / "events.csv").write_text("\n".join(lines) + "\n")
+        argv = ["infer", "--persons", str(tmp_path / "persons.csv"), "--events", str(tmp_path / "events.csv")]
+        return new_id, len(lines), argv
+
+    def test_only_engine_events_are_grouped_and_every_row_is_counted(
+        self, sim_dir, tmp_path, monkeypatch, ga_registry, dod_registry
+    ):
+        new_id, _, argv = self.cohort(sim_dir, tmp_path, ga_registry)
+        grouped = {}
+        real_load_events = pipeline.load_events
+
+        def capture(*args, **kwargs):
+            table = real_load_events(*args, **kwargs)
+            grouped.update((person_id, list(events)) for person_id, events in table.events_by_person.items())
+            return table
+
+        monkeypatch.setattr(pipeline, "load_events", capture)
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out), "--emit-cohorts", "--no-cohort-filters"]) == 0
+        engine_concepts = candidate_table(ga_registry).keys() | rank_table(dod_registry).keys()
+        assert grouped and new_id not in grouped
+        assert {concept_id for events in grouped.values() for _, concept_id in events} <= engine_concepts
+
+        unfiltered = load_events(
+            tmp_path / "events.csv", ga_registry, dod_registry, known_persons=load_persons(tmp_path / "persons.csv")
+        )
+        assert new_id in unfiltered.events_by_person
+        summary = json.loads((out / "summary.json").read_text())
+        counts = (summary["event_rows"], summary["events_quarantined"], summary["domain_mismatches"])
+        assert counts == (unfiltered.total_rows, len(unfiltered.quarantined), unfiltered.domain_mismatches)
+        assert min(counts) > 0
+        for path in out.glob("*.csv"):
+            person_ids = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
+            assert str(new_id) not in person_ids, path.name
+
+    def test_bad_date_in_an_index_event_row_exit_2_naming_line(self, sim_dir, tmp_path, capsys, ga_registry):
+        index_id = int((sim_dir / "index_concepts.csv").read_text().split()[1])
+        _, line, argv = self.cohort(sim_dir, tmp_path, ga_registry, f"1,{index_id},Condition,2020-13-01")
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'events.csv'}:{line}:" in err and "Traceback" not in err
+
+
 class TestPathsUnderAFile:
     @pytest.mark.parametrize("command", ["infer", "timeline", "stats"])
     def test_out_under_a_file_exit_3_naming_path(self, sim_dir, tmp_path, capsys, command):
@@ -841,6 +911,20 @@ class TestPathsUnderAFile:
         assert code == 3
         err = capsys.readouterr().err
         assert str(target) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name", [("infer", "episodes.csv"), ("timeline", "timing.csv"), ("stats", "report.md")])
+    def test_output_file_that_is_a_directory_exit_3_naming_it(self, sim_dir, tmp_path, capsys, command, name):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        capsys.readouterr()
+        if command == "infer":
+            code = run_infer(sim_dir, tmp_path / "out")
+        else:
+            code = main(analytics_argv(command, sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot write output file {target}" in err and "Traceback" not in err
 
     def test_out_checked_before_any_input_is_read(self, sim_dir, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
@@ -921,8 +1005,53 @@ class TestNumpyFree:
         from tedpc import synthgen
 
         assert (tedpc.SynthConfig, tedpc.generate_cohort) == (synthgen.SynthConfig, synthgen.generate_cohort)
+        for module, names in PACKAGE_EXPORTS.items():
+            for name in names.split():
+                assert getattr(tedpc, name) is getattr(importlib.import_module(f"tedpc.{module}"), name), name
+                assert name in dir(tedpc), name
         with pytest.raises(AttributeError):
             tedpc.no_such_name
+
+
+# Every name `tedpc` has exported, by the module that defines it.
+PACKAGE_EXPORTS = {
+    "concept_registry": "AccuracyLevel Domain classify_accuracy load_dod_concepts load_ga_concepts load_vocabulary "
+    "phenotype_search",
+    "dod_engine": "DeliveryRecord infer_delivery_dates",
+    "episode_builder": "PregnancyEpisode apply_cohort_filters gestational_week_of match_episodes trimester_of",
+    "evaluation": "ConfusionMatrix Weighting cohen_kappa round_trip_score",
+    "ga_engine": "GestationStart ga_days infer_gestation_starts",
+    "ingestion": "ClinicalEvent Person load_events load_persons",
+    "synthgen": "SynthConfig generate_cohort",
+}
+
+UNUSED_MODULES_RUN = """
+import json, sys
+before = set(sys.modules)
+from tedpc.cli import main
+code = main(json.loads(sys.argv[1]))
+unused = ["tedpc.synthgen", "tedpc.evaluation", "dataclasses"]
+print(json.dumps([name for name in unused if name in sys.modules and name not in before]))
+sys.exit(code)
+"""
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("command", ["infer", "timeline", "stats"])
+    def test_command_loads_neither_generator_nor_evaluation_nor_dataclasses(self, sim_dir, tmp_path, command):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        if command == "infer":
+            argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv")]
+            argv += ["--out", str(tmp_path / "out")]
+        else:
+            argv = analytics_argv(command, sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "out")
+        src = str(Path(tedpc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", UNUSED_MODULES_RUN, json.dumps(argv)], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 class TestCollector:

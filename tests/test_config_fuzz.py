@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -13,7 +12,7 @@ from tedpc.config import RunConfig
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-KEYS = [f.name for f in fields(RunConfig)]
+KEYS = list(RunConfig._fields)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=12),
