@@ -27,6 +27,9 @@ MAX_EVENT_DATE = date(2100, 12, 31)
 PERSON_HEADER = ["person_id", "birth_date", "sex", "race", "ethnicity"]
 EVENT_HEADER = ["person_id", "concept_id", "domain", "event_date"]
 
+# A domain's text as written; a dict lookup is cheaper than the Enum's `.value`.
+_DOMAIN_TEXT = {domain: domain.value for domain in Domain}
+
 # One grouped event: (day ordinal, concept id).
 Event = tuple[int, int]
 
@@ -166,4 +169,6 @@ def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
 def write_events(path: Path | str, events: Iterable[ClinicalEvent]) -> None:
     """Write an events table with its rows in the order given."""
     iso = Memo(date.isoformat)
-    write_rows(path, EVENT_HEADER, ([e.person_id, e.concept_id, e.domain.value, iso[e.event_date]] for e in events))
+    write_rows(
+        path, EVENT_HEADER, ([e.person_id, e.concept_id, _DOMAIN_TEXT[e.domain], iso[e.event_date]] for e in events)
+    )

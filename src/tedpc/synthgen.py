@@ -9,31 +9,37 @@ channels. Identical (seed, config) pairs produce byte-identical files.
 Randomness comes from the standard library's Mersenne Twister. Each
 (seed, stream, person) triple gets its own `random.Random`, seeded with the
 integer `(seed << 33) | (stream << 32) | person_id`. Stream 0 draws a
-person's base events and stream 1 their noise. The packing is injective
-while the seed and the person id are below 2**32, so no two triples share a
-stream; `SynthConfig.validate` rejects a seed or person count outside those
-bounds. Each person is generated whole in one pass: base events, then noise,
-then their own events sorted and their truth worked out. A person's rows
+person's base events and stream 1 their noise; stream 1 is seeded only when
+some noise rate is set. The packing is injective while the seed and the
+person id are below 2**32, so no two triples share a stream;
+`SynthConfig.validate` rejects a seed or person count outside those bounds.
+Each person is generated whole in one pass: base events, then noise, then
+their own events sorted and their truth worked out. A person's rows
 therefore depend only on the seed, the config and their own id: persons 1-30
-are the same in a 30-person cohort as in a 60-person one. The key is built by arithmetic, never by `hash()`, which is
-salted per process for strings and may change between Python versions.
+are the same in a 30-person cohort as in a 60-person one. The key is built
+by arithmetic, never by `hash()`, which is salted per process for strings
+and may change between Python versions.
+
+Days are ordinals until a person is done: their events are `(day, concept
+id, domain)` tuples, sorted natively, and each distinct day becomes a `date`
+once per run, for the events, persons, truth and noise log alike.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, Domain, GAConceptSpec
-from .csvio import iso_date, table, write_rows
+from .csvio import Memo, iso_date, table, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
-from .ingestion import ClinicalEvent, Person, write_events, write_persons
+from .ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE, ClinicalEvent, Person, write_events, write_persons
 
 # Sub-stream tags so base generation and noise never share a random stream.
 _BASE_STREAM = 0
@@ -50,7 +56,12 @@ GESTATION_SD_DAYS = 12.0
 GESTATION_CLAMP_DAYS = (100, 320)
 # Weeks at which high-accuracy GA events may be recorded.
 VISIT_WEEKS = (8, 12, 16, 20, 24, 28, 32, 36, 38, 40)
+# Pre-pregnancy index events fall 7 to this many days before a true start.
+PRE_INDEX_MAX_DAYS = 90
 DEFAULT_INDEX_CONCEPT_ID = 900000001
+
+# One generated event until it is written: (day ordinal, concept id, domain).
+_Event = tuple[int, int, Domain]
 
 _RACE_PROBS = (
     ("White", 0.50),
@@ -73,16 +84,12 @@ class NoiseSpec:
     shift_max_days: int = 7
     drop_dod_rate: float = 0.0
     pre_pregnancy_index_rate: float = 0.0
+    # The names of the channel rates above; not a field.
+    RATES = ("drop_ga_rate", "conflict_ga_rate", "shift_rate", "drop_dod_rate", "pre_pregnancy_index_rate")
 
     def validate(self) -> None:
-        rates = {
-            "drop_ga_rate": self.drop_ga_rate,
-            "conflict_ga_rate": self.conflict_ga_rate,
-            "shift_rate": self.shift_rate,
-            "drop_dod_rate": self.drop_dod_rate,
-            "pre_pregnancy_index_rate": self.pre_pregnancy_index_rate,
-        }
-        for name, value in rates.items():
+        for name in self.RATES:
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"noise {name} must be in [0, 1], got {value}")
         if self.shift_max_days < 1:
@@ -127,6 +134,15 @@ class SynthConfig:
         if self.dod_events_per_gestation < 0:
             raise ConfigError("dod_events_per_gestation must be non-negative")
         self.noise.validate()
+        # No event lies before the earliest start less the pre-index margin, or
+        # after the window; a shift must keep both inside the readable range.
+        earliest = self.window[0].toordinal() - GESTATION_CLAMP_DAYS[1] - PRE_INDEX_MAX_DAYS
+        max_shift = min(earliest - MIN_EVENT_DATE.toordinal(), MAX_EVENT_DATE.toordinal() - self.window[1].toordinal())
+        if self.noise.shift_max_days > max_shift:
+            raise ConfigError(
+                f"shift_max_days must be at most {max_shift} for window {self.window[0]} to {self.window[1]}, so that "
+                f"events stay inside [{MIN_EVENT_DATE}, {MAX_EVENT_DATE}], got {self.noise.shift_max_days}"
+            )
 
 
 class TruthRecord(NamedTuple):
@@ -210,16 +226,14 @@ def _person_rng(seed: int, stream: int, person_id: int) -> random.Random:
 
 
 def _plan_gestations(
-    rng: random.Random, config: SynthConfig, count_weights: list[float]
-) -> list[tuple[date, date, int]]:
-    """Draw (start, delivery, length) triples with deliveries inside the window.
+    rng: random.Random, window_start: int, window_len: int, count_weights: list[float]
+) -> list[tuple[int, int, int]]:
+    """Draw (start, delivery, length) triples, days as ordinals, with deliveries inside the window.
 
     Consecutive gestations are separated by a gap of at least MIN_GAP_DAYS
     between one delivery and the next start, which keeps both consecutive
     starts and consecutive deliveries more than the clustering window apart.
     """
-    window_start, window_end = config.window
-    window_len = (window_end - window_start).days
     lo, hi = GESTATION_CLAMP_DAYS
     n_gestations = rng.choices((1, 2, 3), cum_weights=count_weights)[0]
     lengths = None
@@ -241,23 +255,15 @@ def _plan_gestations(
         extra = rng.randrange(min(slack, 120) + 1)
         gaps.append(MIN_GAP_DAYS + extra)
         slack -= extra
-    first_dod = window_start + timedelta(days=rng.randrange(slack + 1))
-    triples = []
-    dod = first_dod
-    for i, length in enumerate(lengths):
-        if i > 0:
-            dod = triples[-1][1] + timedelta(days=gaps[i - 1] + length)
-        triples.append((dod - timedelta(days=length), dod, length))
+    dod = window_start + rng.randrange(slack + 1)
+    triples = [(dod - lengths[0], dod, lengths[0])]
+    for gap, length in zip(gaps, lengths[1:]):
+        dod += gap + length
+        triples.append((dod - length, dod, length))
     return triples
 
 
-def _range_event(
-    rng: random.Random,
-    person_id: int,
-    start: date,
-    gestation_days: int,
-    pool: list,
-) -> ClinicalEvent | None:
+def _range_event(rng: random.Random, start: int, gestation_days: int, pool: list) -> _Event | None:
     """One GA event from a week-range pool; the event's true week stays in range."""
     max_week = gestation_days // 7
     for _ in range(8):
@@ -267,8 +273,7 @@ def _range_event(
         if week_lo > week_hi:
             continue
         week = rng.randrange(week_lo, week_hi + 1)
-        offset = min(7 * week + rng.randrange(7), gestation_days)
-        return ClinicalEvent(person_id, spec.concept_id, spec.domain, start + timedelta(days=offset))
+        return start + min(7 * week + rng.randrange(7), gestation_days), spec.concept_id, spec.domain
     return None
 
 
@@ -286,24 +291,38 @@ def generate_cohort(
         raise ConfigError(f"index_concept_id {config.index_concept_id} collides with a registry concept")
     overlap = {spec.concept_id for spec in ga_registry if spec.concept_id in dod_registry}
     high_by_week = {
-        spec.week_low: spec
+        spec.week_low: (spec.concept_id, spec.domain)
         for spec in ga_registry
         if spec.accuracy is AccuracyLevel.HIGH and spec.concept_id not in overlap
     }
-    range_pools = {
-        level: [s for s in ga_registry if s.accuracy is level and s.concept_id not in overlap]
-        for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW)
-    }
-    dod_pool = [spec for spec in dod_registry if spec.concept_id not in overlap]
+    range_draws = []
+    for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW):
+        pool = [s for s in ga_registry if s.accuracy is level and s.concept_id not in overlap]
+        if pool:
+            range_draws.append((pool, config.ga_events_per_gestation.get(level, 0)))
+    dod_pool = [(spec.concept_id, spec.domain) for spec in dod_registry if spec.concept_id not in overlap]
     if not high_by_week or not dod_pool:
         raise GenerationError("registries too small to generate events")
 
     race_labels = [label for label, _ in _RACE_PROBS]
     race_weights = list(accumulate(p for _, p in _RACE_PROBS))
     count_weights = list(accumulate(config.gestation_count_probs))
-
-    # Conflict options depend only on the base event's gestation days.
-    conflict_options: dict[int, list[tuple[GAConceptSpec, int]]] = {}
+    window_start = config.window[0].toordinal()
+    window_len = config.window[1].toordinal() - window_start
+    n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
+    n_dod = min(config.dod_events_per_gestation, len(dod_pool))
+    index_concept_id = config.index_concept_id
+    noise = config.noise
+    noisy = any(getattr(noise, name) for name in noise.RATES)
+    # Per GA concept: its gestation days and the low-accuracy (concept, days) pairs that conflict with it.
+    low = [(spec, ga_days(spec)) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
+    ga_conflicts = {
+        spec.concept_id: (ga_days(spec), [(c, days) for c, days in low if 14 < abs(days - ga_days(spec)) <= 200])
+        for spec in ga_registry
+    }
+    dod_ids = {spec.concept_id for spec in dod_registry}
+    # Each distinct day becomes a date once.
+    dates = Memo(date.fromordinal)
 
     persons: list[Person] = []
     events: list[ClinicalEvent] = []
@@ -311,70 +330,62 @@ def generate_cohort(
     noise_log: list[NoiseLogEntry] = []
     for person_id in range(1, config.n_persons + 1):
         rng = _person_rng(config.seed, _BASE_STREAM, person_id)
-        triples = _plan_gestations(rng, config, count_weights)
-        age_years = rng.randrange(16, 45)
-        birth = triples[0][1] - timedelta(days=age_years * 365 + rng.randrange(365))
+        triples = _plan_gestations(rng, window_start, window_len, count_weights)
+        birth = triples[0][1] - rng.randrange(16, 45) * 365 - rng.randrange(365)
         race = rng.choices(race_labels, cum_weights=race_weights)[0]
         ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
-        persons.append(Person(person_id, birth, "F", race, ethnicity))
-        person_events: list[ClinicalEvent] = []
+        persons.append(Person(person_id, dates[birth], "F", race, ethnicity))
+        person_events: list[_Event] = []
         for start, dod, gestation_days in triples:
-            max_week = gestation_days // 7
-            schedule = [w for w in VISIT_WEEKS if w <= max_week and w in high_by_week]
-            n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
+            schedule = [w for w in VISIT_WEEKS if w <= gestation_days // 7 and w in high_by_week]
             if schedule and n_high:
                 for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):
-                    spec = high_by_week[week]
                     # Exact placement: the event implies precisely the true start.
-                    person_events.append(
-                        ClinicalEvent(person_id, spec.concept_id, spec.domain, start + timedelta(days=7 * week))
-                    )
-            for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW):
-                pool = range_pools[level]
-                if not pool:
-                    continue
-                for _ in range(config.ga_events_per_gestation.get(level, 0)):
-                    event = _range_event(rng, person_id, start, gestation_days, pool)
+                    person_events.append((start + 7 * week, *high_by_week[week]))
+            for pool, count in range_draws:
+                for _ in range(count):
+                    event = _range_event(rng, start, gestation_days, pool)
                     if event is not None:
                         person_events.append(event)
-            n_dod = min(config.dod_events_per_gestation, len(dod_pool))
-            for spec in rng.sample(dod_pool, n_dod):
-                person_events.append(ClinicalEvent(person_id, spec.concept_id, spec.domain, dod))
+            for concept in rng.sample(dod_pool, n_dod):
+                person_events.append((dod, *concept))
             if config.index_event_rate and rng.random() < config.index_event_rate:
-                offset = rng.randrange(gestation_days + 1)
-                person_events.append(
-                    ClinicalEvent(person_id, config.index_concept_id, Domain.CONDITION, start + timedelta(days=offset))
-                )
+                person_events.append((start + rng.randrange(gestation_days + 1), index_concept_id, Domain.CONDITION))
 
-        person_events = _add_noise(
-            person_id, person_events, triples, config, ga_registry, dod_registry, conflict_options, noise_log
+        if noisy:
+            person_events = _add_noise(
+                person_id, person_events, triples, config, ga_conflicts, dod_ids, noise_log, dates
+            )
+        # Within the generator a concept has one domain, so events that tie on
+        # (day, concept) are equal tuples and the native sort orders them as a
+        # stable sort on (day, concept) would.
+        person_events.sort()
+        events.extend(
+            [ClinicalEvent(person_id, concept_id, domain, dates[day]) for day, concept_id, domain in person_events]
         )
-        # Stable, so on a tie the kept events stay ahead of the noise additions.
-        person_events.sort(key=lambda e: (e.event_date, e.concept_id))
-        events.extend(person_events)
 
         # Ground-truth index weeks follow the same rule analytics applies: the
         # earliest index event on or before the delivery, week 0 when pre-start.
-        earliest = next((e.event_date for e in person_events if e.concept_id == config.index_concept_id), None)
+        earliest = next((day for day, concept_id, _ in person_events if concept_id == index_concept_id), None)
         for index, (start, dod, _) in enumerate(triples, start=1):
             week = None
             if earliest is not None and earliest <= dod:
-                week = 0 if earliest < start else (earliest - start).days // 7 + 1
-            truth.append(TruthRecord(person_id, index, start, dod, week))
+                week = 0 if earliest < start else (earliest - start) // 7 + 1
+            truth.append(TruthRecord(person_id, index, dates[start], dates[dod], week))
 
-    return SyntheticCohort(persons, events, truth, noise_log, config.index_concept_id)
+    return SyntheticCohort(persons, events, truth, noise_log, index_concept_id)
 
 
 def _add_noise(
     person_id: int,
-    events: list[ClinicalEvent],
-    triples: list[tuple[date, date, int]],
+    events: list[_Event],
+    triples: list[tuple[int, int, int]],
     config: SynthConfig,
-    ga_registry: ConceptRegistry,
-    dod_registry: ConceptRegistry,
-    conflict_options: dict[int, list[tuple[GAConceptSpec, int]]],
+    ga_conflicts: dict[int, tuple[int, list[tuple[GAConceptSpec, int]]]],
+    dod_ids: set[int],
     log: list[NoiseLogEntry],
-) -> list[ClinicalEvent]:
+    dates: Memo,
+) -> list[_Event]:
     """One person's events under the noise channels, drawn from their noise stream.
 
     Channels, in order: drop GA events, drop delivery events, shift event
@@ -387,57 +398,42 @@ def _add_noise(
     """
     noise = config.noise
     rng = _person_rng(config.seed, _NOISE_STREAM, person_id)
-    kept: list[ClinicalEvent] = []
+    kept: list[_Event] = []
     for event in events:
-        in_ga = event.concept_id in ga_registry
-        in_dod = event.concept_id in dod_registry
+        day, concept_id, domain = event
+        in_ga = concept_id in ga_conflicts
+        in_dod = concept_id in dod_ids
         if in_ga and noise.drop_ga_rate and rng.random() < noise.drop_ga_rate:
-            log.append(NoiseLogEntry("drop_ga", person_id, event.concept_id, event.event_date, "dropped"))
+            log.append(NoiseLogEntry("drop_ga", person_id, concept_id, dates[day], "dropped"))
             continue
         if in_dod and not in_ga and noise.drop_dod_rate and rng.random() < noise.drop_dod_rate:
-            log.append(NoiseLogEntry("drop_dod", person_id, event.concept_id, event.event_date, "dropped"))
+            log.append(NoiseLogEntry("drop_dod", person_id, concept_id, dates[day], "dropped"))
             continue
         if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
             delta = rng.randrange(1, noise.shift_max_days + 1)
             if rng.random() < 0.5:
                 delta = -delta
-            log.append(NoiseLogEntry("shift", person_id, event.concept_id, event.event_date, f"shifted {delta:+d}d"))
-            event = event._replace(event_date=event.event_date + timedelta(days=delta))
+            log.append(NoiseLogEntry("shift", person_id, concept_id, dates[day], f"shifted {delta:+d}d"))
+            event = (day + delta, concept_id, domain)
         kept.append(event)
-    additions: list[ClinicalEvent] = []
+    additions: list[_Event] = []
     if noise.conflict_ga_rate:
-        for event in kept:
-            spec = ga_registry.get(event.concept_id)
-            if spec is None or rng.random() >= noise.conflict_ga_rate:
+        for day, concept_id, _ in kept:
+            if concept_id not in ga_conflicts or rng.random() >= noise.conflict_ga_rate:
                 continue
-            base_days = ga_days(spec)
-            options = conflict_options.get(base_days)
-            if options is None:
-                options = conflict_options[base_days] = [
-                    (c, ga_days(c))
-                    for c in ga_registry
-                    if c.accuracy is AccuracyLevel.LOW and 14 < abs(ga_days(c) - base_days) <= 200
-                ]
+            base_days, options = ga_conflicts[concept_id]
             if not options:
                 continue
             chosen, chosen_days = rng.choice(options)
-            additions.append(ClinicalEvent(person_id, chosen.concept_id, chosen.domain, event.event_date))
-            log.append(
-                NoiseLogEntry(
-                    "conflict_ga",
-                    person_id,
-                    chosen.concept_id,
-                    event.event_date,
-                    f"conflicts with {event.concept_id} by {chosen_days - base_days:+d}d",
-                )
-            )
+            additions.append((day, chosen.concept_id, chosen.domain))
+            detail = f"conflicts with {concept_id} by {chosen_days - base_days:+d}d"
+            log.append(NoiseLogEntry("conflict_ga", person_id, chosen.concept_id, dates[day], detail))
     if noise.pre_pregnancy_index_rate:
         index_concept_id = config.index_concept_id
         for start, _, _ in triples:
             if rng.random() < noise.pre_pregnancy_index_rate:
-                event_date = start - timedelta(days=rng.randrange(7, 91))
-                additions.append(ClinicalEvent(person_id, index_concept_id, Domain.CONDITION, event_date))
-                log.append(
-                    NoiseLogEntry("pre_index", person_id, index_concept_id, event_date, "pre-pregnancy index event")
-                )
+                day = start - rng.randrange(7, PRE_INDEX_MAX_DAYS + 1)
+                additions.append((day, index_concept_id, Domain.CONDITION))
+                detail = "pre-pregnancy index event"
+                log.append(NoiseLogEntry("pre_index", person_id, index_concept_id, dates[day], detail))
     return kept + additions

@@ -776,6 +776,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert flag.lstrip("-").replace("-", "_") in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "persons, max_days", [("5", "10000000"), ("50", "40000")], ids=["past-date-max", "past-2100"]
+    )
+    def test_shift_that_could_leave_the_event_date_range_exit_3(self, tmp_path, capsys, persons, max_days):
+        # Unbounded, the first overflowed date arithmetic and the second wrote
+        # events after 2100-12-31, which infer rejects.
+        argv = ["simulate", "--out", str(tmp_path / "sim"), "--seed", "1", "--n-persons", persons,
+                "--shift", "1", "--shift-max-days", max_days]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "shift_max_days must be at most" in err and "Traceback" not in err
+
     def test_exit_4_on_invariant_breach(self, monkeypatch, sim_dir, tmp_path):
         import tedpc.pipeline as pipeline
         from tedpc.errors import InvariantError

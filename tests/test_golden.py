@@ -4,8 +4,9 @@ A noisy simulated cohort goes through every operation; the sha256 of each
 file written must match the digests recorded below. The `sim/` digests pin
 the generator: `simulate --seed 77 --n-persons 300 --index-rate 0.9
 --drop-ga 0.1 --conflict-ga 0.15 --shift 0.3 --shift-max-days 30 --drop-dod
-0.1 --pre-index 0.3`, digested as written. infer, timeline and stats read
-that cohort from `data/golden/` instead: its events.csv and
+0.1 --pre-index 0.3`, digested as written. The `sim_clean/` digests pin its
+noise-free path: the same command without the noise flags. infer, timeline
+and stats read that cohort from `data/golden/` instead: its events.csv and
 index_concepts.csv, and its persons.csv with every 50th person dropped so
 that quarantine has rows. Their digests do not depend on the generator. A
 refactor that keeps behaviour keeps these; a deliberate output change
@@ -38,6 +39,11 @@ EXPECTED = {
     "sim/noise_log.csv": "0f154397176bbca29311e0ad9090cb9f484ccb150161b2651a77505141ddde8b",
     "sim/persons.csv": "5860b933c70ca523e5fc66fadd39111f33a322413542cbbfaa58fc2b89a9f1c8",
     "sim/truth.csv": "6374c7326fe328aa583c0c178699f12f4bcfbdf45110c2559405d58155caf1bc",
+    "sim_clean/events.csv": "1fa731ada8833b125113e07106d2e3dcb533efd190d5521eae4709c317688d20",
+    "sim_clean/index_concepts.csv": "d183c99aa5ce9dc75a6292f9eb938cc6a10a4f39c22199b55a8ea86aeebe7cb1",
+    "sim_clean/noise_log.csv": "7dd9ce42084e9fcafc4e716926cad751dfb16570bbafbbb9fab1914621526c96",
+    "sim_clean/persons.csv": "5860b933c70ca523e5fc66fadd39111f33a322413542cbbfaa58fc2b89a9f1c8",
+    "sim_clean/truth.csv": "dd998728be8182ea2337bd6ecf05622f362e06977f6935c4a0821dc85f239603",
 }
 
 
@@ -55,12 +61,13 @@ FIXTURE = Path(__file__).parent / "data" / "golden"
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory, ga_registry, dod_registry):
     root = tmp_path_factory.mktemp("golden")
-    sim, run, timeline, stats = (root / name for name in ("sim", "run", "timeline", "stats"))
+    sim, sim_clean, run, timeline, stats = (root / name for name in ("sim", "sim_clean", "run", "timeline", "stats"))
+    simulate = ["simulate", "--seed", "77", "--n-persons", "300", "--index-rate", "0.9"]
     assert main(
-        ["simulate", "--out", str(sim), "--seed", "77", "--n-persons", "300", "--index-rate", "0.9",
-         "--drop-ga", "0.1", "--conflict-ga", "0.15", "--shift", "0.3", "--shift-max-days", "30",
-         "--drop-dod", "0.1", "--pre-index", "0.3"]
+        [*simulate, "--out", str(sim), "--drop-ga", "0.1", "--conflict-ga", "0.15", "--shift", "0.3",
+         "--shift-max-days", "30", "--drop-dod", "0.1", "--pre-index", "0.3"]
     ) == 0
+    assert main([*simulate, "--out", str(sim_clean)]) == 0
     conditions = {
         "first_trimester": [s.concept_id for s in ga_registry if s.week_high <= 13],
         "procedure_delivery": [s.concept_id for s in dod_registry if s.domain is Domain.PROCEDURE],
@@ -76,7 +83,7 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
         ["stats", *common, "--persons", persons, "--out", str(stats), "--unsuppressed",
          *(f"--condition={name}={root / name}.csv" for name in conditions)]
     ) == 0
-    return _digests(sim, run, timeline, stats)
+    return _digests(sim, sim_clean, run, timeline, stats)
 
 
 def test_outputs_match_recorded_digests(outputs):

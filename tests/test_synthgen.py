@@ -3,11 +3,13 @@ from datetime import date
 import pytest
 
 from conftest import as_events
+from tedpc import synthgen
 from tedpc.concept_registry import AccuracyLevel
 from tedpc.dod_engine import infer_delivery_dates, rank_table
-from tedpc.episode_builder import match_episodes
+from tedpc.episode_builder import COHORT_WINDOW, match_episodes
 from tedpc.errors import ConfigError, GenerationError
 from tedpc.ga_engine import build_candidates, candidate_table, ga_days, infer_gestation_starts
+from tedpc.ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE
 from tedpc.synthgen import (
     MAX_PERSON_ID,
     MAX_SEED,
@@ -215,6 +217,33 @@ class TestNoise:
             NoiseSpec(drop_ga_rate=1.5).validate()
 
 
+class TestNoiseStream:
+    @staticmethod
+    def streams(monkeypatch, ga_registry, dod_registry, noise):
+        """The (stream, person id) of every `_person_rng` call of a 20-person cohort."""
+        calls, real = [], synthgen._person_rng
+
+        def spy(seed, stream, person_id):
+            calls.append((stream, person_id))
+            return real(seed, stream, person_id)
+
+        monkeypatch.setattr(synthgen, "_person_rng", spy)
+        generate_cohort(SynthConfig(seed=3, n_persons=20, noise=noise), ga_registry, dod_registry)
+        return calls
+
+    def test_no_noise_seeds_only_the_base_stream(self, monkeypatch, ga_registry, dod_registry):
+        assert self.streams(monkeypatch, ga_registry, dod_registry, NoiseSpec()) == [(0, p) for p in range(1, 21)]
+
+    @pytest.mark.parametrize(
+        "rate", ["drop_ga_rate", "conflict_ga_rate", "shift_rate", "drop_dod_rate", "pre_pregnancy_index_rate"]
+    )
+    def test_any_rate_seeds_one_noise_stream_per_person(self, monkeypatch, ga_registry, dod_registry, rate):
+        calls = self.streams(monkeypatch, ga_registry, dod_registry, NoiseSpec(**{rate: 0.5}))
+        assert [p for stream, p in calls if stream == 1] == list(range(1, 21))
+        assert [p for stream, p in calls if stream == 0] == list(range(1, 21))
+        assert {stream for stream, _ in calls} == {0, 1}
+
+
 class TestConfigBounds:
     @pytest.mark.parametrize(
         "setting",
@@ -237,6 +266,28 @@ class TestConfigBounds:
 
     def test_packing_bounds_themselves_accepted(self):
         SynthConfig(seed=MAX_SEED, n_persons=MAX_PERSON_ID, gestation_count_probs=(0.0, 0.0, 1.0)).validate()
+
+    @pytest.mark.parametrize(
+        "window", [COHORT_WINDOW, (date(1902, 1, 1), date(1910, 12, 31))], ids=["default", "near-1900"]
+    )
+    def test_largest_accepted_shift_keeps_events_in_the_readable_range(self, ga_registry, dod_registry, window):
+        def accepted(days):
+            noise = NoiseSpec(shift_rate=1.0, shift_max_days=days, pre_pregnancy_index_rate=1.0)
+            try:
+                SynthConfig(n_persons=200, window=window, noise=noise).validate()
+            except ConfigError as exc:
+                assert "shift_max_days" in str(exc)
+                return False
+            return True
+
+        low, high = 1, 10**8
+        assert accepted(low) and not accepted(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if accepted(mid) else (low, mid)
+        noise = NoiseSpec(shift_rate=1.0, shift_max_days=low, pre_pregnancy_index_rate=1.0)
+        cohort = generate_cohort(SynthConfig(seed=4, n_persons=200, window=window, noise=noise), ga_registry, dod_registry)
+        assert all(MIN_EVENT_DATE <= e.event_date <= MAX_EVENT_DATE for e in cohort.events)
 
 
 class TestFeasibility:
