@@ -44,8 +44,9 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-# The text of a true/false field, as written with `str(flag).lower()`.
+# The text of a true/false field, read and written.
 BOOL_TOKENS = {"true": True, "false": False}
+BOOL_TEXT = {flag: text for text, flag in BOOL_TOKENS.items()}
 
 
 def iso_text(day: int) -> str:

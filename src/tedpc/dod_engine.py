@@ -9,10 +9,13 @@ engine uses, on the same `(day ordinal, concept id)` events.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .concept_registry import ConceptRegistry
 from .ga_engine import SEPARATION_WINDOW_DAYS, anchor_and_absorb
+
+DOD_DAY = itemgetter(1)  # DeliveryRecord.dod_day
 
 
 class DeliveryRecord(NamedTuple):
@@ -45,12 +48,12 @@ def infer_delivery_dates(
     """
     # (rank, -day, concept id) sorts natively into anchor order.
     pool = sorted(
-        (rank, -day, concept_id) for day, concept_id in events if (rank := ranks.get(concept_id)) is not None
+        [(rank, -day, concept_id) for day, concept_id in events if (rank := ranks.get(concept_id)) is not None]
     )
     days = [-p[1] for p in pool]
     results = []
     for i, members in anchor_and_absorb(days, window_days):
         rank, _, concept_id = pool[i]
         results.append(DeliveryRecord(person_id, days[i], concept_id, rank, len(members)))
-    results.sort(key=lambda r: r.dod_day, reverse=True)
+    results.sort(key=DOD_DAY, reverse=True)
     return results

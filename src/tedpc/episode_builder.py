@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from datetime import date
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
-from .dod_engine import DeliveryRecord
-from .csvio import BOOL_TOKENS, Memo, iso_date, table, write_rows
+from .dod_engine import DOD_DAY, DeliveryRecord
+from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, iso_date, table, write_rows
 from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
@@ -102,31 +103,28 @@ def match_episodes(
     starts the one closest to 280 days wins, earlier start on a tie. Each
     start and delivery is used at most once; leftovers are reported.
     """
-    person_ids = {s.person_id for s in starts} | {d.person_id for d in dods}
-    if len(person_ids) > 1:
+    if len({x.person_id for x in (*starts, *dods)}) > 1:
         raise InvariantError("episode matching called with more than one person")
     diagnostics = MatchDiagnostics([], [])
     unused = list(starts)
-    pairs: list[tuple[GestationStart, DeliveryRecord]] = []
-    for record in sorted(dods, key=lambda d: d.dod_day, reverse=True):
-        best = None
-        best_key = None
+    pairs: list[tuple[int, GestationStart, DeliveryRecord]] = []
+    for record in sorted(dods, key=DOD_DAY, reverse=True):
+        best = best_key = None
         for start in unused:
             gestation = record.dod_day - start.start_day
-            if not (min_days <= gestation <= max_days):
-                continue
-            key = (abs(gestation - TYPICAL_GESTATION_DAYS), start.start_day)
-            if best_key is None or key < best_key:
-                best, best_key = start, key
+            if min_days <= gestation <= max_days:
+                key = (abs(gestation - TYPICAL_GESTATION_DAYS), start.start_day)
+                if best_key is None or key < best_key:
+                    best, best_key = start, key
         if best is None:
             diagnostics.unmatched_dods.append(record)
         else:
             unused.remove(best)
-            pairs.append((best, record))
+            pairs.append((best.start_day, best, record))
     diagnostics.unmatched_starts.extend(unused)
-    pairs.sort(key=lambda p: p[0].start_day)
+    pairs.sort(key=itemgetter(0))
     episodes = []
-    for index, (start, record) in enumerate(pairs, start=1):
+    for index, (_, start, record) in enumerate(pairs, start=1):
         gestation = record.dod_day - start.start_day
         episodes.append(
             PregnancyEpisode(
@@ -222,10 +220,13 @@ EPISODE_HEADER = [
     "extreme_flag",
     "conflict_flag",
 ]
+_EXTREME_TEXT = {flag: flag.value for flag in ExtremeFlag}
+_EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
 
 
 def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> None:
     """Write episodes in canonical (person, episode index) order."""
+    date_text = Memo(date.isoformat)
     write_rows(
         path,
         EPISODE_HEADER,
@@ -233,43 +234,44 @@ def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> No
             [
                 e.person_id,
                 e.episode_index,
-                e.start_date.isoformat(),
-                e.dod.isoformat(),
+                date_text[e.start_date],
+                date_text[e.dod],
                 e.gestation_days,
                 TOKEN_BY_ACCURACY[e.ga_accuracy],
                 e.dod_domain_rank,
-                e.extreme_flag.value,
-                str(e.conflict_flag).lower(),
+                _EXTREME_TEXT[e.extreme_flag],
+                BOOL_TEXT[e.conflict_flag],
             ]
             for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
         ),
     )
 
 
-_EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
-
-
 def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
     """Read an episodes table written by write_episodes.
 
     Every token field takes exactly the values write_episodes writes; any
-    other text is a bad row.
+    other text is a bad row, as is a row whose gestation_days or extreme_flag
+    contradicts its dates, or that repeats a (person_id, episode_index).
     """
-    dates = Memo(iso_date)
-    episodes = []
+    dates, ints, flags = Memo(iso_date), Memo(int), Memo(extreme_flag_of)
+    episodes: dict[tuple[int, int], PregnancyEpisode] = {}
     with table(path, EPISODE_HEADER) as rows:
         for row in rows:
-            episodes.append(
-                PregnancyEpisode(
-                    int(row[0]),
-                    int(row[1]),
-                    dates[row[2]],
-                    dates[row[3]],
-                    int(row[4]),
-                    ACCURACY_TOKENS[row[5]],
-                    int(row[6]),
-                    _EXTREME_TOKENS[row[7]],
-                    BOOL_TOKENS[row[8]],
-                )
+            episode = PregnancyEpisode(
+                int(row[0]),
+                ints[row[1]],
+                dates[row[2]],
+                dates[row[3]],
+                ints[row[4]],
+                ACCURACY_TOKENS[row[5]],
+                ints[row[6]],
+                _EXTREME_TOKENS[row[7]],
+                BOOL_TOKENS[row[8]],
             )
-    return episodes
+            days = (episode.dod - episode.start_date).days
+            if episode.gestation_days != days or episode.extreme_flag is not flags[days]:
+                raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
+            if episodes.setdefault(episode[:2], episode) is not episode:
+                raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
+    return list(episodes.values())

@@ -11,6 +11,7 @@ start day)` tuple whose native order is the anchor order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, GAConceptSpec
@@ -21,6 +22,8 @@ SEPARATION_WINDOW_DAYS = 270
 CONFLICT_WINDOW_DAYS = 14
 
 _HIGH = int(AccuracyLevel.HIGH)
+_LEVEL_OF_RANK = {int(level): level for level in AccuracyLevel}
+_START_DAY = itemgetter(1)  # GestationStart.start_day
 
 # One GA candidate: (accuracy rank, event day, concept id, implied start day).
 Candidate = tuple[int, int, int, int]
@@ -65,23 +68,22 @@ def anchor_and_absorb(positions: list[int], window_days: int) -> list[tuple[int,
     """Greedy clustering shared by the start and delivery engines.
 
     Walks `positions` in index order, which is anchor order: best first.
-    Each index not yet absorbed becomes an anchor and absorbs every remaining
-    index whose position lies within ±window_days (inclusive) of its own,
-    itself included. Returns (anchor, members) pairs in anchor order, members
-    in index order.
+    The first index not yet absorbed anchors a cluster of every remaining
+    index within ±window_days (inclusive) of its position, itself included.
+    One pass partitions the remaining indices, kept in index order, into the
+    cluster and the rest: O(n) per cluster, so one cluster costs one pass.
+    Returns (anchor, members) pairs in anchor order, members in index order.
     """
-    alive = bytearray([1]) * len(positions)
+    rest = range(len(positions))
     clusters = []
-    for i in range(len(positions)):
-        if not alive[i]:
-            continue
-        anchor = positions[i]
-        members = []
-        for j in range(len(positions)):
-            if alive[j] and abs(positions[j] - anchor) <= window_days:
-                alive[j] = 0
-                members.append(j)
-        clusters.append((i, members))
+    while rest:
+        anchor = positions[rest[0]]
+        low, high = anchor - window_days, anchor + window_days
+        members = [j for j in rest if low <= positions[j] <= high]
+        clusters.append((rest[0], members))
+        if len(members) == len(rest):
+            break
+        rest = [j for j in rest if not low <= positions[j] <= high]
     return clusters
 
 
@@ -106,9 +108,13 @@ def infer_gestation_starts(
     results = []
     for i, members in anchor_and_absorb(starts, window_days):
         accuracy, day, concept_id, start = pool[i]
-        conflict = any(pool[j][0] == _HIGH and abs(starts[j] - start) > conflict_days for j in members)
+        conflict = False
+        for j in members:
+            if pool[j][0] == _HIGH and abs(starts[j] - start) > conflict_days:
+                conflict = True
+                break
         results.append(
-            GestationStart(person_id, start, AccuracyLevel(accuracy), concept_id, day, conflict, len(members))
+            GestationStart(person_id, start, _LEVEL_OF_RANK[accuracy], concept_id, day, conflict, len(members))
         )
-    results.sort(key=lambda s: s.start_day)
+    results.sort(key=_START_DAY)
     return results

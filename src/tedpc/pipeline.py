@@ -34,7 +34,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import Memo, iso_text, write_rows
+from .csvio import BOOL_TEXT, Memo, iso_text, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     PregnancyEpisode,
@@ -52,6 +52,8 @@ logger = logging.getLogger(__name__)
 
 
 def _check_separation(days: list[int], window_days: int, kind: str, person_id: int) -> None:
+    if len(days) < 2:
+        return
     ordinals = sorted(days)
     for a, b in zip(ordinals, ordinals[1:]):
         if b - a <= window_days:
@@ -145,7 +147,7 @@ def run_infer(config: RunConfig) -> dict:
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
         [
-            [e.person_id, e.episode_index, e.start_date.isoformat(), e.dod.isoformat(), reason]
+            [e.person_id, e.episode_index, day_text[e.start_date.toordinal()], day_text[e.dod.toordinal()], reason]
             for e, reason in excluded
         ],
     )
@@ -161,7 +163,7 @@ def run_infer(config: RunConfig) -> dict:
                     day_text[s.anchor_day],
                     TOKEN_BY_ACCURACY[s.accuracy],
                     s.cluster_size,
-                    str(s.conflict_flag).lower(),
+                    BOOL_TEXT[s.conflict_flag],
                 ]
                 for s in all_starts
             ],

@@ -46,6 +46,23 @@ def ga_reference(candidates, window=270, conflict=14):
     return sorted(out, key=lambda r: r["start"])
 
 
+def anchor_and_absorb_reference(positions, window_days):
+    """The clustering primitive as first written: a bytearray of live indices, rescanned for each anchor."""
+    alive = bytearray([1]) * len(positions)
+    clusters = []
+    for i in range(len(positions)):
+        if not alive[i]:
+            continue
+        anchor = positions[i]
+        members = []
+        for j in range(len(positions)):
+            if alive[j] and abs(positions[j] - anchor) <= window_days:
+                alive[j] = 0
+                members.append(j)
+        clusters.append((i, members))
+    return clusters
+
+
 DOMAIN_RANK = {"Procedure": 1, "Condition": 2, "Observation": 3}
 
 

@@ -581,9 +581,17 @@ class TestTableDialect:
                  f"{{path}}:2: unknown value {flag!r}")
                 for flag in ("yes", "True", "")
             ),
+            # A row must agree with itself and name an episode once: stats would count it as written.
+            ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-01-01,2020-10-01,100,high,1,none,false\n",
+             "{path}:2: gestation_days 100, extreme_flag 'none' contradict dates 274 days apart"),
+            ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-01-01,2020-10-01,274,high,1,short,false\n",
+             "{path}:2: gestation_days 274, extreme_flag 'short' contradict dates 274 days apart"),
+            ("episodes", f"{','.join(EPISODE_HEADER)}\n" + "1,1,2020-01-01,2020-10-01,274,high,1,none,false\n" * 2,
+             "{path}:3: episode 1 of person 1 repeats an earlier row"),
         ],
         ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty",
-             "conflict-flag-yes", "conflict-flag-True", "conflict-flag-empty"],
+             "conflict-flag-yes", "conflict-flag-True", "conflict-flag-empty",
+             "gestation-days-off-dates", "extreme-flag-off-gestation", "episode-repeated"],
     )
     def test_malformed_table_exit_2_naming_file(self, sim_dir, tmp_path, capsys, table, content, expected):
         assert run_infer(sim_dir, tmp_path / "run") == 0

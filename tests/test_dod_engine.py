@@ -65,6 +65,14 @@ class TestInferDeliveryDates:
     def test_non_registry_events_ignored(self, dod_ranks):
         assert infer_delivery_dates(1, [(day(2020, 5, 2), 999999999)], dod_ranks) == []
 
+    def test_window_of_one_day_sorts_clusters_two_days_apart(self, dod_ranks):
+        # The procedure anchors first although its day is the earliest; then the latest condition.
+        first = day(2020, 5, 2)
+        events = [(first, 2110316), (first + 2, 4014295), (first + 4, 4014295)]
+        records = infer_delivery_dates(1, events, dod_ranks, window_days=1)
+        assert [r.dod_day for r in records] == [first + 4, first + 2, first]
+        assert [r.domain_rank for r in records] == [2, 2, 1]
+
     def test_same_date_same_rank_lowest_concept_anchors(self, dod_ranks):
         when = day(2020, 5, 2)
         records = infer_delivery_dates(1, [(when, 2110323), (when, 2110316)], dod_ranks)
@@ -90,9 +98,10 @@ class TestProperties:
         rng = np.random.default_rng(22)
         for _ in range(self.N_INSTANCES):
             events = random_events(rng, dod_registry)
-            records = infer_delivery_dates(1, events, dod_ranks)
-            assert sum(r.cluster_size for r in records) == len(events)
-            assert all(a.dod_day > b.dod_day for a, b in zip(records, records[1:]))
+            for window in (1, 270):
+                records = infer_delivery_dates(1, events, dod_ranks, window_days=window)
+                assert sum(r.cluster_size for r in records) == len(events)
+                assert all(a.dod_day > b.dod_day for a, b in zip(records, records[1:]))
 
     def test_permutation_invariance(self, dod_registry, dod_ranks):
         rng = np.random.default_rng(23)

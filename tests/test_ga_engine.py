@@ -104,6 +104,10 @@ class TestAnchorAndAbsorb:
         assert anchor_and_absorb([200, 0, 400], 270) == [(0, [0, 1, 2])]
         assert anchor_and_absorb([0, 200, 400], 270) == [(0, [0, 1]), (2, [2])]
 
+    def test_window_of_one_day_splits_positions_two_days_apart(self):
+        assert anchor_and_absorb([4, 0, 2], 1) == [(0, [0]), (1, [1]), (2, [2])]
+        assert anchor_and_absorb([4, 0, 2], 2) == [(0, [0, 2]), (1, [1])]
+
 
 class TestInferGestationStarts:
     def test_empty_input(self):
@@ -153,6 +157,20 @@ class TestInferGestationStarts:
         assert starts[0].conflict_flag
         assert_matches_reference(events, ga_registry)
 
+    def test_window_of_one_day_sorts_clusters_two_days_apart(self, ga_table):
+        # The high-accuracy candidate anchors first although its start is the latest.
+        base = day(2020, 1, 1)
+        events = [
+            (base + 4 + ga_table[4051642][0], 4051642),
+            (base + ga_table[4239938][0], 4239938),
+            (base + 2 + ga_table[4239938][0], 4239938),
+        ]
+        starts = infer_gestation_starts(1, build_candidates(events, ga_table), window_days=1)
+        assert [s.start_day for s in starts] == [base, base + 2, base + 4]
+        assert [s.cluster_size for s in starts] == [1, 1, 1]
+        assert starts[2].accuracy is AccuracyLevel.HIGH and starts[0].accuracy is not AccuracyLevel.HIGH
+        assert all(type(s.accuracy) is AccuracyLevel for s in starts)
+
     def test_boundary_exactly_window_days_absorbs(self, ga_registry):
         first = day(2020, 7, 1)
         assert len(run_engine([(first, 4051642), (first + 270, 4051642)], ga_registry)) == 1
@@ -184,6 +202,16 @@ class TestProperties:
             # equivalent elsewhere): nothing absorbed outranks its anchor.
             for cluster in ga_reference(events_to_reference(events, ga_registry)):
                 assert min(cluster["member_ranks"]) == cluster["anchor_rank"]
+
+    def test_output_types_and_order(self, ga_registry, ga_table):
+        # The writers index TOKEN_BY_ACCURACY, which takes a plain int too, so only a test sees the type.
+        rng = np.random.default_rng(14)
+        for _ in range(self.N_INSTANCES):
+            candidates = build_candidates(random_events(rng, ga_registry, max_events=20), ga_table)
+            for window in (1, 270):
+                starts = infer_gestation_starts(1, candidates, window_days=window)
+                assert all(type(s.accuracy) is AccuracyLevel for s in starts)
+                assert all(a.start_day < b.start_day for a, b in zip(starts, starts[1:]))
 
     def test_permutation_invariance(self, ga_registry):
         rng = np.random.default_rng(13)
