@@ -3,18 +3,20 @@
 Produces the index-event gestational-week histogram and the stratified
 demographics/conditions table, with small-cell suppression applied at render
 time only: raw counts are computed once and never altered by suppression.
-Events are `(day ordinal, concept id)` pairs, day-sorted as `load_events`
-groups them. `episode_exposures` walks each episode's events once, up to the
-first after its delivery; timeline, the histogram and the table all read
-from that walk.
+Both read only each person's first day of the index set and of each condition
+set (`ingestion.first_event_days`), through `first_day_exposures`. Timeline
+needs every index event: `episode_exposures` walks each episode's day-sorted
+`(day ordinal, concept id)` events once, up to the first after its delivery.
 """
 
 from __future__ import annotations
 
+import re
 from datetime import date
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple
 
+from .csvio import Memo
 from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
 from .errors import ConfigError
 from .ingestion import Event, Person
@@ -22,8 +24,8 @@ from .ingestion import Event, Person
 PANDEMIC_CUTOFF = date(2020, 3, 1)
 SUPPRESSION_THRESHOLD = 20
 MAX_HISTOGRAM_WEEK = 45
-# One episode as `episode_exposures` yields it: (episode, index events, week of the first, condition sets met).
-Exposure = tuple[PregnancyEpisode, list[Event], int | None, set[str]]
+# One episode as `first_day_exposures` yields it: (episode, week of its first index event, condition sets met).
+Exposure = tuple[PregnancyEpisode, int | None, list[str]]
 
 AGE_BANDS = ["15-19", "20-24", "25-29", "30-34", "35-39", "40-44", "45-49"]
 RACE_CATEGORIES = [
@@ -110,30 +112,33 @@ def episode_exposures(
     episodes: Iterable[PregnancyEpisode],
     events_by_person: dict[int, list[Event]],
     index_concepts: frozenset[int] | set[int],
-    condition_sets: dict[str, frozenset[int] | set[int]],
-) -> Iterator[Exposure]:
-    """Walk each episode's day-sorted events once, up to the first after its delivery.
-
-    Yields per episode the episode, its index events on or before the delivery
-    in `(day, concept id)` order, the gestational week of the first (0 before
-    the start, None without one) and the names of the condition sets met by then.
-    """
-    no_names: frozenset[str] = frozenset()
-    concept_ids = set().union(*condition_sets.values())
-    names_of = {c: frozenset(name for name, ids in condition_sets.items() if c in ids) for c in concept_ids}
+) -> Iterator[tuple[PregnancyEpisode, list[Event]]]:
+    """Yield each episode with its index events on or before its delivery, in `(day, concept id)` order."""
     for episode in episodes:
-        dod_day, start_day = episode.dod.toordinal(), episode.start_date.toordinal()
-        index_events, conditions = [], set()
+        dod_day = episode.dod.toordinal()
+        index_events = []
         for event in events_by_person.get(episode.person_id, ()):
             day, concept_id = event
             if day > dod_day:
                 break
             if concept_id in index_concepts:
                 index_events.append(event)
-            conditions |= names_of.get(concept_id, no_names)
-        first = index_events[0][0] if index_events else None
-        week = None if first is None else 0 if first < start_day else week_of(start_day, first)
-        yield episode, index_events, week, conditions
+        yield episode, index_events
+
+
+def first_day_exposures(
+    episodes: Iterable[PregnancyEpisode], first_days: dict[int, dict], condition_names: Iterable[str]
+) -> Iterator[Exposure]:
+    """Yield each episode's index week (0 before the start) and the condition sets it meets by its delivery.
+
+    `first_days` holds each person's first day of the index set under None and of each condition set under its name.
+    """
+    for episode in episodes:
+        firsts = first_days.get(episode.person_id, {})
+        start_day, after = episode.start_date.toordinal(), episode.dod.toordinal() + 1
+        first = firsts.get(None, after)
+        week = None if first >= after else 0 if first < start_day else week_of(start_day, first)
+        yield episode, week, [name for name in condition_names if firsts.get(name, after) < after]
 
 
 def infection_week_histogram(exposures: Iterable[Exposure]) -> dict[int, int]:
@@ -144,7 +149,7 @@ def infection_week_histogram(exposures: Iterable[Exposure]) -> dict[int, int]:
     collapse into the final bucket.
     """
     counts = {week: 0 for week in range(MAX_HISTOGRAM_WEEK + 1)}
-    for _, _, week, _ in exposures:
+    for _, week, _ in exposures:
         if week is not None:
             counts[min(week, MAX_HISTOGRAM_WEEK)] += 1
     return counts
@@ -160,11 +165,15 @@ def age_band_of(age: int) -> str | None:
     return _BAND_OF_AGE.get(age)
 
 
-def race_category_of(person: Person) -> str:
-    """Collapse raw race/ethnicity text into the seven reporting categories."""
-    if "hispanic" in person.ethnicity.lower() and "not" not in person.ethnicity.lower():
+def race_category_of(race: str, ethnicity: str) -> str:
+    """Collapse raw race/ethnicity text into the seven reporting categories.
+
+    Ethnicity wins when its words include "hispanic" and neither "not" nor "non".
+    """
+    words = re.findall("[a-z]+", ethnicity.lower())
+    if "hispanic" in words and "not" not in words and "non" not in words:
         return "Hispanic/Latino"
-    return _RACE_SYNONYMS.get(person.race.strip().lower(), "Other/unknown")
+    return _RACE_SYNONYMS.get(race.strip().lower(), "Other/unknown")
 
 
 # Column labels: totals per stratum, then index-event exposure splits.
@@ -178,6 +187,25 @@ COLUMN_LABELS = [
     "Index in week 28+: no",
     "Index in week 28+: yes",
 ]
+
+
+def _columns_of(stratum: PandemicStratum, week: int | None, long_gestation: bool) -> tuple[int, ...]:
+    """Indices of the columns an episode of this stratum, index week and gestation length counts in."""
+    peri = stratum is PandemicStratum.PERI
+    t12 = week is not None and 1 <= week <= SECOND_TRIMESTER_MAX_WEEK
+    t3 = week is not None and week > SECOND_TRIMESTER_MAX_WEEK
+    # One flag per column, in COLUMN_LABELS order.
+    flags = [
+        stratum is PandemicStratum.PRE,
+        peri,
+        peri and week is None,
+        peri and week is not None,
+        peri and not t12,
+        peri and t12,
+        peri and long_gestation and not t3,
+        peri and long_gestation and t3,
+    ]
+    return tuple(j for j, flag in enumerate(flags) if flag)
 
 
 class StratifiedTable(NamedTuple):
@@ -236,37 +264,26 @@ def stratified_table(
     age_rows = {band: [0] * width for band in AGE_BANDS}
     race_rows = {category: [0] * width for category in RACE_CATEGORIES}
     condition_yes = {name: [0] * width for name in sorted(condition_names)}
-    for episode, _, week, conditions in exposures:
+    # Episodes per (columns, age band, race category, condition sets met): the keys are few, however many episodes.
+    counts: dict[tuple, int] = {}
+    # Columns and race category each follow from a few distinct values: each value is worked out once.
+    columns_of, races = Memo(lambda key: _columns_of(*key)), Memo(lambda texts: race_category_of(*texts))
+    for episode, week, conditions in exposures:
         stratum = spec.stratum_of(episode.dod)
         if stratum is None:
             continue
-        peri = stratum is PandemicStratum.PERI
-        long_gestation = episode.gestation_days > SECOND_TRIMESTER_MAX_WEEK * 7
-        t12 = week is not None and 1 <= week <= SECOND_TRIMESTER_MAX_WEEK
-        t3 = week is not None and week > SECOND_TRIMESTER_MAX_WEEK
-        # One flag per column, in COLUMN_LABELS order.
-        flags = [
-            stratum is PandemicStratum.PRE,
-            peri,
-            peri and week is None,
-            peri and week is not None,
-            peri and not t12,
-            peri and t12,
-            peri and long_gestation and not t3,
-            peri and long_gestation and t3,
-        ]
-        rows = [column_totals]
         person = persons.get(episode.person_id)
+        band = race = None
         if person is not None:
-            band = age_band_of(age_at(person.birth_date, episode.dod))
-            if band is not None:
-                rows.append(age_rows[band])
-            rows.append(race_rows[race_category_of(person)])
-        rows.extend(condition_yes[name] for name in conditions)
-        columns = [j for j, flag in enumerate(flags) if flag]
-        for row in rows:
-            for j in columns:
-                row[j] += 1
+            band, race = age_band_of(age_at(person.birth_date, episode.dod)), races[person.race, person.ethnicity]
+        columns = columns_of[stratum, week, episode.gestation_days > SECOND_TRIMESTER_MAX_WEEK * 7]
+        key = (columns, band, race, *conditions)
+        counts[key] = counts.get(key, 0) + 1
+    for (columns, band, race, *conditions), n in counts.items():
+        for row in (column_totals, age_rows.get(band), race_rows.get(race), *map(condition_yes.get, conditions)):
+            if row is not None:
+                for j in columns:
+                    row[j] += n
 
     sections: list[tuple[str, list[tuple[str, list[int]]]]] = [
         ("Age group", list(age_rows.items())),

@@ -252,7 +252,8 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
 
     Every token field takes exactly the values write_episodes writes; any
     other text is a bad row, as is a row whose gestation_days or extreme_flag
-    contradicts its dates, or that repeats a (person_id, episode_index).
+    contradicts its dates, whose dod is not after its start, or that repeats a
+    (person_id, episode_index).
     """
     dates, ints, flags = Memo(iso_date), Memo(int), Memo(extreme_flag_of)
     episodes: dict[tuple[int, int], PregnancyEpisode] = {}
@@ -272,6 +273,8 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
             days = (episode.dod - episode.start_date).days
             if episode.gestation_days != days or episode.extreme_flag is not flags[days]:
                 raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
+            if days < 1:
+                raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
             if episodes.setdefault(episode[:2], episode) is not episode:
                 raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
     return list(episodes.values())

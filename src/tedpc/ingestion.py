@@ -154,6 +154,25 @@ def load_events(
     return EventTable(by_person, quarantined, total, mismatches)
 
 
+def first_event_days(path: Path | str, labels: dict[int, tuple]) -> dict[int, dict]:
+    """Each person's first event day per label, `{person_id: {label: day ordinal}}`; no event is held.
+
+    `labels` maps a concept id to the labels its events count toward. Rows are checked as in `load_events`.
+    """
+    firsts: dict[int, dict] = {}
+    concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(Domain.parse)
+    with table(path, EVENT_HEADER) as rows:
+        for row in rows:
+            person_id, concept_id = int(row[0]), concept_ids[row[1]]
+            domains[row[2]]  # checked, not kept
+            day = days[row[3]]
+            for label in labels.get(concept_id, ()):
+                first = firsts.setdefault(person_id, {})
+                if first.setdefault(label, day) > day:
+                    first[label] = day
+    return firsts
+
+
 def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
     """Write a persons table in canonical (person id) order."""
     write_rows(

@@ -3,15 +3,16 @@
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
-Each command passes `load_events` the concepts it reads: it still validates
-every event row but groups only the events of those concepts, the GA and
-delivery ones for infer, the index set for timeline, plus every condition set
-for stats.
+Every command validates every event row but keeps only what it reads: infer
+and timeline group the events of the GA and delivery concepts, or of the index
+set (`load_events`); stats keeps one first day per person and label, the index
+set labelled None and each condition set by its name (`first_event_days`).
 
 Inference is one loop over the persons in id order, in one thread. Each
 person's events are popped off the table as the loop reaches them, so they
-are freed once that person is done. Timeline and stats walk each episode's
-events once (`analytics.episode_exposures`), and read all they write from it.
+are freed once that person is done. Timeline walks each episode's events once
+(`analytics.episode_exposures`); stats reads each episode's index week and
+condition sets off the first days (`analytics.first_day_exposures`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from .analytics import (
     episode_exposures,
+    first_day_exposures,
     infection_week_histogram,
     render_histogram_markdown,
     stratified_table,
@@ -46,7 +48,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, load_events, load_persons
+from .ingestion import EVENT_HEADER, first_event_days, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -209,7 +211,7 @@ def run_timeline(config: RunConfig) -> int:
     table = load_events(config.events_path, concepts=index_concepts)
     day_text = Memo(iso_text)
     rows = []
-    for episode, index_events, _, _ in episode_exposures(episodes, table.events_by_person, index_concepts, {}):
+    for episode, index_events in episode_exposures(episodes, table.events_by_person, index_concepts):
         start_day = episode.start_date.toordinal()
         for day, concept_id in index_events:
             timing = gestational_week_of(day, start_day)
@@ -245,10 +247,14 @@ def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppres
     persons = load_persons(config.persons_path)
     index_concepts = read_concept_ids(config.index_events_path)
     condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
-    table = load_events(config.events_path, concepts=index_concepts.union(*condition_sets.values()))
+    labels: dict[int, tuple] = {concept_id: (None,) for concept_id in index_concepts}
+    for name, concept_ids in condition_sets.items():
+        for concept_id in concept_ids:
+            labels[concept_id] = labels.get(concept_id, ()) + (name,)
+    first_days = first_event_days(config.events_path, labels)
 
-    exposures = list(episode_exposures(episodes, table.events_by_person, index_concepts, condition_sets))
-    histogram = infection_week_histogram(exposures)
+    histogram = infection_week_histogram(first_day_exposures(episodes, first_days, ()))
+    exposures = first_day_exposures(episodes, first_days, condition_sets)
     report_table = stratified_table(exposures, persons, condition_sets, strata)
 
     lines = [

@@ -5,6 +5,7 @@ share no code with the package: gestation medians come from decimal
 arithmetic, clustering scans plain lists, and domain ranks are literal.
 """
 
+import re
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -207,8 +208,8 @@ def table_reference(
         person = persons.get(ep.person_id)
         if person is None:
             return None
-        ethnicity = person.ethnicity.lower()
-        if "hispanic" in ethnicity and "not" not in ethnicity:
+        words = re.split("[^a-z]+", person.ethnicity.lower())
+        if "hispanic" in words and "not" not in words and "non" not in words:
             return "Hispanic/Latino"
         return RACE_TEXT.get(person.race.strip().lower(), "Other/unknown")
 

@@ -4,13 +4,13 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from conftest import as_events
 from oracles import histogram_reference, table_reference, timeline_reference
 from tedpc.analytics import (
     PandemicStratum,
     StrataSpec,
     age_band_of,
     episode_exposures,
+    first_day_exposures,
     infection_week_histogram,
     pandemic_stratum_of,
     race_category_of,
@@ -22,8 +22,8 @@ from tedpc.concept_registry import AccuracyLevel, Domain
 from tedpc.episode_builder import PregnancyEpisode, extreme_flag_of, write_episodes
 from tedpc.errors import ConfigError
 from tedpc.config import RunConfig
-from tedpc.ingestion import ClinicalEvent, Person, load_events, write_events
-from tedpc.pipeline import run_timeline
+from tedpc.ingestion import ClinicalEvent, Person, first_event_days, write_events, write_persons
+from tedpc.pipeline import run_stats, run_timeline
 
 INDEX = 900000001
 
@@ -40,9 +40,15 @@ def event_on(day, concept_id=INDEX):
 
 
 def exposures_of(episodes, events_by_person, condition_sets):
-    """The walk over each person's events, sorted as load_events leaves them, with INDEX as the index concept."""
-    grouped = {person_id: sorted(events) for person_id, events in events_by_person.items()}
-    return episode_exposures(episodes, grouped, {INDEX}, condition_sets)
+    """The exposures stats reads, with INDEX as the index concept: each person's first day per label."""
+    first_days = {}
+    for person_id, events in events_by_person.items():
+        for day, concept_id in events:
+            labels = [None] * (concept_id == INDEX) + [name for name, ids in condition_sets.items() if concept_id in ids]
+            for label in labels:
+                firsts = first_days.setdefault(person_id, {})
+                firsts[label] = min(day, firsts.get(label, day))
+    return first_day_exposures(episodes, first_days, condition_sets)
 
 
 def histogram(episodes, events_by_person):
@@ -145,11 +151,11 @@ class TestHistogram:
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         # None cannot be unpacked as an event: reading past the first event after delivery fails.
         events = {1: [event_on(date(2020, 3, 1)), event_on(date(2020, 10, 8)), None]}
-        [(_, index_events, week, _)] = episode_exposures([ep], events, {INDEX}, {})
-        assert index_events == [event_on(date(2020, 3, 1))] and week == 9
+        [(_, index_events)] = episode_exposures([ep], events, {INDEX})
+        assert index_events == [event_on(date(2020, 3, 1))]
 
     def test_order_insensitive(self, tmp_path):
-        # Through load_events, which sorts each person's events for the walk.
+        # Through first_event_days, which keeps each person's earliest day whatever the row order.
         rng = np.random.default_rng(5)
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         events = [
@@ -159,8 +165,8 @@ class TestHistogram:
 
         def loaded_histogram():
             write_events(tmp_path / "e.csv", events)
-            grouped = load_events(tmp_path / "e.csv").events_by_person
-            return infection_week_histogram(episode_exposures([ep], grouped, {INDEX}, {}))
+            first_days = first_event_days(tmp_path / "e.csv", {INDEX: (None,)})
+            return infection_week_histogram(first_day_exposures([ep], first_days, ()))
 
         baseline = loaded_histogram()
         for _ in range(5):
@@ -198,16 +204,21 @@ class TestCategories:
             assert age_band_of(low + 5) != band
 
     def test_race_by_ethnicity_wins(self):
-        person = Person(1, date(1990, 1, 1), "F", "White", "Hispanic or Latino")
-        assert race_category_of(person) == "Hispanic/Latino"
+        assert race_category_of("White", "Hispanic or Latino") == "Hispanic/Latino"
 
     def test_not_hispanic_uses_race(self):
-        person = Person(1, date(1990, 1, 1), "F", "Black", "Not Hispanic or Latino")
-        assert race_category_of(person) == "Black"
+        assert race_category_of("Black", "Not Hispanic or Latino") == "Black"
+
+    @pytest.mark.parametrize("ethnicity", ["Non-Hispanic", "Non Hispanic", "non-hispanic/latino"])
+    def test_non_hispanic_uses_race(self, ethnicity):
+        assert race_category_of("Asian", ethnicity) == "Asian"
+
+    @pytest.mark.parametrize("ethnicity", ["Hispanic/Latino", "HISPANIC", "Hispanic or Latino"])
+    def test_hispanic_words_win(self, ethnicity):
+        assert race_category_of("Asian", ethnicity) == "Hispanic/Latino"
 
     def test_unknown_race_is_catch_all(self):
-        person = Person(1, date(1990, 1, 1), "F", "Martian", "Not Hispanic or Latino")
-        assert race_category_of(person) == "Other/unknown"
+        assert race_category_of("Martian", "Not Hispanic or Latino") == "Other/unknown"
 
 
 def build_cohort(n, with_condition_event, index_week=None):
@@ -319,9 +330,10 @@ class TestStratifiedTable:
 class TestTableOracle:
     RACES = ["White", " black ", "Black or African American", "Asian", "NHOPI",
              "Native Hawaiian or Other Pacific Islander", "Multiple", "multiracial", "Martian", ""]
-    ETHNICITIES = ["Hispanic or Latino", "Not Hispanic or Latino", "HISPANIC", "", "Unknown"]
+    ETHNICITIES = ["Hispanic or Latino", "Not Hispanic or Latino", "HISPANIC", "", "Unknown", "Non-Hispanic"]
     CONCEPTS = [INDEX, INDEX + 1, 777, 778, 779, 5]
-    CONDITIONS = {"B_set": {779}, "A_set": {777, 778}}
+    # INDEX + 1 is an index concept and a member of B_set.
+    CONDITIONS = {"B_set": {779, INDEX + 1}, "A_set": {777, 778}}
 
     def random_instance(self, rng):
         base = date(2018, 1, 1).toordinal()
@@ -344,27 +356,49 @@ class TestTableOracle:
             events[person_id] = person_events
         return persons, events, episodes
 
-    def test_matches_brute_force_reference(self):
+    def test_matches_brute_force_reference(self, tmp_path):
+        # The real stats path, over written tables with events.csv rows shuffled.
         rng = np.random.default_rng(2024)
+        index_concepts = {INDEX, INDEX + 1}
+        paths = {name: tmp_path / f"{name}.csv" for name in ["index", *self.CONDITIONS]}
+        for name, concept_ids in [("index", index_concepts), *self.CONDITIONS.items()]:
+            paths[name].write_text("concept_id\n" + "".join(f"{c}\n" for c in sorted(concept_ids)))
+        out = tmp_path / "out"
+        base = RunConfig(
+            persons_path=tmp_path / "persons.csv",
+            events_path=tmp_path / "events.csv",
+            episodes_path=tmp_path / "episodes.csv",
+            index_events_path=paths["index"],
+            out_dir=out,
+        )
         seen = set()
         for trial in range(300):
             persons, events, episodes = self.random_instance(rng)
+            for ep in episodes:
+                if rng.random() < 0.2:
+                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, ep.dod))
             if trial % 2:
                 windows = {
                     "pre_window": (date(2018, 6, 1), date(2019, 12, 31)),
                     "peri_window": (date(2020, 4, 1), date(2021, 12, 31)),
                 }
-                spec = StrataSpec(**windows)
+                config = base._replace(**windows)
             else:
                 windows = {"cutoff": date.fromordinal(date(2019, 1, 1).toordinal() + int(rng.integers(0, 900)))}
-                spec = StrataSpec(**windows)
-            grouped = {person_id: as_events(person_events) for person_id, person_events in events.items()}
-            exposures = episode_exposures(episodes, grouped, {INDEX, INDEX + 1}, self.CONDITIONS)
-            table = stratified_table(exposures, persons, self.CONDITIONS, spec)
-            expected = table_reference(
-                episodes, persons, events, {INDEX, INDEX + 1}, self.CONDITIONS, **windows
-            )
-            assert table.csv_rows() == expected
+                config = base._replace(pandemic_cutoff=windows["cutoff"])
+            rows = [e for person_events in events.values() for e in person_events]
+            rng.shuffle(rows)
+            write_events(config.events_path, rows)
+            write_persons(config.persons_path, persons.values())
+            write_episodes(config.episodes_path, episodes)
+            run_stats(config, {name: paths[name] for name in self.CONDITIONS}, unsuppressed=True)
+            with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+                header, *counts = csv.reader(fh)
+            expected = table_reference(episodes, persons, events, index_concepts, self.CONDITIONS, **windows)
+            assert [header] + [row[:2] + [int(n) for n in row[2:]] for row in counts] == expected
+            with open(out / "histogram.csv", newline="", encoding="utf-8") as fh:
+                histogram = {int(week): int(n) for week, n in list(csv.reader(fh))[1:]}
+            assert histogram == histogram_reference(episodes, events, index_concepts)
             for ep in episodes:
                 person = persons.get(ep.person_id)
                 if person is None:
@@ -375,13 +409,17 @@ class TestTableOracle:
                         seen.add("age outside bands")
                     if person.ethnicity in ("Hispanic or Latino", "HISPANIC") and person.race.strip():
                         seen.add("ethnicity overrides race")
-                if spec.stratum_of(ep.dod) is None:
+                    if person.ethnicity == "Non-Hispanic" and race_category_of(person.race, person.ethnicity) != "Other/unknown":
+                        seen.add("non-hispanic uses race")
+                if config.strata().stratum_of(ep.dod) is None:
                     seen.add("dropped by windows")
                 if any(e.event_date > ep.dod for e in events[ep.person_id]):
                     seen.add("event after delivery")
+                if any(e.concept_id == INDEX + 1 and e.event_date <= ep.dod for e in events[ep.person_id]):
+                    seen.add("index event meets a condition set")
         assert seen == {
-            "missing person", "age outside bands", "ethnicity overrides race",
-            "dropped by windows", "event after delivery",
+            "missing person", "age outside bands", "ethnicity overrides race", "non-hispanic uses race",
+            "dropped by windows", "event after delivery", "index event meets a condition set",
         }
 
     def test_timeline_and_histogram_match_brute_force(self, tmp_path):
@@ -407,8 +445,8 @@ class TestTableOracle:
                 written = [[int(r[0]), int(r[1]), int(r[2]), r[3], int(r[4]), r[5]] for r in list(csv.reader(fh))[1:]]
             assert rows == len(written)
             assert written == timeline_reference(episodes, events, index_concepts)
-            grouped = {person_id: as_events(person_events) for person_id, person_events in events.items()}
-            exposures = episode_exposures(episodes, grouped, index_concepts, {})
+            first_days = first_event_days(config.events_path, {concept_id: (None,) for concept_id in index_concepts})
+            exposures = first_day_exposures(episodes, first_days, ())
             assert infection_week_histogram(exposures) == histogram_reference(episodes, events, index_concepts)
             for ep in episodes:
                 person_events = events[ep.person_id]

@@ -588,10 +588,13 @@ class TestTableDialect:
              "{path}:2: gestation_days 274, extreme_flag 'short' contradict dates 274 days apart"),
             ("episodes", f"{','.join(EPISODE_HEADER)}\n" + "1,1,2020-01-01,2020-10-01,274,high,1,none,false\n" * 2,
              "{path}:3: episode 1 of person 1 repeats an earlier row"),
+            # Agrees with itself, but no pregnancy ends before it starts.
+            ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-10-01,2020-01-01,-274,high,1,short,false\n",
+             "{path}:2: gestation_days -274: dod 2020-01-01 is not after start_date 2020-10-01"),
         ],
         ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty",
              "conflict-flag-yes", "conflict-flag-True", "conflict-flag-empty",
-             "gestation-days-off-dates", "extreme-flag-off-gestation", "episode-repeated"],
+             "gestation-days-off-dates", "extreme-flag-off-gestation", "episode-repeated", "dod-before-start"],
     )
     def test_malformed_table_exit_2_naming_file(self, sim_dir, tmp_path, capsys, table, content, expected):
         assert run_infer(sim_dir, tmp_path / "run") == 0
@@ -834,8 +837,10 @@ class TestFilteredEventLoading:
             "1,999999999,Condition,1899-12-31",
             "1,999999999,Widget,2020-01-01",
             "1,999999999,Condition",
+            "x,999999999,Condition,2020-01-01",
+            "1,99999999x,Condition,2020-01-01",
         ],
-        ids=["bad-date", "out-of-range-date", "unknown-domain", "short-row"],
+        ids=["bad-date", "out-of-range-date", "unknown-domain", "short-row", "bad-person-id", "bad-concept-id"],
     )
     def test_bad_row_outside_the_filter_exit_2_naming_line(self, sim_dir, tmp_path, capsys, command, row):
         assert run_infer(sim_dir, tmp_path / "run") == 0

@@ -3,7 +3,7 @@ from datetime import date, timedelta
 import pytest
 
 from tedpc.errors import DataFormatError
-from tedpc.ingestion import ClinicalEvent, load_events, load_persons, write_events, write_persons
+from tedpc.ingestion import ClinicalEvent, first_event_days, load_events, load_persons, write_events, write_persons
 
 
 def write(path, text):
@@ -239,3 +239,44 @@ class TestConceptFilter:
         )
         with pytest.raises(DataFormatError, match=r"e.csv:3: unknown domain 'Widget'"):
             load_events(path, concepts={400})
+
+
+class TestFirstEventDays:
+    ROWS = TestConceptFilter.ROWS
+
+    def test_earliest_day_per_person_and_label(self, tmp_path):
+        path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS)
+        # 400 counts toward two labels; 444098 toward none.
+        firsts = first_event_days(path, {400: (None, "b"), 401: ("b",), 500: ("a",)})
+
+        def day(text):
+            return date.fromisoformat(text).toordinal()
+
+        assert firsts == {
+            1: {None: day("2020-01-01"), "b": day("2020-01-01"), "a": day("2020-01-01")},
+            2: {"b": day("2020-03-01"), "a": day("2020-01-01")},
+            3: {"a": day("2020-02-01")},
+            4: {"b": day("2020-03-01")},
+        }
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "x,400,Condition,2020-01-01",
+            "1,4x0,Condition,2020-01-01",
+            "1,444098,Widget,2020-01-01",
+            "1,444098,Condition,2020-13-01",
+            "1,444098,Condition,1899-12-31",
+            "1,444098,Condition",
+            "x,4x0,Widget,2020-13-01",
+            "1,4x0,Widget,2020-13-01",
+            "1,400,Widget,2020-13-01",
+        ],
+    )
+    def test_bad_row_fails_as_in_load_events(self, tmp_path, row):
+        path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS + row + "\n" + self.ROWS)
+        with pytest.raises(DataFormatError) as grouped:
+            load_events(path, concepts={400})
+        with pytest.raises(DataFormatError) as first:
+            first_event_days(path, {400: (None,)})
+        assert str(first.value) == str(grouped.value) and "e.csv:10: " in str(first.value)
