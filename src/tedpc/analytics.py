@@ -14,11 +14,10 @@ from __future__ import annotations
 import re
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import Memo
 from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
-from .errors import ConfigError
 from .ingestion import Event, Person
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
@@ -69,60 +68,20 @@ def suppress_small_cells(count: int, threshold: int = SUPPRESSION_THRESHOLD) -> 
     return "-" if count < threshold else str(count)
 
 
-class StrataSpec:
-    """Stratification settings: a single cutoff or two explicit windows.
-
-    With explicit windows, deliveries falling in neither window are left out
-    of the table entirely.
-    """
-
-    __slots__ = ("cutoff", "pre_window", "peri_window", "threshold")
-
-    def __init__(
-        self,
-        cutoff: date = PANDEMIC_CUTOFF,
-        pre_window: tuple[date, date] | None = None,
-        peri_window: tuple[date, date] | None = None,
-        threshold: int = SUPPRESSION_THRESHOLD,
-    ):
-        if (pre_window is None) != (peri_window is None):
-            raise ConfigError("pre_window and peri_window must be given together")
-        if pre_window is not None:
-            for name, (first, last) in (("pre_window", pre_window), ("peri_window", peri_window)):
-                if first > last:
-                    raise ConfigError(f"{name} starts {first.isoformat()}, after its end {last.isoformat()}")
-            # An episode in both windows would be counted pre only.
-            if pre_window[0] <= peri_window[1] and peri_window[0] <= pre_window[1]:
-                raise ConfigError("pre_window and peri_window overlap")
-        if threshold < 0:
-            raise ConfigError("suppression threshold must be non-negative")
-        self.cutoff, self.pre_window, self.peri_window, self.threshold = cutoff, pre_window, peri_window, threshold
-
-    def stratum_of(self, dod: date) -> PandemicStratum | None:
-        if self.pre_window is not None:
-            if self.pre_window[0] <= dod <= self.pre_window[1]:
-                return PandemicStratum.PRE
-            if self.peri_window[0] <= dod <= self.peri_window[1]:
-                return PandemicStratum.PERI
-            return None
-        return pandemic_stratum_of(dod, self.cutoff)
-
-
 def episode_exposures(
-    episodes: Iterable[PregnancyEpisode],
-    events_by_person: dict[int, list[Event]],
-    index_concepts: frozenset[int] | set[int],
+    episodes: Iterable[PregnancyEpisode], events_by_person: dict[int, list[Event]]
 ) -> Iterator[tuple[PregnancyEpisode, list[Event]]]:
-    """Yield each episode with its index events on or before its delivery, in `(day, concept id)` order."""
+    """Yield each episode with its person's events on or before its delivery, in `(day, concept id)` order.
+
+    `events_by_person` holds only index events (`load_events(concepts=...)` keeps no others).
+    """
     for episode in episodes:
         dod_day = episode.dod.toordinal()
         index_events = []
         for event in events_by_person.get(episode.person_id, ()):
-            day, concept_id = event
-            if day > dod_day:
+            if event[0] > dod_day:
                 break
-            if concept_id in index_concepts:
-                index_events.append(event)
+            index_events.append(event)
         yield episode, index_events
 
 
@@ -187,6 +146,8 @@ COLUMN_LABELS = [
     "Index in week 28+: no",
     "Index in week 28+: yes",
 ]
+# report.csv's sections that are not condition sets: a condition set named like one would merge into it.
+BUILT_IN_SECTIONS = frozenset({"total", "Age group", "Race"})
 
 
 def _columns_of(stratum: PandemicStratum, week: int | None, long_gestation: bool) -> tuple[int, ...]:
@@ -209,12 +170,11 @@ def _columns_of(stratum: PandemicStratum, week: int | None, long_gestation: bool
 
 
 class StratifiedTable(NamedTuple):
-    """Counts per (characteristic row, stratum column) plus rendering rules."""
+    """Raw counts per (characteristic row, stratum column)."""
 
     columns: list[str]
     column_totals: list[int]
     sections: list[tuple[str, list[tuple[str, list[int]]]]]
-    threshold: int = SUPPRESSION_THRESHOLD
 
     def csv_rows(self) -> list[list]:
         """Raw counts, never suppressed; suppression is render-only."""
@@ -225,21 +185,23 @@ class StratifiedTable(NamedTuple):
                 rows.append([section, category] + list(counts))
         return rows
 
-    def _cell(self, count: int, total: int) -> str:
-        if count < self.threshold:
-            return "-"
-        pct = f" ({100.0 * count / total:.1f}%)" if total else ""
-        return f"{count}{pct}"
+    def render_markdown(self, threshold: int = SUPPRESSION_THRESHOLD) -> str:
+        """The table as markdown, counts below `threshold` shown as "-"."""
 
-    def render_markdown(self) -> str:
+        def cell(count: int, total: int) -> str:
+            if count < threshold:
+                return "-"
+            pct = f" ({100.0 * count / total:.1f}%)" if total else ""
+            return f"{count}{pct}"
+
         lines = ["| Characteristic | " + " | ".join(self.columns) + " |"]
         lines.append("| --- |" + " --- |" * len(self.columns))
-        totals = [suppress_small_cells(t, self.threshold) for t in self.column_totals]
+        totals = [suppress_small_cells(t, threshold) for t in self.column_totals]
         lines.append("| Episodes (n) | " + " | ".join(totals) + " |")
         for section, categories in self.sections:
             lines.append(f"| **{section}** |" + "  |" * len(self.columns))
             for category, counts in categories:
-                cells = [self._cell(count, total) for count, total in zip(counts, self.column_totals)]
+                cells = [cell(count, total) for count, total in zip(counts, self.column_totals)]
                 lines.append(f"| {category} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
@@ -248,17 +210,17 @@ def stratified_table(
     exposures: Iterable[Exposure],
     persons: dict[int, Person],
     condition_names: Iterable[str],
-    spec: StrataSpec | None = None,
+    stratum_of: Callable[[date], PandemicStratum | None] = pandemic_stratum_of,
 ) -> StratifiedTable:
     """Build the stratified demographics and conditions table.
 
     Rows are age bands, race categories, and a yes/no pair per condition set
     (any matching event on or before delivery). Columns split peri-pandemic
     episodes by index-event exposure overall, in weeks 1-27, and in week 28+
-    (the latter only among gestations longer than 27 weeks). Percentages use
-    unsuppressed column totals.
+    (the latter only among gestations longer than 27 weeks). `stratum_of`
+    maps a delivery date to its stratum; an episode it maps to None is left
+    out. Percentages use unsuppressed column totals.
     """
-    spec = spec or StrataSpec()
     width = len(COLUMN_LABELS)
     column_totals = [0] * width
     age_rows = {band: [0] * width for band in AGE_BANDS}
@@ -269,7 +231,7 @@ def stratified_table(
     # Columns and race category each follow from a few distinct values: each value is worked out once.
     columns_of, races = Memo(lambda key: _columns_of(*key)), Memo(lambda texts: race_category_of(*texts))
     for episode, week, conditions in exposures:
-        stratum = spec.stratum_of(episode.dod)
+        stratum = stratum_of(episode.dod)
         if stratum is None:
             continue
         person = persons.get(episode.person_id)
@@ -293,12 +255,7 @@ def stratified_table(
         no = [total - y for total, y in zip(column_totals, yes)]
         sections.append((name, [("No", no), ("Yes", yes)]))
 
-    return StratifiedTable(
-        columns=list(COLUMN_LABELS),
-        column_totals=column_totals,
-        sections=sections,
-        threshold=spec.threshold,
-    )
+    return StratifiedTable(columns=list(COLUMN_LABELS), column_totals=column_totals, sections=sections)
 
 
 def render_histogram_markdown(counts: dict[int, int], threshold: int = SUPPRESSION_THRESHOLD) -> str:

@@ -17,6 +17,7 @@ import os
 import sys
 from pathlib import Path
 
+from .analytics import BUILT_IN_SECTIONS
 from .concept_registry import (
     Domain,
     default_dod_concepts_path,
@@ -120,6 +121,10 @@ def _cmd_stats(args: argparse.Namespace) -> None:
             raise ConfigError(f"--condition expects name=path, got {item!r}")
         if name in condition_sets:
             raise ConfigError(f"--condition name {name!r} given more than once")
+        if name in BUILT_IN_SECTIONS:
+            raise ConfigError(f"--condition name {name!r} is a section the report always has")
+        if any(char in name for char in "|\r\n"):
+            raise ConfigError(f"--condition name {name!r} must not contain '|' or a line break")
         condition_sets[name] = resolve_input_path(raw_path)
     run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")

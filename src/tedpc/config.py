@@ -9,21 +9,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .concept_registry import default_dod_concepts_path, default_ga_concepts_path
-from .episode_builder import (
-    COHORT_WINDOW,
-    MATCH_MAX_DAYS,
-    MATCH_MIN_DAYS,
-    MAX_AGE_AT_DELIVERY,
-    MIN_AGE_AT_DELIVERY,
-)
+from .episode_builder import MATCH_MAX_DAYS, MATCH_MIN_DAYS
 from .csvio import iso_date, open_text
 from .errors import ConfigError
 from .ga_engine import CONFLICT_WINDOW_DAYS, SEPARATION_WINDOW_DAYS
-from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, StrataSpec
+from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, PandemicStratum, pandemic_stratum_of
 
 ENV_DATA_DIR = "TEDPC_DATA_DIR"
 
-_DATE_FIELDS = {"pandemic_cutoff", "cohort_start", "cohort_end"}
+_DATE_FIELDS = {"pandemic_cutoff"}
 _WINDOW_FIELDS = {"pre_window", "peri_window"}
 _PATH_FIELDS = {
     "persons_path",
@@ -71,10 +65,6 @@ class RunConfig(NamedTuple):
     pandemic_cutoff: date = PANDEMIC_CUTOFF
     pre_window: tuple[date, date] | None = None
     peri_window: tuple[date, date] | None = None
-    cohort_start: date = COHORT_WINDOW[0]
-    cohort_end: date = COHORT_WINDOW[1]
-    min_age: int = MIN_AGE_AT_DELIVERY
-    max_age: int = MAX_AGE_AT_DELIVERY
     apply_filters: bool = True
     emit_cohorts: bool = False
 
@@ -92,20 +82,28 @@ class RunConfig(NamedTuple):
             raise ConfigError(
                 f"match bounds must satisfy min < max, got [{self.match_min_days}, {self.match_max_days}]"
             )
-        if self.cohort_start > self.cohort_end:
-            raise ConfigError("cohort_start must not be after cohort_end")
-        if not 0 <= self.min_age <= self.max_age:
-            raise ConfigError("age bounds must satisfy 0 <= min <= max")
-        self.strata()
+        pre, peri = self.pre_window, self.peri_window
+        if (pre is None) != (peri is None):
+            raise ConfigError("pre_window and peri_window must be given together")
+        if pre is not None:
+            for name, (first, last) in (("pre_window", pre), ("peri_window", peri)):
+                if first > last:
+                    raise ConfigError(f"{name} starts {first.isoformat()}, after its end {last.isoformat()}")
+            # An episode in both windows would be counted pre only.
+            if pre[0] <= peri[1] and peri[0] <= pre[1]:
+                raise ConfigError("pre_window and peri_window overlap")
+        if self.suppression_threshold < 0:
+            raise ConfigError("suppression threshold must be non-negative")
 
-    def strata(self) -> StrataSpec:
-        """The pre/peri split of `stats`: explicit windows if set, else the cutoff."""
-        return StrataSpec(
-            cutoff=self.pandemic_cutoff,
-            pre_window=self.pre_window,
-            peri_window=self.peri_window,
-            threshold=self.suppression_threshold,
-        )
+    def stratum_of(self, dod: date) -> PandemicStratum | None:
+        """A delivery's `stats` stratum: by the windows if set (None in neither), else by `pandemic_cutoff`."""
+        if self.pre_window is None:
+            return pandemic_stratum_of(dod, self.pandemic_cutoff)
+        if self.pre_window[0] <= dod <= self.pre_window[1]:
+            return PandemicStratum.PRE
+        if self.peri_window[0] <= dod <= self.peri_window[1]:
+            return PandemicStratum.PERI
+        return None
 
     def to_json(self) -> str:
         payload = {}

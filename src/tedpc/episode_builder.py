@@ -151,13 +151,9 @@ def age_at(birth_date: date, on_date: date) -> int:
 
 
 def apply_cohort_filters(
-    episodes: Iterable[PregnancyEpisode],
-    persons: dict[int, Person],
-    window: tuple[date, date] = COHORT_WINDOW,
-    min_age: int = MIN_AGE_AT_DELIVERY,
-    max_age: int = MAX_AGE_AT_DELIVERY,
+    episodes: Iterable[PregnancyEpisode], persons: dict[int, Person]
 ) -> tuple[list[PregnancyEpisode], list[tuple[PregnancyEpisode, str]]]:
-    """Retain episodes delivered inside the window with maternal age in range.
+    """Retain episodes delivered inside COHORT_WINDOW with maternal age in range.
 
     Age is whole years at delivery, bounds inclusive. Episodes whose person is
     missing from the persons table are excluded with a diagnostic.
@@ -169,12 +165,12 @@ def apply_cohort_filters(
         if person is None:
             excluded.append((episode, "person missing from persons table"))
             continue
-        if not (window[0] <= episode.dod <= window[1]):
+        if not (COHORT_WINDOW[0] <= episode.dod <= COHORT_WINDOW[1]):
             excluded.append((episode, "delivery outside cohort window"))
             continue
         age = age_at(person.birth_date, episode.dod)
-        if not (min_age <= age <= max_age):
-            excluded.append((episode, f"age {age} at delivery outside [{min_age}, {max_age}]"))
+        if not (MIN_AGE_AT_DELIVERY <= age <= MAX_AGE_AT_DELIVERY):
+            excluded.append((episode, f"age {age} at delivery outside [{MIN_AGE_AT_DELIVERY}, {MAX_AGE_AT_DELIVERY}]"))
             continue
         kept.append(episode)
     return kept, excluded

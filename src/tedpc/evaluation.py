@@ -33,6 +33,9 @@ class ConfusionMatrix:
         k = len(self.labels)
         if k < 2:
             raise ValueError("confusion matrix needs at least two categories")
+        if len(set(self.labels)) != k:
+            repeated = sorted({label for label in self.labels if self.labels.count(label) > 1})
+            raise ValueError(f"category labels must be distinct, got {repeated} more than once")
         if len(self.counts) != k or any(len(row) != k for row in self.counts):
             raise ValueError(f"counts must be {k}x{k} to match the labels")
         if any(cell < 0 for row in self.counts for cell in row):

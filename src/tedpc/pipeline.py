@@ -118,13 +118,7 @@ def run_infer(config: RunConfig) -> dict:
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
     if config.apply_filters:
-        episodes, excluded = apply_cohort_filters(
-            episodes,
-            persons,
-            window=(config.cohort_start, config.cohort_end),
-            min_age=config.min_age,
-            max_age=config.max_age,
-        )
+        episodes, excluded = apply_cohort_filters(episodes, persons)
 
     day_text = Memo(iso_text)
     write_episodes(out / "episodes.csv", episodes)
@@ -207,11 +201,10 @@ def run_timeline(config: RunConfig) -> int:
     config.validate()
     out = make_output_dir(config.out_dir)
     episodes = sorted(read_episodes(config.episodes_path), key=lambda e: (e.person_id, e.episode_index))
-    index_concepts = read_concept_ids(config.index_events_path)
-    table = load_events(config.events_path, concepts=index_concepts)
+    table = load_events(config.events_path, concepts=read_concept_ids(config.index_events_path))
     day_text = Memo(iso_text)
     rows = []
-    for episode, index_events in episode_exposures(episodes, table.events_by_person, index_concepts):
+    for episode, index_events in episode_exposures(episodes, table.events_by_person):
         start_day = episode.start_date.toordinal()
         for day, concept_id in index_events:
             timing = gestational_week_of(day, start_day)
@@ -236,12 +229,12 @@ def run_timeline(config: RunConfig) -> int:
 def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppressed: bool = False) -> None:
     """Render the index-week histogram and stratified table into out_dir.
 
-    The strata come from the run config (`RunConfig.strata`). report.md is
-    always suppression-masked; the raw CSV exports are written only when
-    `unsuppressed` is set.
+    The strata (`RunConfig.stratum_of`) and the suppression threshold come
+    from the run config. report.md is always suppression-masked; the raw CSV
+    exports are written only when `unsuppressed` is set.
     """
     config.validate()
-    strata = config.strata()
+    threshold = config.suppression_threshold
     out = make_output_dir(config.out_dir)
     episodes = read_episodes(config.episodes_path)
     persons = load_persons(config.persons_path)
@@ -255,20 +248,20 @@ def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppres
 
     histogram = infection_week_histogram(first_day_exposures(episodes, first_days, ()))
     exposures = first_day_exposures(episodes, first_days, condition_sets)
-    report_table = stratified_table(exposures, persons, condition_sets, strata)
+    report_table = stratified_table(exposures, persons, condition_sets, config.stratum_of)
 
     lines = [
         "# Episode statistics",
         "",
-        f"Episodes: {suppress_small_cells(len(episodes), strata.threshold)}",
+        f"Episodes: {suppress_small_cells(len(episodes), threshold)}",
         "",
         "## Index events by gestational week",
         "",
-        render_histogram_markdown(histogram, strata.threshold),
+        render_histogram_markdown(histogram, threshold),
         "## Stratified characteristics",
         "",
-        report_table.render_markdown(),
-        f"Cells with fewer than {strata.threshold} episodes are shown as \"-\".",
+        report_table.render_markdown(threshold),
+        f"Cells with fewer than {threshold} episodes are shown as \"-\".",
         "",
     ]
     (out / "report.md").write_text("\n".join(lines), encoding="utf-8")

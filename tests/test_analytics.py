@@ -7,7 +7,6 @@ import pytest
 from oracles import histogram_reference, table_reference, timeline_reference
 from tedpc.analytics import (
     PandemicStratum,
-    StrataSpec,
     age_band_of,
     episode_exposures,
     first_day_exposures,
@@ -70,17 +69,18 @@ class TestPandemicStratum:
         assert pandemic_stratum_of(date(2020, 4, 1)) is PandemicStratum.PERI
 
     def test_explicit_windows_leave_gap_unclassified(self):
-        spec = StrataSpec(
+        config = RunConfig(
             pre_window=(date(2018, 6, 1), date(2020, 2, 29)),
             peri_window=(date(2020, 5, 1), date(2021, 5, 31)),
         )
-        assert spec.stratum_of(date(2020, 2, 29)) is PandemicStratum.PRE
-        assert spec.stratum_of(date(2020, 4, 1)) is None
-        assert spec.stratum_of(date(2020, 5, 1)) is PandemicStratum.PERI
+        config.validate()
+        assert config.stratum_of(date(2020, 2, 29)) is PandemicStratum.PRE
+        assert config.stratum_of(date(2020, 4, 1)) is None
+        assert config.stratum_of(date(2020, 5, 1)) is PandemicStratum.PERI
 
     def test_windows_must_come_in_pairs(self):
-        with pytest.raises(ConfigError):
-            StrataSpec(pre_window=(date(2018, 6, 1), date(2020, 2, 29)))
+        with pytest.raises(ConfigError, match="given together"):
+            RunConfig(pre_window=(date(2018, 6, 1), date(2020, 2, 29))).validate()
 
     @pytest.mark.parametrize(
         "pre, peri, message",
@@ -94,14 +94,15 @@ class TestPandemicStratum:
     )
     def test_disordered_or_overlapping_windows_rejected(self, pre, peri, message):
         with pytest.raises(ConfigError, match=message):
-            StrataSpec(pre_window=pre, peri_window=peri)
+            RunConfig(pre_window=pre, peri_window=peri).validate()
 
     def test_adjacent_windows_and_one_day_windows_accepted(self):
-        spec = StrataSpec(
+        config = RunConfig(
             pre_window=(date(2020, 4, 30), date(2020, 4, 30)), peri_window=(date(2020, 5, 1), date(2020, 5, 1))
         )
-        assert spec.stratum_of(date(2020, 4, 30)) is PandemicStratum.PRE
-        assert spec.stratum_of(date(2020, 5, 1)) is PandemicStratum.PERI
+        config.validate()
+        assert config.stratum_of(date(2020, 4, 30)) is PandemicStratum.PRE
+        assert config.stratum_of(date(2020, 5, 1)) is PandemicStratum.PERI
 
 
 class TestSuppression:
@@ -151,7 +152,7 @@ class TestHistogram:
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         # None cannot be unpacked as an event: reading past the first event after delivery fails.
         events = {1: [event_on(date(2020, 3, 1)), event_on(date(2020, 10, 8)), None]}
-        [(_, index_events)] = episode_exposures([ep], events, {INDEX})
+        [(_, index_events)] = episode_exposures([ep], events)
         assert index_events == [event_on(date(2020, 3, 1))]
 
     def test_order_insensitive(self, tmp_path):
@@ -295,6 +296,13 @@ class TestStratifiedTable:
         raw = table.csv_rows()
         assert raw[1][2:] == [0, 5, 5, 0, 5, 0, 5, 0]
 
+    def test_render_takes_the_threshold(self):
+        persons, events, episodes = build_cohort(5, with_condition_event=True)
+        table = table_of(episodes, persons, events, {"Obesity": {777}})
+        assert "| Episodes (n) | 0 | 5 | 5 | 0 | 5 | 0 | 5 | 0 |" in table.render_markdown(0)
+        assert "| Yes | - | 5 (100.0%) | 5 (100.0%) | - |" in table.render_markdown(5)
+        assert "| Yes | - | - | - | - | - | - | - | - |" in table.render_markdown(6)
+
     def test_percentages_use_unsuppressed_denominators(self):
         persons, events, episodes = build_cohort(40, with_condition_event=True)
         table = table_of(episodes, persons, events, {"Obesity": {777}})
@@ -411,7 +419,7 @@ class TestTableOracle:
                         seen.add("ethnicity overrides race")
                     if person.ethnicity == "Non-Hispanic" and race_category_of(person.race, person.ethnicity) != "Other/unknown":
                         seen.add("non-hispanic uses race")
-                if config.strata().stratum_of(ep.dod) is None:
+                if config.stratum_of(ep.dod) is None:
                     seen.add("dropped by windows")
                 if any(e.event_date > ep.dod for e in events[ep.person_id]):
                     seen.add("event after delivery")

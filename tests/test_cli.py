@@ -122,6 +122,18 @@ class TestInfer:
         assert run_infer(sim_dir, tmp_path / "run", "--config", str(config_path)) == 3
         assert "unknown config keys ['threads']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("cohort_start", "2018-06-01"), ("cohort_end", "2021-05-31"), ("min_age", 15), ("max_age", 49)]
+    )
+    def test_cohort_filter_bound_in_a_config_file_is_an_unknown_key_exit_3(self, sim_dir, tmp_path, capsys, key, value):
+        # The delivery window and the age bounds are the study's constants, not settings.
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({key: value}))
+        assert run_infer(sim_dir, tmp_path / "run", "--config", str(config_path)) == 3
+        err = capsys.readouterr().err
+        assert f"{config_path}: unknown config keys [{key!r}]" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_every_persons_events_are_consumed(self, sim_dir, tmp_path, monkeypatch):
         tables = []
         load_events = pipeline.load_events
@@ -279,6 +291,14 @@ class TestEvaluate:
     def test_no_mode_exit_3(self, capsys):
         assert main(["evaluate"]) == 3
 
+    @pytest.mark.parametrize("content", [",a,a\na,5,1\na,2,7\n", ",a, a \na,5,1\n a ,2,7\n"], ids=["plain", "padded"])
+    def test_repeated_label_matrix_exit_2_naming_file(self, tmp_path, capsys, content):
+        path = tmp_path / "m.csv"
+        path.write_text(content)
+        assert main(["evaluate", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: category labels must be distinct, got ['a'] more than once" in err and "Traceback" not in err
+
     def test_all_zero_matrix_exit_2_naming_file(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         path.write_text(",a,b\na,0,0\nb,0,0\n")
@@ -432,6 +452,17 @@ class TestTimelineAndStats:
         assert main([*argv, "--condition", f"obesity={first}", "--condition", f"obesity={second}"]) == 3
         err = capsys.readouterr().err
         assert "--condition name 'obesity'" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["total", "Age group", "Race", "a|b", "a\rb", "a\nb"])
+    def test_condition_name_that_would_corrupt_the_report_exit_3(self, sim_dir, tmp_path, capsys, name):
+        # A built-in section's name would merge its rows into that section; '|' or a line break splits a row.
+        conditions = tmp_path / "x.csv"
+        conditions.write_text("concept_id\n777\n")
+        argv = analytics_argv("stats", sim_dir, tmp_path / "episodes.csv", tmp_path / "run")
+        assert main([*argv, "--condition", f"{name}={conditions}"]) == 3
+        err = capsys.readouterr().err
+        assert f"--condition name {name!r}" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_cutoff_flag(self, sim_dir, tmp_path):

@@ -114,6 +114,8 @@ class TestCohenKappa:
             ConfusionMatrix.from_rows(("a", "b"), [[1, 2]])
         with pytest.raises(ValueError):
             ConfusionMatrix.from_rows(("a", "b"), [[1, -2], [0, 3]])
+        with pytest.raises(ValueError, match=r"distinct, got \['a'\]"):
+            ConfusionMatrix.from_rows(("a", "a"), [[5, 1], [2, 7]])
 
 
 class TestMatrixCsv:
