@@ -5,8 +5,9 @@ demographics/conditions table, with small-cell suppression applied at render
 time only: raw counts are computed once and never altered by suppression.
 Both read only each person's first day of the index set and of each condition
 set (`ingestion.first_event_days`), through `first_day_exposures`. Timeline
-needs every index event: `episode_exposures` walks each episode's day-sorted
-`(day ordinal, concept id)` events once, up to the first after its delivery.
+needs every index event: `episode_exposures` sorts one person's flat event list
+at a time into `(day ordinal, concept id)` pairs (`ingestion.sorted_events`)
+and walks each episode's pairs once, up to the first after its delivery.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import Memo
 from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
-from .ingestion import Event, Person
+from .ingestion import Event, Person, sorted_events
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
 SUPPRESSION_THRESHOLD = 20
@@ -69,16 +70,22 @@ def suppress_small_cells(count: int, threshold: int = SUPPRESSION_THRESHOLD) -> 
 
 
 def episode_exposures(
-    episodes: Iterable[PregnancyEpisode], events_by_person: dict[int, list[Event]]
+    episodes: Iterable[PregnancyEpisode], events_by_person: dict[int, list[int]]
 ) -> Iterator[tuple[PregnancyEpisode, list[Event]]]:
     """Yield each episode with its person's events on or before its delivery, in `(day, concept id)` order.
 
-    `events_by_person` holds only index events (`load_events(concepts=...)` keeps no others).
+    `events_by_person` holds only index events, as `load_events(concepts=...)` groups them: one flat
+    `[day, concept id, ...]` list per person. Pairs are built for one person at a time and reused
+    across that person's consecutive episodes.
     """
+    person_id, events = None, []
     for episode in episodes:
+        if episode.person_id != person_id:
+            person_id = episode.person_id
+            events = sorted_events(events_by_person.get(person_id, ()))
         dod_day = episode.dod.toordinal()
         index_events = []
-        for event in events_by_person.get(episode.person_id, ()):
+        for event in events:
             if event[0] > dod_day:
                 break
             index_events.append(event)

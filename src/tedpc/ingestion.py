@@ -1,9 +1,12 @@
 """Person and clinical-event table ingestion.
 
-Events are grouped per person as `(day ordinal, concept id)` pairs, sorted
-natively by day then concept id, so that every downstream "first" selection
-is deterministic regardless of input row order. They stay ints up to the
-writers; dates come back only in `PregnancyEpisode` and in written text.
+Events are grouped per person as one flat list of ints, `[day ordinal,
+concept id, day ordinal, concept id, ...]` in file order, with no object per
+event. `sorted_events` turns a person's list into `(day ordinal, concept id)`
+pairs sorted natively by day then concept id when they are used, so that every
+downstream "first" selection is deterministic regardless of input row order.
+Days stay ints up to the writers; dates come back only in `PregnancyEpisode`
+and in written text.
 Events referencing unknown persons are quarantined as whole `ClinicalEvent`s,
 never dropped silently.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 import logging
 from datetime import date
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .concept_registry import ConceptRegistry, Domain
 from .csvio import Memo, iso_date, table, write_rows
@@ -30,7 +33,7 @@ EVENT_HEADER = ["person_id", "concept_id", "domain", "event_date"]
 # A domain's text as written; a dict lookup is cheaper than the Enum's `.value`.
 _DOMAIN_TEXT = {domain: domain.value for domain in Domain}
 
-# One grouped event: (day ordinal, concept id).
+# One event as `sorted_events` returns it: (day ordinal, concept id).
 Event = tuple[int, int]
 
 
@@ -50,12 +53,22 @@ class ClinicalEvent(NamedTuple):
 
 
 class EventTable(NamedTuple):
-    """Per-person ordered `(day ordinal, concept id)` lists plus ingestion diagnostics."""
+    """Per-person flat `[day ordinal, concept id, ...]` lists in file order, plus ingestion diagnostics.
 
-    events_by_person: dict[int, list[Event]]
+    The ints are the loader's shared objects, two list slots per event; read a
+    person's events through `sorted_events`.
+    """
+
+    events_by_person: dict[int, list[int]]
     quarantined: list[ClinicalEvent]
     total_rows: int
     domain_mismatches: int
+
+
+def sorted_events(flat: Iterable[int]) -> list[Event]:
+    """A person's flat `[day, concept id, ...]` list as `(day, concept id)` pairs, sorted by day then concept id."""
+    pairs = iter(flat)
+    return sorted(zip(pairs, pairs))
 
 
 def load_persons(path: Path | str) -> dict[int, Person]:
@@ -97,24 +110,24 @@ def load_events(
     path: Path | str,
     ga_registry: ConceptRegistry | None = None,
     dod_registry: ConceptRegistry | None = None,
-    known_persons: Iterable[int] | None = None,
+    known_persons: Container[int] | None = None,
     concepts: Iterable[int] | None = None,
 ) -> EventTable:
-    """Load the events table grouped by person as `(day ordinal, concept id)` pairs.
+    """Load the events table grouped by person as flat `[day ordinal, concept id, ...]` lists.
 
-    Within a person, pairs are sorted by day, then concept id. Rows for
-    persons absent from `known_persons` are quarantined with a diagnostic.
+    A person's list keeps file order; `sorted_events` sorts it. Rows for
+    persons not in the `known_persons` container (tested with `in` as given,
+    not copied: pass the persons dict) are quarantined with a diagnostic.
     When registries are given, an event whose domain disagrees with the
     registry's domain for that concept is kept but counted and warned about.
     With `concepts`, every row is still parsed, checked and counted, but only
-    events of those concepts are grouped; no pair is built for the others.
+    events of those concepts are grouped.
     """
-    known = set(known_persons) if known_persons is not None else None
     wanted = frozenset(concepts) if concepts is not None else None
     # The GA registry's domain wins where a concept is in both registries.
     expected_domain = {spec.concept_id: spec.domain for spec in dod_registry or ()}
     expected_domain.update((spec.concept_id, spec.domain) for spec in ga_registry or ())
-    by_person: dict[int, list[Event]] = {}
+    by_person: dict[int, list[int]] = {}
     quarantined: list[ClinicalEvent] = []
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
@@ -129,7 +142,7 @@ def load_events(
             total += 1
             person_id, concept_id = int(row[0]), concept_ids[row[1]]
             domain, day = domains[row[2]], days[row[3]]
-            if known is not None and person_id not in known:
+            if known_persons is not None and person_id not in known_persons:
                 quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))
                 continue
             expected = expected_domain.get(concept_id)
@@ -138,9 +151,7 @@ def load_events(
                 if mismatch_sample is None:
                     mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
             if wanted is None or concept_id in wanted:
-                by_person.setdefault(person_id, []).append((day, concept_id))
-    for events in by_person.values():
-        events.sort()
+                by_person.setdefault(person_id, []).extend((day, concept_id))
     if quarantined:
         logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
     if mismatches:

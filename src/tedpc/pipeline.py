@@ -5,14 +5,18 @@ built or a writer formats them through the run's one `Memo(iso_text)`.
 
 Every command validates every event row but keeps only what it reads: infer
 and timeline group the events of the GA and delivery concepts, or of the index
-set (`load_events`); stats keeps one first day per person and label, the index
-set labelled None and each condition set by its name (`first_event_days`).
+set (`load_events`), as one flat `[day, concept id, ...]` list of ints per
+person; stats keeps one first day per person and label, the index set labelled
+None and each condition set by its name (`first_event_days`).
 
 Inference is one loop over the persons in id order, in one thread. Each
-person's events are popped off the table as the loop reaches them, so they
-are freed once that person is done. Timeline walks each episode's events once
-(`analytics.episode_exposures`); stats reads each episode's index week and
-condition sets off the first days (`analytics.first_day_exposures`).
+person's list is popped off the table as the loop reaches it and sorted into
+`(day, concept id)` pairs (`sorted_events`), so both are freed once that person
+is done. Starts and deliveries are kept only for `--emit-cohorts`; otherwise
+summary.json counts them as they go. Timeline sorts one person's pairs at a
+time and walks each episode's events once (`analytics.episode_exposures`);
+stats reads each episode's index week and condition sets off the first days
+(`analytics.first_day_exposures`).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, first_event_days, load_events, load_persons
+from .ingestion import EVENT_HEADER, first_event_days, load_events, load_persons, sorted_events
 
 logger = logging.getLogger(__name__)
 
@@ -91,13 +95,15 @@ def run_infer(config: RunConfig) -> dict:
     table = load_events(config.events_path, ga_registry, dod_registry, known_persons=persons, concepts=engine_concepts)
 
     by_person = table.events_by_person
+    # Starts and deliveries are written only with --emit-cohorts; otherwise only their counts are kept.
     all_starts: list[GestationStart] = []
     all_records: list[DeliveryRecord] = []
+    start_count = record_count = 0
     episodes: list[PregnancyEpisode] = []
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
     for person_id in sorted(by_person):
-        events = by_person.pop(person_id)
+        events = sorted_events(by_person.pop(person_id))
         starts = infer_gestation_starts(
             person_id,
             build_candidates(events, ga_table),
@@ -110,8 +116,11 @@ def run_infer(config: RunConfig) -> dict:
         )
         _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
         _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
-        all_starts.extend(starts)
-        all_records.extend(records)
+        start_count += len(starts)
+        record_count += len(records)
+        if config.emit_cohorts:
+            all_starts.extend(starts)
+            all_records.extend(records)
         episodes.extend(person_episodes)
         unmatched_starts.extend(diagnostics.unmatched_starts)
         unmatched_dods.extend(diagnostics.unmatched_dods)
@@ -178,8 +187,8 @@ def run_infer(config: RunConfig) -> dict:
         "event_rows": table.total_rows,
         "events_quarantined": len(table.quarantined),
         "domain_mismatches": table.domain_mismatches,
-        "gestation_starts": len(all_starts),
-        "delivery_records": len(all_records),
+        "gestation_starts": start_count,
+        "delivery_records": record_count,
         "episodes": len(episodes),
         "episodes_excluded_by_filters": len(excluded),
         "unmatched_starts": len(unmatched_starts),

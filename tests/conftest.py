@@ -34,7 +34,7 @@ def dod_ranks(dod_registry):
 
 
 def as_events(clinical_events):
-    """ClinicalEvents as the (day ordinal, concept id) pairs load_events groups, in its order."""
+    """ClinicalEvents as the sorted (day ordinal, concept id) pairs `sorted_events` makes of a loaded person."""
     return sorted((e.event_date.toordinal(), e.concept_id) for e in clinical_events)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import histogram_reference, table_reference, timeline_reference
+from tedpc import analytics
 from tedpc.analytics import (
     PandemicStratum,
     age_band_of,
@@ -148,12 +149,25 @@ class TestHistogram:
         events = {1: [event_on(date(2020, 10, 8))]}
         assert sum(histogram([ep], events).values()) == 0
 
-    def test_walk_stops_at_first_event_after_delivery(self):
+    def test_walk_stops_at_first_event_after_delivery(self, monkeypatch):
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
-        # None cannot be unpacked as an event: reading past the first event after delivery fails.
+        # The pairs are walked as given, and None cannot be unpacked as an event:
+        # reading past the first event after delivery fails.
+        monkeypatch.setattr(analytics, "sorted_events", list)
         events = {1: [event_on(date(2020, 3, 1)), event_on(date(2020, 10, 8)), None]}
         [(_, index_events)] = episode_exposures([ep], events)
         assert index_events == [event_on(date(2020, 3, 1))]
+
+    def test_flat_events_in_file_order_walk_sorted_per_episode(self):
+        first = episode(date(2019, 1, 1), date(2019, 10, 7))
+        second = episode(date(2020, 1, 1), date(2020, 10, 7), index=2)
+        days = [date(2020, 3, 1), date(2018, 12, 1), date(2020, 11, 1), date(2019, 5, 1)]
+        flat = [value for day in days for value in event_on(day)]
+        exposures = list(episode_exposures([first, second], {1: flat}))
+        assert [index_events for _, index_events in exposures] == [
+            [event_on(date(2018, 12, 1)), event_on(date(2019, 5, 1))],
+            [event_on(date(2018, 12, 1)), event_on(date(2019, 5, 1)), event_on(date(2020, 3, 1))],
+        ]
 
     def test_order_insensitive(self, tmp_path):
         # Through first_event_days, which keeps each person's earliest day whatever the row order.

@@ -18,7 +18,7 @@ from tedpc.dod_engine import rank_table
 from tedpc.episode_builder import EPISODE_HEADER
 from tedpc.evaluation import Weighting
 from tedpc.ga_engine import candidate_table
-from tedpc.ingestion import load_events, load_persons
+from tedpc.ingestion import load_events, load_persons, sorted_events
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
 
@@ -152,6 +152,17 @@ class TestInfer:
         assert run_infer(sim_dir, tmp_path / "run", "--emit-cohorts") == 0
         assert (tmp_path / "run" / "ga_cohort.csv").exists()
         assert (tmp_path / "run" / "dod_cohort.csv").exists()
+
+    def test_summary_counts_match_the_cohort_tables_and_ignore_emit_cohorts(self, sim_dir, tmp_path):
+        # Starts and deliveries are kept only for the cohort writers; summary.json counts them either way.
+        assert run_infer(sim_dir, tmp_path / "plain") == 0
+        assert run_infer(sim_dir, tmp_path / "cohorts", "--emit-cohorts") == 0
+        summary = (tmp_path / "plain" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "cohorts" / "summary.json").read_bytes()
+        counts = json.loads(summary)
+        for key, name in [("gestation_starts", "ga_cohort.csv"), ("delivery_records", "dod_cohort.csv")]:
+            data_rows = len((tmp_path / "cohorts" / name).read_text().splitlines()) - 1
+            assert counts[key] == data_rows > 0, key
 
     def test_no_cohort_filters_keeps_exactly_the_excluded_episodes(self, tmp_path):
         # The golden cohort: persons.csv lacks every 50th person, and some deliveries fall outside the window.
@@ -923,7 +934,7 @@ class TestInferConceptFilter:
 
         def capture(*args, **kwargs):
             table = real_load_events(*args, **kwargs)
-            grouped.update((person_id, list(events)) for person_id, events in table.events_by_person.items())
+            grouped.update((person_id, sorted_events(events)) for person_id, events in table.events_by_person.items())
             return table
 
         monkeypatch.setattr(pipeline, "load_events", capture)

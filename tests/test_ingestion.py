@@ -1,9 +1,18 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import pytest
 
 from tedpc.errors import DataFormatError
-from tedpc.ingestion import ClinicalEvent, first_event_days, load_events, load_persons, write_events, write_persons
+from tedpc.ingestion import (
+    ClinicalEvent,
+    first_event_days,
+    load_events,
+    load_persons,
+    sorted_events,
+    write_events,
+    write_persons,
+)
 
 
 def write(path, text):
@@ -89,7 +98,7 @@ class TestLoadEvents:
         )
         table = load_events(path)
         jan1, jan2 = date(2020, 1, 1).toordinal(), date(2020, 1, 2).toordinal()
-        assert table.events_by_person[1] == [(jan1, 400), (jan1, 500), (jan2, 500)]
+        assert sorted_events(table.events_by_person[1]) == [(jan1, 400), (jan1, 500), (jan2, 500)]
 
     def test_unknown_person_quarantined(self, tmp_path):
         path = write(
@@ -109,7 +118,8 @@ class TestLoadEvents:
             + "3,400,Condition,2020-01-03\n",
         )
         table = load_events(path, known_persons={1, 3})
-        assert sum(len(v) for v in table.events_by_person.values()) + len(table.quarantined) == table.total_rows == 3
+        grouped = sum(len(sorted_events(v)) for v in table.events_by_person.values())
+        assert grouped + len(table.quarantined) == table.total_rows == 3
 
     def test_unparseable_row_names_line(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,2020-01-01\n1,xx,Condition,2020-01-01\n")
@@ -142,13 +152,15 @@ class TestLoadEvents:
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,444098,Observation,2020-01-01\n")
         table = load_events(path, ga_registry=ga_registry)
         assert table.domain_mismatches == 1
-        assert sum(len(v) for v in table.events_by_person.values()) == 1
+        assert sum(len(sorted_events(v)) for v in table.events_by_person.values()) == 1
 
     def test_repeated_concept_id_is_one_object(self, tmp_path):
         # Above the interpreter's small-int cache, so only a memo makes them one object.
         rows = "".join(f"{pid},4128331,Condition,2020-01-0{day}\n" for pid in (1, 2) for day in (1, 2, 3))
         table = load_events(write(tmp_path / "e.csv", EVENT_HEADER + rows))
-        concept_ids = [concept_id for events in table.events_by_person.values() for _, concept_id in events]
+        concept_ids = [
+            concept_id for events in table.events_by_person.values() for _, concept_id in sorted_events(events)
+        ]
         assert len(concept_ids) == 6
         assert all(concept_id is concept_ids[0] for concept_id in concept_ids)
 
@@ -165,6 +177,32 @@ class TestLoadEvents:
         assert first.events_by_person == second.events_by_person
 
 
+class TestEventTableMemory:
+    def test_grouped_events_cost_no_object_each(self, tmp_path, ga_registry, dod_registry):
+        # A person's events are one flat list of shared ints: each further event
+        # costs its two list slots, about 16 bytes; a tuple per event costs 64 or more.
+        from tedpc.synthgen import SynthConfig, generate_cohort
+
+        cohort = generate_cohort(SynthConfig(seed=3, n_persons=2000), ga_registry, dod_registry)
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        write_events(once, cohort.events)
+        write_events(twice, cohort.events + cohort.events)
+
+        def traced_size(path):
+            tracemalloc.start()
+            try:
+                table = load_events(path)
+                return tracemalloc.get_traced_memory()[0], table
+            finally:
+                tracemalloc.stop()
+
+        (size_once, table), (size_twice, doubled) = traced_size(once), traced_size(twice)
+        assert doubled.events_by_person.keys() == table.events_by_person.keys()
+        added = doubled.total_rows - table.total_rows
+        assert added == table.total_rows > 20_000
+        assert (size_twice - size_once) / added < 32
+
+
 class TestWriters:
     def test_event_round_trip_canonical_order(self, tmp_path):
         from tedpc.concept_registry import Domain
@@ -177,7 +215,7 @@ class TestWriters:
         path = tmp_path / "e.csv"
         write_events(path, events)
         table = load_events(path)
-        assert table.events_by_person == {
+        assert {person_id: sorted_events(events) for person_id, events in table.events_by_person.items()} == {
             1: [(date(2020, 1, 1).toordinal(), 3), (date(2020, 2, 1).toordinal(), 9)],
             2: [(date(2020, 1, 1).toordinal(), 5)],
         }
@@ -211,10 +249,11 @@ class TestConceptFilter:
         full = load_events(path, **kwargs)
         filtered = load_events(path, concepts=wanted, **kwargs)
         restricted = {
-            person_id: [(day, concept_id) for day, concept_id in events if concept_id in wanted]
+            person_id: [(day, concept_id) for day, concept_id in sorted_events(events) if concept_id in wanted]
             for person_id, events in full.events_by_person.items()
         }
-        assert filtered.events_by_person == {pid: events for pid, events in restricted.items() if events}
+        grouped = {person_id: sorted_events(events) for person_id, events in filtered.events_by_person.items()}
+        assert grouped == {pid: events for pid, events in restricted.items() if events}
         assert (filtered.total_rows, filtered.domain_mismatches) == (full.total_rows, full.domain_mismatches) == (8, 1)
         assert filtered.quarantined == full.quarantined and len(full.quarantined) == 1
 
