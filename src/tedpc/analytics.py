@@ -6,8 +6,9 @@ time only: raw counts are computed once and never altered by suppression.
 Both read only each person's first day of the index set and of each condition
 set (`ingestion.first_event_days`), through `first_day_exposures`. Timeline
 needs every index event: `episode_exposures` sorts one person's flat event list
-at a time into `(day ordinal, concept id)` pairs (`ingestion.sorted_events`)
-and walks each episode's pairs once, up to the first after its delivery.
+at a time into `(day ordinal, concept id)` pairs (`ingestion.event_pairs`), the
+one place events are sorted, and walks each episode's pairs once, up to the
+first after its delivery.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import Memo
-from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, week_of
-from .ingestion import Event, Person, sorted_events
+from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, Trimester, age_at, trimester_of, week_of
+from .ingestion import Event, Person, event_pairs
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
 SUPPRESSION_THRESHOLD = 20
@@ -74,15 +75,15 @@ def episode_exposures(
 ) -> Iterator[tuple[PregnancyEpisode, list[Event]]]:
     """Yield each episode with its person's events on or before its delivery, in `(day, concept id)` order.
 
-    `events_by_person` holds only index events, as `load_events(concepts=...)` groups them: one flat
-    `[day, concept id, ...]` list per person. Pairs are built for one person at a time and reused
-    across that person's consecutive episodes.
+    `events_by_person` holds only index events, as `load_events` groups them: one flat `[day, concept id, ...]`
+    list per person in file order. Pairs are sorted for one person at a time, as the walk stops at the first event
+    after the delivery and timing.csv lists events in day order, and reused across that person's episodes.
     """
     person_id, events = None, []
     for episode in episodes:
         if episode.person_id != person_id:
             person_id = episode.person_id
-            events = sorted_events(events_by_person.get(person_id, ()))
+            events = sorted(event_pairs(events_by_person.get(person_id, ())))
         dod_day = episode.dod.toordinal()
         index_events = []
         for event in events:
@@ -103,7 +104,7 @@ def first_day_exposures(
         firsts = first_days.get(episode.person_id, {})
         start_day, after = episode.start_date.toordinal(), episode.dod.toordinal() + 1
         first = firsts.get(None, after)
-        week = None if first >= after else 0 if first < start_day else week_of(start_day, first)
+        week = None if first >= after else week_of(start_day, first)
         yield episode, week, [name for name in condition_names if firsts.get(name, after) < after]
 
 
@@ -160,8 +161,9 @@ BUILT_IN_SECTIONS = frozenset({"total", "Age group", "Race"})
 def _columns_of(stratum: PandemicStratum, week: int | None, long_gestation: bool) -> tuple[int, ...]:
     """Indices of the columns an episode of this stratum, index week and gestation length counts in."""
     peri = stratum is PandemicStratum.PERI
-    t12 = week is not None and 1 <= week <= SECOND_TRIMESTER_MAX_WEEK
-    t3 = week is not None and week > SECOND_TRIMESTER_MAX_WEEK
+    trimester = None if week is None else trimester_of(week)
+    t12 = trimester in (Trimester.FIRST, Trimester.SECOND)
+    t3 = trimester is Trimester.THIRD
     # One flag per column, in COLUMN_LABELS order.
     flags = [
         stratum is PandemicStratum.PRE,

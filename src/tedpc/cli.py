@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import logging
 import os
 import sys
@@ -19,6 +18,7 @@ from pathlib import Path
 
 from .analytics import BUILT_IN_SECTIONS
 from .concept_registry import (
+    VOCABULARY_HEADER,
     Domain,
     default_dod_concepts_path,
     default_ga_concepts_path,
@@ -28,6 +28,7 @@ from .concept_registry import (
     phenotype_search,
 )
 from .config import RunConfig, build_config, resolve_input_path
+from .csvio import BOOL_TEXT, write_rows
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
 from .pipeline import make_output_dir, run_infer, run_stats, run_timeline
@@ -81,20 +82,17 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
         standard_only=not args.include_non_standard,
         valid_only=not args.include_invalid,
     )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["concept_id", "name", "domain", "standard", "valid"])
-    for entry in matches:
-        writer.writerow(
-            [entry.concept_id, entry.name, entry.domain.value, str(entry.standard).lower(), str(entry.valid).lower()]
-        )
+    rows = (
+        [entry.concept_id, entry.name, entry.domain.value, BOOL_TEXT[entry.standard], BOOL_TEXT[entry.valid]]
+        for entry in matches
+    )
     if args.out:
         try:
-            Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
+            write_rows(args.out, VOCABULARY_HEADER, rows)
         except OSError as exc:
             raise ConfigError(f"cannot write output file {args.out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(buffer.getvalue())
+        csv.writer(sys.stdout, lineterminator="\n").writerows([VOCABULARY_HEADER, *rows])
 
 
 def _cmd_infer(args: argparse.Namespace) -> None:

@@ -177,8 +177,8 @@ def apply_cohort_filters(
 
 
 def week_of(start_day: int, day: int) -> int:
-    """Ordinal gestational week of a day on/after the start; day 0 is week 1."""
-    return (day - start_day) // 7 + 1
+    """Ordinal gestational week of a day: the start day is in week 1, a day before the start in week 0."""
+    return 0 if day < start_day else (day - start_day) // 7 + 1
 
 
 def trimester_of(week: int) -> Trimester:
@@ -199,8 +199,6 @@ def gestational_week_of(day: int, start_day: int) -> GestationalTiming:
 
     Days before the start are week 0 (pre-pregnancy).
     """
-    if day < start_day:
-        return GestationalTiming(0, Trimester.PRE)
     week = week_of(start_day, day)
     return GestationalTiming(week, trimester_of(week))
 

@@ -2,13 +2,14 @@
 
 Events are grouped per person as one flat list of ints, `[day ordinal,
 concept id, day ordinal, concept id, ...]` in file order, with no object per
-event. `sorted_events` turns a person's list into `(day ordinal, concept id)`
-pairs sorted natively by day then concept id when they are used, so that every
-downstream "first" selection is deterministic regardless of input row order.
+event. `event_pairs` reads a person's list as `(day ordinal, concept id)`
+pairs, still in file order: a reader whose output depends on event order
+sorts the pairs itself, so that every "first" selection is deterministic
+regardless of input row order.
 Days stay ints up to the writers; dates come back only in `PregnancyEpisode`
 and in written text.
-Events referencing unknown persons are quarantined as whole `ClinicalEvent`s,
-never dropped silently.
+Events referencing unknown persons are quarantined as whole rows, never
+dropped silently.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import logging
 from datetime import date
 from pathlib import Path
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
-from .concept_registry import ConceptRegistry, Domain
+from .concept_registry import Domain
 from .csvio import Memo, iso_date, table, write_rows
 
 logger = logging.getLogger(__name__)
@@ -33,7 +34,7 @@ EVENT_HEADER = ["person_id", "concept_id", "domain", "event_date"]
 # A domain's text as written; a dict lookup is cheaper than the Enum's `.value`.
 _DOMAIN_TEXT = {domain: domain.value for domain in Domain}
 
-# One event as `sorted_events` returns it: (day ordinal, concept id).
+# One event as `event_pairs` yields it: (day ordinal, concept id).
 Event = tuple[int, int]
 
 
@@ -56,19 +57,21 @@ class EventTable(NamedTuple):
     """Per-person flat `[day ordinal, concept id, ...]` lists in file order, plus ingestion diagnostics.
 
     The ints are the loader's shared objects, two list slots per event; read a
-    person's events through `sorted_events`.
+    person's events through `event_pairs`. Quarantined rows are
+    `(person id, day ordinal, concept id, domain)` tuples in file order, whose
+    native order is the order quarantine.csv is written in.
     """
 
     events_by_person: dict[int, list[int]]
-    quarantined: list[ClinicalEvent]
+    quarantined: list[tuple[int, int, int, Domain]]
     total_rows: int
     domain_mismatches: int
 
 
-def sorted_events(flat: Iterable[int]) -> list[Event]:
-    """A person's flat `[day, concept id, ...]` list as `(day, concept id)` pairs, sorted by day then concept id."""
+def event_pairs(flat: Iterable[int]) -> Iterator[Event]:
+    """A person's flat `[day, concept id, ...]` list as `(day, concept id)` pairs, lazily and in file order."""
     pairs = iter(flat)
-    return sorted(zip(pairs, pairs))
+    return zip(pairs, pairs)
 
 
 def load_persons(path: Path | str) -> dict[int, Person]:
@@ -107,28 +110,20 @@ def _event_day(text: str) -> int:
 
 
 def load_events(
-    path: Path | str,
-    ga_registry: ConceptRegistry | None = None,
-    dod_registry: ConceptRegistry | None = None,
-    known_persons: Container[int] | None = None,
-    concepts: Iterable[int] | None = None,
+    path: Path | str, concepts: dict[int, Domain | None], known_persons: Container[int] | None = None
 ) -> EventTable:
-    """Load the events table grouped by person as flat `[day ordinal, concept id, ...]` lists.
+    """Load the events of `concepts` grouped by person as flat `[day ordinal, concept id, ...]` lists.
 
-    A person's list keeps file order; `sorted_events` sorts it. Rows for
-    persons not in the `known_persons` container (tested with `in` as given,
-    not copied: pass the persons dict) are quarantined with a diagnostic.
-    When registries are given, an event whose domain disagrees with the
-    registry's domain for that concept is kept but counted and warned about.
-    With `concepts`, every row is still parsed, checked and counted, but only
-    events of those concepts are grouped.
+    `concepts` maps each concept id to be grouped to the domain its registry
+    expects, or to None for no domain check. Every row is parsed, checked and
+    counted; a grouped event whose domain disagrees with its concept's
+    expected domain is kept but counted and warned about. A person's list
+    keeps file order (`event_pairs`). Rows for persons not in the
+    `known_persons` container (tested with `in` as given, not copied: pass the
+    persons dict) are quarantined with a diagnostic.
     """
-    wanted = frozenset(concepts) if concepts is not None else None
-    # The GA registry's domain wins where a concept is in both registries.
-    expected_domain = {spec.concept_id: spec.domain for spec in dod_registry or ()}
-    expected_domain.update((spec.concept_id, spec.domain) for spec in ga_registry or ())
     by_person: dict[int, list[int]] = {}
-    quarantined: list[ClinicalEvent] = []
+    quarantined: list[tuple[int, int, int, Domain]] = []
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
     # Concept ids, dates and domains repeat across rows: each distinct text is
@@ -143,15 +138,16 @@ def load_events(
             person_id, concept_id = int(row[0]), concept_ids[row[1]]
             domain, day = domains[row[2]], days[row[3]]
             if known_persons is not None and person_id not in known_persons:
-                quarantined.append(ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)))
+                quarantined.append((person_id, day, concept_id, domain))
                 continue
-            expected = expected_domain.get(concept_id)
+            if concept_id not in concepts:
+                continue
+            expected = concepts[concept_id]
             if expected is not None and expected is not domain:
                 mismatches += 1
                 if mismatch_sample is None:
                     mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
-            if wanted is None or concept_id in wanted:
-                by_person.setdefault(person_id, []).extend((day, concept_id))
+            by_person.setdefault(person_id, []).extend((day, concept_id))
     if quarantined:
         logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
     if mismatches:

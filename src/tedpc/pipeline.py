@@ -4,18 +4,19 @@ Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
 Every command validates every event row but keeps only what it reads: infer
-and timeline group the events of the GA and delivery concepts, or of the index
-set (`load_events`), as one flat `[day, concept id, ...]` list of ints per
-person; stats keeps one first day per person and label, the index set labelled
-None and each condition set by its name (`first_event_days`).
+and timeline group the events of one concept map (`load_events`), the engine
+concepts or the index set, as one flat `[day, concept id, ...]` list of ints
+per person; stats keeps one first day per person and label, the index set
+labelled None and each condition set by its name (`first_event_days`).
 
 Inference is one loop over the persons in id order, in one thread. Each
-person's list is popped off the table as the loop reaches it and sorted into
-`(day, concept id)` pairs (`sorted_events`), so both are freed once that person
-is done. Starts and deliveries are kept only for `--emit-cohorts`; otherwise
-summary.json counts them as they go. Timeline sorts one person's pairs at a
-time and walks each episode's events once (`analytics.episode_exposures`);
-stats reads each episode's index week and condition sets off the first days
+person's list is popped off the table as the loop reaches it, so it is freed
+once that person is done. Each engine reads it as `(day, concept id)` pairs in
+file order (`event_pairs`) and sorts its own candidate pool natively. Starts
+and deliveries are kept only for `--emit-cohorts`; otherwise summary.json
+counts them as they go. Timeline sorts one person's pairs at a time and walks
+each episode's events once (`analytics.episode_exposures`); stats reads each
+episode's index week and condition sets off the first days
 (`analytics.first_day_exposures`).
 """
 
@@ -52,7 +53,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, first_event_days, load_events, load_persons, sorted_events
+from .ingestion import EVENT_HEADER, event_pairs, first_event_days, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -91,8 +92,9 @@ def run_infer(config: RunConfig) -> dict:
     ga_table = candidate_table(ga_registry)
     dod_ranks = rank_table(dod_registry)
     persons = load_persons(config.persons_path)
-    engine_concepts = ga_table.keys() | dod_ranks.keys()
-    table = load_events(config.events_path, ga_registry, dod_registry, known_persons=persons, concepts=engine_concepts)
+    # Each engine concept with its registry's domain; the GA registry's wins where a concept is in both.
+    concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+    table = load_events(config.events_path, concepts, known_persons=persons)
 
     by_person = table.events_by_person
     # Starts and deliveries are written only with --emit-cohorts; otherwise only their counts are kept.
@@ -103,14 +105,14 @@ def run_infer(config: RunConfig) -> dict:
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
     for person_id in sorted(by_person):
-        events = sorted_events(by_person.pop(person_id))
+        events = by_person.pop(person_id)
         starts = infer_gestation_starts(
             person_id,
-            build_candidates(events, ga_table),
+            build_candidates(event_pairs(events), ga_table),
             window_days=config.window_days,
             conflict_days=config.conflict_days,
         )
-        records = infer_delivery_dates(person_id, events, dod_ranks, window_days=config.window_days)
+        records = infer_delivery_dates(person_id, event_pairs(events), dod_ranks, window_days=config.window_days)
         person_episodes, diagnostics = match_episodes(
             starts, records, min_days=config.match_min_days, max_days=config.match_max_days
         )
@@ -144,10 +146,10 @@ def run_infer(config: RunConfig) -> dict:
         ["person_id", "dod", "anchor_concept_id", "domain_rank"],
         [[r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
     )
-    # Sorted on the whole row (person, date, concept, domain), so rows that differ only in
+    # Sorted natively on the whole row (person, day, concept, domain), so rows that differ only in
     # domain do not keep their input order.
-    quarantine = [[e.person_id, e.concept_id, e.domain.value, e.event_date.isoformat()] for e in table.quarantined]
-    write_rows(out / "quarantine.csv", EVENT_HEADER, sorted(quarantine, key=lambda r: (r[0], r[3], r[1], r[2])))
+    rows = ([pid, concept, domain.value, day_text[day]] for pid, day, concept, domain in sorted(table.quarantined))
+    write_rows(out / "quarantine.csv", EVENT_HEADER, rows)
     write_rows(
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
@@ -210,7 +212,7 @@ def run_timeline(config: RunConfig) -> int:
     config.validate()
     out = make_output_dir(config.out_dir)
     episodes = sorted(read_episodes(config.episodes_path), key=lambda e: (e.person_id, e.episode_index))
-    table = load_events(config.events_path, concepts=read_concept_ids(config.index_events_path))
+    table = load_events(config.events_path, dict.fromkeys(read_concept_ids(config.index_events_path)))
     day_text = Memo(iso_text)
     rows = []
     for episode, index_events in episode_exposures(episodes, table.events_by_person):

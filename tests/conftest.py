@@ -34,7 +34,10 @@ def dod_ranks(dod_registry):
 
 
 def as_events(clinical_events):
-    """ClinicalEvents as the sorted (day ordinal, concept id) pairs `sorted_events` makes of a loaded person."""
+    """ClinicalEvents as sorted (day ordinal, concept id) pairs.
+
+    `analytics.episode_exposures` sorts a loaded person's `event_pairs` the same way.
+    """
     return sorted((e.event_date.toordinal(), e.concept_id) for e in clinical_events)
 
 

@@ -153,7 +153,8 @@ class TestHistogram:
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         # The pairs are walked as given, and None cannot be unpacked as an event:
         # reading past the first event after delivery fails.
-        monkeypatch.setattr(analytics, "sorted_events", list)
+        monkeypatch.setattr(analytics, "event_pairs", list)
+        monkeypatch.setattr(analytics, "sorted", list, raising=False)
         events = {1: [event_on(date(2020, 3, 1)), event_on(date(2020, 10, 8)), None]}
         [(_, index_events)] = episode_exposures([ep], events)
         assert index_events == [event_on(date(2020, 3, 1))]

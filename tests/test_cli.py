@@ -18,7 +18,8 @@ from tedpc.dod_engine import rank_table
 from tedpc.episode_builder import EPISODE_HEADER
 from tedpc.evaluation import Weighting
 from tedpc.ga_engine import candidate_table
-from tedpc.ingestion import load_events, load_persons, sorted_events
+from tedpc.concept_registry import read_concept_ids
+from tedpc.ingestion import event_pairs, load_events, load_persons
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
 
@@ -934,7 +935,7 @@ class TestInferConceptFilter:
 
         def capture(*args, **kwargs):
             table = real_load_events(*args, **kwargs)
-            grouped.update((person_id, sorted_events(events)) for person_id, events in table.events_by_person.items())
+            grouped.update((person_id, list(event_pairs(events))) for person_id, events in table.events_by_person.items())
             return table
 
         monkeypatch.setattr(pipeline, "load_events", capture)
@@ -944,9 +945,10 @@ class TestInferConceptFilter:
         assert grouped and new_id not in grouped
         assert {concept_id for events in grouped.values() for _, concept_id in events} <= engine_concepts
 
-        unfiltered = load_events(
-            tmp_path / "events.csv", ga_registry, dod_registry, known_persons=load_persons(tmp_path / "persons.csv")
-        )
+        # The index concepts too, with no domain check; the engine concepts with their registry domains.
+        concepts = dict.fromkeys(read_concept_ids(sim_dir / "index_concepts.csv"))
+        concepts.update((spec.concept_id, spec.domain) for registry in (dod_registry, ga_registry) for spec in registry)
+        unfiltered = load_events(tmp_path / "events.csv", concepts, known_persons=load_persons(tmp_path / "persons.csv"))
         assert new_id in unfiltered.events_by_person
         summary = json.loads((out / "summary.json").read_text())
         counts = (summary["event_rows"], summary["events_quarantined"], summary["domain_mismatches"])
@@ -1156,12 +1158,15 @@ sys.exit(main(sys.argv[1:]))
 
 
 class TestClosedStdout:
-    @pytest.mark.parametrize("command", ["evaluate", "print-config", "help"])
+    @pytest.mark.parametrize("command", ["evaluate", "print-config", "help", "phenotype"])
     def test_closed_stdout_exits_without_a_traceback(self, tmp_path, command):
         matrix = tmp_path / "matrix.csv"
         matrix.write_text(TABLE4)
+        vocab = tmp_path / "vocab.csv"
+        vocab.write_text("concept_id,name,domain,standard,valid\n1,gestation,Condition,true,true\n")
         argv = {
             "evaluate": ["evaluate", "--matrix", str(matrix)],
+            "phenotype": ["phenotype", "--vocabulary", str(vocab)],
             "print-config": ["infer", "--print-config"],
             "help": ["infer", "--help"],
         }[command]

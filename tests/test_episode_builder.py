@@ -17,6 +17,7 @@ from tedpc.episode_builder import (
     match_episodes,
     read_episodes,
     trimester_of,
+    week_of,
     write_episodes,
 )
 from tedpc.errors import DataFormatError
@@ -185,6 +186,12 @@ class TestGestationalWeek:
     def test_before_start_is_week_zero_pre(self):
         timing = timing_of(date(2019, 12, 22), self.EPISODE)
         assert timing.week == 0 and timing.trimester is Trimester.PRE
+
+    def test_week_of_a_day_before_the_start_is_zero(self):
+        start_day = date(2020, 1, 1).toordinal()
+        assert week_of(start_day, start_day - 8) == 0
+        assert week_of(start_day, start_day - 1) == 0
+        assert week_of(start_day, start_day) == 1
 
     def test_day_189_is_week_28_third(self):
         timing = timing_of(date(2020, 1, 1) + timedelta(days=189), self.EPISODE)

@@ -3,13 +3,14 @@ from datetime import date, timedelta
 
 import pytest
 
+from tedpc.concept_registry import Domain
 from tedpc.errors import DataFormatError
 from tedpc.ingestion import (
     ClinicalEvent,
+    event_pairs,
     first_event_days,
     load_events,
     load_persons,
-    sorted_events,
     write_events,
     write_persons,
 )
@@ -18,6 +19,16 @@ from tedpc.ingestion import (
 def write(path, text):
     path.write_text(text)
     return path
+
+
+def sorted_pairs(flat):
+    """A loaded person's events as `(day, concept id)` pairs sorted by day then concept id."""
+    return sorted(event_pairs(flat))
+
+
+def registry_domains(registry):
+    """The concept map `load_events` takes: each registry concept with its registry domain."""
+    return {spec.concept_id: spec.domain for spec in registry}
 
 
 PERSON_HEADER = "person_id,birth_date,sex,race,ethnicity\n"
@@ -96,18 +107,19 @@ class TestLoadEvents:
             + "1,400,Condition,2020-01-01\n"
             + "1,500,Condition,2020-01-01\n",
         )
-        table = load_events(path)
+        table = load_events(path, {400: None, 500: None})
         jan1, jan2 = date(2020, 1, 1).toordinal(), date(2020, 1, 2).toordinal()
-        assert sorted_events(table.events_by_person[1]) == [(jan1, 400), (jan1, 500), (jan2, 500)]
+        assert list(event_pairs(table.events_by_person[1])) == [(jan2, 500), (jan1, 400), (jan1, 500)]
+        assert sorted_pairs(table.events_by_person[1]) == [(jan1, 400), (jan1, 500), (jan2, 500)]
 
     def test_unknown_person_quarantined(self, tmp_path):
         path = write(
             tmp_path / "e.csv",
             EVENT_HEADER + "1,400,Condition,2020-01-01\n2,400,Condition,2020-01-01\n",
         )
-        table = load_events(path, known_persons={1})
+        table = load_events(path, {400: None}, known_persons={1})
         assert len(table.quarantined) == 1
-        assert table.quarantined[0].person_id == 2
+        assert table.quarantined == [(2, date(2020, 1, 1).toordinal(), 400, Domain.CONDITION)]
 
     def test_row_conservation(self, tmp_path):
         path = write(
@@ -117,49 +129,49 @@ class TestLoadEvents:
             + "2,400,Condition,2020-01-02\n"
             + "3,400,Condition,2020-01-03\n",
         )
-        table = load_events(path, known_persons={1, 3})
-        grouped = sum(len(sorted_events(v)) for v in table.events_by_person.values())
+        table = load_events(path, {400: None}, known_persons={1, 3})
+        grouped = sum(len(sorted_pairs(v)) for v in table.events_by_person.values())
         assert grouped + len(table.quarantined) == table.total_rows == 3
 
     def test_unparseable_row_names_line(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,2020-01-01\n1,xx,Condition,2020-01-01\n")
         with pytest.raises(DataFormatError, match=r"e.csv:3"):
-            load_events(path)
+            load_events(path, {400: None})
 
     def test_empty_date_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,\n")
         with pytest.raises(DataFormatError, match=r"e.csv:2"):
-            load_events(path)
+            load_events(path, {400: None})
 
     @pytest.mark.parametrize("text", ["20200503", "2020-W19-7", "2020-5-3", "２０２０-05-03", "+202-05-03", "2020-05-03 "])
     def test_date_other_than_yyyy_mm_dd_rejected(self, tmp_path, text):
         path = write(tmp_path / "e.csv", EVENT_HEADER + f"1,400,Condition,2020-05-03\n1,400,Condition,{text}\n")
         with pytest.raises(DataFormatError, match=r"e.csv:3: "):
-            load_events(path)
+            load_events(path, {400: None})
 
     def test_date_outside_window_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Condition,1899-12-31\n")
         with pytest.raises(DataFormatError, match="outside"):
-            load_events(path)
+            load_events(path, {400: None})
 
     def test_unknown_domain_rejected(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,400,Widget,2020-01-01\n")
         with pytest.raises(DataFormatError):
-            load_events(path)
+            load_events(path, {400: None})
 
     def test_domain_mismatch_counted_not_dropped(self, tmp_path, ga_registry):
         # 444098 is a Condition concept in the registry.
         path = write(tmp_path / "e.csv", EVENT_HEADER + "1,444098,Observation,2020-01-01\n")
-        table = load_events(path, ga_registry=ga_registry)
+        table = load_events(path, registry_domains(ga_registry))
         assert table.domain_mismatches == 1
-        assert sum(len(sorted_events(v)) for v in table.events_by_person.values()) == 1
+        assert sum(len(sorted_pairs(v)) for v in table.events_by_person.values()) == 1
 
     def test_repeated_concept_id_is_one_object(self, tmp_path):
         # Above the interpreter's small-int cache, so only a memo makes them one object.
         rows = "".join(f"{pid},4128331,Condition,2020-01-0{day}\n" for pid in (1, 2) for day in (1, 2, 3))
-        table = load_events(write(tmp_path / "e.csv", EVENT_HEADER + rows))
+        table = load_events(write(tmp_path / "e.csv", EVENT_HEADER + rows), {4128331: None})
         concept_ids = [
-            concept_id for events in table.events_by_person.values() for _, concept_id in sorted_events(events)
+            concept_id for events in table.events_by_person.values() for _, concept_id in sorted_pairs(events)
         ]
         assert len(concept_ids) == 6
         assert all(concept_id is concept_ids[0] for concept_id in concept_ids)
@@ -172,8 +184,9 @@ class TestLoadEvents:
             + "1,400,Procedure,2020-01-01\n"
             + "1,399,Observation,2020-01-01\n",
         )
-        first = load_events(path)
-        second = load_events(path)
+        concepts = dict.fromkeys([399, 400, 401])
+        first = load_events(path, concepts)
+        second = load_events(path, concepts)
         assert first.events_by_person == second.events_by_person
 
 
@@ -188,10 +201,12 @@ class TestEventTableMemory:
         write_events(once, cohort.events)
         write_events(twice, cohort.events + cohort.events)
 
+        concepts = dict.fromkeys(event.concept_id for event in cohort.events)
+
         def traced_size(path):
             tracemalloc.start()
             try:
-                table = load_events(path)
+                table = load_events(path, concepts)
                 return tracemalloc.get_traced_memory()[0], table
             finally:
                 tracemalloc.stop()
@@ -205,8 +220,6 @@ class TestEventTableMemory:
 
 class TestWriters:
     def test_event_round_trip_canonical_order(self, tmp_path):
-        from tedpc.concept_registry import Domain
-
         events = [
             ClinicalEvent(2, 5, Domain.CONDITION, date(2020, 1, 1)),
             ClinicalEvent(1, 9, Domain.PROCEDURE, date(2020, 2, 1)),
@@ -214,8 +227,8 @@ class TestWriters:
         ]
         path = tmp_path / "e.csv"
         write_events(path, events)
-        table = load_events(path)
-        assert {person_id: sorted_events(events) for person_id, events in table.events_by_person.items()} == {
+        table = load_events(path, dict.fromkeys([3, 5, 9]))
+        assert {person_id: sorted_pairs(events) for person_id, events in table.events_by_person.items()} == {
             1: [(date(2020, 1, 1).toordinal(), 3), (date(2020, 2, 1).toordinal(), 9)],
             2: [(date(2020, 1, 1).toordinal(), 5)],
         }
@@ -245,19 +258,46 @@ class TestConceptFilter:
     @pytest.mark.parametrize("wanted", [set(), {400}, {500, 401}, {400, 401, 500, 444098}, {999}])
     def test_groups_the_unfiltered_events_restricted_to_the_set(self, tmp_path, ga_registry, wanted):
         path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS)
-        kwargs = {"ga_registry": ga_registry, "known_persons": {1, 2, 3}}
-        full = load_events(path, **kwargs)
-        filtered = load_events(path, concepts=wanted, **kwargs)
+        # 444098 is a Condition concept in the GA registry; the others are checked against no domain.
+        domains = registry_domains(ga_registry)
+        full = load_events(path, {c: domains.get(c) for c in (400, 401, 500, 444098)}, known_persons={1, 2, 3})
+        filtered = load_events(path, {c: domains.get(c) for c in wanted}, known_persons={1, 2, 3})
         restricted = {
-            person_id: [(day, concept_id) for day, concept_id in sorted_events(events) if concept_id in wanted]
+            person_id: [(day, concept_id) for day, concept_id in sorted_pairs(events) if concept_id in wanted]
             for person_id, events in full.events_by_person.items()
         }
-        grouped = {person_id: sorted_events(events) for person_id, events in filtered.events_by_person.items()}
+        grouped = {person_id: sorted_pairs(events) for person_id, events in filtered.events_by_person.items()}
         assert grouped == {pid: events for pid, events in restricted.items() if events}
-        assert (filtered.total_rows, filtered.domain_mismatches) == (full.total_rows, full.domain_mismatches) == (8, 1)
+        assert (full.total_rows, full.domain_mismatches) == (8, 1)
+        # Only a grouped event is checked against its concept's domain.
+        assert (filtered.total_rows, filtered.domain_mismatches) == (8, int(444098 in wanted))
         assert filtered.quarantined == full.quarantined and len(full.quarantined) == 1
 
-    @pytest.mark.parametrize("wanted", [None, {400}])
+    def test_one_map_selects_the_events_and_their_domain_checks(self, tmp_path):
+        path = write(
+            tmp_path / "e.csv",
+            EVENT_HEADER
+            + "1,400,Procedure,2020-01-01\n"
+            + "1,400,Drug,2020-01-02\n"
+            + "1,500,Condition,2020-01-03\n"
+            + "1,500,Observation,2020-01-04\n"
+            + "1,600,Measurement,2020-01-05\n"
+            + "2,600,Condition,2020-01-06\n",
+        )
+        # 400 maps to None: grouped, never a mismatch. 500 maps to a domain: grouped, and a mismatch
+        # where a row's domain differs. 600 is outside the map: counted, not grouped, never a mismatch.
+        table = load_events(path, {400: None, 500: Domain.CONDITION})
+        day = date(2020, 1, 1).toordinal()
+        assert {person_id: list(event_pairs(flat)) for person_id, flat in table.events_by_person.items()} == {
+            1: [(day, 400), (day + 1, 400), (day + 2, 500), (day + 3, 500)]
+        }
+        assert (table.total_rows, table.domain_mismatches, table.quarantined) == (6, 1, [])
+        # A row outside the map is still parsed and checked.
+        bad = write(tmp_path / "bad.csv", EVENT_HEADER + "1,400,Procedure,2020-01-01\n2,600,Condition,2020-13-01\n")
+        with pytest.raises(DataFormatError, match=r"bad.csv:3: "):
+            load_events(bad, {400: None})
+
+    @pytest.mark.parametrize("wanted", [{}, {400: None}])
     @pytest.mark.parametrize("bad", ["2020-02-30", "1899-12-31"], ids=["bad-date", "out-of-range"])
     def test_repeated_bad_date_reported_at_first_line(self, tmp_path, wanted, bad):
         path = write(
@@ -269,7 +309,7 @@ class TestConceptFilter:
             + f"1,400,Condition,{bad}\n",
         )
         with pytest.raises(DataFormatError, match=r"e.csv:4: "):
-            load_events(path, concepts=wanted)
+            load_events(path, wanted)
 
     def test_repeated_bad_domain_reported_at_first_line(self, tmp_path):
         path = write(
@@ -277,7 +317,7 @@ class TestConceptFilter:
             EVENT_HEADER + "1,400,Condition,2020-01-01\n1,500,Widget,2020-01-01\n1,400,Widget,2020-01-01\n",
         )
         with pytest.raises(DataFormatError, match=r"e.csv:3: unknown domain 'Widget'"):
-            load_events(path, concepts={400})
+            load_events(path, {400: None})
 
 
 class TestFirstEventDays:
@@ -315,7 +355,7 @@ class TestFirstEventDays:
     def test_bad_row_fails_as_in_load_events(self, tmp_path, row):
         path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS + row + "\n" + self.ROWS)
         with pytest.raises(DataFormatError) as grouped:
-            load_events(path, concepts={400})
+            load_events(path, {400: None})
         with pytest.raises(DataFormatError) as first:
             first_event_days(path, {400: (None,)})
         assert str(first.value) == str(grouped.value) and "e.csv:10: " in str(first.value)
