@@ -4,11 +4,12 @@ Produces the index-event gestational-week histogram and the stratified
 demographics/conditions table, with small-cell suppression applied at render
 time only: raw counts are computed once and never altered by suppression.
 Both read only each person's first day of the index set and of each condition
-set (`ingestion.first_event_days`), through `first_day_exposures`. Timeline
-needs every index event: `episode_exposures` sorts one person's flat event list
-at a time into `(day ordinal, concept id)` pairs (`ingestion.event_pairs`), the
-one place events are sorted, and walks each episode's pairs once, up to the
-first after its delivery.
+set (`EventTable.first_days`, from `ingestion.load_events` given labels),
+through `first_day_exposures`. Timeline needs every index event:
+`episode_exposures` sorts one person's flat event list at a time into
+`(day ordinal, concept id)` pairs (`ingestion.event_pairs`), the one place
+events are sorted, and walks each episode's pairs once, up to the first after
+its delivery.
 """
 
 from __future__ import annotations

@@ -19,6 +19,15 @@ turns a ValueError or KeyError raised in the loop into `path:line`. There is
 no per-row callback, so a reader's per-row work costs what it would around a
 bare `csv.reader`. Values that repeat across rows, such as dates and domains,
 go through a `Memo`, which parses and checks each distinct text once.
+
+A reader of a large table whose rows it mostly skips reads it a block at a
+time instead, through `columns`, which parses each column of a block with one
+`map` and leaves the reader's Python code only the rows it keeps. A file with
+no quote, carriage return or NUL is split as text, a block of lines at once;
+any other file is split by `table`. Either way the rules are the ones above:
+when a block breaks one, or a parser raises, `columns` reads the file again
+one row at a time through `table`, which names the first bad row as it would
+in a row loop.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -148,6 +158,129 @@ def _data_rows(path: Path | str, reader, width: int) -> Iterator[list[str]]:
             yield row
         elif row:
             raise DataFormatError(f"{path}:{reader.line_num}: expected {width} fields, got {len(row)}")
+
+
+# Characters of text, or about as many rows, that `columns` parses as one block.
+BLOCK_CHARS = 8 * 1024
+
+
+class _Reread(Exception):
+    """A block the text split does not vouch for; `columns` reads the file again through `table`."""
+
+
+def columns(path: Path | str, header: list[str], parsers: Sequence[Callable]) -> Iterator[list[list]]:
+    """Yield a header-first table's data rows a block at a time, as one parsed list per column.
+
+    Column `i` of a block is `list(map(parsers[i], texts))`. The rows are those
+    `table` yields, and a bad table fails as a row loop over `table` that
+    applies the parsers in field order would: on any doubt, a bad header or
+    width, an over-long line, or a ValueError or KeyError from a parser, the
+    file is read again one row at a time from the first row not yet yielded,
+    and `table` names the first bad row.
+    """
+    blocks = _text_blocks(path, header) if _plain_text(path) else _row_blocks(path, header)
+    done = 0
+    while True:
+        try:
+            block = next(blocks, None)
+            if block is None:
+                return
+            parsed = [list(map(parse, texts)) for parse, texts in zip(parsers, block)]
+        except (_Reread, DataFormatError, ValueError, KeyError):
+            break
+        yield parsed
+        done += len(parsed[0])
+    blocks.close()
+    yield from _parsed_rows(path, header, parsers, done)
+
+
+def _plain_text(path: Path | str) -> bool:
+    """True when the file holds no quote, carriage return or NUL, so that csv splits each line at every comma."""
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(64 * 1024):
+                if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                    return False
+    except OSError:
+        return False  # `table` reports it
+    return True
+
+
+def _text_blocks(path: Path | str, header: list[str]) -> Iterator[list[list[str]]]:
+    """The data rows of a plain-text file (`_plain_text`) as columns of field texts, a block of lines at a time.
+
+    A block's lines are split into fields in one `split`, with each line end
+    kept as a field of its own, so that one slice checks every line's width.
+    Raises _Reread where csv might split or check differently: a bad header, a
+    line without the header's width, or a line over `csv.field_size_limit()`.
+    """
+    width = len(header)
+    limit = csv.field_size_limit()
+    seen_header = False
+    with open_text(path) as fh:
+        rest = ""
+        while True:
+            text = fh.read(BLOCK_CHARS)
+            if text:
+                text = rest + text
+                cut = text.rfind("\n")
+                if cut < 0:
+                    if len(text) > limit:
+                        raise _Reread
+                    rest = text
+                    continue
+                text, rest = text[:cut], text[cut + 1 :]
+            elif rest:
+                text, rest = rest, ""
+            else:
+                break
+            if len(text) > limit and max(map(len, text.split("\n"))) > limit:
+                raise _Reread
+            if not seen_header:
+                head, _, text = text.lstrip("\n").partition("\n")
+                if not head:
+                    continue
+                if head.split(",") != header:
+                    raise _Reread
+                seen_header = True
+            fields = _fields(text, width)
+            if fields is None:
+                # Blank lines, which csv skips, or a line of another width.
+                text = "\n".join(filter(None, text.split("\n")))
+                if not text:
+                    continue
+                fields = _fields(text, width)
+                if fields is None:
+                    raise _Reread
+            yield [fields[i :: width + 1] for i in range(width)]
+    if not seen_header:
+        raise _Reread
+
+
+def _fields(text: str, width: int) -> list[str] | None:
+    """`text`'s lines split at every comma, each followed by a "\\n" field; None unless each has `width` fields."""
+    fields = text.replace("\n", ",\n,").split(",")
+    ends = text.count("\n")
+    if len(fields) == (ends + 1) * (width + 1) - 1 and fields[width :: width + 1].count("\n") == ends:
+        return fields
+    return None
+
+
+def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str, ...]]]:
+    """`table`'s rows, about a text block's worth at a time, as columns of field texts."""
+    size = max(1, BLOCK_CHARS // 32)
+    with table(path, header) as rows:
+        while block := list(islice(rows, size)):
+            yield list(zip(*block))
+
+
+def _parsed_rows(path: Path | str, header: list[str], parsers: Sequence[Callable], skip: int) -> Iterator[list[list]]:
+    """`table`'s rows after the first `skip`, each parsed in field order and yielded as a block of one row."""
+    with table(path, header) as rows:
+        for _ in islice(rows, skip):
+            pass
+        for row in rows:
+            yield [[parse(text)] for parse, text in zip(parsers, row)]
 
 
 def _describe(exc: ValueError | KeyError) -> str:

@@ -104,6 +104,8 @@ def read_matrix_csv(path: Path | str) -> ConfusionMatrix:
     labels = [cell.strip() for cell in rows[0][1][1:]]
     counts = []
     for i, (line, row) in enumerate(rows[1:], start=1):
+        if i > len(labels):
+            raise DataFormatError(f"{path}:{line}: row {i} has no column label, expected {len(labels)} rows")
         if len(row) != len(labels) + 1:
             raise DataFormatError(f"{path}:{line}: row {i} has {len(row)} fields, expected {len(labels) + 1}")
         if row[0].strip() != labels[i - 1]:

@@ -9,18 +9,22 @@ regardless of input row order.
 Days stay ints up to the writers; dates come back only in `PregnancyEpisode`
 and in written text.
 Events referencing unknown persons are quarantined as whole rows, never
-dropped silently.
+dropped silently. `load_events` is the one reader of events.csv: it groups the
+events of one concept map and, given labels, keeps each person's first day per
+label in the same pass.
 """
 
 from __future__ import annotations
 
 import logging
 from datetime import date
+from itertools import compress
+from operator import and_, not_
 from pathlib import Path
 from typing import Container, Iterable, Iterator, NamedTuple
 
 from .concept_registry import Domain
-from .csvio import Memo, iso_date, table, write_rows
+from .csvio import Memo, columns, iso_date, table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -59,13 +63,16 @@ class EventTable(NamedTuple):
     The ints are the loader's shared objects, two list slots per event; read a
     person's events through `event_pairs`. Quarantined rows are
     `(person id, day ordinal, concept id, domain)` tuples in file order, whose
-    native order is the order quarantine.csv is written in.
+    native order is the order quarantine.csv is written in. `first_days` holds
+    each person's first day per label, `{person_id: {label: day ordinal}}`,
+    when `load_events` was given labels, and is empty otherwise.
     """
 
     events_by_person: dict[int, list[int]]
     quarantined: list[tuple[int, int, int, Domain]]
     total_rows: int
     domain_mismatches: int
+    first_days: dict[int, dict]
 
 
 def event_pairs(flat: Iterable[int]) -> Iterator[Event]:
@@ -110,7 +117,10 @@ def _event_day(text: str) -> int:
 
 
 def load_events(
-    path: Path | str, concepts: dict[int, Domain | None], known_persons: Container[int] | None = None
+    path: Path | str,
+    concepts: dict[int, Domain | None],
+    known_persons: Container[int] | None = None,
+    labels: dict[int, tuple] | None = None,
 ) -> EventTable:
     """Load the events of `concepts` grouped by person as flat `[day ordinal, concept id, ...]` lists.
 
@@ -121,8 +131,17 @@ def load_events(
     keeps file order (`event_pairs`). Rows for persons not in the
     `known_persons` container (tested with `in` as given, not copied: pass the
     persons dict) are quarantined with a diagnostic.
+
+    `labels` maps a concept id to the labels its events count toward. With it,
+    the same pass keeps each person's first day per label in `first_days`, as
+    `{person_id: {label: day ordinal}}`, from the rows not quarantined.
+
+    The file is parsed a block of rows at a time (`csvio.columns`): the fields
+    of a block are parsed and checked a column at a time, and Python code runs
+    per row only for the rows grouped, labelled or quarantined.
     """
     by_person: dict[int, list[int]] = {}
+    firsts: dict[int, dict] = {}
     quarantined: list[tuple[int, int, int, Domain]] = []
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
@@ -131,23 +150,28 @@ def load_events(
     concept_ids = Memo(int)
     days = Memo(_event_day)
     domains = Memo(Domain.parse)
+    parsers = (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
+    grouped, labelled = concepts.__contains__, (labels or {}).__contains__
     total = 0
-    with table(path, EVENT_HEADER) as rows:
-        for row in rows:
-            total += 1
-            person_id, concept_id = int(row[0]), concept_ids[row[1]]
-            domain, day = domains[row[2]], days[row[3]]
-            if known_persons is not None and person_id not in known_persons:
-                quarantined.append((person_id, day, concept_id, domain))
-                continue
-            if concept_id not in concepts:
-                continue
+    for person_col, concept_col, domain_col, day_col in columns(path, EVENT_HEADER, parsers):
+        total += len(person_col)
+        known = None if known_persons is None else list(map(known_persons.__contains__, person_col))
+        if known is not None and False in known:
+            rows = zip(person_col, day_col, concept_col, domain_col)
+            quarantined.extend(compress(rows, map(not_, known)))
+        for person_id, day, concept_id, domain in _kept(person_col, day_col, concept_col, domain_col, grouped, known):
             expected = concepts[concept_id]
             if expected is not None and expected is not domain:
                 mismatches += 1
                 if mismatch_sample is None:
                     mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
             by_person.setdefault(person_id, []).extend((day, concept_id))
+        if labels:
+            for person_id, day, concept_id, _ in _kept(person_col, day_col, concept_col, domain_col, labelled, known):
+                for label in labels[concept_id]:
+                    first = firsts.setdefault(person_id, {})
+                    if first.setdefault(label, day) > day:
+                        first[label] = day
     if quarantined:
         logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
     if mismatches:
@@ -158,26 +182,15 @@ def load_events(
             mismatch_sample,
         )
     logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
-    return EventTable(by_person, quarantined, total, mismatches)
+    return EventTable(by_person, quarantined, total, mismatches, firsts)
 
 
-def first_event_days(path: Path | str, labels: dict[int, tuple]) -> dict[int, dict]:
-    """Each person's first event day per label, `{person_id: {label: day ordinal}}`; no event is held.
-
-    `labels` maps a concept id to the labels its events count toward. Rows are checked as in `load_events`.
-    """
-    firsts: dict[int, dict] = {}
-    concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(Domain.parse)
-    with table(path, EVENT_HEADER) as rows:
-        for row in rows:
-            person_id, concept_id = int(row[0]), concept_ids[row[1]]
-            domains[row[2]]  # checked, not kept
-            day = days[row[3]]
-            for label in labels.get(concept_id, ()):
-                first = firsts.setdefault(person_id, {})
-                if first.setdefault(label, day) > day:
-                    first[label] = day
-    return firsts
+def _kept(person_col, day_col, concept_col, domain_col, wanted, known) -> Iterator[tuple[int, int, int, Domain]]:
+    """A block's `(person id, day, concept id, domain)` rows whose concept is `wanted`, of known persons only."""
+    keep = map(wanted, concept_col)
+    if known is not None:
+        keep = map(and_, known, keep)
+    return compress(zip(person_col, day_col, concept_col, domain_col), keep)
 
 
 def write_persons(path: Path | str, persons: Iterable[Person]) -> None:

@@ -3,11 +3,11 @@
 Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
 built or a writer formats them through the run's one `Memo(iso_text)`.
 
-Every command validates every event row but keeps only what it reads: infer
-and timeline group the events of one concept map (`load_events`), the engine
-concepts or the index set, as one flat `[day, concept id, ...]` list of ints
-per person; stats keeps one first day per person and label, the index set
-labelled None and each condition set by its name (`first_event_days`).
+Every command validates every event row, in one scanner (`load_events`), but
+keeps only what it reads: infer and timeline group the events of one concept
+map, the engine concepts or the index set, as one flat `[day, concept id, ...]`
+list of ints per person; stats groups none and keeps one first day per person
+and label, the index set labelled None and each condition set by its name.
 
 Inference is one loop over the persons in id order, in one thread. Each
 person's list is popped off the table as the loop reaches it, so it is freed
@@ -53,7 +53,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, event_pairs, first_event_days, load_events, load_persons
+from .ingestion import EVENT_HEADER, event_pairs, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -255,7 +255,7 @@ def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppres
     for name, concept_ids in condition_sets.items():
         for concept_id in concept_ids:
             labels[concept_id] = labels.get(concept_id, ()) + (name,)
-    first_days = first_event_days(config.events_path, labels)
+    first_days = load_events(config.events_path, {}, labels=labels).first_days
 
     histogram = infection_week_histogram(first_day_exposures(episodes, first_days, ()))
     exposures = first_day_exposures(episodes, first_days, condition_sets)

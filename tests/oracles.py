@@ -2,7 +2,10 @@
 
 Deliberately naive re-implementations of the selection/removal rules. They
 share no code with the package: gestation medians come from decimal
-arithmetic, clustering scans plain lists, and domain ranks are literal.
+arithmetic, clustering scans plain lists, and domain ranks are literal. The
+one exception is `load_events_reference`, which pins the block scanner of
+`ingestion.load_events` to a row loop: it shares the field parsers and
+`csvio.table`, the source of every row error, but none of the block code.
 """
 
 import re
@@ -276,3 +279,33 @@ def histogram_reference(episodes, events_by_person, index_concepts, max_week=45)
         if hits:
             counts[min(_week(ep, hits[0][0]), max_week)] += 1
     return counts
+
+
+def load_events_reference(path, concepts, known_persons=None, labels=None):
+    """`ingestion.load_events` as one loop over `csvio.table`'s rows, parsing each row's fields in field order."""
+    from tedpc.concept_registry import Domain
+    from tedpc.csvio import Memo, table
+    from tedpc.ingestion import EVENT_HEADER, EventTable, _event_day
+
+    by_person, firsts, quarantined = {}, {}, []
+    mismatches = total = 0
+    concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(Domain.parse)
+    with table(path, EVENT_HEADER) as rows:
+        for row in rows:
+            total += 1
+            person_id, concept_id = int(row[0]), concept_ids[row[1]]
+            domain, day = domains[row[2]], days[row[3]]
+            if known_persons is not None and person_id not in known_persons:
+                quarantined.append((person_id, day, concept_id, domain))
+                continue
+            for label in (labels or {}).get(concept_id, ()):
+                first = firsts.setdefault(person_id, {})
+                if first.setdefault(label, day) > day:
+                    first[label] = day
+            if concept_id not in concepts:
+                continue
+            expected = concepts[concept_id]
+            if expected is not None and expected is not domain:
+                mismatches += 1
+            by_person.setdefault(person_id, []).extend((day, concept_id))
+    return EventTable(by_person, quarantined, total, mismatches, firsts)

@@ -22,7 +22,7 @@ from tedpc.concept_registry import AccuracyLevel, Domain
 from tedpc.episode_builder import PregnancyEpisode, extreme_flag_of, write_episodes
 from tedpc.errors import ConfigError
 from tedpc.config import RunConfig
-from tedpc.ingestion import ClinicalEvent, Person, first_event_days, write_events, write_persons
+from tedpc.ingestion import ClinicalEvent, Person, load_events, write_events, write_persons
 from tedpc.pipeline import run_stats, run_timeline
 
 INDEX = 900000001
@@ -171,7 +171,7 @@ class TestHistogram:
         ]
 
     def test_order_insensitive(self, tmp_path):
-        # Through first_event_days, which keeps each person's earliest day whatever the row order.
+        # Through load_events' first days, which keep each person's earliest day whatever the row order.
         rng = np.random.default_rng(5)
         ep = episode(date(2020, 1, 1), date(2020, 10, 7))
         events = [
@@ -181,7 +181,7 @@ class TestHistogram:
 
         def loaded_histogram():
             write_events(tmp_path / "e.csv", events)
-            first_days = first_event_days(tmp_path / "e.csv", {INDEX: (None,)})
+            first_days = load_events(tmp_path / "e.csv", {}, labels={INDEX: (None,)}).first_days
             return infection_week_histogram(first_day_exposures([ep], first_days, ()))
 
         baseline = loaded_histogram()
@@ -468,7 +468,8 @@ class TestTableOracle:
                 written = [[int(r[0]), int(r[1]), int(r[2]), r[3], int(r[4]), r[5]] for r in list(csv.reader(fh))[1:]]
             assert rows == len(written)
             assert written == timeline_reference(episodes, events, index_concepts)
-            first_days = first_event_days(config.events_path, {concept_id: (None,) for concept_id in index_concepts})
+            labels = {concept_id: (None,) for concept_id in index_concepts}
+            first_days = load_events(config.events_path, {}, labels=labels).first_days
             exposures = first_day_exposures(episodes, first_days, ())
             assert infection_week_histogram(exposures) == histogram_reference(episodes, events, index_concepts)
             for ep in episodes:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import importlib
 import json
@@ -310,6 +311,13 @@ class TestEvaluate:
         assert main(["evaluate", "--matrix", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: category labels must be distinct, got ['a'] more than once" in err and "Traceback" not in err
+
+    def test_more_rows_than_labels_exit_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(",a,b\na,1,0\nb,0,1\nc,0,0\n")
+        assert main(["evaluate", "--matrix", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4: row 3 has no column label, expected 2 rows" in err and "Traceback" not in err
 
     def test_all_zero_matrix_exit_2_naming_file(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -676,9 +684,16 @@ class TestTableDialect:
         err = capsys.readouterr().err
         assert f"{paths[table]}:3: bad date {text!r}, expected YYYY-MM-DD" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("reader", ["events", "index-events", "matrix"])
-    def test_field_over_the_csv_limit_exit_2_naming_line(self, sim_dir, tmp_path, capsys, reader):
-        huge = '"' + "x" * 131_073 + '"'
+    @pytest.mark.parametrize(
+        "reader, huge",
+        [
+            *((reader, '"' + "x" * 131_073 + '"') for reader in ("events", "index-events", "matrix")),
+            # Unquoted, the padded field parses once stripped: only its length makes the row bad.
+            *((reader, "1" + " " * 131_073) for reader in ("events", "index-events", "matrix")),
+        ],
+        ids=["events", "index-events", "matrix", "padded-events", "padded-index-events", "padded-matrix"],
+    )
+    def test_field_over_the_csv_limit_exit_2_naming_line(self, sim_dir, tmp_path, capsys, reader, huge):
         lines = {
             "events": (sim_dir / "events.csv").read_text().splitlines()[:3] + [f"1,{huge},Condition,2020-01-01"],
             "index-events": ["concept_id", huge],
@@ -722,6 +737,58 @@ class TestTableDialect:
         assert code == 2
         err = capsys.readouterr().err
         assert expected.format(path=path) in err and "Traceback" not in err
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    @staticmethod
+    def quoted_crlf_copy(source, target):
+        """`source` rewritten with every field quoted and `\\r\\n` line ends: read by csv, not split as plain text."""
+        with open(source, newline="", encoding="utf-8") as fh, open(target, "w", newline="", encoding="utf-8") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(fh))
+        return target
+
+    def golden_commands(self, events, out):
+        persons, index = str(self.GOLDEN / "persons.csv"), str(self.GOLDEN / "index_concepts.csv")
+        common = ["--events", str(events), "--index-events", index, "--episodes", str(out / "infer" / "episodes.csv")]
+        return [
+            ["infer", "--persons", persons, "--events", str(events), "--out", str(out / "infer"), "--emit-cohorts"],
+            ["timeline", *common, "--out", str(out / "timeline")],
+            ["stats", *common, "--persons", persons, "--unsuppressed", f"--condition=idx={index}",
+             "--out", str(out / "stats")],
+        ]
+
+    def test_quoted_crlf_events_write_the_same_bytes(self, tmp_path):
+        plain = self.GOLDEN / "events.csv"
+        quoted = self.quoted_crlf_copy(plain, tmp_path / "quoted.csv")
+        written = []
+        for events in (plain, quoted):
+            out = tmp_path / events.stem
+            for argv in self.golden_commands(events, out):
+                assert main(argv) == 0, argv
+            written.append({str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*") if path.is_file()})
+        assert written[0] == written[1] and len(written[0]) == 12
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1,4014295,Condition,2020-13-01", "1,4014295,Widget,2020-01-01", "1,4014295,Condition", "x,1,Condition,2020-01-01",
+         "1,4014295,Condition,2020-01-01,9"],
+        ids=["bad-date", "bad-domain", "short-row", "bad-person", "long-row"],
+    )
+    def test_bad_row_in_quoted_crlf_events_fails_as_in_plain(self, tmp_path, capsys, row):
+        golden = self.GOLDEN / "events.csv"
+        # The episodes that timeline and stats read come from the good file; infer stops before writing any.
+        assert main(self.golden_commands(golden, tmp_path / "out")[0]) == 0
+        lines = golden.read_text().splitlines()
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\n".join(lines[:500] + [row] + lines[500:]) + "\n")
+        quoted = self.quoted_crlf_copy(plain, tmp_path / "quoted.csv")
+        capsys.readouterr()
+        errors = []
+        for events in (plain, quoted):
+            for argv in self.golden_commands(events, tmp_path / "out"):
+                assert main(argv) == 2, argv
+                errors.append(capsys.readouterr().err.replace(str(events), "EVENTS"))
+        assert len(set(errors)) == 1 and "EVENTS:501: " in errors[0] and "Traceback" not in errors[0]
 
     def test_byte_order_mark_is_accepted(self, sim_dir, tmp_path):
         bom = tmp_path / "bom"

@@ -8,7 +8,6 @@ from tedpc.errors import DataFormatError
 from tedpc.ingestion import (
     ClinicalEvent,
     event_pairs,
-    first_event_days,
     load_events,
     load_persons,
     write_events,
@@ -326,7 +325,7 @@ class TestFirstEventDays:
     def test_earliest_day_per_person_and_label(self, tmp_path):
         path = write(tmp_path / "e.csv", EVENT_HEADER + self.ROWS)
         # 400 counts toward two labels; 444098 toward none.
-        firsts = first_event_days(path, {400: (None, "b"), 401: ("b",), 500: ("a",)})
+        firsts = load_events(path, {}, labels={400: (None, "b"), 401: ("b",), 500: ("a",)}).first_days
 
         def day(text):
             return date.fromisoformat(text).toordinal()
@@ -357,5 +356,5 @@ class TestFirstEventDays:
         with pytest.raises(DataFormatError) as grouped:
             load_events(path, {400: None})
         with pytest.raises(DataFormatError) as first:
-            first_event_days(path, {400: (None,)})
+            load_events(path, {}, labels={400: (None,)})
         assert str(first.value) == str(grouped.value) and "e.csv:10: " in str(first.value)
