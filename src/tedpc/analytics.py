@@ -95,18 +95,20 @@ def episode_exposures(
 
 
 def first_day_exposures(
-    episodes: Iterable[PregnancyEpisode], first_days: dict[int, dict], condition_names: Iterable[str]
+    episodes: Iterable[PregnancyEpisode], first_days: dict[object, dict[int, int]], condition_names: Iterable[str]
 ) -> Iterator[Exposure]:
     """Yield each episode's index week (0 before the start) and the condition sets it meets by its delivery.
 
-    `first_days` holds each person's first day of the index set under None and of each condition set under its name.
+    `first_days` maps None (the index set) and each condition set's name to its first day per person.
     """
+    index_firsts = first_days.get(None, {})
+    condition_firsts = [(name, first_days.get(name, {})) for name in condition_names]
     for episode in episodes:
-        firsts = first_days.get(episode.person_id, {})
+        person_id = episode.person_id
         start_day, after = episode.start_date.toordinal(), episode.dod.toordinal() + 1
-        first = firsts.get(None, after)
+        first = index_firsts.get(person_id, after)
         week = None if first >= after else week_of(start_day, first)
-        yield episode, week, [name for name in condition_names if firsts.get(name, after) < after]
+        yield episode, week, [name for name, firsts in condition_firsts if firsts.get(person_id, after) < after]
 
 
 def infection_week_histogram(exposures: Iterable[Exposure]) -> dict[int, int]:

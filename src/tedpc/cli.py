@@ -147,7 +147,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     cohort = generate_cohort(config, ga_registry, dod_registry)
     paths = cohort.write(out)
     print(
-        f"persons={len(cohort.persons)} events={len(cohort.events)} "
+        f"persons={len(cohort.persons)} events={cohort.event_count} "
         f"gestations={len(cohort.truth)} out={paths['events'].parent}"
     )
 

@@ -10,8 +10,9 @@ Days stay ints up to the writers; dates come back only in `PregnancyEpisode`
 and in written text.
 Events referencing unknown persons are quarantined as whole rows, never
 dropped silently. `load_events` is the one reader of events.csv: it groups the
-events of one concept map and, given labels, keeps each person's first day per
-label in the same pass.
+events of one concept map and, given labels, keeps each label's first day per
+person in the same pass. `write_events` writes a flat `[person id, day
+ordinal, concept id, ...]` list, as the generator holds its events.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Container, Iterable, Iterator, NamedTuple
 
 from .concept_registry import Domain
-from .csvio import Memo, columns, iso_date, table, write_rows
+from .csvio import Memo, columns, iso_date, iso_text, table, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -64,15 +65,15 @@ class EventTable(NamedTuple):
     person's events through `event_pairs`. Quarantined rows are
     `(person id, day ordinal, concept id, domain)` tuples in file order, whose
     native order is the order quarantine.csv is written in. `first_days` holds
-    each person's first day per label, `{person_id: {label: day ordinal}}`,
-    when `load_events` was given labels, and is empty otherwise.
+    each label's first day per person, `{label: {person_id: day ordinal}}`,
+    one dict for every label `load_events` was given, and is empty without labels.
     """
 
     events_by_person: dict[int, list[int]]
     quarantined: list[tuple[int, int, int, Domain]]
     total_rows: int
     domain_mismatches: int
-    first_days: dict[int, dict]
+    first_days: dict[object, dict[int, int]]
 
 
 def event_pairs(flat: Iterable[int]) -> Iterator[Event]:
@@ -133,15 +134,20 @@ def load_events(
     persons dict) are quarantined with a diagnostic.
 
     `labels` maps a concept id to the labels its events count toward. With it,
-    the same pass keeps each person's first day per label in `first_days`, as
-    `{person_id: {label: day ordinal}}`, from the rows not quarantined.
+    the same pass keeps each label's first day per person in `first_days`, as
+    `{label: {person_id: day ordinal}}`, from the rows not quarantined.
 
     The file is parsed a block of rows at a time (`csvio.columns`): the fields
     of a block are parsed and checked a column at a time, and Python code runs
     per row only for the rows grouped, labelled or quarantined.
     """
     by_person: dict[int, list[int]] = {}
-    firsts: dict[int, dict] = {}
+    firsts: dict[object, dict[int, int]] = {}
+    # Each labelled concept -> the first-day dicts of its labels.
+    targets = {
+        concept_id: tuple(firsts.setdefault(label, {}) for label in concept_labels)
+        for concept_id, concept_labels in (labels or {}).items()
+    }
     quarantined: list[tuple[int, int, int, Domain]] = []
     mismatches = 0
     mismatch_sample: ClinicalEvent | None = None
@@ -151,7 +157,7 @@ def load_events(
     days = Memo(_event_day)
     domains = Memo(Domain.parse)
     parsers = (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
-    grouped, labelled = concepts.__contains__, (labels or {}).__contains__
+    grouped, labelled = concepts.__contains__, targets.__contains__
     total = 0
     for person_col, concept_col, domain_col, day_col in columns(path, EVENT_HEADER, parsers):
         total += len(person_col)
@@ -166,12 +172,11 @@ def load_events(
                 if mismatch_sample is None:
                     mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
             by_person.setdefault(person_id, []).extend((day, concept_id))
-        if labels:
+        if targets:
             for person_id, day, concept_id, _ in _kept(person_col, day_col, concept_col, domain_col, labelled, known):
-                for label in labels[concept_id]:
-                    first = firsts.setdefault(person_id, {})
-                    if first.setdefault(label, day) > day:
-                        first[label] = day
+                for first in targets[concept_id]:
+                    if first.setdefault(person_id, day) > day:
+                        first[person_id] = day
     if quarantined:
         logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
     if mismatches:
@@ -205,9 +210,18 @@ def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
     )
 
 
-def write_events(path: Path | str, events: Iterable[ClinicalEvent]) -> None:
-    """Write an events table with its rows in the order given."""
-    iso = Memo(date.isoformat)
-    write_rows(
-        path, EVENT_HEADER, ([e.person_id, e.concept_id, _DOMAIN_TEXT[e.domain], iso[e.event_date]] for e in events)
-    )
+def write_events(path: Path | str, events: Iterable[int], domains: dict[int, Domain]) -> None:
+    """Write an events table from a flat `[person id, day ordinal, concept id, ...]` list, rows in the order given.
+
+    `domains` maps each concept id to the domain written with it. No field of
+    an events row needs quoting (two ints, a domain's text, a `YYYY-MM-DD`
+    date), so each row is formatted as text, byte for byte what `write_rows`
+    would write, at a third of the cost of a list per row through `csv.writer`.
+    """
+    iso = Memo(iso_text)
+    # Each concept's `concept id,domain,` text.
+    middles = {concept_id: f"{concept_id},{_DOMAIN_TEXT[domain]}," for concept_id, domain in domains.items()}
+    fields = iter(events)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(EVENT_HEADER) + "\n")
+        fh.writelines(f"{p},{middles[c]}{iso[day]}\n" for p, day, c in zip(fields, fields, fields))

@@ -20,9 +20,14 @@ are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions.
 
-Days are ordinals until a person is done: their events are `(day, concept
-id, domain)` tuples, sorted natively, and each distinct day becomes a `date`
-once per run, for the events, persons, truth and noise log alike.
+Events stay ordinals until they are written. A person's events are `(day,
+concept id)` pairs, sorted natively; the cohort then holds every event as
+three slots of one flat list, `[person id, day ordinal, concept id, ...]` in
+write order, each distinct day int held once, and each concept's domain comes
+from one map. No object exists per event: `SyntheticCohort.write` streams the
+flat list to `events.csv`, and `SyntheticCohort.events` builds `ClinicalEvent`s
+only when a caller asks for them. Each distinct day becomes a `date` once per
+run, for the persons, truth and noise log alike.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ VISIT_WEEKS = (8, 12, 16, 20, 24, 28, 32, 36, 38, 40)
 PRE_INDEX_MAX_DAYS = 90
 DEFAULT_INDEX_CONCEPT_ID = 900000001
 
-# One generated event until it is written: (day ordinal, concept id, domain).
-_Event = tuple[int, int, Domain]
+# One generated event of a person until the cohort holds it: (day ordinal, concept id).
+_Event = tuple[int, int]
 
 _RACE_PROBS = (
     ("White", 0.50),
@@ -167,13 +172,29 @@ NOISE_LOG_HEADER = ["channel", "person_id", "concept_id", "event_date", "detail"
 
 @dataclass
 class SyntheticCohort:
-    """Generated tables plus ground truth and the noise sidecar log."""
+    """Generated tables plus ground truth and the noise sidecar log.
+
+    `flat_events` holds the events as `[person id, day ordinal, concept id, ...]`
+    in write order, and `domains` each concept's domain.
+    """
 
     persons: list[Person]
-    events: list[ClinicalEvent]
+    flat_events: list[int]
+    domains: dict[int, Domain]
     truth: list[TruthRecord]
     noise_log: list[NoiseLogEntry]
     index_concept_id: int
+
+    @property
+    def event_count(self) -> int:
+        return len(self.flat_events) // 3
+
+    @property
+    def events(self) -> list[ClinicalEvent]:
+        """The events as `ClinicalEvent`s in write order, built anew on each access."""
+        dates, domains = Memo(date.fromordinal), self.domains
+        fields = iter(self.flat_events)
+        return [ClinicalEvent(p, c, domains[c], dates[day]) for p, day, c in zip(fields, fields, fields)]
 
     def write(self, out_dir: Path | str) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -186,7 +207,7 @@ class SyntheticCohort:
             "index_concepts": out_dir / "index_concepts.csv",
         }
         write_persons(paths["persons"], self.persons)
-        write_events(paths["events"], self.events)
+        write_events(paths["events"], self.flat_events, self.domains)
         write_truth(paths["truth"], self.truth)
         write_rows(
             paths["noise_log"],
@@ -273,7 +294,7 @@ def _range_event(rng: random.Random, start: int, gestation_days: int, pool: list
         if week_lo > week_hi:
             continue
         week = rng.randrange(week_lo, week_hi + 1)
-        return start + min(7 * week + rng.randrange(7), gestation_days), spec.concept_id, spec.domain
+        return start + min(7 * week + rng.randrange(7), gestation_days), spec.concept_id
     return None
 
 
@@ -291,7 +312,7 @@ def generate_cohort(
         raise ConfigError(f"index_concept_id {config.index_concept_id} collides with a registry concept")
     overlap = {spec.concept_id for spec in ga_registry if spec.concept_id in dod_registry}
     high_by_week = {
-        spec.week_low: (spec.concept_id, spec.domain)
+        spec.week_low: spec.concept_id
         for spec in ga_registry
         if spec.accuracy is AccuracyLevel.HIGH and spec.concept_id not in overlap
     }
@@ -300,7 +321,7 @@ def generate_cohort(
         pool = [s for s in ga_registry if s.accuracy is level and s.concept_id not in overlap]
         if pool:
             range_draws.append((pool, config.ga_events_per_gestation.get(level, 0)))
-    dod_pool = [(spec.concept_id, spec.domain) for spec in dod_registry if spec.concept_id not in overlap]
+    dod_pool = [spec.concept_id for spec in dod_registry if spec.concept_id not in overlap]
     if not high_by_week or not dod_pool:
         raise GenerationError("registries too small to generate events")
 
@@ -321,11 +342,15 @@ def generate_cohort(
         for spec in ga_registry
     }
     dod_ids = {spec.concept_id for spec in dod_registry}
-    # Each distinct day becomes a date once.
+    # A concept's domain; overlap concepts come only from GA draws (conflicts), so the GA registry wins.
+    domains = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+    domains[index_concept_id] = Domain.CONDITION
+    # Each distinct day becomes a date once, and its int is held once in the flat events.
     dates = Memo(date.fromordinal)
+    days: dict[int, int] = {}
 
     persons: list[Person] = []
-    events: list[ClinicalEvent] = []
+    flat_events: list[int] = []
     truth: list[TruthRecord] = []
     noise_log: list[NoiseLogEntry] = []
     for person_id in range(1, config.n_persons + 1):
@@ -341,39 +366,37 @@ def generate_cohort(
             if schedule and n_high:
                 for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):
                     # Exact placement: the event implies precisely the true start.
-                    person_events.append((start + 7 * week, *high_by_week[week]))
+                    person_events.append((start + 7 * week, high_by_week[week]))
             for pool, count in range_draws:
                 for _ in range(count):
                     event = _range_event(rng, start, gestation_days, pool)
                     if event is not None:
                         person_events.append(event)
-            for concept in rng.sample(dod_pool, n_dod):
-                person_events.append((dod, *concept))
+            for concept_id in rng.sample(dod_pool, n_dod):
+                person_events.append((dod, concept_id))
             if config.index_event_rate and rng.random() < config.index_event_rate:
-                person_events.append((start + rng.randrange(gestation_days + 1), index_concept_id, Domain.CONDITION))
+                person_events.append((start + rng.randrange(gestation_days + 1), index_concept_id))
 
         if noisy:
             person_events = _add_noise(
                 person_id, person_events, triples, config, ga_conflicts, dod_ids, noise_log, dates
             )
-        # Within the generator a concept has one domain, so events that tie on
-        # (day, concept) are equal tuples and the native sort orders them as a
-        # stable sort on (day, concept) would.
+        # Events that tie on (day, concept) are equal pairs, so the native sort
+        # orders them as a stable sort on (day, concept) would.
         person_events.sort()
-        events.extend(
-            [ClinicalEvent(person_id, concept_id, domain, dates[day]) for day, concept_id, domain in person_events]
-        )
+        for day, concept_id in person_events:
+            flat_events += person_id, days.setdefault(day, day), concept_id
 
         # Ground-truth index weeks follow the same rule analytics applies: the
         # earliest index event on or before the delivery, week 0 when pre-start.
-        earliest = next((day for day, concept_id, _ in person_events if concept_id == index_concept_id), None)
+        earliest = next((day for day, concept_id in person_events if concept_id == index_concept_id), None)
         for index, (start, dod, _) in enumerate(triples, start=1):
             week = None
             if earliest is not None and earliest <= dod:
                 week = 0 if earliest < start else (earliest - start) // 7 + 1
             truth.append(TruthRecord(person_id, index, dates[start], dates[dod], week))
 
-    return SyntheticCohort(persons, events, truth, noise_log, index_concept_id)
+    return SyntheticCohort(persons, flat_events, domains, truth, noise_log, index_concept_id)
 
 
 def _add_noise(
@@ -400,7 +423,7 @@ def _add_noise(
     rng = _person_rng(config.seed, _NOISE_STREAM, person_id)
     kept: list[_Event] = []
     for event in events:
-        day, concept_id, domain = event
+        day, concept_id = event
         in_ga = concept_id in ga_conflicts
         in_dod = concept_id in dod_ids
         if in_ga and noise.drop_ga_rate and rng.random() < noise.drop_ga_rate:
@@ -414,18 +437,18 @@ def _add_noise(
             if rng.random() < 0.5:
                 delta = -delta
             log.append(NoiseLogEntry("shift", person_id, concept_id, dates[day], f"shifted {delta:+d}d"))
-            event = (day + delta, concept_id, domain)
+            event = (day + delta, concept_id)
         kept.append(event)
     additions: list[_Event] = []
     if noise.conflict_ga_rate:
-        for day, concept_id, _ in kept:
+        for day, concept_id in kept:
             if concept_id not in ga_conflicts or rng.random() >= noise.conflict_ga_rate:
                 continue
             base_days, options = ga_conflicts[concept_id]
             if not options:
                 continue
             chosen, chosen_days = rng.choice(options)
-            additions.append((day, chosen.concept_id, chosen.domain))
+            additions.append((day, chosen.concept_id))
             detail = f"conflicts with {concept_id} by {chosen_days - base_days:+d}d"
             log.append(NoiseLogEntry("conflict_ga", person_id, chosen.concept_id, dates[day], detail))
     if noise.pre_pregnancy_index_rate:
@@ -433,7 +456,7 @@ def _add_noise(
         for start, _, _ in triples:
             if rng.random() < noise.pre_pregnancy_index_rate:
                 day = start - rng.randrange(7, PRE_INDEX_MAX_DAYS + 1)
-                additions.append((day, index_concept_id, Domain.CONDITION))
+                additions.append((day, index_concept_id))
                 detail = "pre-pregnancy index event"
                 log.append(NoiseLogEntry("pre_index", person_id, index_concept_id, dates[day], detail))
     return kept + additions

@@ -11,6 +11,7 @@ from tedpc.concept_registry import (
 )
 from tedpc.dod_engine import rank_table
 from tedpc.ga_engine import candidate_table
+from tedpc.ingestion import write_events
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +40,14 @@ def as_events(clinical_events):
     `analytics.episode_exposures` sorts a loaded person's `event_pairs` the same way.
     """
     return sorted((e.event_date.toordinal(), e.concept_id) for e in clinical_events)
+
+
+def write_clinical_events(path, events):
+    """Write ClinicalEvents, rows in the order given, as `ingestion.write_events` takes them: flat ints and domains."""
+    flat = [field for e in events for field in (e.person_id, e.event_date.toordinal(), e.concept_id)]
+    domains = {e.concept_id: e.domain for e in events}
+    assert len(domains) == len({(e.concept_id, e.domain) for e in events}), "one domain per concept"
+    write_events(path, flat, domains)
 
 
 def random_events(rng: np.random.Generator, registry, max_events=10):

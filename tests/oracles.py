@@ -287,7 +287,8 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
     from tedpc.csvio import Memo, table
     from tedpc.ingestion import EVENT_HEADER, EventTable, _event_day
 
-    by_person, firsts, quarantined = {}, {}, []
+    by_person, quarantined = {}, []
+    firsts = {label: {} for concept_labels in (labels or {}).values() for label in concept_labels}
     mismatches = total = 0
     concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(Domain.parse)
     with table(path, EVENT_HEADER) as rows:
@@ -299,9 +300,8 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
                 quarantined.append((person_id, day, concept_id, domain))
                 continue
             for label in (labels or {}).get(concept_id, ()):
-                first = firsts.setdefault(person_id, {})
-                if first.setdefault(label, day) > day:
-                    first[label] = day
+                first = firsts[label]
+                first[person_id] = min(day, first.get(person_id, day))
             if concept_id not in concepts:
                 continue
             expected = concepts[concept_id]

@@ -233,7 +233,7 @@ def test_8_boundary_behavior():
 
 def test_9_throughput(ga_registry, dod_registry, tmp_path):
     cohort = generate_cohort(SynthConfig(seed=909, n_persons=100_000), ga_registry, dod_registry)
-    assert len(cohort.events) >= 1_000_000
+    assert cohort.event_count >= 1_000_000
     cohort.write(tmp_path)
     config = RunConfig(
         persons_path=tmp_path / "persons.csv",
@@ -246,8 +246,8 @@ def test_9_throughput(ga_registry, dod_registry, tmp_path):
     summary = run_infer(config)
     elapsed = time.perf_counter() - started
     assert summary["episodes"] > 100_000
-    assert elapsed <= 60.0, f"infer took {elapsed:.1f}s for {len(cohort.events)} events"
+    assert elapsed <= 60.0, f"infer took {elapsed:.1f}s for {cohort.event_count} events"
     print(
-        f"ACCEPTANCE 9 throughput: PASS ({len(cohort.events)} events, "
+        f"ACCEPTANCE 9 throughput: PASS ({cohort.event_count} events, "
         f"{summary['episodes']} episodes in {elapsed:.1f}s single-threaded)"
     )

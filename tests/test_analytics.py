@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from conftest import write_clinical_events
 from oracles import histogram_reference, table_reference, timeline_reference
 from tedpc import analytics
 from tedpc.analytics import (
@@ -22,7 +23,7 @@ from tedpc.concept_registry import AccuracyLevel, Domain
 from tedpc.episode_builder import PregnancyEpisode, extreme_flag_of, write_episodes
 from tedpc.errors import ConfigError
 from tedpc.config import RunConfig
-from tedpc.ingestion import ClinicalEvent, Person, load_events, write_events, write_persons
+from tedpc.ingestion import ClinicalEvent, Person, load_events, write_persons
 from tedpc.pipeline import run_stats, run_timeline
 
 INDEX = 900000001
@@ -40,14 +41,14 @@ def event_on(day, concept_id=INDEX):
 
 
 def exposures_of(episodes, events_by_person, condition_sets):
-    """The exposures stats reads, with INDEX as the index concept: each person's first day per label."""
+    """The exposures stats reads, with INDEX as the index concept: each label's first day per person."""
     first_days = {}
     for person_id, events in events_by_person.items():
         for day, concept_id in events:
             labels = [None] * (concept_id == INDEX) + [name for name, ids in condition_sets.items() if concept_id in ids]
             for label in labels:
-                firsts = first_days.setdefault(person_id, {})
-                firsts[label] = min(day, firsts.get(label, day))
+                firsts = first_days.setdefault(label, {})
+                firsts[person_id] = min(day, firsts.get(person_id, day))
     return first_day_exposures(episodes, first_days, condition_sets)
 
 
@@ -180,7 +181,7 @@ class TestHistogram:
         ]
 
         def loaded_histogram():
-            write_events(tmp_path / "e.csv", events)
+            write_clinical_events(tmp_path / "e.csv", events)
             first_days = load_events(tmp_path / "e.csv", {}, labels={INDEX: (None,)}).first_days
             return infection_week_histogram(first_day_exposures([ep], first_days, ()))
 
@@ -411,7 +412,7 @@ class TestTableOracle:
                 config = base._replace(pandemic_cutoff=windows["cutoff"])
             rows = [e for person_events in events.values() for e in person_events]
             rng.shuffle(rows)
-            write_events(config.events_path, rows)
+            write_clinical_events(config.events_path, rows)
             write_persons(config.persons_path, persons.values())
             write_episodes(config.episodes_path, episodes)
             run_stats(config, {name: paths[name] for name in self.CONDITIONS}, unsuppressed=True)
@@ -461,7 +462,7 @@ class TestTableOracle:
             for ep in episodes:
                 if rng.random() < 0.2:
                     events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, ep.dod))
-            write_events(config.events_path, [e for person_events in events.values() for e in person_events])
+            write_clinical_events(config.events_path, [e for person_events in events.values() for e in person_events])
             write_episodes(config.episodes_path, episodes)
             rows = run_timeline(config)
             with open(config.out_dir / "timing.csv", newline="", encoding="utf-8") as fh:

@@ -3,6 +3,7 @@ from datetime import date, timedelta
 
 import pytest
 
+from conftest import write_clinical_events
 from tedpc.concept_registry import Domain
 from tedpc.errors import DataFormatError
 from tedpc.ingestion import (
@@ -197,10 +198,10 @@ class TestEventTableMemory:
 
         cohort = generate_cohort(SynthConfig(seed=3, n_persons=2000), ga_registry, dod_registry)
         once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
-        write_events(once, cohort.events)
-        write_events(twice, cohort.events + cohort.events)
+        write_events(once, cohort.flat_events, cohort.domains)
+        write_events(twice, cohort.flat_events + cohort.flat_events, cohort.domains)
 
-        concepts = dict.fromkeys(event.concept_id for event in cohort.events)
+        concepts = dict.fromkeys(cohort.flat_events[2::3])
 
         def traced_size(path):
             tracemalloc.start()
@@ -225,7 +226,7 @@ class TestWriters:
             ClinicalEvent(1, 3, Domain.CONDITION, date(2020, 1, 1)),
         ]
         path = tmp_path / "e.csv"
-        write_events(path, events)
+        write_clinical_events(path, events)
         table = load_events(path, dict.fromkeys([3, 5, 9]))
         assert {person_id: sorted_pairs(events) for person_id, events in table.events_by_person.items()} == {
             1: [(date(2020, 1, 1).toordinal(), 3), (date(2020, 2, 1).toordinal(), 9)],
@@ -331,10 +332,9 @@ class TestFirstEventDays:
             return date.fromisoformat(text).toordinal()
 
         assert firsts == {
-            1: {None: day("2020-01-01"), "b": day("2020-01-01"), "a": day("2020-01-01")},
-            2: {"b": day("2020-03-01"), "a": day("2020-01-01")},
-            3: {"a": day("2020-02-01")},
-            4: {"b": day("2020-03-01")},
+            None: {1: day("2020-01-01")},
+            "a": {1: day("2020-01-01"), 2: day("2020-01-01"), 3: day("2020-02-01")},
+            "b": {1: day("2020-01-01"), 2: day("2020-03-01"), 4: day("2020-03-01")},
         }
 
     @pytest.mark.parametrize(

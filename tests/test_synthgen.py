@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -242,6 +243,30 @@ class TestNoiseStream:
         assert [p for stream, p in calls if stream == 1] == list(range(1, 21))
         assert [p for stream, p in calls if stream == 0] == list(range(1, 21))
         assert {stream for stream, _ in calls} == {0, 1}
+
+
+class TestCohortMemory:
+    def test_generated_events_cost_no_object_each(self, ga_registry, dod_registry):
+        # The cohort holds its events as one flat list of shared ints: each further
+        # event costs its three list slots, about 24 bytes; a ClinicalEvent and its
+        # date per event cost 80 or more.
+        few = {AccuracyLevel.HIGH: 3, AccuracyLevel.MODERATE_HIGH: 1, AccuracyLevel.MODERATE_LOW: 1, AccuracyLevel.LOW: 2}
+        many = {level: 2 * count + 1 for level, count in few.items()}
+
+        def traced_size(ga_events_per_gestation):
+            config = SynthConfig(seed=3, n_persons=2000, ga_events_per_gestation=ga_events_per_gestation)
+            tracemalloc.start()
+            try:
+                cohort = generate_cohort(config, ga_registry, dod_registry)
+                return tracemalloc.get_traced_memory()[0], cohort
+            finally:
+                tracemalloc.stop()
+
+        (size_few, cohort), (size_many, larger) = traced_size(few), traced_size(many)
+        assert larger.persons == cohort.persons
+        added = larger.event_count - cohort.event_count
+        assert added > 20_000
+        assert (size_many - size_few) / added < 32
 
 
 class TestConfigBounds:
