@@ -5,7 +5,8 @@ non-blank row is a fixed header. Blank rows are skipped, every other row must
 have the header's field count, and a row that does not parse is reported as
 `path:line`. A date field is `YYYY-MM-DD` and nothing else (`iso_date`).
 Tables are written as UTF-8 with `\\n` line ends, dates from day ordinals
-through one `Memo(iso_text)` per run. Every input, table or not, is opened by
+through one `Memo(iso_text)` per run; a table no field of which can need
+quoting goes out as preformatted text lines (`write_lines`). Every input, table or not, is opened by
 `open_text`, so one encoding rule holds for all.
 
 A reader of a header-first table runs its own row loop inside `table`:
@@ -294,3 +295,15 @@ def write_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_lines(path: Path | str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a header and rows already formatted as '\\n'-ended text lines, as UTF-8.
+
+    For a table no field of which can need quoting (ints, ISO dates, fixed
+    texts), these are the bytes `write_rows` would write, without a list per
+    row through `csv.writer`.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)

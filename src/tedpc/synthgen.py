@@ -27,7 +27,15 @@ write order, each distinct day int held once, and each concept's domain comes
 from one map. No object exists per event: `SyntheticCohort.write` streams the
 flat list to `events.csv`, and `SyntheticCohort.events` builds `ClinicalEvent`s
 only when a caller asks for them. Each distinct day becomes a `date` once per
-run, for the persons, truth and noise log alike.
+run, for the persons and truth alike.
+
+The noise log is kept the same way. Each perturbation is a plain tuple
+`(channel, person id, concept id, day ordinal, detail)` of shared values: the
+day int from the same dict as the events', one detail text per shift delta,
+and one per (concept, option) of the conflict channel, built only when that
+channel is on. The native order of these rows is the order of
+`noise_log.csv`. `SyntheticCohort.write` formats them as text, and
+`SyntheticCohort.noise_log` builds `NoiseLogEntry`s only when a caller asks.
 """
 
 from __future__ import annotations
@@ -36,11 +44,12 @@ import random
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import AccuracyLevel, ConceptRegistry, Domain, GAConceptSpec
-from .csvio import Memo, iso_date, table, write_rows
+from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
+from .csvio import Memo, iso_date, iso_text, table, write_lines, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
@@ -67,6 +76,8 @@ DEFAULT_INDEX_CONCEPT_ID = 900000001
 
 # One generated event of a person until the cohort holds it: (day ordinal, concept id).
 _Event = tuple[int, int]
+# One noise log row until it is written: (channel, person id, concept id, day ordinal, detail).
+_NoiseRow = tuple[str, int, int, int, str]
 
 _RACE_PROBS = (
     ("White", 0.50),
@@ -136,8 +147,15 @@ class SynthConfig:
             raise ConfigError("window start must not be after window end")
         if not 0.0 <= self.index_event_rate <= 1.0:
             raise ConfigError("index_event_rate must be in [0, 1]")
-        if self.dod_events_per_gestation < 0:
-            raise ConfigError("dod_events_per_gestation must be non-negative")
+        counts = self.ga_events_per_gestation
+        if not isinstance(counts, dict) or not all(type(level) is AccuracyLevel for level in counts):
+            raise ConfigError(f"ga_events_per_gestation must map AccuracyLevel to counts, got {counts!r}")
+        for level, count in counts.items():
+            if not _is_count(count):
+                raise ConfigError(f"ga_events_per_gestation[{level.name}] must be a non-negative int, got {count!r}")
+        dod_count = self.dod_events_per_gestation
+        if not _is_count(dod_count):
+            raise ConfigError(f"dod_events_per_gestation must be a non-negative int, got {dod_count!r}")
         self.noise.validate()
         # No event lies before the earliest start less the pre-index margin, or
         # after the window; a shift must keep both inside the readable range.
@@ -148,6 +166,11 @@ class SynthConfig:
                 f"shift_max_days must be at most {max_shift} for window {self.window[0]} to {self.window[1]}, so that "
                 f"events stay inside [{MIN_EVENT_DATE}, {MAX_EVENT_DATE}], got {self.noise.shift_max_days}"
             )
+
+
+def _is_count(value) -> bool:
+    """True for a non-negative int; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class TruthRecord(NamedTuple):
@@ -175,14 +198,16 @@ class SyntheticCohort:
     """Generated tables plus ground truth and the noise sidecar log.
 
     `flat_events` holds the events as `[person id, day ordinal, concept id, ...]`
-    in write order, and `domains` each concept's domain.
+    in write order, and `domains` each concept's domain. `noise_rows` holds the
+    noise log as `(channel, person id, concept id, day ordinal, detail)` tuples
+    in the order the perturbations were drawn.
     """
 
     persons: list[Person]
     flat_events: list[int]
     domains: dict[int, Domain]
     truth: list[TruthRecord]
-    noise_log: list[NoiseLogEntry]
+    noise_rows: list[_NoiseRow]
     index_concept_id: int
 
     @property
@@ -195,6 +220,12 @@ class SyntheticCohort:
         dates, domains = Memo(date.fromordinal), self.domains
         fields = iter(self.flat_events)
         return [ClinicalEvent(p, c, domains[c], dates[day]) for p, day, c in zip(fields, fields, fields)]
+
+    @property
+    def noise_log(self) -> list[NoiseLogEntry]:
+        """The noise rows as `NoiseLogEntry`s in draw order, built anew on each access."""
+        dates = Memo(date.fromordinal)
+        return [NoiseLogEntry(channel, p, c, dates[day], detail) for channel, p, c, day, detail in self.noise_rows]
 
     def write(self, out_dir: Path | str) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -209,26 +240,25 @@ class SyntheticCohort:
         write_persons(paths["persons"], self.persons)
         write_events(paths["events"], self.flat_events, self.domains)
         write_truth(paths["truth"], self.truth)
-        write_rows(
+        iso = Memo(iso_text)
+        write_lines(
             paths["noise_log"],
             NOISE_LOG_HEADER,
-            (
-                [e.channel, e.person_id, e.concept_id, e.event_date.isoformat(), e.detail]
-                for e in sorted(self.noise_log)
-            ),
+            (f"{channel},{p},{c},{iso[day]},{detail}\n" for channel, p, c, day, detail in sorted(self.noise_rows)),
         )
         write_rows(paths["index_concepts"], ["concept_id"], [[self.index_concept_id]])
         return paths
 
 
 def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
-    write_rows(
+    """Write a truth table in (person id, episode index) order, ties in the order given."""
+    iso = Memo(date.isoformat)
+    write_lines(
         path,
         TRUTH_HEADER,
         (
-            [t.person_id, t.episode_index, t.true_start.isoformat(), t.true_dod.isoformat(),
-             "" if t.index_event_week is None else t.index_event_week]
-            for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index))
+            f"{p},{i},{iso[start]},{iso[dod]},{'' if week is None else week}\n"
+            for p, i, start, dod, week in sorted(truth, key=itemgetter(0, 1))
         ),
     )
 
@@ -335,24 +365,31 @@ def generate_cohort(
     index_concept_id = config.index_concept_id
     noise = config.noise
     noisy = any(getattr(noise, name) for name in noise.RATES)
-    # Per GA concept: its gestation days and the low-accuracy (concept, days) pairs that conflict with it.
-    low = [(spec, ga_days(spec)) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
-    ga_conflicts = {
-        spec.concept_id: (ga_days(spec), [(c, days) for c, days in low if 14 < abs(days - ga_days(spec)) <= 200])
-        for spec in ga_registry
-    }
+    ga_ids = {spec.concept_id for spec in ga_registry}
     dod_ids = {spec.concept_id for spec in dod_registry}
+    # Per GA concept: the low-accuracy concepts that conflict with it, each with its log detail.
+    ga_conflicts: dict[int, list[tuple[int, str]]] = {}
+    if noise.conflict_ga_rate:
+        low = [(spec.concept_id, ga_days(spec)) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW]
+        for spec in ga_registry:
+            base = ga_days(spec)
+            ga_conflicts[spec.concept_id] = [
+                (c, f"conflicts with {spec.concept_id} by {days - base:+d}d")
+                for c, days in low
+                if 14 < abs(days - base) <= 200
+            ]
+    shift_details = Memo(lambda delta: f"shifted {delta:+d}d")
     # A concept's domain; overlap concepts come only from GA draws (conflicts), so the GA registry wins.
     domains = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
     domains[index_concept_id] = Domain.CONDITION
-    # Each distinct day becomes a date once, and its int is held once in the flat events.
+    # Each distinct day becomes a date once, and its int is held once in the flat events and noise rows.
     dates = Memo(date.fromordinal)
     days: dict[int, int] = {}
 
     persons: list[Person] = []
     flat_events: list[int] = []
     truth: list[TruthRecord] = []
-    noise_log: list[NoiseLogEntry] = []
+    noise_rows: list[_NoiseRow] = []
     for person_id in range(1, config.n_persons + 1):
         rng = _person_rng(config.seed, _BASE_STREAM, person_id)
         triples = _plan_gestations(rng, window_start, window_len, count_weights)
@@ -379,7 +416,8 @@ def generate_cohort(
 
         if noisy:
             person_events = _add_noise(
-                person_id, person_events, triples, config, ga_conflicts, dod_ids, noise_log, dates
+                person_id, person_events, triples, config,
+                ga_ids, dod_ids, ga_conflicts, shift_details, days, noise_rows,
             )
         # Events that tie on (day, concept) are equal pairs, so the native sort
         # orders them as a stable sort on (day, concept) would.
@@ -396,7 +434,7 @@ def generate_cohort(
                 week = 0 if earliest < start else (earliest - start) // 7 + 1
             truth.append(TruthRecord(person_id, index, dates[start], dates[dod], week))
 
-    return SyntheticCohort(persons, flat_events, domains, truth, noise_log, index_concept_id)
+    return SyntheticCohort(persons, flat_events, domains, truth, noise_rows, index_concept_id)
 
 
 def _add_noise(
@@ -404,10 +442,12 @@ def _add_noise(
     events: list[_Event],
     triples: list[tuple[int, int, int]],
     config: SynthConfig,
-    ga_conflicts: dict[int, tuple[int, list[tuple[GAConceptSpec, int]]]],
+    ga_ids: set[int],
     dod_ids: set[int],
-    log: list[NoiseLogEntry],
-    dates: Memo,
+    ga_conflicts: dict[int, list[tuple[int, str]]],
+    shift_details: Memo,
+    days: dict[int, int],
+    log: list[_NoiseRow],
 ) -> list[_Event]:
     """One person's events under the noise channels, drawn from their noise stream.
 
@@ -417,26 +457,27 @@ def _add_noise(
     concept whose implied start disagrees with the original event's by more
     than 14 days but stays well inside the clustering window, so gestation
     separability is preserved. Returns the kept events, then the additions;
-    each perturbation is appended to `log`.
+    each perturbation is appended to `log` as a row of shared values: its day
+    from `days`, its detail from `shift_details` or `ga_conflicts`.
     """
     noise = config.noise
     rng = _person_rng(config.seed, _NOISE_STREAM, person_id)
     kept: list[_Event] = []
     for event in events:
         day, concept_id = event
-        in_ga = concept_id in ga_conflicts
+        in_ga = concept_id in ga_ids
         in_dod = concept_id in dod_ids
         if in_ga and noise.drop_ga_rate and rng.random() < noise.drop_ga_rate:
-            log.append(NoiseLogEntry("drop_ga", person_id, concept_id, dates[day], "dropped"))
+            log.append(("drop_ga", person_id, concept_id, days.setdefault(day, day), "dropped"))
             continue
         if in_dod and not in_ga and noise.drop_dod_rate and rng.random() < noise.drop_dod_rate:
-            log.append(NoiseLogEntry("drop_dod", person_id, concept_id, dates[day], "dropped"))
+            log.append(("drop_dod", person_id, concept_id, days.setdefault(day, day), "dropped"))
             continue
         if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
             delta = rng.randrange(1, noise.shift_max_days + 1)
             if rng.random() < 0.5:
                 delta = -delta
-            log.append(NoiseLogEntry("shift", person_id, concept_id, dates[day], f"shifted {delta:+d}d"))
+            log.append(("shift", person_id, concept_id, days.setdefault(day, day), shift_details[delta]))
             event = (day + delta, concept_id)
         kept.append(event)
     additions: list[_Event] = []
@@ -444,13 +485,12 @@ def _add_noise(
         for day, concept_id in kept:
             if concept_id not in ga_conflicts or rng.random() >= noise.conflict_ga_rate:
                 continue
-            base_days, options = ga_conflicts[concept_id]
+            options = ga_conflicts[concept_id]
             if not options:
                 continue
-            chosen, chosen_days = rng.choice(options)
-            additions.append((day, chosen.concept_id))
-            detail = f"conflicts with {concept_id} by {chosen_days - base_days:+d}d"
-            log.append(NoiseLogEntry("conflict_ga", person_id, chosen.concept_id, dates[day], detail))
+            chosen, detail = rng.choice(options)
+            additions.append((day, chosen))
+            log.append(("conflict_ga", person_id, chosen, days.setdefault(day, day), detail))
     if noise.pre_pregnancy_index_rate:
         index_concept_id = config.index_concept_id
         for start, _, _ in triples:
@@ -458,5 +498,5 @@ def _add_noise(
                 day = start - rng.randrange(7, PRE_INDEX_MAX_DAYS + 1)
                 additions.append((day, index_concept_id))
                 detail = "pre-pregnancy index event"
-                log.append(NoiseLogEntry("pre_index", person_id, index_concept_id, dates[day], detail))
+                log.append(("pre_index", person_id, index_concept_id, days.setdefault(day, day), detail))
     return kept + additions

@@ -3,9 +3,11 @@
 Deliberately naive re-implementations of the selection/removal rules. They
 share no code with the package: gestation medians come from decimal
 arithmetic, clustering scans plain lists, and domain ranks are literal. The
-one exception is `load_events_reference`, which pins the block scanner of
-`ingestion.load_events` to a row loop: it shares the field parsers and
-`csvio.table`, the source of every row error, but none of the block code.
+exceptions pin a fast path to the plain one it replaced. `load_events_reference`
+pins the block scanner of `ingestion.load_events` to a row loop: it shares the
+field parsers and `csvio.table`, the source of every row error, but none of the
+block code. `noise_log_reference` and `truth_reference` pin the generator's text
+writers to a list per row through `csvio.write_rows`.
 """
 
 import re
@@ -309,3 +311,31 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
                 mismatches += 1
             by_person.setdefault(person_id, []).extend((day, concept_id))
     return EventTable(by_person, quarantined, total, mismatches, firsts)
+
+
+def noise_log_reference(path, noise_log):
+    """`noise_log.csv` as a list per sorted `NoiseLogEntry` through `csvio.write_rows`."""
+    from tedpc.csvio import write_rows
+    from tedpc.synthgen import NOISE_LOG_HEADER
+
+    write_rows(
+        path,
+        NOISE_LOG_HEADER,
+        ([e.channel, e.person_id, e.concept_id, e.event_date.isoformat(), e.detail] for e in sorted(noise_log)),
+    )
+
+
+def truth_reference(path, truth):
+    """`truth.csv` as a list per `TruthRecord`, stably sorted on (person, episode), through `csvio.write_rows`."""
+    from tedpc.csvio import write_rows
+    from tedpc.synthgen import TRUTH_HEADER
+
+    write_rows(
+        path,
+        TRUTH_HEADER,
+        (
+            [t.person_id, t.episode_index, t.true_start.isoformat(), t.true_dod.isoformat(),
+             "" if t.index_event_week is None else t.index_event_week]
+            for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index))
+        ),
+    )

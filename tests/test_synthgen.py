@@ -1,9 +1,11 @@
+import random
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
 from conftest import as_events
+from oracles import noise_log_reference, truth_reference
 from tedpc import synthgen
 from tedpc.concept_registry import AccuracyLevel
 from tedpc.dod_engine import infer_delivery_dates, rank_table
@@ -18,6 +20,7 @@ from tedpc.synthgen import (
     SynthConfig,
     generate_cohort,
     read_truth,
+    write_truth,
 )
 
 
@@ -268,6 +271,54 @@ class TestCohortMemory:
         assert added > 20_000
         assert (size_many - size_few) / added < 32
 
+    def test_noise_log_rows_cost_no_object_each(self, ga_registry, dod_registry):
+        # A noise row is one tuple of shared values (day int, detail text): with
+        # its list slot about 88 bytes. A NoiseLogEntry with a date and a detail
+        # text of its own per shift cost about 150.
+        def traced_size(shift_rate):
+            config = SynthConfig(seed=3, n_persons=2000, noise=NoiseSpec(shift_rate=shift_rate))
+            tracemalloc.start()
+            try:
+                cohort = generate_cohort(config, ga_registry, dod_registry)
+                return tracemalloc.get_traced_memory()[0], cohort
+            finally:
+                tracemalloc.stop()
+
+        (size_few, cohort), (size_many, larger) = traced_size(0.1), traced_size(0.9)
+        assert larger.persons == cohort.persons and larger.event_count == cohort.event_count
+        added = len(larger.noise_rows) - len(cohort.noise_rows)
+        assert added > 10_000
+        assert (size_many - size_few) / added < 100
+
+
+class TestTextWriters:
+    def test_noise_log_and_truth_bytes_match_the_csv_writer(self, ga_registry, dod_registry, tmp_path):
+        noise = NoiseSpec(
+            drop_ga_rate=0.2, conflict_ga_rate=0.3, shift_rate=0.5, shift_max_days=30, drop_dod_rate=0.2,
+            pre_pregnancy_index_rate=0.3,
+        )
+        config = SynthConfig(seed=17, n_persons=300, index_event_rate=0.5, noise=noise)
+        cohort = generate_cohort(config, ga_registry, dod_registry)
+        log = cohort.noise_log
+        assert {entry.channel for entry in log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        assert {"shifted +30d", "shifted -30d"} <= {entry.detail for entry in log}
+        assert {t.index_event_week is None for t in cohort.truth} == {True, False}
+        paths = cohort.write(tmp_path / "cohort")
+        noise_log_reference(tmp_path / "noise_log.csv", log)
+        truth_reference(tmp_path / "truth.csv", cohort.truth)
+        assert paths["noise_log"].read_bytes() == (tmp_path / "noise_log.csv").read_bytes()
+        assert paths["truth"].read_bytes() == (tmp_path / "truth.csv").read_bytes()
+
+        shuffled = list(cohort.truth)
+        random.Random(5).shuffle(shuffled)
+        write_truth(tmp_path / "shuffled.csv", shuffled)
+        assert (tmp_path / "shuffled.csv").read_bytes() == paths["truth"].read_bytes()
+        # Records that tie on (person, episode) keep the order they were given.
+        tied = shuffled + [t._replace(true_dod=t.true_dod + timedelta(days=1)) for t in shuffled[:20]]
+        write_truth(tmp_path / "tied.csv", tied)
+        truth_reference(tmp_path / "tied_reference.csv", tied)
+        assert (tmp_path / "tied.csv").read_bytes() == (tmp_path / "tied_reference.csv").read_bytes()
+
 
 class TestConfigBounds:
     @pytest.mark.parametrize(
@@ -281,9 +332,18 @@ class TestConfigBounds:
             {"seed": MAX_SEED + 1},
             {"n_persons": -1},
             {"n_persons": MAX_PERSON_ID + 1},
+            {"ga_events_per_gestation": {AccuracyLevel.HIGH: -1}},
+            {"ga_events_per_gestation": {AccuracyLevel.LOW: -2}},
+            {"ga_events_per_gestation": {AccuracyLevel.MODERATE_HIGH: 1.5}},
+            {"ga_events_per_gestation": {AccuracyLevel.HIGH: True}},
+            {"ga_events_per_gestation": {"high": 3}},
+            {"ga_events_per_gestation": [3, 1, 1, 2]},
+            {"dod_events_per_gestation": -1},
+            {"dod_events_per_gestation": 2.0},
         ],
         ids=["two-weights", "four-weights", "negative-weight", "weight-above-one", "seed-negative", "seed-too-big",
-             "persons-negative", "persons-too-many"],
+             "persons-negative", "persons-too-many", "ga-high-negative", "ga-low-negative", "ga-float", "ga-bool",
+             "ga-text-key", "ga-not-a-map", "dod-negative", "dod-float"],
     )
     def test_out_of_bounds_setting_rejected(self, setting):
         with pytest.raises(ConfigError, match=next(iter(setting))):
