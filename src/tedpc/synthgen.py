@@ -20,6 +20,13 @@ are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions.
 
+Every draw calls one of three methods of a stream: `getrandbits`, `random()`
+or `gauss`. `_below`, `_sample` and `_pick` make the draws of `randrange` and
+`choice`, of `sample` and of `choices` straight from `getrandbits` and
+`random()`, with the same calls and results as those methods and without
+their argument checks, so the generated bytes rest on those three methods
+alone.
+
 Events stay ordinals until they are written. A person's events are `(day,
 concept id)` pairs, sorted natively; the cohort then holds every event as
 three slots of one flat list, `[person id, day ordinal, concept id, ...]` in
@@ -41,9 +48,11 @@ channel is on. The native order of these rows is the order of
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import accumulate
+from math import ceil, log
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -106,10 +115,10 @@ class NoiseSpec:
     def validate(self) -> None:
         for name in self.RATES:
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"noise {name} must be in [0, 1], got {value}")
-        if self.shift_max_days < 1:
-            raise ConfigError("shift_max_days must be at least 1")
+            if not _is_rate(value):
+                raise ConfigError(f"noise {name} must be a number in [0, 1], got {value!r}")
+        if not _is_int(self.shift_max_days) or self.shift_max_days < 1:
+            raise ConfigError(f"shift_max_days must be an int of at least 1, got {self.shift_max_days!r}")
 
 
 @dataclass
@@ -134,19 +143,24 @@ class SynthConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def validate(self) -> None:
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be in [0, {MAX_SEED}], got {self.seed}")
-        if not 0 <= self.n_persons <= MAX_PERSON_ID:
-            raise ConfigError(f"n_persons must be in [0, {MAX_PERSON_ID}], got {self.n_persons}")
+        if not _is_int(self.seed) or not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be an int in [0, {MAX_SEED}], got {self.seed!r}")
+        if not _is_int(self.n_persons) or not 0 <= self.n_persons <= MAX_PERSON_ID:
+            raise ConfigError(f"n_persons must be an int in [0, {MAX_PERSON_ID}], got {self.n_persons!r}")
         probs = self.gestation_count_probs
-        if len(probs) != 3 or not all(0.0 <= p <= 1.0 for p in probs):
-            raise ConfigError(f"gestation_count_probs must be three weights in [0, 1], got {probs}")
+        if not isinstance(probs, (tuple, list)) or len(probs) != 3 or not all(map(_is_rate, probs)):
+            raise ConfigError(f"gestation_count_probs must be three weights in [0, 1], got {probs!r}")
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError("gestation_count_probs must sum to 1")
-        if self.window[0] > self.window[1]:
+        window = self.window
+        if not isinstance(window, (tuple, list)) or len(window) != 2 or not all(type(day) is date for day in window):
+            raise ConfigError(f"window must be two dates, got {window!r}")
+        if window[0] > window[1]:
             raise ConfigError("window start must not be after window end")
-        if not 0.0 <= self.index_event_rate <= 1.0:
-            raise ConfigError("index_event_rate must be in [0, 1]")
+        if not _is_rate(self.index_event_rate):
+            raise ConfigError(f"index_event_rate must be a number in [0, 1], got {self.index_event_rate!r}")
+        if not _is_int(self.index_concept_id):
+            raise ConfigError(f"index_concept_id must be an int, got {self.index_concept_id!r}")
         counts = self.ga_events_per_gestation
         if not isinstance(counts, dict) or not all(type(level) is AccuracyLevel for level in counts):
             raise ConfigError(f"ga_events_per_gestation must map AccuracyLevel to counts, got {counts!r}")
@@ -156,6 +170,8 @@ class SynthConfig:
         dod_count = self.dod_events_per_gestation
         if not _is_count(dod_count):
             raise ConfigError(f"dod_events_per_gestation must be a non-negative int, got {dod_count!r}")
+        if not isinstance(self.noise, NoiseSpec):
+            raise ConfigError(f"noise must be a NoiseSpec, got {self.noise!r}")
         self.noise.validate()
         # No event lies before the earliest start less the pre-index margin, or
         # after the window; a shift must keep both inside the readable range.
@@ -168,9 +184,19 @@ class SynthConfig:
             )
 
 
+def _is_int(value) -> bool:
+    """True for an int; a bool is not taken for one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
-    """True for a non-negative int; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """True for a non-negative int."""
+    return _is_int(value) and value >= 0
+
+
+def _is_rate(value) -> bool:
+    """True for an int or float in [0, 1]; a bool is not a rate."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
 
 class TruthRecord(NamedTuple):
@@ -276,6 +302,49 @@ def _person_rng(seed: int, stream: int, person_id: int) -> random.Random:
     return random.Random((seed << 33) | (stream << 32) | person_id)
 
 
+# The three draws below take a stream's bound `getrandbits` or `random`.
+# Callers pass only valid arguments, as nothing is checked.
+# tests/test_draws_fuzz.py holds each to the `random.Random` method it replaces.
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n > 0: `Random._randbelow`, so `randrange(n)` and `choice`'s index."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, population, k: int) -> list:
+    """`Random.sample(population, k)` for 0 <= k <= len(population), both of its branches."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for size in range(n, n - k, -1):
+            j = _below(getrandbits, size)
+            result.append(pool[j])
+            pool[j] = pool[size - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in selected:
+            j = _below(getrandbits, n)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
+def _pick(random, cum_weights: list[float]) -> int:
+    """The index `Random.choices(population, cum_weights=cum_weights)` picks, from one `random()`."""
+    return bisect(cum_weights, random() * (cum_weights[-1] + 0.0), 0, len(cum_weights) - 1)
+
+
 def _plan_gestations(
     rng: random.Random, window_start: int, window_len: int, count_weights: list[float]
 ) -> list[tuple[int, int, int]]:
@@ -286,7 +355,8 @@ def _plan_gestations(
     starts and consecutive deliveries more than the clustering window apart.
     """
     lo, hi = GESTATION_CLAMP_DAYS
-    n_gestations = rng.choices((1, 2, 3), cum_weights=count_weights)[0]
+    getrandbits = rng.getrandbits
+    n_gestations = 1 + _pick(rng.random, count_weights)
     lengths = None
     for _ in range(100):
         draw = [
@@ -303,10 +373,10 @@ def _plan_gestations(
     slack = window_len - sum(MIN_GAP_DAYS + g for g in lengths[1:])
     gaps = []
     for _ in range(n_gestations - 1):
-        extra = rng.randrange(min(slack, 120) + 1)
+        extra = _below(getrandbits, min(slack, 120) + 1)
         gaps.append(MIN_GAP_DAYS + extra)
         slack -= extra
-    dod = window_start + rng.randrange(slack + 1)
+    dod = window_start + _below(getrandbits, slack + 1)
     triples = [(dod - lengths[0], dod, lengths[0])]
     for gap, length in zip(gaps, lengths[1:]):
         dod += gap + length
@@ -314,17 +384,19 @@ def _plan_gestations(
     return triples
 
 
-def _range_event(rng: random.Random, start: int, gestation_days: int, pool: list) -> _Event | None:
-    """One GA event from a week-range pool; the event's true week stays in range."""
+def _range_event(getrandbits, start: int, gestation_days: int, pool: list[tuple[int, int, int]]) -> _Event | None:
+    """One GA event from a week-range pool; the event's true week stays in range.
+
+    Each pool entry is (first week, at least 1; last week; concept id).
+    """
     max_week = gestation_days // 7
     for _ in range(8):
-        spec = rng.choice(pool)
-        week_lo = max(spec.week_low, 1)
-        week_hi = min(spec.week_high, max_week)
+        week_lo, week_hi, concept_id = pool[_below(getrandbits, len(pool))]
+        week_hi = min(week_hi, max_week)
         if week_lo > week_hi:
             continue
-        week = rng.randrange(week_lo, week_hi + 1)
-        return start + min(7 * week + rng.randrange(7), gestation_days), spec.concept_id
+        week = week_lo + _below(getrandbits, week_hi + 1 - week_lo)
+        return start + min(7 * week + _below(getrandbits, 7), gestation_days), concept_id
     return None
 
 
@@ -348,7 +420,11 @@ def generate_cohort(
     }
     range_draws = []
     for level in (AccuracyLevel.MODERATE_HIGH, AccuracyLevel.MODERATE_LOW, AccuracyLevel.LOW):
-        pool = [s for s in ga_registry if s.accuracy is level and s.concept_id not in overlap]
+        pool = [
+            (max(s.week_low, 1), s.week_high, s.concept_id)
+            for s in ga_registry
+            if s.accuracy is level and s.concept_id not in overlap
+        ]
         if pool:
             range_draws.append((pool, config.ga_events_per_gestation.get(level, 0)))
     dod_pool = [spec.concept_id for spec in dod_registry if spec.concept_id not in overlap]
@@ -361,6 +437,8 @@ def generate_cohort(
     window_start = config.window[0].toordinal()
     window_len = config.window[1].toordinal() - window_start
     n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
+    # Per completed weeks of a gestation: the visit weeks it reaches.
+    schedules = Memo(lambda max_week: [w for w in VISIT_WEEKS if w <= max_week and w in high_by_week])
     n_dod = min(config.dod_events_per_gestation, len(dod_pool))
     index_concept_id = config.index_concept_id
     noise = config.noise
@@ -392,27 +470,28 @@ def generate_cohort(
     noise_rows: list[_NoiseRow] = []
     for person_id in range(1, config.n_persons + 1):
         rng = _person_rng(config.seed, _BASE_STREAM, person_id)
+        getrandbits = rng.getrandbits
         triples = _plan_gestations(rng, window_start, window_len, count_weights)
-        birth = triples[0][1] - rng.randrange(16, 45) * 365 - rng.randrange(365)
-        race = rng.choices(race_labels, cum_weights=race_weights)[0]
+        birth = triples[0][1] - (16 + _below(getrandbits, 29)) * 365 - _below(getrandbits, 365)
+        race = race_labels[_pick(rng.random, race_weights)]
         ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
         persons.append(Person(person_id, dates[birth], "F", race, ethnicity))
         person_events: list[_Event] = []
         for start, dod, gestation_days in triples:
-            schedule = [w for w in VISIT_WEEKS if w <= gestation_days // 7 and w in high_by_week]
+            schedule = schedules[gestation_days // 7]
             if schedule and n_high:
-                for week in sorted(rng.sample(schedule, min(n_high, len(schedule)))):
+                for week in sorted(_sample(getrandbits, schedule, min(n_high, len(schedule)))):
                     # Exact placement: the event implies precisely the true start.
                     person_events.append((start + 7 * week, high_by_week[week]))
             for pool, count in range_draws:
                 for _ in range(count):
-                    event = _range_event(rng, start, gestation_days, pool)
+                    event = _range_event(getrandbits, start, gestation_days, pool)
                     if event is not None:
                         person_events.append(event)
-            for concept_id in rng.sample(dod_pool, n_dod):
+            for concept_id in _sample(getrandbits, dod_pool, n_dod):
                 person_events.append((dod, concept_id))
             if config.index_event_rate and rng.random() < config.index_event_rate:
-                person_events.append((start + rng.randrange(gestation_days + 1), index_concept_id))
+                person_events.append((start + _below(getrandbits, gestation_days + 1), index_concept_id))
 
         if noisy:
             person_events = _add_noise(
@@ -462,6 +541,7 @@ def _add_noise(
     """
     noise = config.noise
     rng = _person_rng(config.seed, _NOISE_STREAM, person_id)
+    getrandbits = rng.getrandbits
     kept: list[_Event] = []
     for event in events:
         day, concept_id = event
@@ -474,7 +554,7 @@ def _add_noise(
             log.append(("drop_dod", person_id, concept_id, days.setdefault(day, day), "dropped"))
             continue
         if (in_ga or in_dod) and noise.shift_rate and rng.random() < noise.shift_rate:
-            delta = rng.randrange(1, noise.shift_max_days + 1)
+            delta = 1 + _below(getrandbits, noise.shift_max_days)
             if rng.random() < 0.5:
                 delta = -delta
             log.append(("shift", person_id, concept_id, days.setdefault(day, day), shift_details[delta]))
@@ -488,14 +568,14 @@ def _add_noise(
             options = ga_conflicts[concept_id]
             if not options:
                 continue
-            chosen, detail = rng.choice(options)
+            chosen, detail = options[_below(getrandbits, len(options))]
             additions.append((day, chosen))
             log.append(("conflict_ga", person_id, chosen, days.setdefault(day, day), detail))
     if noise.pre_pregnancy_index_rate:
         index_concept_id = config.index_concept_id
         for start, _, _ in triples:
             if rng.random() < noise.pre_pregnancy_index_rate:
-                day = start - rng.randrange(7, PRE_INDEX_MAX_DAYS + 1)
+                day = start - 7 - _below(getrandbits, PRE_INDEX_MAX_DAYS - 7 + 1)
                 additions.append((day, index_concept_id))
                 detail = "pre-pregnancy index event"
                 log.append(("pre_index", person_id, index_concept_id, days.setdefault(day, day), detail))

@@ -8,8 +8,15 @@ the generator: `simulate --seed 77 --n-persons 300 --index-rate 0.9
 noise-free path: the same command without the noise flags. infer, timeline
 and stats read that cohort from `data/golden/` instead: its events.csv and
 index_concepts.csv, and its persons.csv with every 50th person dropped so
-that quarantine has rows. Their digests do not depend on the generator. A
-refactor that keeps behaviour keeps these; a deliberate output change
+that quarantine has rows. Their digests do not depend on the generator.
+
+The `sim_dense/` digests pin the generator's dense shape through the
+library: a 200-person seed-77 cohort with the benchmark's infer_dense
+settings (6/4/4/16 GA events and 8 delivery events per gestation, every
+noise channel on). It samples more than 5 items on both of `sample`'s
+branches: the pool for visit weeks, the set for delivery concepts.
+
+A refactor that keeps behaviour keeps these; a deliberate output change
 updates them and says why.
 """
 
@@ -19,7 +26,8 @@ from pathlib import Path
 import pytest
 
 from tedpc.cli import main
-from tedpc.concept_registry import Domain
+from tedpc.concept_registry import AccuracyLevel, Domain
+from tedpc.synthgen import NoiseSpec, SynthConfig, generate_cohort
 
 EXPECTED = {
     "run/dod_cohort.csv": "d736770f556aca52d0e232fde24bbe8aa423e34c734eb8c393702e28d92b8a32",
@@ -44,6 +52,14 @@ EXPECTED = {
     "sim_clean/noise_log.csv": "7dd9ce42084e9fcafc4e716926cad751dfb16570bbafbbb9fab1914621526c96",
     "sim_clean/persons.csv": "5860b933c70ca523e5fc66fadd39111f33a322413542cbbfaa58fc2b89a9f1c8",
     "sim_clean/truth.csv": "dd998728be8182ea2337bd6ecf05622f362e06977f6935c4a0821dc85f239603",
+}
+
+DENSE_EXPECTED = {
+    "sim_dense/events.csv": "a6b800e0ee78c9075c5d6979b612710a55d4990a0b4a6a9b42ace6c6a72ebb5e",
+    "sim_dense/index_concepts.csv": "d183c99aa5ce9dc75a6292f9eb938cc6a10a4f39c22199b55a8ea86aeebe7cb1",
+    "sim_dense/noise_log.csv": "295a36cfdf656770b4723ec01bd43658113a6e955db6aeb5ae82d962ecf8f552",
+    "sim_dense/persons.csv": "1dee788ed848fe10702b4fad38e89a8104827a40c2fb16ff18ef185468b91014",
+    "sim_dense/truth.csv": "f77dd7b7c924deb0f13d4d05d4d6a262a295a3a06bba8c0d121e0f1a4b07c83e",
 }
 
 
@@ -88,3 +104,16 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
 
 def test_outputs_match_recorded_digests(outputs):
     assert outputs == EXPECTED
+
+
+def test_dense_cohort_matches_recorded_digests(tmp_path, ga_registry, dod_registry):
+    counts = {AccuracyLevel.HIGH: 6, AccuracyLevel.MODERATE_HIGH: 4, AccuracyLevel.MODERATE_LOW: 4, AccuracyLevel.LOW: 16}
+    noise = NoiseSpec(
+        drop_ga_rate=0.1, conflict_ga_rate=0.3, shift_rate=0.3, drop_dod_rate=0.1, pre_pregnancy_index_rate=0.3
+    )
+    config = SynthConfig(
+        seed=77, n_persons=200, ga_events_per_gestation=counts, dod_events_per_gestation=8, noise=noise
+    )
+    out = tmp_path / "sim_dense"
+    generate_cohort(config, ga_registry, dod_registry).write(out)
+    assert _digests(out) == DENSE_EXPECTED

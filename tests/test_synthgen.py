@@ -340,14 +340,51 @@ class TestConfigBounds:
             {"ga_events_per_gestation": [3, 1, 1, 2]},
             {"dod_events_per_gestation": -1},
             {"dod_events_per_gestation": 2.0},
+            {"gestation_count_probs": (1, "0", 0)},
+            {"gestation_count_probs": (True, False, False)},
+            {"gestation_count_probs": 1.0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"n_persons": 2.5},
+            {"n_persons": True},
+            {"index_event_rate": True},
+            {"index_event_rate": "0.5"},
+            {"index_concept_id": "9"},
+            {"index_concept_id": True},
+            {"window": ("2018-01-01", "2021-12-31")},
+            {"window": (date(2018, 1, 1),)},
+            {"noise": {"shift_rate": 0.5}},
         ],
         ids=["two-weights", "four-weights", "negative-weight", "weight-above-one", "seed-negative", "seed-too-big",
              "persons-negative", "persons-too-many", "ga-high-negative", "ga-low-negative", "ga-float", "ga-bool",
-             "ga-text-key", "ga-not-a-map", "dod-negative", "dod-float"],
+             "ga-text-key", "ga-not-a-map", "dod-negative", "dod-float", "weight-text", "weight-bool",
+             "weights-not-a-sequence", "seed-float", "seed-bool", "persons-float", "persons-bool", "index-rate-bool",
+             "index-rate-text", "index-id-text", "index-id-bool", "window-text", "window-one-date",
+             "noise-not-a-spec"],
     )
     def test_out_of_bounds_setting_rejected(self, setting):
         with pytest.raises(ConfigError, match=next(iter(setting))):
             SynthConfig(**setting).validate()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"drop_ga_rate": "0.5"},
+            {"conflict_ga_rate": True},
+            {"shift_rate": None},
+            {"drop_dod_rate": -0.1},
+            {"pre_pregnancy_index_rate": float("nan")},
+            {"shift_max_days": 0},
+            {"shift_max_days": True},
+            {"shift_max_days": 2.5},
+            {"shift_max_days": "7"},
+        ],
+        ids=["rate-text", "rate-bool", "rate-none", "rate-negative", "rate-nan", "shift-zero", "shift-bool",
+             "shift-float", "shift-text"],
+    )
+    def test_wrong_noise_setting_rejected(self, setting):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            SynthConfig(noise=NoiseSpec(**setting)).validate()
 
     def test_packing_bounds_themselves_accepted(self):
         SynthConfig(seed=MAX_SEED, n_persons=MAX_PERSON_ID, gestation_count_probs=(0.0, 0.0, 1.0)).validate()
