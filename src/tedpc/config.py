@@ -37,12 +37,13 @@ def resolve_input_path(path: Path | str | None) -> Path | None:
     if path is None:
         return None
     path = Path(path)
-    if path.is_absolute() or path.exists():
+    # os.path.exists is False for a name the OS refuses, where Path.exists raises; open_text reports it.
+    if path.is_absolute() or os.path.exists(path):
         return path
     base = os.environ.get(ENV_DATA_DIR)
     if base:
         candidate = Path(base) / path
-        if candidate.exists():
+        if os.path.exists(candidate):
             return candidate
     return path
 

@@ -87,13 +87,18 @@ class Memo(dict):
 def open_text(path: Path | str, error: type[TedpcError] = DataFormatError) -> Iterator[TextIO]:
     """Open an input as UTF-8 behind an optional BOM; a byte that is not UTF-8 raises `error` naming the file.
 
-    A path that names a directory is a bad input path, like a missing file, so it raises
-    DataFormatError whatever `error` is.
+    A path that names a directory, or that the OS refuses for another reason than a
+    missing file (a name over 255 bytes, say), is a bad input path, like a missing file,
+    so it raises DataFormatError whatever `error` is.
     """
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except IsADirectoryError:
         raise DataFormatError(f"{path}: is a directory, expected a file") from None
+    except (FileNotFoundError, NotADirectoryError):
+        raise  # the CLI reports these as a file not found
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot open: {exc.strerror}") from None
     with fh:
         try:
             yield fh

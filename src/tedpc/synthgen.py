@@ -32,17 +32,19 @@ concept id)` pairs, sorted natively; the cohort then holds every event as
 three slots of one flat list, `[person id, day ordinal, concept id, ...]` in
 write order, each distinct day int held once, and each concept's domain comes
 from one map. No object exists per event: `SyntheticCohort.write` streams the
-flat list to `events.csv`, and `SyntheticCohort.events` builds `ClinicalEvent`s
-only when a caller asks for them. Each distinct day becomes a `date` once per
-run, for the persons and truth alike.
+flat list to `events.csv`. Each distinct day becomes a `date` once per run, for
+the persons and truth alike.
 
 The noise log is kept the same way. Each perturbation is a plain tuple
 `(channel, person id, concept id, day ordinal, detail)` of shared values: the
 day int from the same dict as the events', one detail text per shift delta,
 and one per (concept, option) of the conflict channel, built only when that
 channel is on. The native order of these rows is the order of
-`noise_log.csv`. `SyntheticCohort.write` formats them as text, and
-`SyntheticCohort.noise_log` builds `NoiseLogEntry`s only when a caller asks.
+`noise_log.csv`, and `SyntheticCohort.write` formats them as text.
+
+The delivery window (`episode_builder.COHORT_WINDOW`), the weights of one, two
+and three gestations (`GESTATION_COUNT_PROBS`) and the index concept
+(`INDEX_CONCEPT_ID`) are the study's constants, not settings.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .csvio import Memo, iso_date, iso_text, table, write_lines, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
-from .ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE, ClinicalEvent, Person, write_events, write_persons
+from .ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE, Person, write_events, write_persons
 
 # Sub-stream tags so base generation and noise never share a random stream.
 _BASE_STREAM = 0
@@ -73,6 +75,8 @@ MAX_PERSON_ID = 2**32 - 1
 
 MIN_GAP_DAYS = SEPARATION_WINDOW_DAYS + 1
 
+# Weights of a person having one, two or three gestations.
+GESTATION_COUNT_PROBS = (0.90, 0.09, 0.01)
 # Gestation lengths are drawn from a normal law, rounded and clamped to [low, high] days.
 GESTATION_MEAN_DAYS = 274.0
 GESTATION_SD_DAYS = 12.0
@@ -81,7 +85,13 @@ GESTATION_CLAMP_DAYS = (100, 320)
 VISIT_WEEKS = (8, 12, 16, 20, 24, 28, 32, 36, 38, 40)
 # Pre-pregnancy index events fall 7 to this many days before a true start.
 PRE_INDEX_MAX_DAYS = 90
-DEFAULT_INDEX_CONCEPT_ID = 900000001
+INDEX_CONCEPT_ID = 900000001
+# No event lies before the earliest start less the pre-index margin, or after
+# the window; a shift must keep both inside the readable range: 29,068 days.
+MAX_SHIFT_DAYS = min(
+    COHORT_WINDOW[0].toordinal() - GESTATION_CLAMP_DAYS[1] - PRE_INDEX_MAX_DAYS - MIN_EVENT_DATE.toordinal(),
+    MAX_EVENT_DATE.toordinal() - COHORT_WINDOW[1].toordinal(),
+)
 
 # One generated event of a person until the cohort holds it: (day ordinal, concept id).
 _Event = tuple[int, int]
@@ -119,6 +129,11 @@ class NoiseSpec:
                 raise ConfigError(f"noise {name} must be a number in [0, 1], got {value!r}")
         if not _is_int(self.shift_max_days) or self.shift_max_days < 1:
             raise ConfigError(f"shift_max_days must be an int of at least 1, got {self.shift_max_days!r}")
+        if self.shift_max_days > MAX_SHIFT_DAYS:
+            raise ConfigError(
+                f"shift_max_days must be at most {MAX_SHIFT_DAYS}, so that events stay inside "
+                f"[{MIN_EVENT_DATE}, {MAX_EVENT_DATE}], got {self.shift_max_days}"
+            )
 
 
 @dataclass
@@ -127,7 +142,6 @@ class SynthConfig:
 
     seed: int = 0
     n_persons: int = 100
-    gestation_count_probs: tuple[float, float, float] = (0.90, 0.09, 0.01)
     ga_events_per_gestation: dict[AccuracyLevel, int] = field(
         default_factory=lambda: {
             AccuracyLevel.HIGH: 3,
@@ -138,8 +152,6 @@ class SynthConfig:
     )
     dod_events_per_gestation: int = 2
     index_event_rate: float = 0.3
-    index_concept_id: int = DEFAULT_INDEX_CONCEPT_ID
-    window: tuple[date, date] = COHORT_WINDOW
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def validate(self) -> None:
@@ -147,20 +159,8 @@ class SynthConfig:
             raise ConfigError(f"seed must be an int in [0, {MAX_SEED}], got {self.seed!r}")
         if not _is_int(self.n_persons) or not 0 <= self.n_persons <= MAX_PERSON_ID:
             raise ConfigError(f"n_persons must be an int in [0, {MAX_PERSON_ID}], got {self.n_persons!r}")
-        probs = self.gestation_count_probs
-        if not isinstance(probs, (tuple, list)) or len(probs) != 3 or not all(map(_is_rate, probs)):
-            raise ConfigError(f"gestation_count_probs must be three weights in [0, 1], got {probs!r}")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ConfigError("gestation_count_probs must sum to 1")
-        window = self.window
-        if not isinstance(window, (tuple, list)) or len(window) != 2 or not all(type(day) is date for day in window):
-            raise ConfigError(f"window must be two dates, got {window!r}")
-        if window[0] > window[1]:
-            raise ConfigError("window start must not be after window end")
         if not _is_rate(self.index_event_rate):
             raise ConfigError(f"index_event_rate must be a number in [0, 1], got {self.index_event_rate!r}")
-        if not _is_int(self.index_concept_id):
-            raise ConfigError(f"index_concept_id must be an int, got {self.index_concept_id!r}")
         counts = self.ga_events_per_gestation
         if not isinstance(counts, dict) or not all(type(level) is AccuracyLevel for level in counts):
             raise ConfigError(f"ga_events_per_gestation must map AccuracyLevel to counts, got {counts!r}")
@@ -173,15 +173,6 @@ class SynthConfig:
         if not isinstance(self.noise, NoiseSpec):
             raise ConfigError(f"noise must be a NoiseSpec, got {self.noise!r}")
         self.noise.validate()
-        # No event lies before the earliest start less the pre-index margin, or
-        # after the window; a shift must keep both inside the readable range.
-        earliest = self.window[0].toordinal() - GESTATION_CLAMP_DAYS[1] - PRE_INDEX_MAX_DAYS
-        max_shift = min(earliest - MIN_EVENT_DATE.toordinal(), MAX_EVENT_DATE.toordinal() - self.window[1].toordinal())
-        if self.noise.shift_max_days > max_shift:
-            raise ConfigError(
-                f"shift_max_days must be at most {max_shift} for window {self.window[0]} to {self.window[1]}, so that "
-                f"events stay inside [{MIN_EVENT_DATE}, {MAX_EVENT_DATE}], got {self.noise.shift_max_days}"
-            )
 
 
 def _is_int(value) -> bool:
@@ -207,14 +198,6 @@ class TruthRecord(NamedTuple):
     index_event_week: int | None
 
 
-class NoiseLogEntry(NamedTuple):
-    channel: str
-    person_id: int
-    concept_id: int
-    event_date: date
-    detail: str
-
-
 TRUTH_HEADER = ["person_id", "episode_index", "true_start", "true_dod", "index_event_week"]
 NOISE_LOG_HEADER = ["channel", "person_id", "concept_id", "event_date", "detail"]
 
@@ -234,24 +217,10 @@ class SyntheticCohort:
     domains: dict[int, Domain]
     truth: list[TruthRecord]
     noise_rows: list[_NoiseRow]
-    index_concept_id: int
 
     @property
     def event_count(self) -> int:
         return len(self.flat_events) // 3
-
-    @property
-    def events(self) -> list[ClinicalEvent]:
-        """The events as `ClinicalEvent`s in write order, built anew on each access."""
-        dates, domains = Memo(date.fromordinal), self.domains
-        fields = iter(self.flat_events)
-        return [ClinicalEvent(p, c, domains[c], dates[day]) for p, day, c in zip(fields, fields, fields)]
-
-    @property
-    def noise_log(self) -> list[NoiseLogEntry]:
-        """The noise rows as `NoiseLogEntry`s in draw order, built anew on each access."""
-        dates = Memo(date.fromordinal)
-        return [NoiseLogEntry(channel, p, c, dates[day], detail) for channel, p, c, day, detail in self.noise_rows]
 
     def write(self, out_dir: Path | str) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -272,7 +241,7 @@ class SyntheticCohort:
             NOISE_LOG_HEADER,
             (f"{channel},{p},{c},{iso[day]},{detail}\n" for channel, p, c, day, detail in sorted(self.noise_rows)),
         )
-        write_rows(paths["index_concepts"], ["concept_id"], [[self.index_concept_id]])
+        write_rows(paths["index_concepts"], ["concept_id"], [[INDEX_CONCEPT_ID]])
         return paths
 
 
@@ -290,12 +259,21 @@ def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
 
 
 def read_truth(path: Path | str) -> list[TruthRecord]:
-    truth = []
+    """Read a truth table written by `write_truth`.
+
+    A row whose true_dod is not after its true_start, or that repeats a
+    (person_id, episode_index), is a bad row.
+    """
+    truth: dict[tuple[int, int], TruthRecord] = {}
     with table(path, TRUTH_HEADER) as rows:
         for row in rows:
             week = int(row[4]) if row[4] != "" else None
-            truth.append(TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week))
-    return truth
+            record = TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week)
+            if record.true_dod <= record.true_start:
+                raise ValueError(f"true_dod {row[3]} is not after true_start {row[2]}")
+            if truth.setdefault(record[:2], record) is not record:
+                raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
+    return list(truth.values())
 
 
 def _person_rng(seed: int, stream: int, person_id: int) -> random.Random:
@@ -410,8 +388,8 @@ def generate_cohort(
     concepts when they occur in real data.
     """
     config.validate()
-    if config.index_concept_id in ga_registry or config.index_concept_id in dod_registry:
-        raise ConfigError(f"index_concept_id {config.index_concept_id} collides with a registry concept")
+    if INDEX_CONCEPT_ID in ga_registry or INDEX_CONCEPT_ID in dod_registry:
+        raise ConfigError(f"index concept {INDEX_CONCEPT_ID} collides with a registry concept")
     overlap = {spec.concept_id for spec in ga_registry if spec.concept_id in dod_registry}
     high_by_week = {
         spec.week_low: spec.concept_id
@@ -433,14 +411,13 @@ def generate_cohort(
 
     race_labels = [label for label, _ in _RACE_PROBS]
     race_weights = list(accumulate(p for _, p in _RACE_PROBS))
-    count_weights = list(accumulate(config.gestation_count_probs))
-    window_start = config.window[0].toordinal()
-    window_len = config.window[1].toordinal() - window_start
+    count_weights = list(accumulate(GESTATION_COUNT_PROBS))
+    window_start = COHORT_WINDOW[0].toordinal()
+    window_len = COHORT_WINDOW[1].toordinal() - window_start
     n_high = config.ga_events_per_gestation.get(AccuracyLevel.HIGH, 0)
     # Per completed weeks of a gestation: the visit weeks it reaches.
     schedules = Memo(lambda max_week: [w for w in VISIT_WEEKS if w <= max_week and w in high_by_week])
     n_dod = min(config.dod_events_per_gestation, len(dod_pool))
-    index_concept_id = config.index_concept_id
     noise = config.noise
     noisy = any(getattr(noise, name) for name in noise.RATES)
     ga_ids = {spec.concept_id for spec in ga_registry}
@@ -459,7 +436,7 @@ def generate_cohort(
     shift_details = Memo(lambda delta: f"shifted {delta:+d}d")
     # A concept's domain; overlap concepts come only from GA draws (conflicts), so the GA registry wins.
     domains = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
-    domains[index_concept_id] = Domain.CONDITION
+    domains[INDEX_CONCEPT_ID] = Domain.CONDITION
     # Each distinct day becomes a date once, and its int is held once in the flat events and noise rows.
     dates = Memo(date.fromordinal)
     days: dict[int, int] = {}
@@ -491,7 +468,7 @@ def generate_cohort(
             for concept_id in _sample(getrandbits, dod_pool, n_dod):
                 person_events.append((dod, concept_id))
             if config.index_event_rate and rng.random() < config.index_event_rate:
-                person_events.append((start + _below(getrandbits, gestation_days + 1), index_concept_id))
+                person_events.append((start + _below(getrandbits, gestation_days + 1), INDEX_CONCEPT_ID))
 
         if noisy:
             person_events = _add_noise(
@@ -506,14 +483,14 @@ def generate_cohort(
 
         # Ground-truth index weeks follow the same rule analytics applies: the
         # earliest index event on or before the delivery, week 0 when pre-start.
-        earliest = next((day for day, concept_id in person_events if concept_id == index_concept_id), None)
+        earliest = next((day for day, concept_id in person_events if concept_id == INDEX_CONCEPT_ID), None)
         for index, (start, dod, _) in enumerate(triples, start=1):
             week = None
             if earliest is not None and earliest <= dod:
                 week = 0 if earliest < start else (earliest - start) // 7 + 1
             truth.append(TruthRecord(person_id, index, dates[start], dates[dod], week))
 
-    return SyntheticCohort(persons, flat_events, domains, truth, noise_rows, index_concept_id)
+    return SyntheticCohort(persons, flat_events, domains, truth, noise_rows)
 
 
 def _add_noise(
@@ -572,11 +549,10 @@ def _add_noise(
             additions.append((day, chosen))
             log.append(("conflict_ga", person_id, chosen, days.setdefault(day, day), detail))
     if noise.pre_pregnancy_index_rate:
-        index_concept_id = config.index_concept_id
         for start, _, _ in triples:
             if rng.random() < noise.pre_pregnancy_index_rate:
                 day = start - 7 - _below(getrandbits, PRE_INDEX_MAX_DAYS - 7 + 1)
-                additions.append((day, index_concept_id))
+                additions.append((day, INDEX_CONCEPT_ID))
                 detail = "pre-pregnancy index event"
-                log.append(("pre_index", person_id, index_concept_id, days.setdefault(day, day), detail))
+                log.append(("pre_index", person_id, INDEX_CONCEPT_ID, days.setdefault(day, day), detail))
     return kept + additions

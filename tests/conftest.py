@@ -34,12 +34,10 @@ def dod_ranks(dod_registry):
     return rank_table(dod_registry)
 
 
-def as_events(clinical_events):
-    """ClinicalEvents as sorted (day ordinal, concept id) pairs.
-
-    `analytics.episode_exposures` sorts a loaded person's `event_pairs` the same way.
-    """
-    return sorted((e.event_date.toordinal(), e.concept_id) for e in clinical_events)
+def event_triples(cohort):
+    """A generated cohort's events as (person id, day ordinal, concept id) triples, in write order."""
+    fields = iter(cohort.flat_events)
+    return list(zip(fields, fields, fields))
 
 
 def write_clinical_events(path, events):

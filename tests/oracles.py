@@ -313,15 +313,18 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
     return EventTable(by_person, quarantined, total, mismatches, firsts)
 
 
-def noise_log_reference(path, noise_log):
-    """`noise_log.csv` as a list per sorted `NoiseLogEntry` through `csvio.write_rows`."""
+def noise_log_reference(path, noise_rows):
+    """`noise_log.csv` as a list per sorted noise row, its day as an ISO date, through `csvio.write_rows`."""
     from tedpc.csvio import write_rows
     from tedpc.synthgen import NOISE_LOG_HEADER
 
     write_rows(
         path,
         NOISE_LOG_HEADER,
-        ([e.channel, e.person_id, e.concept_id, e.event_date.isoformat(), e.detail] for e in sorted(noise_log)),
+        (
+            [channel, p, c, date.fromordinal(day).isoformat(), detail]
+            for channel, p, c, day, detail in sorted(noise_rows)
+        ),
     )
 
 

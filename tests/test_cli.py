@@ -62,12 +62,15 @@ class TestInfer:
         for name in ("episodes.csv", "summary.json", "unmatched_starts.csv", "quarantine.csv"):
             assert (tmp_path / "run" / name).exists()
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "name-too-long"])
     @pytest.mark.parametrize("command, flag", [("infer", "--events"), ("timeline", "--episodes"), ("infer", "--config")])
     def test_missing_input_exits_2_naming_path(self, sim_dir, tmp_path, capsys, command, flag, kind):
         path = tmp_path / "nope.csv"
         if kind == "directory":
             path.mkdir()
+        elif kind == "name-too-long":
+            # A file name over 255 bytes, which the OS refuses to look up.
+            path = tmp_path / ("x" * 300 + ".csv")
         if command == "infer":
             argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv")]
             argv += ["--out", str(tmp_path / "o")]
@@ -294,6 +297,24 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "exact_start=1.0000" in out
         assert "episode_count_match=1.0000" in out
+
+    @pytest.mark.parametrize("fault", ["repeated-row", "dod-not-after-start"])
+    def test_malformed_truth_exit_2_naming_line(self, sim_dir, tmp_path, capsys, fault):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        header, *rows = (sim_dir / "truth.csv").read_text().splitlines()
+        fields = rows[0].split(",")
+        if fault == "repeated-row":
+            rows.append(rows[0])
+            line, message = len(rows) + 1, f"episode {fields[1]} of person {fields[0]} repeats an earlier row"
+        else:
+            rows[0] = ",".join([*fields[:3], fields[2], fields[4]])
+            line, message = 2, f"true_dod {fields[2]} is not after true_start {fields[2]}"
+        truth = tmp_path / "truth.csv"
+        truth.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--truth", str(truth), "--episodes", str(tmp_path / "run" / "episodes.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{truth}:{line}: {message}" in err and "Traceback" not in err
 
     def test_weighting_choices_are_the_enum_values(self):
         [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

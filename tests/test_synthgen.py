@@ -4,18 +4,20 @@ from datetime import date, timedelta
 
 import pytest
 
-from conftest import as_events
+from conftest import event_triples
 from oracles import noise_log_reference, truth_reference
 from tedpc import synthgen
-from tedpc.concept_registry import AccuracyLevel
+from tedpc.concept_registry import AccuracyLevel, ConceptRegistry
 from tedpc.dod_engine import infer_delivery_dates, rank_table
 from tedpc.episode_builder import COHORT_WINDOW, match_episodes
 from tedpc.errors import ConfigError, GenerationError
 from tedpc.ga_engine import build_candidates, candidate_table, ga_days, infer_gestation_starts
 from tedpc.ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE
 from tedpc.synthgen import (
+    INDEX_CONCEPT_ID,
     MAX_PERSON_ID,
     MAX_SEED,
+    MAX_SHIFT_DAYS,
     NoiseSpec,
     SynthConfig,
     generate_cohort,
@@ -27,12 +29,11 @@ from tedpc.synthgen import (
 def run_engines(cohort, ga_registry, dod_registry, bounds=(100, 320)):
     """Group events per person and run the full inference chain."""
     by_person = {}
-    for event in cohort.events:
-        by_person.setdefault(event.person_id, []).append(event)
+    for person_id, day, concept_id in event_triples(cohort):
+        by_person.setdefault(person_id, []).append((day, concept_id))
     ga_table, dod_ranks = candidate_table(ga_registry), rank_table(dod_registry)
     episodes = {}
-    for person_id, person_events in by_person.items():
-        events = as_events(person_events)
+    for person_id, events in by_person.items():
         starts = infer_gestation_starts(person_id, build_candidates(events, ga_table))
         records = infer_delivery_dates(person_id, events, dod_ranks)
         eps, _ = match_episodes(starts, records, min_days=bounds[0], max_days=bounds[1])
@@ -46,9 +47,9 @@ class TestDeterminism:
         first = generate_cohort(config, ga_registry, dod_registry)
         second = generate_cohort(config, ga_registry, dod_registry)
         assert first.persons == second.persons
-        assert first.events == second.events
+        assert first.flat_events == second.flat_events
         assert first.truth == second.truth
-        assert first.noise_log == second.noise_log
+        assert first.noise_rows == second.noise_rows
 
     def test_identical_bytes_on_disk(self, ga_registry, dod_registry, tmp_path):
         config = SynthConfig(seed=9, n_persons=40)
@@ -60,7 +61,7 @@ class TestDeterminism:
     def test_different_seed_differs(self, ga_registry, dod_registry):
         a = generate_cohort(SynthConfig(seed=1, n_persons=30), ga_registry, dod_registry)
         b = generate_cohort(SynthConfig(seed=2, n_persons=30), ga_registry, dod_registry)
-        assert a.events != b.events
+        assert a.flat_events != b.flat_events
 
     def test_persons_do_not_depend_on_cohort_size(self, ga_registry, dod_registry):
         noise = NoiseSpec(
@@ -70,10 +71,12 @@ class TestDeterminism:
             generate_cohort(SynthConfig(seed=31, n_persons=n, index_event_rate=0.5, noise=noise), ga_registry, dod_registry)
             for n in (30, 60)
         )
-        assert {entry.channel for entry in small.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
-        for table in ("persons", "events", "truth", "noise_log"):
-            rows = getattr(small, table)
-            assert rows and rows == [row for row in getattr(large, table) if row.person_id <= 30]
+        assert {row[0] for row in small.noise_rows} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        # Each table with the field that holds the person id: a noise row holds it second.
+        tables = [(lambda c: c.persons, 0), (event_triples, 0), (lambda c: c.truth, 0), (lambda c: c.noise_rows, 1)]
+        for table, person_field in tables:
+            rows = table(small)
+            assert rows and rows == [row for row in table(large) if row[person_field] <= 30]
 
 
 class TestValidity:
@@ -83,25 +86,20 @@ class TestValidity:
         truth_by_person = {}
         for record in cohort.truth:
             truth_by_person.setdefault(record.person_id, []).append(record)
-        for event in cohort.events:
-            if event.concept_id == cohort.index_concept_id:
+        for person_id, day, concept_id in event_triples(cohort):
+            if concept_id == INDEX_CONCEPT_ID:
                 continue
-            ga_spec = ga_registry.get(event.concept_id)
-            dod_spec = dod_registry.get(event.concept_id)
+            ga_spec = ga_registry.get(concept_id)
+            dod_spec = dod_registry.get(concept_id)
             assert ga_spec is not None or dod_spec is not None
+            event_date = date.fromordinal(day)
             if ga_spec is not None:
                 # The event's gestation (completed weeks) lies in the concept range.
-                owner = next(
-                    t
-                    for t in truth_by_person[event.person_id]
-                    if t.true_start <= event.event_date <= t.true_dod
-                )
-                weeks = (event.event_date - owner.true_start).days // 7
+                owner = next(t for t in truth_by_person[person_id] if t.true_start <= event_date <= t.true_dod)
+                weeks = (event_date - owner.true_start).days // 7
                 assert ga_spec.week_low <= weeks <= ga_spec.week_high
             else:
-                assert any(
-                    t.true_dod == event.event_date for t in truth_by_person[event.person_id]
-                )
+                assert any(t.true_dod == event_date for t in truth_by_person[person_id])
 
     def test_truth_separation(self, ga_registry, dod_registry):
         cohort = generate_cohort(SynthConfig(seed=6, n_persons=200), ga_registry, dod_registry)
@@ -115,9 +113,8 @@ class TestValidity:
             assert all(b - a > 270 for a, b in zip(dods, dods[1:]))
 
     def test_deliveries_inside_window(self, ga_registry, dod_registry):
-        config = SynthConfig(seed=7, n_persons=100)
-        cohort = generate_cohort(config, ga_registry, dod_registry)
-        assert all(config.window[0] <= t.true_dod <= config.window[1] for t in cohort.truth)
+        cohort = generate_cohort(SynthConfig(seed=7, n_persons=100), ga_registry, dod_registry)
+        assert all(COHORT_WINDOW[0] <= t.true_dod <= COHORT_WINDOW[1] for t in cohort.truth)
 
 
 class TestRoundTrip:
@@ -138,9 +135,9 @@ class TestRoundTrip:
 class TestNoise:
     def test_zero_noise_is_identity(self, ga_registry, dod_registry):
         cohort = generate_cohort(SynthConfig(seed=10, n_persons=30, noise=NoiseSpec()), ga_registry, dod_registry)
-        assert cohort.noise_log == []
-        assert cohort.events
-        assert cohort.events == sorted(cohort.events, key=lambda e: (e.person_id, e.event_date, e.concept_id))
+        assert cohort.noise_rows == []
+        events = event_triples(cohort)
+        assert events and events == sorted(events)
 
     def test_noise_leaves_persons_and_truth_alone(self, ga_registry, dod_registry):
         # Noise draws from its own stream, so it cannot move the base draws.
@@ -151,8 +148,8 @@ class TestNoise:
             generate_cohort(SynthConfig(seed=19, n_persons=40, noise=noise), ga_registry, dod_registry)
             for noise in (NoiseSpec(), all_on)
         )
-        assert {entry.channel for entry in noisy.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
-        assert noisy.events != clean.events
+        assert {row[0] for row in noisy.noise_rows} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        assert noisy.flat_events != clean.flat_events
         assert noisy.persons == clean.persons
         assert [t[:4] for t in noisy.truth] == [t[:4] for t in clean.truth]
 
@@ -164,23 +161,23 @@ class TestNoise:
         )
         config = SynthConfig(seed=23, n_persons=60, index_event_rate=0.8, noise=noise)
         cohort = generate_cohort(config, ga_registry, dod_registry)
-        keys = [(e.person_id, e.event_date, e.concept_id) for e in cohort.events]
-        assert len({e.person_id for e in cohort.events}) == 60
-        assert {entry.channel for entry in cohort.noise_log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        keys = event_triples(cohort)
+        assert len({person_id for person_id, _, _ in keys}) == 60
+        assert {row[0] for row in cohort.noise_rows} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
         assert keys == sorted(keys)
 
     def test_drop_all_ga_events_leaves_no_episodes(self, ga_registry, dod_registry):
         config = SynthConfig(seed=11, n_persons=25, noise=NoiseSpec(drop_ga_rate=1.0))
         cohort = generate_cohort(config, ga_registry, dod_registry)
-        assert not any(e.concept_id in ga_registry for e in cohort.events)
+        assert not any(concept_id in ga_registry for _, _, concept_id in event_triples(cohort))
         inferred = run_engines(cohort, ga_registry, dod_registry)
         assert all(episodes == [] for episodes in inferred.values())
 
     def test_conflicts_preserve_episode_counts(self, ga_registry, dod_registry):
         config = SynthConfig(seed=12, n_persons=50, noise=NoiseSpec(conflict_ga_rate=1.0))
         cohort = generate_cohort(config, ga_registry, dod_registry)
-        conflict_entries = [entry for entry in cohort.noise_log if entry.channel == "conflict_ga"]
-        assert conflict_entries
+        conflict_rows = [row for row in cohort.noise_rows if row[0] == "conflict_ga"]
+        assert conflict_rows
         # every gestation received at least one conflicting same-date record
         truth_by_person = {}
         for record in cohort.truth:
@@ -188,14 +185,13 @@ class TestNoise:
         for person_id, records in truth_by_person.items():
             for record in records:
                 assert any(
-                    entry.person_id == person_id
-                    and record.true_start <= entry.event_date <= record.true_dod
-                    for entry in conflict_entries
+                    row[1] == person_id and record.true_start.toordinal() <= row[3] <= record.true_dod.toordinal()
+                    for row in conflict_rows
                 )
         # conflicting records disagree with truth by more than the conflict window
         low_days = {ga_days(spec) for spec in ga_registry if spec.accuracy is AccuracyLevel.LOW}
-        for entry in conflict_entries:
-            spec = ga_registry.get(entry.concept_id)
+        for _, _, concept_id, _, _ in conflict_rows:
+            spec = ga_registry.get(concept_id)
             assert ga_days(spec) in low_days
         inferred = run_engines(cohort, ga_registry, dod_registry)
         for person_id, records in truth_by_person.items():
@@ -214,7 +210,7 @@ class TestNoise:
     def test_shift_channel_logs_and_moves_dates(self, ga_registry, dod_registry):
         config = SynthConfig(seed=14, n_persons=20, noise=NoiseSpec(shift_rate=1.0, shift_max_days=3))
         cohort = generate_cohort(config, ga_registry, dod_registry)
-        assert any(entry.channel == "shift" for entry in cohort.noise_log)
+        assert any(row[0] == "shift" for row in cohort.noise_rows)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -273,8 +269,8 @@ class TestCohortMemory:
 
     def test_noise_log_rows_cost_no_object_each(self, ga_registry, dod_registry):
         # A noise row is one tuple of shared values (day int, detail text): with
-        # its list slot about 88 bytes. A NoiseLogEntry with a date and a detail
-        # text of its own per shift cost about 150.
+        # its list slot about 88 bytes. An object per row, with a date and a
+        # detail text of its own per shift, cost about 150.
         def traced_size(shift_rate):
             config = SynthConfig(seed=3, n_persons=2000, noise=NoiseSpec(shift_rate=shift_rate))
             tracemalloc.start()
@@ -299,9 +295,9 @@ class TestTextWriters:
         )
         config = SynthConfig(seed=17, n_persons=300, index_event_rate=0.5, noise=noise)
         cohort = generate_cohort(config, ga_registry, dod_registry)
-        log = cohort.noise_log
-        assert {entry.channel for entry in log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
-        assert {"shifted +30d", "shifted -30d"} <= {entry.detail for entry in log}
+        log = cohort.noise_rows
+        assert {row[0] for row in log} == {"drop_ga", "drop_dod", "shift", "conflict_ga", "pre_index"}
+        assert {"shifted +30d", "shifted -30d"} <= {row[4] for row in log}
         assert {t.index_event_week is None for t in cohort.truth} == {True, False}
         paths = cohort.write(tmp_path / "cohort")
         noise_log_reference(tmp_path / "noise_log.csv", log)
@@ -324,10 +320,6 @@ class TestConfigBounds:
     @pytest.mark.parametrize(
         "setting",
         [
-            {"gestation_count_probs": (0.9, 0.1)},
-            {"gestation_count_probs": (0.9, 0.05, 0.03, 0.02)},
-            {"gestation_count_probs": (1.2, -0.1, -0.1)},
-            {"gestation_count_probs": (0.5, 1.5, -1.0)},
             {"seed": -1},
             {"seed": MAX_SEED + 1},
             {"n_persons": -1},
@@ -340,26 +332,17 @@ class TestConfigBounds:
             {"ga_events_per_gestation": [3, 1, 1, 2]},
             {"dod_events_per_gestation": -1},
             {"dod_events_per_gestation": 2.0},
-            {"gestation_count_probs": (1, "0", 0)},
-            {"gestation_count_probs": (True, False, False)},
-            {"gestation_count_probs": 1.0},
             {"seed": 1.5},
             {"seed": True},
             {"n_persons": 2.5},
             {"n_persons": True},
             {"index_event_rate": True},
             {"index_event_rate": "0.5"},
-            {"index_concept_id": "9"},
-            {"index_concept_id": True},
-            {"window": ("2018-01-01", "2021-12-31")},
-            {"window": (date(2018, 1, 1),)},
             {"noise": {"shift_rate": 0.5}},
         ],
-        ids=["two-weights", "four-weights", "negative-weight", "weight-above-one", "seed-negative", "seed-too-big",
-             "persons-negative", "persons-too-many", "ga-high-negative", "ga-low-negative", "ga-float", "ga-bool",
-             "ga-text-key", "ga-not-a-map", "dod-negative", "dod-float", "weight-text", "weight-bool",
-             "weights-not-a-sequence", "seed-float", "seed-bool", "persons-float", "persons-bool", "index-rate-bool",
-             "index-rate-text", "index-id-text", "index-id-bool", "window-text", "window-one-date",
+        ids=["seed-negative", "seed-too-big", "persons-negative", "persons-too-many", "ga-high-negative",
+             "ga-low-negative", "ga-float", "ga-bool", "ga-text-key", "ga-not-a-map", "dod-negative", "dod-float",
+             "seed-float", "seed-bool", "persons-float", "persons-bool", "index-rate-bool", "index-rate-text",
              "noise-not-a-spec"],
     )
     def test_out_of_bounds_setting_rejected(self, setting):
@@ -387,16 +370,13 @@ class TestConfigBounds:
             SynthConfig(noise=NoiseSpec(**setting)).validate()
 
     def test_packing_bounds_themselves_accepted(self):
-        SynthConfig(seed=MAX_SEED, n_persons=MAX_PERSON_ID, gestation_count_probs=(0.0, 0.0, 1.0)).validate()
+        SynthConfig(seed=MAX_SEED, n_persons=MAX_PERSON_ID).validate()
 
-    @pytest.mark.parametrize(
-        "window", [COHORT_WINDOW, (date(1902, 1, 1), date(1910, 12, 31))], ids=["default", "near-1900"]
-    )
-    def test_largest_accepted_shift_keeps_events_in_the_readable_range(self, ga_registry, dod_registry, window):
+    def test_largest_accepted_shift_keeps_events_in_the_readable_range(self, ga_registry, dod_registry):
         def accepted(days):
             noise = NoiseSpec(shift_rate=1.0, shift_max_days=days, pre_pregnancy_index_rate=1.0)
             try:
-                SynthConfig(n_persons=200, window=window, noise=noise).validate()
+                SynthConfig(n_persons=200, noise=noise).validate()
             except ConfigError as exc:
                 assert "shift_max_days" in str(exc)
                 return False
@@ -407,26 +387,27 @@ class TestConfigBounds:
         while high - low > 1:
             mid = (low + high) // 2
             low, high = (mid, high) if accepted(mid) else (low, mid)
+        # Deliveries as late as the window's end, 2021-05-31, may move that far forward.
+        assert low == MAX_SHIFT_DAYS == 29_068
         noise = NoiseSpec(shift_rate=1.0, shift_max_days=low, pre_pregnancy_index_rate=1.0)
-        cohort = generate_cohort(SynthConfig(seed=4, n_persons=200, window=window, noise=noise), ga_registry, dod_registry)
-        assert all(MIN_EVENT_DATE <= e.event_date <= MAX_EVENT_DATE for e in cohort.events)
+        cohort = generate_cohort(SynthConfig(seed=4, n_persons=200, noise=noise), ga_registry, dod_registry)
+        days = [day for _, day, _ in event_triples(cohort)]
+        assert MIN_EVENT_DATE.toordinal() <= min(days) and max(days) <= MAX_EVENT_DATE.toordinal()
 
 
 class TestFeasibility:
-    def test_impossible_window_fails_with_explanation(self, ga_registry, dod_registry):
-        config = SynthConfig(
-            seed=1,
-            n_persons=1,
-            gestation_count_probs=(0.0, 0.0, 1.0),
-            window=(date(2020, 1, 1), date(2020, 12, 31)),
-        )
+    def test_impossible_window_fails_with_explanation(self, monkeypatch, ga_registry, dod_registry):
+        # Three gestations always, in a one-year delivery window.
+        monkeypatch.setattr(synthgen, "GESTATION_COUNT_PROBS", (0.0, 0.0, 1.0))
+        monkeypatch.setattr(synthgen, "COHORT_WINDOW", (date(2020, 1, 1), date(2020, 12, 31)))
         with pytest.raises(GenerationError, match="separated"):
-            generate_cohort(config, ga_registry, dod_registry)
+            generate_cohort(SynthConfig(seed=1, n_persons=1), ga_registry, dod_registry)
 
     def test_index_concept_collision_rejected(self, ga_registry, dod_registry):
-        config = SynthConfig(seed=1, n_persons=1, index_concept_id=444098)
+        # `simulate --ga-concepts` may name a concept set that holds the index concept.
+        spec = next(iter(ga_registry))._replace(concept_id=INDEX_CONCEPT_ID)
         with pytest.raises(ConfigError, match="collides"):
-            generate_cohort(config, ga_registry, dod_registry)
+            generate_cohort(SynthConfig(seed=1, n_persons=1), ConceptRegistry([*ga_registry, spec]), dod_registry)
 
 
 class TestTruthIO:
