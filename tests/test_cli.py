@@ -63,7 +63,11 @@ class TestInfer:
             assert (tmp_path / "run" / name).exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "name-too-long"])
-    @pytest.mark.parametrize("command, flag", [("infer", "--events"), ("timeline", "--episodes"), ("infer", "--config")])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("infer", "--events"), ("timeline", "--episodes"), ("infer", "--config"), ("evaluate", "--truth"),
+         ("evaluate", "--episodes"), ("phenotype", "--vocabulary")],
+    )
     def test_missing_input_exits_2_naming_path(self, sim_dir, tmp_path, capsys, command, flag, kind):
         path = tmp_path / "nope.csv"
         if kind == "directory":
@@ -74,6 +78,12 @@ class TestInfer:
         if command == "infer":
             argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv")]
             argv += ["--out", str(tmp_path / "o")]
+        elif command == "evaluate":
+            # Both inputs readable, so only `path` can be the one reported.
+            assert run_infer(sim_dir, tmp_path / "run") == 0
+            argv = ["evaluate", "--truth", str(sim_dir / "truth.csv"), "--episodes", str(tmp_path / "run" / "episodes.csv")]
+        elif command == "phenotype":
+            argv = ["phenotype"]
         else:
             argv = analytics_argv(command, sim_dir, sim_dir / "episodes.csv", tmp_path / "o")
         # The flag given last wins, so `path` replaces any earlier value of it.
@@ -298,7 +308,7 @@ class TestEvaluate:
         assert "exact_start=1.0000" in out
         assert "episode_count_match=1.0000" in out
 
-    @pytest.mark.parametrize("fault", ["repeated-row", "dod-not-after-start"])
+    @pytest.mark.parametrize("fault", ["repeated-row", "dod-not-after-start", "dod-before-start"])
     def test_malformed_truth_exit_2_naming_line(self, sim_dir, tmp_path, capsys, fault):
         assert run_infer(sim_dir, tmp_path / "run") == 0
         header, *rows = (sim_dir / "truth.csv").read_text().splitlines()
@@ -306,9 +316,12 @@ class TestEvaluate:
         if fault == "repeated-row":
             rows.append(rows[0])
             line, message = len(rows) + 1, f"episode {fields[1]} of person {fields[0]} repeats an earlier row"
-        else:
+        elif fault == "dod-not-after-start":
             rows[0] = ",".join([*fields[:3], fields[2], fields[4]])
             line, message = 2, f"true_dod {fields[2]} is not after true_start {fields[2]}"
+        else:
+            rows[0] = ",".join([*fields[:2], fields[3], fields[2], fields[4]])
+            line, message = 2, f"true_dod {fields[2]} is not after true_start {fields[3]}"
         truth = tmp_path / "truth.csv"
         truth.write_text("\n".join([header, *rows]) + "\n")
         capsys.readouterr()
@@ -929,6 +942,15 @@ class TestSimulate:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "shift_max_days must be at most" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("max_days, code", [("29068", 0), ("29069", 3)], ids=["at-bound", "past-bound"])
+    def test_shift_bound_is_fixed_by_the_study_window(self, tmp_path, capsys, max_days, code):
+        # The delivery window is the study's own, so the bound does not depend on any other setting.
+        argv = ["simulate", "--out", str(tmp_path / "sim"), "--seed", "1", "--n-persons", "5",
+                "--shift", "1", "--shift-max-days", max_days]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("shift_max_days must be at most 29068" in err) == (code == 3) and "Traceback" not in err
 
     def test_exit_4_on_invariant_breach(self, monkeypatch, sim_dir, tmp_path):
         import tedpc.pipeline as pipeline
