@@ -292,14 +292,15 @@ def read_concept_ids(path: Path | str) -> frozenset[int]:
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         return frozenset()
-    start = 0
-    column = 0
+    # A first row is a header unless its first field reads as an id, as the rows after it are read.
     line, first = rows[0]
-    if not first[0].strip().lstrip("-").isdigit():
+    try:
+        int(first[0])
+        start = column = 0
+    except ValueError:
         if "concept_id" not in first:
-            raise DataFormatError(f"{path}:{line}: no concept_id column in header {first!r}")
-        column = first.index("concept_id")
-        start = 1
+            raise DataFormatError(f"{path}:{line}: no concept_id column in header {first!r}") from None
+        start, column = 1, first.index("concept_id")
     for line, row in rows[start:]:
         try:
             ids.add(int(row[column]))

@@ -28,7 +28,9 @@ no quote, carriage return or NUL is split as text, a block of lines at once;
 any other file is split by `table`. Either way the rules are the ones above:
 when a block breaks one, or a parser raises, `columns` reads the file again
 one row at a time through `table`, which names the first bad row as it would
-in a row loop.
+in a row loop. A reader's checks that span fields or rows (dates in order, no
+repeated key) go in its `check`, which fails a block as a parser does, so a
+reader that keeps every row runs no Python code per row.
 """
 
 from __future__ import annotations
@@ -174,15 +176,20 @@ class _Reread(Exception):
     """A block the text split does not vouch for; `columns` reads the file again through `table`."""
 
 
-def columns(path: Path | str, header: list[str], parsers: Sequence[Callable]) -> Iterator[list[list]]:
+def columns(
+    path: Path | str, header: list[str], parsers: Sequence[Callable], check: Callable = lambda parsed, texts: None
+) -> Iterator[list[list]]:
     """Yield a header-first table's data rows a block at a time, as one parsed list per column.
 
-    Column `i` of a block is `list(map(parsers[i], texts))`. The rows are those
-    `table` yields, and a bad table fails as a row loop over `table` that
-    applies the parsers in field order would: on any doubt, a bad header or
-    width, an over-long line, or a ValueError or KeyError from a parser, the
-    file is read again one row at a time from the first row not yet yielded,
-    and `table` names the first bad row.
+    Column `i` of a block is `list(map(parsers[i], texts))`, and `check(parsed,
+    texts)` gets each parsed block and its columns of field texts before it is
+    yielded. The rows are those `table` yields, and a bad table fails as a row
+    loop over `table` that applies the parsers in field order, then `check`,
+    would: on any doubt, a bad header or width, an over-long line, or a
+    ValueError or KeyError from a parser or the check, the file is read again
+    one row at a time from the first row not yet yielded, and `table` names the
+    first bad row. A check that keeps state across blocks therefore commits it
+    only once a block passes, or is idempotent.
     """
     blocks = _text_blocks(path, header) if _plain_text(path) else _row_blocks(path, header)
     done = 0
@@ -192,12 +199,20 @@ def columns(path: Path | str, header: list[str], parsers: Sequence[Callable]) ->
             if block is None:
                 return
             parsed = [list(map(parse, texts)) for parse, texts in zip(parsers, block)]
+            check(parsed, block)
         except (_Reread, DataFormatError, ValueError, KeyError):
             break
         yield parsed
         done += len(parsed[0])
     blocks.close()
-    yield from _parsed_rows(path, header, parsers, done)
+    # Each row after the first `done`, parsed in field order and checked as a block of one row.
+    with table(path, header) as rows:
+        for _ in islice(rows, done):
+            pass
+        for row in rows:
+            parsed = [[parse(text)] for parse, text in zip(parsers, row)]
+            check(parsed, [[text] for text in row])
+            yield parsed
 
 
 def _plain_text(path: Path | str) -> bool:
@@ -278,15 +293,6 @@ def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str,
     with table(path, header) as rows:
         while block := list(islice(rows, size)):
             yield list(zip(*block))
-
-
-def _parsed_rows(path: Path | str, header: list[str], parsers: Sequence[Callable], skip: int) -> Iterator[list[list]]:
-    """`table`'s rows after the first `skip`, each parsed in field order and yielded as a block of one row."""
-    with table(path, header) as rows:
-        for _ in islice(rows, skip):
-            pass
-        for row in rows:
-            yield [[parse(text)] for parse, text in zip(parsers, row)]
 
 
 def _describe(exc: ValueError | KeyError) -> str:

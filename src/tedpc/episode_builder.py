@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from datetime import date
 from enum import Enum
-from operator import itemgetter
+from functools import partial
+from operator import attrgetter, itemgetter, lt, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DOD_DAY, DeliveryRecord
-from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, iso_date, table, write_rows
+from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, columns, iso_date, write_lines
 from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
@@ -203,40 +204,25 @@ def gestational_week_of(day: int, start_day: int) -> GestationalTiming:
     return GestationalTiming(week, trimester_of(week))
 
 
-EPISODE_HEADER = [
-    "person_id",
-    "episode_index",
-    "start_date",
-    "dod",
-    "gestation_days",
-    "ga_accuracy",
-    "dod_domain_rank",
-    "extreme_flag",
-    "conflict_flag",
-]
+EPISODE_HEADER = ["person_id", "episode_index", "start_date", "dod", "gestation_days", "ga_accuracy", "dod_domain_rank",
+                  "extreme_flag", "conflict_flag"]
 _EXTREME_TEXT = {flag: flag.value for flag in ExtremeFlag}
 _EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
+_EPISODE_KEY = itemgetter(0, 1)  # (person_id, episode_index)
+# A PregnancyEpisode from a tuple of its fields, with no Python call of its own.
+_NEW_EPISODE = partial(tuple.__new__, PregnancyEpisode)
 
 
 def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> None:
-    """Write episodes in canonical (person, episode index) order."""
+    """Write episodes in canonical (person, episode index) order, each as one text line (`write_lines`)."""
     date_text = Memo(date.isoformat)
-    write_rows(
+    write_lines(
         path,
         EPISODE_HEADER,
         (
-            [
-                e.person_id,
-                e.episode_index,
-                date_text[e.start_date],
-                date_text[e.dod],
-                e.gestation_days,
-                TOKEN_BY_ACCURACY[e.ga_accuracy],
-                e.dod_domain_rank,
-                _EXTREME_TEXT[e.extreme_flag],
-                BOOL_TEXT[e.conflict_flag],
-            ]
-            for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
+            f"{person_id},{index},{date_text[start]},{date_text[dod]},{days},{TOKEN_BY_ACCURACY[accuracy]},"
+            f"{rank},{_EXTREME_TEXT[flag]},{BOOL_TEXT[conflict]}\n"
+            for person_id, index, start, dod, days, accuracy, rank, flag, conflict in sorted(episodes, key=_EPISODE_KEY)
         ),
     )
 
@@ -247,28 +233,41 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
     Every token field takes exactly the values write_episodes writes; any
     other text is a bad row, as is a row whose gestation_days or extreme_flag
     contradicts its dates, whose dod is not after its start, or that repeats a
-    (person_id, episode_index).
+    (person_id, episode_index). Each block (`csvio.columns`) is checked a
+    column at a time. Keys that ascend, as write_episodes writes them, cannot
+    repeat: only a file out of that order builds a set of its keys.
     """
     dates, ints, flags = Memo(iso_date), Memo(int), Memo(extreme_flag_of)
-    episodes: dict[tuple[int, int], PregnancyEpisode] = {}
-    with table(path, EPISODE_HEADER) as rows:
-        for row in rows:
-            episode = PregnancyEpisode(
-                int(row[0]),
-                ints[row[1]],
-                dates[row[2]],
-                dates[row[3]],
-                ints[row[4]],
-                ACCURACY_TOKENS[row[5]],
-                ints[row[6]],
-                _EXTREME_TOKENS[row[7]],
-                BOOL_TOKENS[row[8]],
-            )
-            days = (episode.dod - episode.start_date).days
-            if episode.gestation_days != days or episode.extreme_flag is not flags[days]:
-                raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
-            if days < 1:
-                raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
-            if episodes.setdefault(episode[:2], episode) is not episode:
-                raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
-    return list(episodes.values())
+    parsers = (int, ints.__getitem__, dates.__getitem__, dates.__getitem__, ints.__getitem__,
+               ACCURACY_TOKENS.__getitem__, ints.__getitem__, _EXTREME_TOKENS.__getitem__, BOOL_TOKENS.__getitem__)
+    episodes: list[PregnancyEpisode] = []
+    last_key: tuple = ()  # the last key read, while the keys ascend; () is below every key
+    seen: set[tuple[int, int]] | None = None  # every key read, once they do not
+
+    def check(block: list[list], texts: list) -> None:
+        # Commits its state only once the block passes: a failed block is checked again a row at a time.
+        nonlocal last_key, seen
+        person_ids, indexes, starts, dods, gestations, _, _, extreme_flags, _ = block
+        days = list(map(attrgetter("days"), map(sub, dods, starts)))
+        if days != gestations or list(map(flags.__getitem__, days)) != extreme_flags or min(days) < 1:
+            for row, day, gestation, flag in zip(zip(*texts), days, gestations, extreme_flags):
+                if gestation != day or flag is not flags[day]:
+                    raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {day} days apart")
+                if day < 1:
+                    raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
+        keys = list(zip(person_ids, indexes))
+        if seen is None and all(map(lt, [last_key, *keys], keys)):
+            last_key = keys[-1]
+            return
+        if seen is None:
+            seen = set(map(_EPISODE_KEY, episodes))
+        fresh = set(keys)
+        if len(fresh) < len(keys) or not seen.isdisjoint(fresh):
+            known = set(seen)
+            row = next(row for row, key in zip(zip(*texts), keys) if key in known or known.add(key))
+            raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
+        seen |= fresh
+
+    for block in columns(path, EPISODE_HEADER, parsers, check):
+        episodes.extend(map(_NEW_EPISODE, zip(*block)))
+    return episodes

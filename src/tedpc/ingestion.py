@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import logging
 from datetime import date
+from functools import partial
 from itertools import compress
 from operator import and_, not_
 from pathlib import Path
 from typing import Container, Iterable, Iterator, NamedTuple
 
 from .concept_registry import Domain
-from .csvio import Memo, columns, iso_date, iso_text, table, write_lines, write_rows
+from .csvio import Memo, columns, iso_date, iso_text, write_lines, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -86,24 +87,32 @@ def load_persons(path: Path | str) -> dict[int, Person]:
     """Load the persons table keyed by person id.
 
     Identical duplicate rows collapse; conflicting duplicates fail. Birth
-    dates must be `YYYY-MM-DD` and lie in [1900-01-01, today].
+    dates must be `YYYY-MM-DD` and lie in [1900-01-01, today]. Read a block at
+    a time (`csvio.columns`), with no Python code per row.
     """
     today = date.today()
     persons: dict[int, Person] = {}
+
+    def birth_date(text: str) -> date:
+        day = iso_date(text)
+        if not (MIN_EVENT_DATE <= day <= today):
+            raise ValueError(f"birth_date {day} outside [{MIN_EVENT_DATE}, {today}]")
+        return day
+
+    def check(block: list[list], _texts: list) -> None:
+        # tuple.__new__ makes each Person with no Python call of its own. The setdefault is
+        # idempotent, as a block that fails is checked again a row at a time.
+        people = list(map(partial(tuple.__new__, Person), zip(*block)))
+        if list(map(persons.setdefault, block[0], people)) != people:
+            person = next(p for p in people if persons.setdefault(p.person_id, p) != p)
+            raise ValueError(f"conflicting duplicate for person {person.person_id}")
+
     # Birth dates and the sex, race and ethnicity texts repeat across rows:
-    # each distinct value is held once.
-    birth_dates = Memo(iso_date)
-    texts = Memo(str)
-    with table(path, PERSON_HEADER) as rows:
-        for row in rows:
-            person = Person(int(row[0]), birth_dates[row[1]], texts[row[2]], texts[row[3]], texts[row[4]])
-            if not (MIN_EVENT_DATE <= person.birth_date <= today):
-                raise ValueError(
-                    f"birth_date {person.birth_date.isoformat()} outside "
-                    f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
-                )
-            if persons.setdefault(person.person_id, person) != person:
-                raise ValueError(f"conflicting duplicate for person {person.person_id}")
+    # each distinct value is parsed and checked once, and held once.
+    birth_dates, texts = Memo(birth_date), Memo(str)
+    parsers = (int, birth_dates.__getitem__, texts.__getitem__, texts.__getitem__, texts.__getitem__)
+    for _ in columns(path, PERSON_HEADER, parsers, check):
+        pass
     logger.info("loaded %d persons from %s", len(persons), path)
     return persons
 

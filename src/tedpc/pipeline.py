@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+from operator import itemgetter
 from pathlib import Path
 
 from .analytics import (
@@ -41,7 +42,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import BOOL_TEXT, Memo, iso_text, write_rows
+from .csvio import BOOL_TEXT, Memo, iso_text, write_lines, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     PregnancyEpisode,
@@ -133,23 +134,23 @@ def run_infer(config: RunConfig) -> dict:
 
     day_text = Memo(iso_text)
     write_episodes(out / "episodes.csv", episodes)
-    write_rows(
+    # Every table but excluded_episodes.csv (whose reasons hold commas) is ints, ISO dates and fixed tokens:
+    # each of its rows goes out as one text line.
+    write_lines(
         out / "unmatched_starts.csv",
         ["person_id", "start_date", "anchor_concept_id", "accuracy"],
-        [
-            [s.person_id, day_text[s.start_day], s.anchor_concept_id, TOKEN_BY_ACCURACY[s.accuracy]]
-            for s in unmatched_starts
-        ],
+        (f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{TOKEN_BY_ACCURACY[s.accuracy]}\n"
+         for s in unmatched_starts),
     )
-    write_rows(
+    write_lines(
         out / "unmatched_dods.csv",
         ["person_id", "dod", "anchor_concept_id", "domain_rank"],
-        [[r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank] for r in unmatched_dods],
+        (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank}\n" for r in unmatched_dods),
     )
     # Sorted natively on the whole row (person, day, concept, domain), so rows that differ only in
     # domain do not keep their input order.
-    rows = ([pid, concept, domain.value, day_text[day]] for pid, day, concept, domain in sorted(table.quarantined))
-    write_rows(out / "quarantine.csv", EVENT_HEADER, rows)
+    lines = (f"{pid},{concept},{domain.value},{day_text[day]}\n" for pid, day, concept, domain in sorted(table.quarantined))
+    write_lines(out / "quarantine.csv", EVENT_HEADER, lines)
     write_rows(
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
@@ -159,29 +160,20 @@ def run_infer(config: RunConfig) -> dict:
         ],
     )
     if config.emit_cohorts:
-        write_rows(
+        write_lines(
             out / "ga_cohort.csv",
             ["person_id", "start_date", "anchor_concept_id", "anchor_event_date", "accuracy", "cluster_size", "conflict_flag"],
-            [
-                [
-                    s.person_id,
-                    day_text[s.start_day],
-                    s.anchor_concept_id,
-                    day_text[s.anchor_day],
-                    TOKEN_BY_ACCURACY[s.accuracy],
-                    s.cluster_size,
-                    BOOL_TEXT[s.conflict_flag],
-                ]
+            (
+                f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{day_text[s.anchor_day]},"
+                f"{TOKEN_BY_ACCURACY[s.accuracy]},{s.cluster_size},{BOOL_TEXT[s.conflict_flag]}\n"
                 for s in all_starts
-            ],
+            ),
         )
-        write_rows(
+        write_lines(
             out / "dod_cohort.csv",
             ["person_id", "dod", "anchor_concept_id", "domain_rank", "cluster_size"],
-            [
-                [r.person_id, day_text[r.dod_day], r.anchor_concept_id, r.domain_rank, r.cluster_size]
-                for r in all_records
-            ],
+            (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank},{r.cluster_size}\n"
+             for r in all_records),
         )
 
     summary = {
@@ -211,30 +203,23 @@ def run_timeline(config: RunConfig) -> int:
     """
     config.validate()
     out = make_output_dir(config.out_dir)
-    episodes = sorted(read_episodes(config.episodes_path), key=lambda e: (e.person_id, e.episode_index))
+    episodes = sorted(read_episodes(config.episodes_path), key=itemgetter(0, 1))
     table = load_events(config.events_path, dict.fromkeys(read_concept_ids(config.index_events_path)))
     day_text = Memo(iso_text)
-    rows = []
+    # No field can need quoting (ints, ISO dates, trimester tokens): each row is one text line.
+    lines = []
     for episode, index_events in episode_exposures(episodes, table.events_by_person):
         start_day = episode.start_date.toordinal()
+        prefix = f"{episode.person_id},{episode.episode_index},"
         for day, concept_id in index_events:
-            timing = gestational_week_of(day, start_day)
-            rows.append(
-                [
-                    episode.person_id,
-                    episode.episode_index,
-                    concept_id,
-                    day_text[day],
-                    timing.week,
-                    timing.trimester.value,
-                ]
-            )
-    write_rows(
+            week, trimester = gestational_week_of(day, start_day)
+            lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester.value}\n")
+    write_lines(
         out / "timing.csv",
         ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"],
-        rows,
+        lines,
     )
-    return len(rows)
+    return len(lines)
 
 
 def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppressed: bool = False) -> None:

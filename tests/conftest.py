@@ -59,3 +59,29 @@ def random_events(rng: np.random.Generator, registry, max_events=10):
         events.append((base + int(rng.integers(0, 1100)), spec.concept_id))
     return sorted(events)
 
+
+def render_table(header, data, blanks, mutated, quoted, final_newline, bom):
+    """A table's text: header and data rows, one field replaced or dropped (`mutated`), blank lines inserted.
+
+    `mutated` is None or `(row, field, text)`, the row counted from the header
+    and both taken modulo the count; a None text drops the field. Quoted
+    tables quote every field and end lines in CRLF.
+    """
+    lines = [list(header), *data]
+    if mutated is not None:
+        at, field, text = mutated
+        fields = lines[at % len(lines)]
+        if text is None:
+            del fields[field % len(fields)]
+        else:
+            fields[field % len(fields)] = text
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at % (len(lines) + 1), [])
+    if quoted:
+        texts = ["" if not fields else ",".join(f'"{text}"' for text in fields) for fields in lines]
+        end = "\r\n"
+    else:
+        texts = [",".join(fields) for fields in lines]
+        end = "\n"
+    text = end.join(texts) + (end if final_newline else "")
+    return ("\ufeff" if bom else "") + text

@@ -6,8 +6,10 @@ arithmetic, clustering scans plain lists, and domain ranks are literal. The
 exceptions pin a fast path to the plain one it replaced. `load_events_reference`
 pins the block scanner of `ingestion.load_events` to a row loop: it shares the
 field parsers and `csvio.table`, the source of every row error, but none of the
-block code. `noise_log_reference` and `truth_reference` pin the generator's text
-writers to a list per row through `csvio.write_rows`.
+block code; `episodes_reference` and `persons_reference` do the same for
+`read_episodes` and `load_persons`. `noise_log_reference`, `truth_reference`,
+`episodes_csv_reference` and `timing_csv_reference` pin the text writers to a
+list per row through `csvio.write_rows`.
 """
 
 import re
@@ -342,3 +344,71 @@ def truth_reference(path, truth):
             for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index))
         ),
     )
+
+
+def episodes_reference(path):
+    """`episode_builder.read_episodes` as one loop over `csvio.table`'s rows, repeats found in a dict of keys."""
+    from tedpc.concept_registry import ACCURACY_TOKENS
+    from tedpc.csvio import BOOL_TOKENS, iso_date, table
+    from tedpc.episode_builder import EPISODE_HEADER, ExtremeFlag, PregnancyEpisode, extreme_flag_of
+
+    flags = {flag.value: flag for flag in ExtremeFlag}
+    episodes = {}
+    with table(path, EPISODE_HEADER) as rows:
+        for row in rows:
+            episode = PregnancyEpisode(
+                int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), int(row[4]),
+                ACCURACY_TOKENS[row[5]], int(row[6]), flags[row[7]], BOOL_TOKENS[row[8]],
+            )
+            days = (episode.dod - episode.start_date).days
+            if episode.gestation_days != days or episode.extreme_flag is not extreme_flag_of(days):
+                raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
+            if days < 1:
+                raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
+            if episodes.setdefault(episode[:2], episode) is not episode:
+                raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
+    return list(episodes.values())
+
+
+def persons_reference(path):
+    """`ingestion.load_persons` as one loop over `csvio.table`'s rows, checking each row's birth date."""
+    from tedpc.csvio import iso_date, table
+    from tedpc.ingestion import MIN_EVENT_DATE, PERSON_HEADER, Person
+
+    today = date.today()
+    persons = {}
+    with table(path, PERSON_HEADER) as rows:
+        for row in rows:
+            person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
+            if not (MIN_EVENT_DATE <= person.birth_date <= today):
+                raise ValueError(
+                    f"birth_date {person.birth_date.isoformat()} outside "
+                    f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
+                )
+            if persons.setdefault(person.person_id, person) != person:
+                raise ValueError(f"conflicting duplicate for person {person.person_id}")
+    return persons
+
+
+def episodes_csv_reference(path, episodes):
+    """`episodes.csv` as a list per episode, stably sorted on (person, episode index), through `csvio.write_rows`."""
+    from tedpc.csvio import write_rows
+    from tedpc.episode_builder import EPISODE_HEADER
+
+    write_rows(
+        path,
+        EPISODE_HEADER,
+        (
+            [e.person_id, e.episode_index, e.start_date.isoformat(), e.dod.isoformat(), e.gestation_days,
+             e.ga_accuracy.name.lower(), e.dod_domain_rank, e.extreme_flag.value, str(e.conflict_flag).lower()]
+            for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
+        ),
+    )
+
+
+def timing_csv_reference(path, rows):
+    """`timing.csv` of `timeline_reference`'s rows, a list per row through `csvio.write_rows`."""
+    from tedpc.csvio import write_rows
+
+    header = ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"]
+    write_rows(path, header, rows)

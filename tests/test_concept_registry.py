@@ -314,3 +314,12 @@ class TestConceptIdFile:
         path.write_text("concept_id\nnot-a-number\n")
         with pytest.raises(DataFormatError):
             read_concept_ids(path)
+
+    @pytest.mark.parametrize("ids", [["5", "+6"], ["5", "5_0"], ["5", " -7 "]])
+    def test_bare_ids_read_the_same_in_any_row_order(self, tmp_path, ids):
+        # Every id int() takes reads as an id, first row or not.
+        expected = {int(text) for text in ids}
+        for rows in (ids, ids[::-1]):
+            path = tmp_path / "ids.csv"
+            path.write_text("\n".join(rows) + "\n")
+            assert read_concept_ids(path) == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -248,3 +249,24 @@ class TestEpisodeIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=r"episodes.csv:4: "):
             read_episodes(path)
+
+
+class TestEpisodeTableMemory:
+    def test_reading_an_ordered_table_builds_nothing_per_row(self, tmp_path, ga_registry, dod_registry):
+        # A file in (person, episode index) order, as write_episodes writes it, has
+        # no repeats when its keys ascend: reading it keeps the episodes and a
+        # block's work, about 30 bytes per row beyond them. A dict of the
+        # episodes by key costs about 130.
+        from tedpc.synthgen import SynthConfig, generate_cohort
+
+        cohort = generate_cohort(SynthConfig(seed=3, n_persons=10_000), ga_registry, dod_registry)
+        path = tmp_path / "episodes.csv"
+        write_episodes(path, [episode(t.true_start, t.true_dod, t.person_id, t.episode_index) for t in cohort.truth])
+        tracemalloc.start()
+        try:
+            episodes = read_episodes(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(episodes) == len(cohort.truth) > 10_000
+        assert (peak - kept) / len(episodes) < 60

@@ -12,6 +12,7 @@ import csv
 
 import pytest
 
+from conftest import render_table
 from oracles import load_events_reference
 from tedpc import csvio
 from tedpc.concept_registry import Domain
@@ -39,27 +40,6 @@ concept_maps = st.sampled_from(
     [{}, {400: None}, {400: None, 500: Domain.CONDITION, 444098: Domain.CONDITION}, dict.fromkeys(CONCEPTS)]
 )
 label_maps = st.sampled_from([None, {}, {400: (None, "b"), 401: ("b",), 500: ("a",)}, {4128331: (None,)}])
-
-
-def render(header, data, blanks, mutated, quoted, final_newline, bom):
-    lines = [list(header), *data]
-    if mutated is not None:
-        at, field, text = mutated
-        fields = lines[at % len(lines)]
-        if text is None:
-            del fields[field % len(fields)]
-        else:
-            fields[field % len(fields)] = text
-    for at in sorted(blanks, reverse=True):
-        lines.insert(at % (len(lines) + 1), [])
-    if quoted:
-        texts = ["" if not fields else ",".join(f'"{text}"' for text in fields) for fields in lines]
-        end = "\r\n"
-    else:
-        texts = [",".join(fields) for fields in lines]
-        end = "\n"
-    text = end.join(texts) + (end if final_newline else "")
-    return ("\ufeff" if bom else "") + text
 
 
 def outcome(loader, path, concepts, known_persons, labels):
@@ -94,7 +74,7 @@ def test_block_scanner_matches_the_row_loop(
     labels,
 ):
     path = scratch / "events.csv"
-    text = render(EVENT_HEADER, data, blanks, mutated, quoted, final_newline, bom)
+    text = render_table(EVENT_HEADER, data, blanks, mutated, quoted, final_newline, bom)
     path.write_bytes(text.encode("utf-8"))
     saved_block, saved_limit = csvio.BLOCK_CHARS, csv.field_size_limit(field_limit)
     try:
