@@ -85,10 +85,9 @@ def episode_exposures(
         if episode.person_id != person_id:
             person_id = episode.person_id
             events = sorted(event_pairs(events_by_person.get(person_id, ())))
-        dod_day = episode.dod.toordinal()
         index_events = []
         for event in events:
-            if event[0] > dod_day:
+            if event[0] > episode.dod_day:
                 break
             index_events.append(event)
         yield episode, index_events
@@ -105,9 +104,9 @@ def first_day_exposures(
     condition_firsts = [(name, first_days.get(name, {})) for name in condition_names]
     for episode in episodes:
         person_id = episode.person_id
-        start_day, after = episode.start_date.toordinal(), episode.dod.toordinal() + 1
+        after = episode.dod_day + 1
         first = index_firsts.get(person_id, after)
-        week = None if first >= after else week_of(start_day, first)
+        week = None if first >= after else week_of(episode.start_day, first)
         yield episode, week, [name for name, firsts in condition_firsts if firsts.get(person_id, after) < after]
 
 
@@ -243,13 +242,14 @@ def stratified_table(
     # Columns and race category each follow from a few distinct values: each value is worked out once.
     columns_of, races = Memo(lambda key: _columns_of(*key)), Memo(lambda texts: race_category_of(*texts))
     for episode, week, conditions in exposures:
-        stratum = stratum_of(episode.dod)
+        dod = date.fromordinal(episode.dod_day)
+        stratum = stratum_of(dod)
         if stratum is None:
             continue
         person = persons.get(episode.person_id)
         band = race = None
         if person is not None:
-            band, race = age_band_of(age_at(person.birth_date, episode.dod)), races[person.race, person.ethnicity]
+            band, race = age_band_of(age_at(person.birth_date, dod)), races[person.race, person.ethnicity]
         columns = columns_of[stratum, week, episode.gestation_days > SECOND_TRIMESTER_MAX_WEEK * 7]
         key = (columns, band, race, *conditions)
         counts[key] = counts.get(key, 0) + 1

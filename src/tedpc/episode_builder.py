@@ -4,8 +4,8 @@ Deliveries are matched latest-first to the unused start whose implied
 gestation length is plausible and closest to 280 days. Matched pairs become
 episodes; everything unmatched is reported. Episodes can then be filtered by
 the cohort inclusion rules (delivery window, maternal age) and queried for
-the gestational week of arbitrary index events. Matching and week arithmetic
-run on day ordinals; an episode holds `date`s, built once when it is made.
+the gestational week of arbitrary index events. Episodes hold day ordinals,
+as starts and deliveries do; of them, only the cohort rules build a `date`.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from __future__ import annotations
 from datetime import date
 from enum import Enum
 from functools import partial
-from operator import attrgetter, itemgetter, lt, sub
+from operator import itemgetter, lt, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import ACCURACY_TOKENS, TOKEN_BY_ACCURACY, AccuracyLevel
+from .concept_registry import ACCURACY_TOKENS, DOMAIN_RANKS, TOKEN_BY_ACCURACY, AccuracyLevel
 from .dod_engine import DOD_DAY, DeliveryRecord
-from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, columns, iso_date, write_lines
+from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, columns, iso_date, iso_text, write_lines
 from .errors import InvariantError
 from .ga_engine import GestationStart
 from .ingestion import Person
@@ -63,12 +63,12 @@ class GestationalTiming(NamedTuple):
 
 
 class PregnancyEpisode(NamedTuple):
-    """One consolidated (start, delivery) pair for one gestation."""
+    """One consolidated (start, delivery) pair for one gestation; both days are ordinals."""
 
     person_id: int
     episode_index: int
-    start_date: date
-    dod: date
+    start_day: int
+    dod_day: int
     gestation_days: int
     ga_accuracy: AccuracyLevel
     dod_domain_rank: int
@@ -129,15 +129,8 @@ def match_episodes(
         gestation = record.dod_day - start.start_day
         episodes.append(
             PregnancyEpisode(
-                start.person_id,
-                index,
-                date.fromordinal(start.start_day),
-                date.fromordinal(record.dod_day),
-                gestation,
-                start.accuracy,
-                record.domain_rank,
-                extreme_flag_of(gestation),
-                start.conflict_flag,
+                start.person_id, index, start.start_day, record.dod_day, gestation, start.accuracy,
+                record.domain_rank, extreme_flag_of(gestation), start.conflict_flag,
             )
         )
     return episodes, diagnostics
@@ -166,10 +159,11 @@ def apply_cohort_filters(
         if person is None:
             excluded.append((episode, "person missing from persons table"))
             continue
-        if not (COHORT_WINDOW[0] <= episode.dod <= COHORT_WINDOW[1]):
+        dod = date.fromordinal(episode.dod_day)
+        if not (COHORT_WINDOW[0] <= dod <= COHORT_WINDOW[1]):
             excluded.append((episode, "delivery outside cohort window"))
             continue
-        age = age_at(person.birth_date, episode.dod)
+        age = age_at(person.birth_date, dod)
         if not (MIN_AGE_AT_DELIVERY <= age <= MAX_AGE_AT_DELIVERY):
             excluded.append((episode, f"age {age} at delivery outside [{MIN_AGE_AT_DELIVERY}, {MAX_AGE_AT_DELIVERY}]"))
             continue
@@ -209,18 +203,19 @@ EPISODE_HEADER = ["person_id", "episode_index", "start_date", "dod", "gestation_
 _EXTREME_TEXT = {flag: flag.value for flag in ExtremeFlag}
 _EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
 _EPISODE_KEY = itemgetter(0, 1)  # (person_id, episode_index)
+_DOD_RANKS = frozenset(DOMAIN_RANKS.values())
 # A PregnancyEpisode from a tuple of its fields, with no Python call of its own.
 _NEW_EPISODE = partial(tuple.__new__, PregnancyEpisode)
 
 
 def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> None:
     """Write episodes in canonical (person, episode index) order, each as one text line (`write_lines`)."""
-    date_text = Memo(date.isoformat)
+    day_text = Memo(iso_text)
     write_lines(
         path,
         EPISODE_HEADER,
         (
-            f"{person_id},{index},{date_text[start]},{date_text[dod]},{days},{TOKEN_BY_ACCURACY[accuracy]},"
+            f"{person_id},{index},{day_text[start]},{day_text[dod]},{days},{TOKEN_BY_ACCURACY[accuracy]},"
             f"{rank},{_EXTREME_TEXT[flag]},{BOOL_TEXT[conflict]}\n"
             for person_id, index, start, dod, days, accuracy, rank, flag, conflict in sorted(episodes, key=_EPISODE_KEY)
         ),
@@ -232,13 +227,15 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
 
     Every token field takes exactly the values write_episodes writes; any
     other text is a bad row, as is a row whose gestation_days or extreme_flag
-    contradicts its dates, whose dod is not after its start, or that repeats a
-    (person_id, episode_index). Each block (`csvio.columns`) is checked a
-    column at a time. Keys that ascend, as write_episodes writes them, cannot
-    repeat: only a file out of that order builds a set of its keys.
+    contradicts its dates, whose dod is not after its start, whose
+    episode_index is below 1, whose dod_domain_rank is not a domain rank, or
+    that repeats a (person_id, episode_index). Dates are read as day ordinals.
+    Each block (`csvio.columns`) is checked a column at a time. Keys that
+    ascend, as write_episodes writes them, cannot repeat: only a file out of
+    that order builds a set of its keys.
     """
-    dates, ints, flags = Memo(iso_date), Memo(int), Memo(extreme_flag_of)
-    parsers = (int, ints.__getitem__, dates.__getitem__, dates.__getitem__, ints.__getitem__,
+    days, ints, flags = Memo(lambda text: iso_date(text).toordinal()), Memo(int), Memo(extreme_flag_of)
+    parsers = (int, ints.__getitem__, days.__getitem__, days.__getitem__, ints.__getitem__,
                ACCURACY_TOKENS.__getitem__, ints.__getitem__, _EXTREME_TOKENS.__getitem__, BOOL_TOKENS.__getitem__)
     episodes: list[PregnancyEpisode] = []
     last_key: tuple = ()  # the last key read, while the keys ascend; () is below every key
@@ -247,13 +244,20 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
     def check(block: list[list], texts: list) -> None:
         # Commits its state only once the block passes: a failed block is checked again a row at a time.
         nonlocal last_key, seen
-        person_ids, indexes, starts, dods, gestations, _, _, extreme_flags, _ = block
-        days = list(map(attrgetter("days"), map(sub, dods, starts)))
-        if days != gestations or list(map(flags.__getitem__, days)) != extreme_flags or min(days) < 1:
-            for row, day, gestation, flag in zip(zip(*texts), days, gestations, extreme_flags):
-                if gestation != day or flag is not flags[day]:
-                    raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {day} days apart")
-                if day < 1:
+        person_ids, indexes, starts, dods, gestations, _, ranks, extreme_flags, _ = block
+        lengths = list(map(sub, dods, starts))
+        if (lengths != gestations or list(map(flags.__getitem__, lengths)) != extreme_flags or min(lengths) < 1
+                or min(indexes) < 1 or not _DOD_RANKS.issuperset(ranks)):
+            for row, index, rank, length, gestation, flag in zip(
+                zip(*texts), indexes, ranks, lengths, gestations, extreme_flags
+            ):
+                if index < 1:
+                    raise ValueError(f"episode_index {row[1]} is below 1")
+                if rank not in _DOD_RANKS:
+                    raise ValueError(f"dod_domain_rank {row[6]} is not one of {sorted(_DOD_RANKS)}")
+                if gestation != length or flag is not flags[length]:
+                    raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {length} days apart")
+                if length < 1:
                     raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
         keys = list(zip(person_ids, indexes))
         if seen is None and all(map(lt, [last_key, *keys], keys)):

@@ -166,13 +166,13 @@ def round_trip_score(
     exact_start = start_close = exact_dod = dod_close = 0
     count_matches = 0
     for person_id, records in truth_by_person.items():
-        records = sorted(records, key=lambda r: r.true_start)
-        inferred = sorted(inferred_by_person.get(person_id, []), key=lambda e: e.start_date)
+        records = sorted(records, key=lambda r: r.true_start_day)
+        inferred = sorted(inferred_by_person.get(person_id, []), key=lambda e: e.start_day)
         if len(records) == len(inferred):
             count_matches += 1
         for record, episode in zip(records, inferred):
-            start_delta = abs((episode.start_date - record.true_start).days)
-            dod_delta = abs((episode.dod - record.true_dod).days)
+            start_delta = abs(episode.start_day - record.true_start_day)
+            dod_delta = abs(episode.dod_day - record.true_dod_day)
             exact_start += start_delta == 0
             start_close += start_delta <= 7
             exact_dod += dod_delta == 0

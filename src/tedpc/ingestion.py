@@ -6,8 +6,8 @@ event. `event_pairs` reads a person's list as `(day ordinal, concept id)`
 pairs, still in file order: a reader whose output depends on event order
 sorts the pairs itself, so that every "first" selection is deterministic
 regardless of input row order.
-Days stay ints up to the writers; dates come back only in `PregnancyEpisode`
-and in written text.
+Days stay ints up to the writers, episodes' days too; dates come back only in
+the calendar rules and in written text.
 Events referencing unknown persons are quarantined as whole rows, never
 dropped silently. `load_events` is the one reader of events.csv: it groups the
 events of one concept map and, given labels, keeps each label's first day per

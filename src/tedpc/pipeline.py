@@ -1,7 +1,7 @@
 """End-to-end orchestration shared by the CLI and tests.
 
-Events, starts and deliveries are day ordinals until a `PregnancyEpisode` is
-built or a writer formats them through the run's one `Memo(iso_text)`.
+Events, starts, deliveries and episodes are day ordinals until a writer
+formats them through the run's one `Memo(iso_text)`.
 
 Every command validates every event row, in one scanner (`load_events`), but
 keeps only what it reads: infer and timeline group the events of one concept
@@ -155,7 +155,7 @@ def run_infer(config: RunConfig) -> dict:
         out / "excluded_episodes.csv",
         ["person_id", "episode_index", "start_date", "dod", "reason"],
         [
-            [e.person_id, e.episode_index, day_text[e.start_date.toordinal()], day_text[e.dod.toordinal()], reason]
+            [e.person_id, e.episode_index, day_text[e.start_day], day_text[e.dod_day], reason]
             for e, reason in excluded
         ],
     )
@@ -209,10 +209,9 @@ def run_timeline(config: RunConfig) -> int:
     # No field can need quoting (ints, ISO dates, trimester tokens): each row is one text line.
     lines = []
     for episode, index_events in episode_exposures(episodes, table.events_by_person):
-        start_day = episode.start_date.toordinal()
         prefix = f"{episode.person_id},{episode.episode_index},"
         for day, concept_id in index_events:
-            week, trimester = gestational_week_of(day, start_day)
+            week, trimester = gestational_week_of(day, episode.start_day)
             lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester.value}\n")
     write_lines(
         out / "timing.csv",

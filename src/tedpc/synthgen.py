@@ -191,10 +191,12 @@ def _is_rate(value) -> bool:
 
 
 class TruthRecord(NamedTuple):
+    """One generated gestation: its start and delivery as day ordinals, and its index event's week."""
+
     person_id: int
     episode_index: int
-    true_start: date
-    true_dod: date
+    true_start_day: int
+    true_dod_day: int
     index_event_week: int | None
 
 
@@ -247,7 +249,7 @@ class SyntheticCohort:
 
 def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
     """Write a truth table in (person id, episode index) order, ties in the order given."""
-    iso = Memo(date.isoformat)
+    iso = Memo(iso_text)
     write_lines(
         path,
         TRUTH_HEADER,
@@ -261,16 +263,20 @@ def write_truth(path: Path | str, truth: Iterable[TruthRecord]) -> None:
 def read_truth(path: Path | str) -> list[TruthRecord]:
     """Read a truth table written by `write_truth`.
 
-    A row whose true_dod is not after its true_start, or that repeats a
+    Dates are read as day ordinals. A row whose true_dod is not after its
+    true_start, whose index_event_week is negative, or that repeats a
     (person_id, episode_index), is a bad row.
     """
     truth: dict[tuple[int, int], TruthRecord] = {}
     with table(path, TRUTH_HEADER) as rows:
         for row in rows:
             week = int(row[4]) if row[4] != "" else None
-            record = TruthRecord(int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), week)
-            if record.true_dod <= record.true_start:
+            start, dod = iso_date(row[2]).toordinal(), iso_date(row[3]).toordinal()
+            record = TruthRecord(int(row[0]), int(row[1]), start, dod, week)
+            if record.true_dod_day <= record.true_start_day:
                 raise ValueError(f"true_dod {row[3]} is not after true_start {row[2]}")
+            if week is not None and week < 0:
+                raise ValueError(f"index_event_week {row[4]} is negative")
             if truth.setdefault(record[:2], record) is not record:
                 raise ValueError(f"episode {row[1]} of person {row[0]} repeats an earlier row")
     return list(truth.values())
@@ -437,8 +443,7 @@ def generate_cohort(
     # A concept's domain; overlap concepts come only from GA draws (conflicts), so the GA registry wins.
     domains = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
     domains[INDEX_CONCEPT_ID] = Domain.CONDITION
-    # Each distinct day becomes a date once, and its int is held once in the flat events and noise rows.
-    dates = Memo(date.fromordinal)
+    # Each distinct day's int is held once in the flat events and noise rows.
     days: dict[int, int] = {}
 
     persons: list[Person] = []
@@ -452,7 +457,7 @@ def generate_cohort(
         birth = triples[0][1] - (16 + _below(getrandbits, 29)) * 365 - _below(getrandbits, 365)
         race = race_labels[_pick(rng.random, race_weights)]
         ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
-        persons.append(Person(person_id, dates[birth], "F", race, ethnicity))
+        persons.append(Person(person_id, date.fromordinal(birth), "F", race, ethnicity))
         person_events: list[_Event] = []
         for start, dod, gestation_days in triples:
             schedule = schedules[gestation_days // 7]
@@ -488,7 +493,7 @@ def generate_cohort(
             week = None
             if earliest is not None and earliest <= dod:
                 week = 0 if earliest < start else (earliest - start) // 7 + 1
-            truth.append(TruthRecord(person_id, index, dates[start], dates[dod], week))
+            truth.append(TruthRecord(person_id, index, start, dod, week))
 
     return SyntheticCohort(persons, flat_events, domains, truth, noise_rows)
 

@@ -13,6 +13,7 @@ list per row through `csvio.write_rows`.
 """
 
 import re
+from collections import namedtuple
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -150,16 +151,31 @@ RACE_TEXT = {
 }
 
 
+# An episode with its start and delivery as dates, which the references below compare and subtract.
+DatedEpisode = namedtuple("DatedEpisode", "person_id episode_index start_date dod gestation_days")
+
+
+def _dated(episodes):
+    """Each episode's start and delivery day ordinals as dates, converted here, at the references' own boundary."""
+    return [
+        DatedEpisode(ep.person_id, ep.episode_index, date.fromordinal(ep.start_day), date.fromordinal(ep.dod_day),
+                     ep.gestation_days)
+        for ep in episodes
+    ]
+
+
 def table_reference(
     episodes, persons, events_by_person, index_concepts, condition_sets,
     cutoff=date(2020, 3, 1), pre_window=None, peri_window=None,
 ):
     """Raw rows of the stratified table, counted cell by cell.
 
-    episodes need person_id, start_date, dod, gestation_days; persons need
-    birth_date, race, ethnicity; events need concept_id, event_date. Returns
-    the header row, the totals row and one row per category, like csv_rows().
+    episodes need person_id, episode_index, start_day, dod_day (day ordinals)
+    and gestation_days; persons need birth_date, race, ethnicity; events need
+    concept_id, event_date. Returns the header row, the totals row and one row
+    per category, like csv_rows().
     """
+    episodes = _dated(episodes)
 
     def stratum(dod):
         if pre_window is not None:
@@ -261,13 +277,13 @@ def _week(ep, day):
 def timeline_reference(episodes, events_by_person, index_concepts):
     """Data rows of timing.csv, one per index event on or before each delivery.
 
-    episodes need person_id, episode_index, start_date, dod; events need
-    concept_id, event_date. Rows come in (person, episode index, date,
-    concept) order. Week 0 is "pre"; weeks 1-13 are "first", 14-27
-    "second" and later weeks "third".
+    episodes need person_id, episode_index, start_day, dod_day (day ordinals)
+    and gestation_days; events need concept_id, event_date. Rows come in
+    (person, episode index, date, concept) order. Week 0 is "pre"; weeks 1-13
+    are "first", 14-27 "second" and later weeks "third".
     """
     rows = []
-    for ep in sorted(episodes, key=lambda ep: (ep.person_id, ep.episode_index)):
+    for ep in sorted(_dated(episodes), key=lambda ep: (ep.person_id, ep.episode_index)):
         for day, concept_id in _index_days(ep, events_by_person, index_concepts):
             week = _week(ep, day)
             trimester = "pre" if week == 0 else "first" if week <= 13 else "second" if week <= 27 else "third"
@@ -278,7 +294,7 @@ def timeline_reference(episodes, events_by_person, index_concepts):
 def histogram_reference(episodes, events_by_person, index_concepts, max_week=45):
     """Episodes per week of their earliest index event on or before delivery; later weeks share the last."""
     counts = {week: 0 for week in range(max_week + 1)}
-    for ep in episodes:
+    for ep in _dated(episodes):
         hits = _index_days(ep, events_by_person, index_concepts)
         if hits:
             counts[min(_week(ep, hits[0][0]), max_week)] += 1
@@ -339,7 +355,8 @@ def truth_reference(path, truth):
         path,
         TRUTH_HEADER,
         (
-            [t.person_id, t.episode_index, t.true_start.isoformat(), t.true_dod.isoformat(),
+            [t.person_id, t.episode_index, date.fromordinal(t.true_start_day).isoformat(),
+             date.fromordinal(t.true_dod_day).isoformat(),
              "" if t.index_event_week is None else t.index_event_week]
             for t in sorted(truth, key=lambda t: (t.person_id, t.episode_index))
         ),
@@ -357,10 +374,14 @@ def episodes_reference(path):
     with table(path, EPISODE_HEADER) as rows:
         for row in rows:
             episode = PregnancyEpisode(
-                int(row[0]), int(row[1]), iso_date(row[2]), iso_date(row[3]), int(row[4]),
+                int(row[0]), int(row[1]), iso_date(row[2]).toordinal(), iso_date(row[3]).toordinal(), int(row[4]),
                 ACCURACY_TOKENS[row[5]], int(row[6]), flags[row[7]], BOOL_TOKENS[row[8]],
             )
-            days = (episode.dod - episode.start_date).days
+            if episode.episode_index < 1:
+                raise ValueError(f"episode_index {row[1]} is below 1")
+            if episode.dod_domain_rank not in (1, 2, 3):
+                raise ValueError(f"dod_domain_rank {row[6]} is not one of [1, 2, 3]")
+            days = episode.dod_day - episode.start_day
             if episode.gestation_days != days or episode.extreme_flag is not extreme_flag_of(days):
                 raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
             if days < 1:
@@ -399,7 +420,8 @@ def episodes_csv_reference(path, episodes):
         path,
         EPISODE_HEADER,
         (
-            [e.person_id, e.episode_index, e.start_date.isoformat(), e.dod.isoformat(), e.gestation_days,
+            [e.person_id, e.episode_index, date.fromordinal(e.start_day).isoformat(),
+             date.fromordinal(e.dod_day).isoformat(), e.gestation_days,
              e.ga_accuracy.name.lower(), e.dod_domain_rank, e.extreme_flag.value, str(e.conflict_flag).lower()]
             for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
         ),

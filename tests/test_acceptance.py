@@ -142,8 +142,8 @@ def test_5_separation_invariant(ga_registry, dod_registry, ga_table, dod_ranks, 
     by_person_start: dict[int, list[int]] = {}
     by_person_dod: dict[int, list[int]] = {}
     for ep in read_episodes(out / "run" / "episodes.csv"):
-        by_person_start.setdefault(ep.person_id, []).append(ep.start_date.toordinal())
-        by_person_dod.setdefault(ep.person_id, []).append(ep.dod.toordinal())
+        by_person_start.setdefault(ep.person_id, []).append(ep.start_day)
+        by_person_dod.setdefault(ep.person_id, []).append(ep.dod_day)
     for days in by_person_start.values():
         check(days)
     for days in by_person_dod.values():
@@ -163,10 +163,10 @@ def test_6_noise_robustness(ga_registry, dod_registry, ga_table):
     for person_id, records in truth_by_person.items():
         starts = infer_gestation_starts(person_id, build_candidates(events_by_person[person_id], ga_table))
         assert len(starts) == len(records), "episode count changed under conflict noise"
-        for record, start in zip(sorted(records, key=lambda r: r.true_start), starts):
+        for record, start in zip(sorted(records, key=lambda r: r.true_start_day), starts):
             spec = ga_registry.get(start.anchor_concept_id)
             half_range_days = 7 * (spec.week_high - spec.week_low + 1) / 2
-            delta = abs(start.start_day - record.true_start.toordinal())
+            delta = abs(start.start_day - record.true_start_day)
             assert delta <= half_range_days
     print("ACCEPTANCE 6 noise-robustness: PASS (300 persons, conflict rate 1.0)")
 

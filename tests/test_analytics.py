@@ -30,9 +30,11 @@ INDEX = 900000001
 
 
 def episode(start, dod, person_id=1, index=1):
+    """An episode from its start and delivery dates, which it holds as day ordinals."""
     gestation = (dod - start).days
     return PregnancyEpisode(
-        person_id, index, start, dod, gestation, AccuracyLevel.HIGH, 1, extreme_flag_of(gestation), False
+        person_id, index, start.toordinal(), dod.toordinal(), gestation, AccuracyLevel.HIGH, 1,
+        extreme_flag_of(gestation), False,
     )
 
 
@@ -294,7 +296,7 @@ class TestStratifiedTable:
         for ep in ep2:
             episodes.append(
                 PregnancyEpisode(
-                    ep.person_id + offset, ep.episode_index, ep.start_date, ep.dod, ep.gestation_days,
+                    ep.person_id + offset, ep.episode_index, ep.start_day, ep.dod_day, ep.gestation_days,
                     ep.ga_accuracy, ep.dod_domain_rank, ep.extreme_flag, ep.conflict_flag,
                 )
             )
@@ -400,7 +402,8 @@ class TestTableOracle:
             persons, events, episodes = self.random_instance(rng)
             for ep in episodes:
                 if rng.random() < 0.2:
-                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, ep.dod))
+                    dod = date.fromordinal(ep.dod_day)
+                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, dod))
             if trial % 2:
                 windows = {
                     "pre_window": (date(2018, 6, 1), date(2019, 12, 31)),
@@ -424,22 +427,23 @@ class TestTableOracle:
                 histogram = {int(week): int(n) for week, n in list(csv.reader(fh))[1:]}
             assert histogram == histogram_reference(episodes, events, index_concepts)
             for ep in episodes:
+                dod = date.fromordinal(ep.dod_day)
                 person = persons.get(ep.person_id)
                 if person is None:
                     seen.add("missing person")
                 else:
-                    age = ep.dod.year - person.birth_date.year
+                    age = dod.year - person.birth_date.year
                     if not 16 <= age <= 49:
                         seen.add("age outside bands")
                     if person.ethnicity in ("Hispanic or Latino", "HISPANIC") and person.race.strip():
                         seen.add("ethnicity overrides race")
                     if person.ethnicity == "Non-Hispanic" and race_category_of(person.race, person.ethnicity) != "Other/unknown":
                         seen.add("non-hispanic uses race")
-                if config.stratum_of(ep.dod) is None:
+                if config.stratum_of(dod) is None:
                     seen.add("dropped by windows")
-                if any(e.event_date > ep.dod for e in events[ep.person_id]):
+                if any(e.event_date > dod for e in events[ep.person_id]):
                     seen.add("event after delivery")
-                if any(e.concept_id == INDEX + 1 and e.event_date <= ep.dod for e in events[ep.person_id]):
+                if any(e.concept_id == INDEX + 1 and e.event_date <= dod for e in events[ep.person_id]):
                     seen.add("index event meets a condition set")
         assert seen == {
             "missing person", "age outside bands", "ethnicity overrides race", "non-hispanic uses race",
@@ -461,7 +465,8 @@ class TestTableOracle:
             _, events, episodes = self.random_instance(rng)
             for ep in episodes:
                 if rng.random() < 0.2:
-                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, ep.dod))
+                    dod = date.fromordinal(ep.dod_day)
+                    events[ep.person_id].append(ClinicalEvent(ep.person_id, INDEX + 1, Domain.CONDITION, dod))
             write_clinical_events(config.events_path, [e for person_events in events.values() for e in person_events])
             write_episodes(config.episodes_path, episodes)
             rows = run_timeline(config)
@@ -474,15 +479,16 @@ class TestTableOracle:
             exposures = first_day_exposures(episodes, first_days, ())
             assert infection_week_histogram(exposures) == histogram_reference(episodes, events, index_concepts)
             for ep in episodes:
+                start, dod = date.fromordinal(ep.start_day), date.fromordinal(ep.dod_day)
                 person_events = events[ep.person_id]
                 if not person_events:
                     seen.add("person with no events")
                 for e in person_events:
                     if e.concept_id in index_concepts:
-                        if e.event_date < ep.start_date:
+                        if e.event_date < start:
                             seen.add("index before start")
-                        elif e.event_date == ep.dod:
+                        elif e.event_date == dod:
                             seen.add("index on delivery day")
-                        elif e.event_date > ep.dod:
+                        elif e.event_date > dod:
                             seen.add("index after delivery")
         assert seen == {"person with no events", "index before start", "index on delivery day", "index after delivery"}

@@ -651,6 +651,16 @@ class TestTimelineAndStats:
         assert capsys.readouterr().out == printed
 
 
+# Episode rows that agree with themselves but that infer never writes, each with the error that names it.
+BAD_EPISODE_ROWS = [
+    ("1,0,2020-01-01,2020-10-01,274,high,1,none,false", "episode_index 0 is below 1"),
+    ("-5,-1,2020-01-01,2020-10-01,274,high,9,none,false", "episode_index -1 is below 1"),
+    ("1,1,2020-01-01,2020-10-01,274,high,9,none,false", "dod_domain_rank 9 is not one of [1, 2, 3]"),
+    ("1,1,2020-01-01,2020-10-01,274,high,0,none,false", "dod_domain_rank 0 is not one of [1, 2, 3]"),
+]
+BAD_EPISODE_ROW_IDS = ["index-0", "index-negative", "rank-9", "rank-0"]
+
+
 class TestTableDialect:
     @pytest.mark.parametrize(
         "table, content, expected",
@@ -660,6 +670,8 @@ class TestTableDialect:
             ("truth", "person_id,episode_index,true_start,true_dod,index_event_week\n\n1,1,2020-01-01\n",
              "{path}:3: expected 5 fields, got 3"),
             ("truth", "person,episode\n1,1\n", "{path}: bad header"),
+            ("truth", "person_id,episode_index,true_start,true_dod,index_event_week\n1,1,2020-01-01,2020-10-01,-3\n",
+             "{path}:2: index_event_week -3 is negative"),
             ("episodes", "", "{path}: empty file, expected header"),
             *(
                 ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-01-01,2020-10-01,274,high,1,none,{flag}\n",
@@ -676,10 +688,16 @@ class TestTableDialect:
             # Agrees with itself, but no pregnancy ends before it starts.
             ("episodes", f"{','.join(EPISODE_HEADER)}\n1,1,2020-10-01,2020-01-01,-274,high,1,short,false\n",
              "{path}:2: gestation_days -274: dod 2020-01-01 is not after start_date 2020-10-01"),
+            # infer numbers episodes from 1 and ranks deliveries 1-3 (procedure, condition, observation).
+            *(
+                ("episodes", f"{','.join(EPISODE_HEADER)}\n{row}\n", f"{{path}}:2: {message}")
+                for row, message in BAD_EPISODE_ROWS
+            ),
         ],
-        ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "episodes-empty",
+        ids=["truth-bad-date", "truth-short-row", "truth-bad-header", "truth-negative-week", "episodes-empty",
              "conflict-flag-yes", "conflict-flag-True", "conflict-flag-empty",
-             "gestation-days-off-dates", "extreme-flag-off-gestation", "episode-repeated", "dod-before-start"],
+             "gestation-days-off-dates", "extreme-flag-off-gestation", "episode-repeated", "dod-before-start",
+             *(f"episode-{name}" for name in BAD_EPISODE_ROW_IDS)],
     )
     def test_malformed_table_exit_2_naming_file(self, sim_dir, tmp_path, capsys, table, content, expected):
         assert run_infer(sim_dir, tmp_path / "run") == 0
@@ -691,6 +709,17 @@ class TestTableDialect:
         assert code == 2
         err = capsys.readouterr().err
         assert expected.format(path=paths[table]) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["timeline", "stats"])
+    @pytest.mark.parametrize("row, message", BAD_EPISODE_ROWS, ids=BAD_EPISODE_ROW_IDS)
+    def test_episode_index_and_rank_out_of_range_exit_2_in_timeline_and_stats(
+        self, sim_dir, tmp_path, capsys, command, row, message
+    ):
+        episodes = tmp_path / "episodes.csv"
+        episodes.write_text(f"{','.join(EPISODE_HEADER)}\n{row}\n")
+        assert main(analytics_argv(command, sim_dir, episodes, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{episodes}:2: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["20200503", "2020-W19-7"], ids=["basic-format", "iso-week"])
     @pytest.mark.parametrize("table, field", [("events", 3), ("persons", 1), ("episodes", 2)])

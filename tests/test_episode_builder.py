@@ -35,13 +35,15 @@ def make_dod(dod, person_id=1, rank=1):
 
 
 def timing_of(event_date, ep):
-    return gestational_week_of(event_date.toordinal(), ep.start_date.toordinal())
+    return gestational_week_of(event_date.toordinal(), ep.start_day)
 
 
 def episode(start, dod, person_id=1, index=1):
+    """An episode from its start and delivery dates, which it holds as day ordinals."""
     gestation = (dod - start).days
     return PregnancyEpisode(
-        person_id, index, start, dod, gestation, AccuracyLevel.HIGH, 1, extreme_flag_of(gestation), False
+        person_id, index, start.toordinal(), dod.toordinal(), gestation, AccuracyLevel.HIGH, 1,
+        extreme_flag_of(gestation), False,
     )
 
 
@@ -63,9 +65,9 @@ class TestMatchEpisodes:
         starts = [make_start(date(2019, 12, 10)), make_start(date(2020, 11, 1))]
         dods = [make_dod(date(2020, 9, 15)), make_dod(date(2021, 7, 20))]
         episodes, diag = match_episodes(starts, dods)
-        assert [(e.start_date, e.dod) for e in episodes] == [
-            (date(2019, 12, 10), date(2020, 9, 15)),
-            (date(2020, 11, 1), date(2021, 7, 20)),
+        assert [(e.start_day, e.dod_day) for e in episodes] == [
+            (date(2019, 12, 10).toordinal(), date(2020, 9, 15).toordinal()),
+            (date(2020, 11, 1).toordinal(), date(2021, 7, 20).toordinal()),
         ]
         assert [e.episode_index for e in episodes] == [1, 2]
 
@@ -82,8 +84,8 @@ class TestMatchEpisodes:
                 for d in np.unique(rng.integers(0, 1500, size=rng.integers(0, 5)))
             ]
             episodes, diag = match_episodes(starts, dods)
-            used_starts = [e.start_date for e in episodes]
-            used_dods = [e.dod for e in episodes]
+            used_starts = [e.start_day for e in episodes]
+            used_dods = [e.dod_day for e in episodes]
             assert len(set(used_starts)) == len(used_starts)
             assert len(set(used_dods)) == len(used_dods)
             assert len(episodes) + len(diag.unmatched_starts) == len(starts)
@@ -99,7 +101,7 @@ class TestMatchEpisodes:
             dods = [date.fromordinal(base + d) for d in dod_days]
             episodes, diag = match_episodes([make_start(s) for s in starts], [make_dod(d) for d in dods])
             pairs, leftover_starts, leftover_dods = match_reference(starts, dods)
-            assert sorted((e.start_date, e.dod) for e in episodes) == pairs
+            assert sorted((date.fromordinal(e.start_day), date.fromordinal(e.dod_day)) for e in episodes) == pairs
             assert sorted(date.fromordinal(s.start_day) for s in diag.unmatched_starts) == leftover_starts
             assert sorted(date.fromordinal(d.dod_day) for d in diag.unmatched_dods) == leftover_dods
 
@@ -201,7 +203,7 @@ class TestGestationalWeek:
     def test_monotone_in_event_date(self):
         previous = -1
         for offset in range(-20, 300):
-            timing = timing_of(self.EPISODE.start_date + timedelta(days=offset), self.EPISODE)
+            timing = timing_of(date.fromordinal(self.EPISODE.start_day) + timedelta(days=offset), self.EPISODE)
             assert timing.week >= previous
             previous = timing.week
 
@@ -232,6 +234,15 @@ class TestEpisodeIO:
         loaded = read_episodes(path)
         assert loaded == episodes
         assert loaded[1].extreme_flag is ExtremeFlag.SHORT
+        # The start and delivery come back as the int day ordinals match_episodes holds.
+        matched, _ = match_episodes([make_start(date(2019, 12, 10))], [make_dod(date(2020, 9, 15))])
+        write_episodes(path, matched)
+        loaded = read_episodes(path)
+        assert loaded == matched
+        assert [(type(e.start_day), type(e.dod_day)) for e in loaded] == [(int, int)]
+        assert [(e.start_day, e.dod_day) for e in loaded] == [(e.start_day, e.dod_day) for e in matched] == [
+            (date(2019, 12, 10).toordinal(), date(2020, 9, 15).toordinal())
+        ]
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -261,7 +272,13 @@ class TestEpisodeTableMemory:
 
         cohort = generate_cohort(SynthConfig(seed=3, n_persons=10_000), ga_registry, dod_registry)
         path = tmp_path / "episodes.csv"
-        write_episodes(path, [episode(t.true_start, t.true_dod, t.person_id, t.episode_index) for t in cohort.truth])
+        write_episodes(
+            path,
+            [
+                episode(date.fromordinal(t.true_start_day), date.fromordinal(t.true_dod_day), t.person_id, t.episode_index)
+                for t in cohort.truth
+            ],
+        )
         tracemalloc.start()
         try:
             episodes = read_episodes(path)

@@ -3,9 +3,9 @@
 The drawn files come in (person, episode index) order or out of it, with blank
 lines, a byte-order mark, quoted CRLF rows, identical duplicate persons, and a
 block size cut down so that rows straddle blocks. One row may be corrupted: a
-bad int, date or token, a contradicting gestation or flag, backwards dates, a
-repeat of an earlier row's key, a conflicting person, or a birth date after
-today. A file that loads must give what the reference gives; one that fails
+bad int, date or token, an episode index below 1 or a rank outside 1-3, a
+contradicting gestation or flag, backwards dates, a repeat of an earlier row's
+key, a conflicting person, or a birth date after today. A file that loads must give what the reference gives; one that fails
 must fail with the same `path:line: message`. The writers of episodes.csv and
 timing.csv must write the bytes a list per row through `csv.writer` would.
 """
@@ -35,6 +35,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 BASE = date(2019, 1, 1)
+BASE_DAY = BASE.toordinal()
 INDEX = 900000001
 FLAGS = ("none", "short", "long")
 
@@ -65,7 +66,7 @@ person_rows = st.lists(
     unique_by=lambda row: row[0],
 ).map(lambda rows: [[str(p), (date(1960, 1, 1) + timedelta(days=d)).isoformat(), *texts] for p, d, *texts in rows])
 position = st.integers(0, 10**6)
-bad_texts = st.sampled_from(["x", "", "1.5", "+2", " 3", "0", "Long", "TRUE", "high ", "2020-02-30", "20200101", "a,b"])
+bad_texts = st.sampled_from(["x", "", "1.5", "+2", " 3", "0", "-5", "4", "Long", "TRUE", "high ", "2020-02-30", "20200101", "a,b"])
 episode_faults = st.none() | st.one_of(
     st.tuples(st.just("text"), position, st.integers(0, 8), bad_texts),
     st.tuples(st.sampled_from(["gestation", "flag", "backwards", "same-day"]), position, st.none(), st.none()),
@@ -208,7 +209,7 @@ episodes_drawn = st.lists(
     unique_by=lambda row: row[:2],
 ).map(
     lambda rows: [
-        PregnancyEpisode(p, i, BASE + timedelta(days=s), BASE + timedelta(days=s + g), g, a, r, extreme_flag_of(g), c)
+        PregnancyEpisode(p, i, BASE_DAY + s, BASE_DAY + s + g, g, a, r, extreme_flag_of(g), c)
         for p, i, s, g, a, r, c in rows
     ]
 )

@@ -133,14 +133,21 @@ class TestMatrixCsv:
 
 
 def make_episode(person_id, index, start, dod):
+    """An episode from its start and delivery dates, which it holds as day ordinals."""
     return PregnancyEpisode(
-        person_id, index, start, dod, (dod - start).days, AccuracyLevel.HIGH, 1, ExtremeFlag.NONE, False
+        person_id, index, start.toordinal(), dod.toordinal(), (dod - start).days, AccuracyLevel.HIGH, 1,
+        ExtremeFlag.NONE, False,
     )
+
+
+def make_truth(person_id, index, start, dod):
+    """A truth record from its start and delivery dates, which it holds as day ordinals."""
+    return TruthRecord(person_id, index, start.toordinal(), dod.toordinal(), None)
 
 
 class TestRoundTripScore:
     def test_lossless(self):
-        truth = [TruthRecord(1, 1, date(2020, 1, 1), date(2020, 10, 7), None)]
+        truth = [make_truth(1, 1, date(2020, 1, 1), date(2020, 10, 7))]
         episodes = [make_episode(1, 1, date(2020, 1, 1), date(2020, 10, 7))]
         report = round_trip_score(truth, episodes)
         assert report.exact_start == report.exact_dod == 1.0
@@ -148,7 +155,7 @@ class TestRoundTripScore:
         assert report.episode_count_match == 1.0
 
     def test_near_miss_counts_in_window_not_exact(self):
-        truth = [TruthRecord(1, 1, date(2020, 1, 1), date(2020, 10, 7), None)]
+        truth = [make_truth(1, 1, date(2020, 1, 1), date(2020, 10, 7))]
         episodes = [make_episode(1, 1, date(2020, 1, 5), date(2020, 10, 7))]
         report = round_trip_score(truth, episodes)
         assert report.exact_start == 0.0
@@ -156,8 +163,8 @@ class TestRoundTripScore:
 
     def test_missing_episode_is_count_mismatch(self):
         truth = [
-            TruthRecord(1, 1, date(2019, 1, 1), date(2019, 10, 7), None),
-            TruthRecord(1, 2, date(2020, 6, 1), date(2021, 3, 8), None),
+            make_truth(1, 1, date(2019, 1, 1), date(2019, 10, 7)),
+            make_truth(1, 2, date(2020, 6, 1), date(2021, 3, 8)),
         ]
         episodes = [make_episode(1, 1, date(2019, 1, 1), date(2019, 10, 7))]
         report = round_trip_score(truth, episodes)
@@ -165,7 +172,7 @@ class TestRoundTripScore:
         assert report.exact_start == 0.5
 
     def test_person_absent_from_inference_counts_as_miss(self):
-        truth = [TruthRecord(7, 1, date(2020, 1, 1), date(2020, 10, 7), None)]
+        truth = [make_truth(7, 1, date(2020, 1, 1), date(2020, 10, 7))]
         report = round_trip_score(truth, [])
         assert report.exact_start == 0.0
         assert report.episode_count_match == 0.0

@@ -6,15 +6,25 @@ the generator: `simulate --seed 77 --n-persons 300 --index-rate 0.9
 --drop-ga 0.1 --conflict-ga 0.15 --shift 0.3 --shift-max-days 30 --drop-dod
 0.1 --pre-index 0.3`, digested as written. The `sim_clean/` digests pin its
 noise-free path: the same command without the noise flags. infer, timeline
-and stats read that cohort from `data/golden/` instead: its events.csv and
+and stats read a cohort frozen in `data/golden/` instead: its events.csv and
 index_concepts.csv, and its persons.csv with every 50th person dropped so
-that quarantine has rows. Their digests do not depend on the generator.
+that quarantine has rows. Their digests do not depend on the generator. That
+cohort came from the same command under an earlier generator, so its events
+are not those of `sim/`, and `sim/truth.csv` is not its truth.
 
 The `sim_dense/` digests pin the generator's dense shape through the
 library: a 200-person seed-77 cohort with the benchmark's infer_dense
 settings (6/4/4/16 GA events and 8 delivery events per gestation, every
 noise channel on). It samples more than 5 items on both of `sample`'s
 branches: the pool for visit weeks, the set for delivery concepts.
+
+The `run_wide/` and `stats_windows/` digests and the evaluate text pin the
+paths that turn episode days into dates outside the default run: `infer
+--no-cohort-filters --match-min 100 --match-max 320` over `data/golden/`,
+`stats --unsuppressed --config` with pre/peri windows over its episodes, and
+`evaluate --truth` of the same infer over `sim/`, whose truth is at hand.
+They were recorded with the code of commit 2674de3, before episodes held day
+ordinals.
 
 A refactor that keeps behaviour keeps these; a deliberate output change
 updates them and says why.
@@ -62,6 +72,24 @@ DENSE_EXPECTED = {
     "sim_dense/truth.csv": "f77dd7b7c924deb0f13d4d05d4d6a262a295a3a06bba8c0d121e0f1a4b07c83e",
 }
 
+WIDE_EXPECTED = {
+    "run_wide/episodes.csv": "d2aa0c6f4087e349e0ca85156d1f697db44b98b13d4940d5882fdaf86fcb971a",
+    "run_wide/excluded_episodes.csv": "0060be2ca75eb057ffdb0e4fb79a5f49cf71e3c95dc1716cb0b187a20d53e074",
+    "run_wide/quarantine.csv": "51b33a0c2a3737a3e174731e3e2685d4e5d23720eb57829b966f9c6d2f1b6217",
+    "run_wide/summary.json": "99f0af4e3cb724e6a35391fe02fc2986e4ef752f444776eeb5e99f1e035eb908",
+    "run_wide/unmatched_dods.csv": "b804e76a098fb8fde24ebcdf24c27efdcd9f1fb271c1a34f95dfc9e9ea25cbe1",
+    "run_wide/unmatched_starts.csv": "7bdd0c70cefee2e4a248e31b2b223f0627e5a904a3c87fdab04410991dbde468",
+    "stats_windows/histogram.csv": "9eb2bebc46b3b077422425a8f622d9bb5d477f9a08b18c36d0b4063b839025b3",
+    "stats_windows/report.csv": "f5a188d78421cbda59934324cebfd055b064ff709cccef4763a1ef666ebee869",
+    "stats_windows/report.md": "6661d8944a7a13a47eb9353832dbae690eebff9154968a6e1ff810051450ec1a",
+}
+WIDE_EVALUATE_STDOUT = (
+    "truth_episodes=327 inferred_episodes=318 persons=300\n"
+    "exact_start=0.7095 start_within_7d=0.7737\n"
+    "exact_dod=0.6544 dod_within_1d=0.6606\n"
+    "episode_count_match=0.9700\n"
+)
+
 
 def _digests(*directories):
     return {
@@ -75,7 +103,7 @@ FIXTURE = Path(__file__).parent / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory, ga_registry, dod_registry):
+def golden_root(tmp_path_factory, ga_registry, dod_registry):
     root = tmp_path_factory.mktemp("golden")
     sim, sim_clean, run, timeline, stats = (root / name for name in ("sim", "sim_clean", "run", "timeline", "stats"))
     simulate = ["simulate", "--seed", "77", "--n-persons", "300", "--index-rate", "0.9"]
@@ -99,11 +127,38 @@ def outputs(tmp_path_factory, ga_registry, dod_registry):
         ["stats", *common, "--persons", persons, "--out", str(stats), "--unsuppressed",
          *(f"--condition={name}={root / name}.csv" for name in conditions)]
     ) == 0
-    return _digests(sim, sim_clean, run, timeline, stats)
+    return root
+
+
+@pytest.fixture(scope="module")
+def outputs(golden_root):
+    return _digests(*(golden_root / name for name in ("sim", "sim_clean", "run", "timeline", "stats")))
 
 
 def test_outputs_match_recorded_digests(outputs):
     assert outputs == EXPECTED
+
+
+def test_unfiltered_windowed_and_scored_outputs_match_recorded_digests(golden_root, capsys):
+    # The paths that turn episode days back into dates: an unfiltered infer with wide matching bounds, which
+    # keeps episodes the cohort rules would drop; stats with pre/peri windows over its episodes; and the
+    # round-trip score of the same infer over the generated cohort, whose truth the fixture does not have.
+    wide = ["--no-cohort-filters", "--match-min", "100", "--match-max", "320"]
+    run, stats, sim_run = (golden_root / name for name in ("run_wide", "stats_windows", "sim_run_wide"))
+    persons, events = str(FIXTURE / "persons.csv"), str(FIXTURE / "events.csv")
+    assert main(["infer", "--persons", persons, "--events", events, "--out", str(run), *wide]) == 0
+    windows = golden_root / "windows.json"
+    windows.write_text('{"pre_window": ["2018-06-01", "2020-02-29"], "peri_window": ["2020-05-01", "2021-05-31"]}')
+    assert main(["stats", "--episodes", str(run / "episodes.csv"), "--events", events, "--persons", persons,
+                 "--index-events", str(FIXTURE / "index_concepts.csv"), "--out", str(stats), "--unsuppressed",
+                 "--config", str(windows)]) == 0
+    sim = golden_root / "sim"
+    assert main(["infer", "--persons", str(sim / "persons.csv"), "--events", str(sim / "events.csv"),
+                 "--out", str(sim_run), *wide]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--truth", str(sim / "truth.csv"), "--episodes", str(sim_run / "episodes.csv")]) == 0
+    assert capsys.readouterr().out == WIDE_EVALUATE_STDOUT
+    assert _digests(run, stats) == WIDE_EXPECTED
 
 
 def test_dense_cohort_matches_recorded_digests(tmp_path, ga_registry, dod_registry):

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from datetime import date, timedelta
+from datetime import date
 
 import pytest
 
@@ -92,14 +92,13 @@ class TestValidity:
             ga_spec = ga_registry.get(concept_id)
             dod_spec = dod_registry.get(concept_id)
             assert ga_spec is not None or dod_spec is not None
-            event_date = date.fromordinal(day)
             if ga_spec is not None:
                 # The event's gestation (completed weeks) lies in the concept range.
-                owner = next(t for t in truth_by_person[person_id] if t.true_start <= event_date <= t.true_dod)
-                weeks = (event_date - owner.true_start).days // 7
+                owner = next(t for t in truth_by_person[person_id] if t.true_start_day <= day <= t.true_dod_day)
+                weeks = (day - owner.true_start_day) // 7
                 assert ga_spec.week_low <= weeks <= ga_spec.week_high
             else:
-                assert any(t.true_dod == event_date for t in truth_by_person[person_id])
+                assert any(t.true_dod_day == day for t in truth_by_person[person_id])
 
     def test_truth_separation(self, ga_registry, dod_registry):
         cohort = generate_cohort(SynthConfig(seed=6, n_persons=200), ga_registry, dod_registry)
@@ -107,14 +106,14 @@ class TestValidity:
         for record in cohort.truth:
             by_person.setdefault(record.person_id, []).append(record)
         for records in by_person.values():
-            starts = sorted(r.true_start.toordinal() for r in records)
-            dods = sorted(r.true_dod.toordinal() for r in records)
+            starts = sorted(r.true_start_day for r in records)
+            dods = sorted(r.true_dod_day for r in records)
             assert all(b - a > 270 for a, b in zip(starts, starts[1:]))
             assert all(b - a > 270 for a, b in zip(dods, dods[1:]))
 
     def test_deliveries_inside_window(self, ga_registry, dod_registry):
         cohort = generate_cohort(SynthConfig(seed=7, n_persons=100), ga_registry, dod_registry)
-        assert all(COHORT_WINDOW[0] <= t.true_dod <= COHORT_WINDOW[1] for t in cohort.truth)
+        assert all(COHORT_WINDOW[0] <= date.fromordinal(t.true_dod_day) <= COHORT_WINDOW[1] for t in cohort.truth)
 
 
 class TestRoundTrip:
@@ -127,9 +126,9 @@ class TestRoundTrip:
         for person_id, records in truth_by_person.items():
             episodes = inferred.get(person_id, [])
             assert len(episodes) == len(records)
-            for record, episode in zip(sorted(records, key=lambda r: r.true_start), episodes):
-                assert episode.start_date == record.true_start
-                assert episode.dod == record.true_dod
+            for record, episode in zip(sorted(records, key=lambda r: r.true_start_day), episodes):
+                assert episode.start_day == record.true_start_day
+                assert episode.dod_day == record.true_dod_day
 
 
 class TestNoise:
@@ -185,7 +184,7 @@ class TestNoise:
         for person_id, records in truth_by_person.items():
             for record in records:
                 assert any(
-                    row[1] == person_id and record.true_start.toordinal() <= row[3] <= record.true_dod.toordinal()
+                    row[1] == person_id and record.true_start_day <= row[3] <= record.true_dod_day
                     for row in conflict_rows
                 )
         # conflicting records disagree with truth by more than the conflict window
@@ -197,8 +196,8 @@ class TestNoise:
         for person_id, records in truth_by_person.items():
             episodes = inferred[person_id]
             assert len(episodes) == len(records)
-            for record, episode in zip(sorted(records, key=lambda r: r.true_start), episodes):
-                assert episode.start_date == record.true_start
+            for record, episode in zip(sorted(records, key=lambda r: r.true_start_day), episodes):
+                assert episode.start_day == record.true_start_day
 
     def test_pre_pregnancy_index_rewrites_truth_week(self, ga_registry, dod_registry):
         config = SynthConfig(
@@ -310,7 +309,7 @@ class TestTextWriters:
         write_truth(tmp_path / "shuffled.csv", shuffled)
         assert (tmp_path / "shuffled.csv").read_bytes() == paths["truth"].read_bytes()
         # Records that tie on (person, episode) keep the order they were given.
-        tied = shuffled + [t._replace(true_dod=t.true_dod + timedelta(days=1)) for t in shuffled[:20]]
+        tied = shuffled + [t._replace(true_dod_day=t.true_dod_day + 1) for t in shuffled[:20]]
         write_truth(tmp_path / "tied.csv", tied)
         truth_reference(tmp_path / "tied_reference.csv", tied)
         assert (tmp_path / "tied.csv").read_bytes() == (tmp_path / "tied_reference.csv").read_bytes()
