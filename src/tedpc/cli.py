@@ -96,9 +96,9 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
 
 
 def _cmd_infer(args: argparse.Namespace) -> None:
-    # `infer` is single-threaded; --threads 1 is accepted, and ignored, for existing scripts.
+    # `infer` runs in one thread; --threads 1 is accepted, and ignored, for existing scripts.
     if args.threads not in (None, 1):
-        raise ConfigError(f"--threads accepts only 1 (infer is single-threaded), got {args.threads}")
+        raise ConfigError(f"--threads accepts only 1 (infer runs in one thread), got {args.threads}")
     config = _load_run_config(args, "persons_path", "events_path")
     summary = run_infer(config)
     print(f"episodes={summary['episodes']} unmatched_starts={summary['unmatched_starts']} unmatched_dods={summary['unmatched_dods']}")
@@ -210,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-days", dest="window_days", type=int)
     p.add_argument("--match-min", dest="match_min_days", type=int)
     p.add_argument("--match-max", dest="match_max_days", type=int)
-    p.add_argument("--threads", type=int, help="accepted only as 1, for existing scripts")
+    p.add_argument(
+        "--threads",
+        type=int,
+        help="accepted only as 1, for existing scripts; infer runs in one thread, and reads a large"
+        " events.csv on two CPUs where two are usable whatever this says",
+    )
     p.add_argument("--emit-cohorts", dest="emit_cohorts", action="store_const", const=True, default=None)
     p.add_argument(
         "--no-cohort-filters",

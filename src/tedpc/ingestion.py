@@ -11,8 +11,18 @@ the calendar rules and in written text.
 Events referencing unknown persons are quarantined as whole rows, never
 dropped silently. `load_events` is the one reader of events.csv: it groups the
 events of one concept map and, given labels, keeps each label's first day per
-person in the same pass. `write_events` writes a flat `[person id, day
-ordinal, concept id, ...]` list, as the generator holds its events.
+person in the same pass. A large, plain, regular events.csv is read in two
+processes where two CPUs can be used: a forked child scans the half after the
+first line end past the middle byte while this process scans the first, with
+the same parsers and checks, and the halves are joined in file order. Each
+person's list is this process's part, then the child's; quarantined rows keep
+file order; the domain mismatch shown is the first in the file; each first day
+is the earlier of the two. Any doubt in either half (a bad row, text that is
+not UTF-8, a child that fails or dies) sends the whole file through the read
+in one process, which names the first bad row, so the result and every message
+are those of one process. `write_events` writes a flat
+`[person id, day ordinal, concept id, ...]` list, as the generator holds its
+events.
 """
 
 from __future__ import annotations
@@ -20,13 +30,13 @@ from __future__ import annotations
 import logging
 from datetime import date
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, not_
 from pathlib import Path
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .concept_registry import Domain
-from .csvio import Memo, columns, iso_date, iso_text, write_lines, write_rows
+from .csvio import Memo, columns, forked, iso_date, iso_text, span_columns, split_point, write_lines, write_rows
 
 logger = logging.getLogger(__name__)
 
@@ -148,27 +158,56 @@ def load_events(
 
     The file is parsed a block of rows at a time (`csvio.columns`): the fields
     of a block are parsed and checked a column at a time, and Python code runs
-    per row only for the rows grouped, labelled or quarantined.
+    per row only for the rows grouped, labelled or quarantined. A large plain
+    file is read in two processes where two CPUs can be used
+    (`csvio.split_point`): a forked child scans the second half while this
+    process scans the first, and the halves are joined in file order. On any
+    doubt in either half the whole file is read again as one, so a bad row is
+    named as it would be without the split.
     """
-    by_person: dict[int, list[int]] = {}
-    firsts: dict[object, dict[int, int]] = {}
-    # Each labelled concept -> the first-day dicts of its labels.
-    targets = {
-        concept_id: tuple(firsts.setdefault(label, {}) for label in concept_labels)
-        for concept_id, concept_labels in (labels or {}).items()
-    }
-    quarantined: list[tuple[int, int, int, Domain]] = []
-    mismatches = 0
-    mismatch_sample: ClinicalEvent | None = None
     # Concept ids, dates and domains repeat across rows: each distinct text is
     # parsed and checked once, and its value is held once.
     concept_ids = Memo(int)
     days = Memo(_event_day)
     domains = Memo(Domain.parse)
     parsers = (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
+    scan = partial(_scan, concepts=concepts, known_persons=known_persons, labels=labels or {})
+    result = _scan_halves(path, parsers, scan) or scan(columns(path, EVENT_HEADER, parsers))
+    by_person, quarantined, total, mismatches, sample, firsts = result
+    if quarantined:
+        logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
+    if mismatches:
+        person_id, day, concept_id, domain = sample
+        logger.warning(
+            "%s: %d events disagree with the registry domain for their concept, e.g. %s",
+            path,
+            mismatches,
+            ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)),
+        )
+    logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
+    return EventTable(by_person, quarantined, total, mismatches, firsts)
+
+
+# What `_scan` returns: grouped lists, quarantined rows, rows read, domain mismatches, the first mismatched row
+# (or None) and the first days, each as in EventTable; rows are `(person id, day, concept id, domain)`.
+_Scanned = tuple[dict[int, list[int]], list, int, int, tuple | None, dict[object, dict[int, int]]]
+
+
+def _scan(blocks: Iterable[list[list]], concepts, known_persons, labels: dict[int, tuple]) -> _Scanned:
+    """`load_events`' pass over a file's parsed blocks, or over a span of them."""
+    by_person: dict[int, list[int]] = {}
+    firsts: dict[object, dict[int, int]] = {}
+    # Each labelled concept -> the first-day dicts of its labels.
+    targets = {
+        concept_id: tuple(firsts.setdefault(label, {}) for label in concept_labels)
+        for concept_id, concept_labels in labels.items()
+    }
+    quarantined: list[tuple[int, int, int, Domain]] = []
+    mismatches = 0
+    sample = None
     grouped, labelled = concepts.__contains__, targets.__contains__
     total = 0
-    for person_col, concept_col, domain_col, day_col in columns(path, EVENT_HEADER, parsers):
+    for person_col, concept_col, domain_col, day_col in blocks:
         total += len(person_col)
         known = None if known_persons is None else list(map(known_persons.__contains__, person_col))
         if known is not None and False in known:
@@ -178,25 +217,61 @@ def load_events(
             expected = concepts[concept_id]
             if expected is not None and expected is not domain:
                 mismatches += 1
-                if mismatch_sample is None:
-                    mismatch_sample = ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day))
+                if sample is None:
+                    sample = (person_id, day, concept_id, domain)
             by_person.setdefault(person_id, []).extend((day, concept_id))
         if targets:
             for person_id, day, concept_id, _ in _kept(person_col, day_col, concept_col, domain_col, labelled, known):
                 for first in targets[concept_id]:
                     if first.setdefault(person_id, day) > day:
                         first[person_id] = day
-    if quarantined:
-        logger.warning("%s: quarantined %d events referencing unknown persons", path, len(quarantined))
-    if mismatches:
-        logger.warning(
-            "%s: %d events disagree with the registry domain for their concept, e.g. %s",
-            path,
-            mismatches,
-            mismatch_sample,
-        )
-    logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
-    return EventTable(by_person, quarantined, total, mismatches, firsts)
+    return by_person, quarantined, total, mismatches, sample, firsts
+
+
+def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _Scanned]) -> _Scanned | None:
+    """`scan` over the whole file as two halves, the second in a forked child, joined in file order.
+
+    None when the file does not qualify (`csvio.split_point`), or on any doubt:
+    either half fails, the child dies, or its payload is malformed.
+    """
+    cut = split_point(path)
+    if cut is None:
+        return None
+
+    def second_half() -> tuple:
+        # The child's result as plain data: domains as their texts, and each label's first days, in label
+        # order, as a flat `[person id, day, ...]` list, which this process holds beside its own in less room.
+        by_person, quarantined, total, mismatches, sample, firsts = scan(span_columns(path, EVENT_HEADER, parsers, cut))
+        sample = None if sample is None else (*sample[:3], sample[3].value)
+        quarantined = [(*row[:3], row[3].value) for row in quarantined]
+        flat_firsts = [list(chain.from_iterable(first.items())) for first in firsts.values()]
+        return by_person, quarantined, total, mismatches, sample, flat_firsts
+
+    try:
+        halves = forked(second_half, lambda: scan(span_columns(path, EVENT_HEADER, parsers, 0, cut)))
+        if halves is None:
+            return None
+        (by_person, quarantined, total, mismatches, sample, firsts), theirs = halves
+        their_by_person, their_quarantined, their_total, their_mismatches, their_sample, their_firsts = theirs
+        for person_id, flat in their_by_person.items():
+            mine = by_person.get(person_id)
+            if mine is None:
+                by_person[person_id] = flat
+            else:
+                mine.extend(flat)
+        quarantined += [(*row[:3], Domain(row[3])) for row in their_quarantined]
+        for first, their_first in zip(firsts.values(), their_firsts, strict=True):
+            pairs = iter(their_first)
+            for person_id, day in zip(pairs, pairs):
+                if first.setdefault(person_id, day) > day:
+                    first[person_id] = day
+        if sample is None and their_sample is not None:
+            sample = (*their_sample[:3], Domain(their_sample[3]))
+        return by_person, quarantined, total + their_total, mismatches + their_mismatches, sample, firsts
+    except Exception:
+        # Any doubt: the caller reads the whole file in one process, which names a bad row.
+        logger.debug("%s: reading in one process, as a half failed", path, exc_info=True)
+        return None
 
 
 def _kept(person_col, day_col, concept_col, domain_col, wanted, known) -> Iterator[tuple[int, int, int, Domain]]:

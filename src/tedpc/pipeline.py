@@ -9,6 +9,9 @@ map, the engine concepts or the index set, as one flat `[day, concept id, ...]`
 list of ints per person; stats groups none and keeps one first day per person
 and label, the index set labelled None and each condition set by its name.
 
+Only that scan uses a second CPU: a large events.csv is read in two
+processes, the second half by a forked child, and joined in file order, so
+every command gets the table, and writes the bytes, that one process would.
 Inference is one loop over the persons in id order, in one thread. Each
 person's list is popped off the table as the loop reaches it, so it is freed
 once that person is done. Each engine reads it as `(day, concept id)` pairs in

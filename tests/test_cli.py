@@ -1326,3 +1326,59 @@ class TestClosedStdout:
             os.close(write_end)
         assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr, result.stderr
         assert result.returncode == EXIT_BROKEN_PIPE
+
+
+def piped_argv(command, sim_dir, episodes, out_dir):
+    """The arguments of an infer, timeline or stats run over sim_dir's cohort."""
+    if command == "infer":
+        argv = ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(sim_dir / "events.csv")]
+        return argv + ["--out", str(out_dir), "--emit-cohorts"]
+    argv = analytics_argv(command, sim_dir, episodes, out_dir)
+    return argv + ["--unsuppressed"] if command == "stats" else argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipedInputs:
+    """An input that is a pipe can be read only once: it is read a row at a time, and a bad row names its line."""
+
+    CASES = [("infer", "--events"), ("infer", "--persons"), ("timeline", "--events"), ("timeline", "--episodes"),
+             ("stats", "--events"), ("stats", "--persons"), ("stats", "--episodes")]
+
+    def run_piped(self, argv, flag, data):
+        at = argv.index(flag) + 1
+        argv = [*argv[:at], "/dev/stdin", *argv[at + 1 :]]
+        src = str(Path(tedpc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # input= hands the bytes to the child through a pipe, not as a regular file.
+        return subprocess.run(
+            [sys.executable, "-c", CLOSED_STDOUT_RUN, *argv], env=env, input=data, capture_output=True
+        )
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_piped_input_writes_what_the_file_does(self, sim_dir, tmp_path, capsys, command, flag):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        episodes = tmp_path / "run" / "episodes.csv"
+        argv = piped_argv(command, sim_dir, episodes, tmp_path / "file")
+        assert main(argv) == 0
+        piped = piped_argv(command, sim_dir, episodes, tmp_path / "pipe")
+        path = Path(piped[piped.index(flag) + 1])
+        result = self.run_piped(piped, flag, path.read_bytes())
+        assert result.returncode == 0, result.stderr.decode()
+
+        def outputs(root):
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        written = outputs(tmp_path / "file")
+        assert written and outputs(tmp_path / "pipe") == written
+
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_bad_piped_row_exits_2_naming_its_line(self, sim_dir, tmp_path, command, flag):
+        assert run_infer(sim_dir, tmp_path / "run") == 0
+        argv = piped_argv(command, sim_dir, tmp_path / "run" / "episodes.csv", tmp_path / "pipe")
+        lines = Path(argv[argv.index(flag) + 1]).read_text().splitlines()
+        # Half the rows, then a row whose second field is not an int.
+        bad = lines[: len(lines) // 2 + 1] + ["1,x" + "," * (lines[0].count(",") - 1)] + lines[len(lines) // 2 + 1 :]
+        result = self.run_piped(argv, flag, ("\n".join(bad) + "\n").encode())
+        err = result.stderr.decode()
+        assert result.returncode == 2, err
+        assert f"/dev/stdin:{len(lines) // 2 + 2}:" in err and "Traceback" not in err

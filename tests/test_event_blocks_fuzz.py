@@ -6,9 +6,21 @@ quoted CRLF rows, unknown persons, labels, lines over a lowered
 `csv.field_size_limit()`, and one mutated field anywhere, header included. A
 file that loads must give the same `EventTable`, first days included; one
 that fails must fail with the same message.
+
+With so small a block, a drawn file is large enough to be read in two
+processes too (`csvio.split_point`): a forked child scans the second half.
+Those files draw a person on both sides of the split, blank lines and a BOM
+next to it, quarantined and domain-mismatched rows only after it, a quoted
+field or a mutated field on either side; the logged warnings must be those of
+a read in one process, and no child may be left behind.
 """
 
 import csv
+import logging
+import marshal
+import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -17,6 +29,7 @@ from oracles import load_events_reference
 from tedpc import csvio
 from tedpc.concept_registry import Domain
 from tedpc.errors import DataFormatError
+from tedpc import ingestion
 from tedpc.ingestion import EVENT_HEADER, load_events
 
 pytest.importorskip("hypothesis")
@@ -98,3 +111,224 @@ def test_quoted_fields_are_read_by_csv(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b\n"x",y\n')
     assert list(csvio.columns(path, ["a", "b"], (str, str))) == [[["x"], ["y"]]]
+
+
+# Concepts with the domain each is registered under; a first-half row of a split file carries its concept's domain.
+SPLIT_CONCEPTS = {400: Domain.CONDITION, 500: Domain.PROCEDURE, 444098: Domain.OBSERVATION, 4128331: None}
+DOMAIN_TEXTS = ["Condition", "Procedure", "Observation", "Measurement"]
+DAYS = ["2020-01-01", "2019-12-31", "2021-07-15"]
+clean_rows = st.lists(
+    st.tuples(
+        st.integers(1, 5), st.sampled_from(sorted(SPLIT_CONCEPTS)), st.sampled_from(DOMAIN_TEXTS), st.sampled_from(DAYS)
+    ).map(lambda row: [str(row[0]), str(row[1]), SPLIT_CONCEPTS[row[1]] or row[2], row[3]]),
+    max_size=25,
+)
+noisy_rows = st.lists(
+    st.tuples(
+        st.integers(1, 7), st.sampled_from(sorted(SPLIT_CONCEPTS)), st.sampled_from(DOMAIN_TEXTS), st.sampled_from(DAYS)
+    ).map(lambda row: [str(row[0]), str(row[1]), row[2], row[3]]),
+    max_size=25,
+)
+# One field changed in a way csv reads differently from a split at commas, or not at all (None):
+# a quoted person id, or a carriage return after a domain, which csv takes for a line end.
+quirks = st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(["quote", "cr"]))
+
+
+@contextmanager
+def usable_cpus(count):
+    """Count `os.fork` calls, and let `csvio.split_point` see `count` usable CPUs whatever the machine has."""
+    forks = []
+    real_fork, real_affinity = os.fork, getattr(os, "sched_getaffinity", None)
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    os.fork, os.sched_getaffinity = fork, lambda pid: set(range(count))
+    try:
+        yield forks
+    finally:
+        os.fork = real_fork
+        if real_affinity is None:
+            del os.sched_getaffinity
+        else:
+            os.sched_getaffinity = real_affinity
+
+
+@contextmanager
+def warnings_of_load_events():
+    """The texts `load_events` logs at WARNING, in order."""
+    texts = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: texts.append(record.getMessage())
+    logger = logging.getLogger(ingestion.__name__)
+    logger.addHandler(handler)
+    try:
+        yield texts
+    finally:
+        logger.removeHandler(handler)
+
+
+@contextmanager
+def block_chars(size):
+    saved, csvio.BLOCK_CHARS = csvio.BLOCK_CHARS, size
+    try:
+        yield
+    finally:
+        csvio.BLOCK_CHARS = saved
+
+
+@contextmanager
+def serial_reads():
+    """Count the reads of a whole file as one (`csvio.columns`)."""
+    calls = []
+    real_columns = ingestion.columns
+
+    def columns(*args, **kwargs):
+        calls.append(args[0])
+        return real_columns(*args, **kwargs)
+
+    ingestion.columns = columns
+    try:
+        yield calls
+    finally:
+        ingestion.columns = real_columns
+
+
+def assert_no_child_left(pid):
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+@settings(max_examples=200, deadline=None)
+@given(
+    first=clean_rows,
+    second=noisy_rows,
+    blanks=st.integers(0, 3),
+    bom_at_split=st.sampled_from([None, "line", "row"]),
+    bom=st.booleans(),
+    mutated=mutation,
+    quirk=quirks,
+    mismatch_first=st.booleans(),
+    size=st.integers(1, 8),
+    known_persons=st.sampled_from([None, {1, 2, 3, 4, 5}]),
+    labels=label_maps,
+)
+def test_two_processes_match_the_row_loop(
+    scratch, first, second, blanks, bom_at_split, bom, mutated, quirk, mismatch_first, size, known_persons, labels
+):
+    # Person 1's rows open the first half and close the second; blank lines after the first half
+    # make it the longer, so the split falls before the second half's first row. The first half
+    # holds no unknown person, and a domain mismatch only if `mismatch_first`.
+    opening = ["1", "400", "Procedure" if mismatch_first else "Condition", "2020-03-01"]
+    head = [EVENT_HEADER, opening, *first]
+    tail = [*second, ["1", "500", "Procedure", "2019-12-31"]]
+    lines = head + tail
+    if mutated is not None:
+        at, field, text = mutated
+        fields = lines[1 + at % (len(lines) - 1)]
+        if text is None:
+            del fields[field % len(fields)]
+        else:
+            fields[field % len(fields)] = text
+    if quirk is not None:
+        at, kind = quirk
+        fields = lines[1 + at % (len(lines) - 1)]
+        if kind == "quote":
+            fields[0] = f'"{fields[0]}"'
+        elif len(fields) > 2:
+            fields[2] += "\r"
+    head_text = "".join(",".join(fields) + "\n" for fields in head)
+    tail_text = "".join(",".join(fields) + "\n" for fields in tail)
+    middle = "\n" * blanks + {None: "", "line": "\ufeff\n", "row": "\ufeff"}[bom_at_split]
+    pad = "\n" * max(0, len(middle + tail_text) - len(head_text) + 1)
+    text = ("\ufeff" if bom else "") + head_text + pad + middle + tail_text
+    path = scratch / "split.csv"
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    # The split falls after the first half's last line end, and before the end of the file.
+    splits = size * csvio.SPLIT_BLOCKS < len(data) and b"\n" in data[len(data) // 2 : -1]
+    pid = os.getpid()
+    with block_chars(size):
+        with usable_cpus(1), warnings_of_load_events() as expected_warnings:
+            serial = outcome(load_events, path, SPLIT_CONCEPTS, known_persons, labels)
+        with usable_cpus(2) as forks, serial_reads() as reads, warnings_of_load_events() as warnings:
+            split = outcome(load_events, path, SPLIT_CONCEPTS, known_persons, labels)
+    assert_no_child_left(pid)
+    assert forks == ([pid] if splits else [])
+    assert split == serial == outcome(load_events_reference, path, SPLIT_CONCEPTS, known_persons, labels)
+    assert warnings == expected_warnings
+    # A file the halves vouch for is read once; an error is named by a read as one.
+    clean = mutated is None and quirk is None and bom_at_split is None
+    if splits and clean:
+        assert reads == []
+    if isinstance(split, str):
+        assert reads == [path]
+
+
+def split_file(tmp_path, bad_row=None):
+    """A file large enough to split at a block of 16 bytes; data row `bad_row` (of 200), if given, is bad."""
+    rows = [f"{1 + i % 7},{(400, 500)[i % 2]},Condition,2020-01-{1 + i % 28:02d}" for i in range(200)]
+    if bad_row is not None:
+        rows[bad_row] = "3,400,Widget,2020-01-01"
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join([",".join(EVENT_HEADER), *rows]) + "\n")
+    return path
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    monkeypatch.setattr(csvio, "BLOCK_CHARS", 16)
+
+
+@needs_fork
+@pytest.mark.parametrize("bad_row", [None, 50, 150], ids=["good", "bad-first-half", "bad-second-half"])
+def test_no_child_is_left_after_a_split_read(tmp_path, split_blocks, bad_row):
+    # A bad row in the first half fails this process's half, and the child is killed before it is reaped.
+    path = split_file(tmp_path, bad_row)
+    pid = os.getpid()
+    expected = outcome(load_events_reference, path, {400: None}, {1, 2, 3, 4, 5}, None)
+    with usable_cpus(2) as forks:
+        assert outcome(load_events, path, {400: None}, {1, 2, 3, 4, 5}, None) == expected
+    assert forks == [pid]
+    assert_no_child_left(pid)
+    if bad_row is not None:
+        assert expected == f"error: {path}:{bad_row + 2}: unknown domain 'Widget'"
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["raises", "exits", "killed", "garbled"])
+@pytest.mark.parametrize("bad_row", [None, 150], ids=["good", "bad-row"])
+def test_a_failing_child_falls_back_to_one_read(tmp_path, split_blocks, monkeypatch, fault, bad_row):
+    """The child's scan raises, it exits or is killed before it writes, or its payload is cut short."""
+    path = split_file(tmp_path, bad_row)
+    pid = os.getpid()
+    real_scan, real_dumps = ingestion._scan, marshal.dumps
+
+    def scan(*args, **kwargs):
+        if os.getpid() != pid:
+            if fault == "raises":
+                raise RuntimeError("child scan failed")
+            if fault == "exits":
+                os._exit(0)
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_scan(*args, **kwargs)
+
+    def dumps(value, *args):
+        payload = real_dumps(value, *args)
+        return payload[: len(payload) // 2] if os.getpid() != pid else payload
+
+    monkeypatch.setattr(ingestion, "_scan", scan)
+    if fault == "garbled":
+        monkeypatch.setattr(marshal, "dumps", dumps)
+    expected = outcome(load_events_reference, path, {400: None}, None, {500: ("x",)})
+    with usable_cpus(2) as forks, serial_reads() as reads:
+        assert outcome(load_events, path, {400: None}, None, {500: ("x",)}) == expected
+    assert forks == [pid] and reads == [path]
+    assert_no_child_left(pid)
