@@ -96,9 +96,12 @@ def _cmd_phenotype(args: argparse.Namespace) -> None:
 
 
 def _cmd_infer(args: argparse.Namespace) -> None:
-    # `infer` runs in one thread; --threads 1 is accepted, and ignored, for existing scripts.
+    # --threads 1 is accepted, and ignored, for existing scripts: no flag sets how many CPUs `infer` uses.
     if args.threads not in (None, 1):
-        raise ConfigError(f"--threads accepts only 1 (infer runs in one thread), got {args.threads}")
+        raise ConfigError(
+            f"--threads accepts only 1, and sets nothing (infer uses a second CPU wherever one is usable), "
+            f"got {args.threads}"
+        )
     config = _load_run_config(args, "persons_path", "events_path")
     summary = run_infer(config)
     print(f"episodes={summary['episodes']} unmatched_starts={summary['unmatched_starts']} unmatched_dods={summary['unmatched_dods']}")
@@ -213,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--threads",
         type=int,
-        help="accepted only as 1, for existing scripts; infer runs in one thread, and reads a large"
-        " events.csv on two CPUs where two are usable whatever this says",
+        help="accepted only as 1, for existing scripts, and sets nothing: where two CPUs are usable, infer"
+        " reads a large events.csv and infers a large cohort's persons on both, whatever this says",
     )
     p.add_argument("--emit-cohorts", dest="emit_cohorts", action="store_const", const=True, default=None)
     p.add_argument(

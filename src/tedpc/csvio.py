@@ -42,6 +42,8 @@ file in two processes: `split_point` finds where the second half starts, and
 `forked` runs one half in a forked child, which sends back its result as one
 `marshal` payload through a pipe, while this process reads the other. A reader
 that has any doubt about either half reads the whole file through `columns`.
+`forkable` is the one rule for when a second process may be forked at all;
+`tedpc.person_halves` forks by it too, to infer persons on two CPUs.
 """
 
 from __future__ import annotations
@@ -355,17 +357,25 @@ def _fields(text: str, width: int) -> list[str] | None:
     return None
 
 
+def forkable() -> bool:
+    """True when this process can fork a child onto a second CPU.
+
+    False without `os.fork` or `os.sched_getaffinity`, with one usable CPU,
+    or with a thread besides this one, which a forked child would not have.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return False
+    return len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1
+
+
 def split_point(path: Path | str) -> int | None:
     """Where a second process can start reading a large table: the byte after the first line end past its middle.
 
     None when the file is not regular or not over SPLIT_BLOCKS blocks, when no
     line end follows its middle, or when this process cannot fork onto a second
-    CPU: no `os.fork` or `os.sched_getaffinity`, one usable CPU, or a thread
-    besides this one, which a forked child would not have.
+    CPU (`forkable`).
     """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
+    if not forkable():
         return None
     size = _regular_size(path)
     if size is None or size <= SPLIT_BLOCKS * BLOCK_CHARS:
@@ -383,16 +393,17 @@ def split_point(path: Path | str) -> int | None:
 T = TypeVar("T")
 
 
-def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, object] | None:
+def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, object]:
     """Run `parent()` here while a forked copy of this process runs `child()`; return both results.
 
     The child sends its result back through a pipe as one marshal payload, so
     it must be plain data: ints, texts, None, and lists, tuples and dicts of
     them. The child never returns from this call: it ends in `os._exit`, and
-    flushes nothing of this process's. Returns None when the child raises or
-    dies before its whole payload is written, which then does not load. An
-    exception in `parent` propagates, once the child is killed. Either way the
-    child is reaped.
+    flushes nothing of this process's. The child's result is None when it
+    raises or dies before its whole payload is written, or when the pipe
+    cannot be read or the payload does not load. An OSError from `os.pipe` or
+    `os.fork` propagates before `parent` runs; an exception in `parent`
+    propagates once the child is killed. Either way the child is reaped.
     """
     read_end, write_end = os.pipe()
     try:
@@ -405,29 +416,47 @@ def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, obj
         code = 1
         try:
             os.close(read_end)
+            payload = marshal.dumps(child())
             with open(write_end, "wb") as fh:
-                fh.write(marshal.dumps(child()))
+                fh.write(len(payload).to_bytes(8, "little"))
+                fh.write(payload)
             code = 0
         finally:
             os._exit(code)
+    # Imported here, as every process that never forks would pay for it at start.
+    import mmap
+
     payload = None
     try:
         os.close(write_end)
         with open(read_end, "rb") as fh:
             mine = parent()
-            # One read to the end, then one loads: marshal.load on the pipe would read it in small pieces.
-            payload = fh.read()
+            # The payload's length, then the payload in one read into a buffer of that length, which is given
+            # back to the OS once loaded: a buffer from the heap can stay in this process's RSS for good.
+            # marshal.load on the pipe would read it in small pieces.
+            try:
+                size = int.from_bytes(fh.read(8), "little")
+                buffer = mmap.mmap(-1, size)
+                if fh.readinto(buffer) == size:
+                    payload = buffer
+                else:
+                    buffer.close()
+            except OSError:
+                pass  # no length (a map of 0 bytes raises OSError), or the pipe cannot be read
     finally:
         if payload is None:
-            # Imported here, as every process that never forks would pay for it (0.4 ms) at start.
+            # Imported here, as every run whose child writes its payload would pay for it (0.4 ms).
             import signal
 
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    try:
-        return mine, marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return None
+    if payload is None:
+        return mine, None
+    with payload:
+        try:
+            return mine, marshal.loads(payload)
+        except (EOFError, ValueError, TypeError):
+            return mine, None
 
 
 def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str, ...]]]:

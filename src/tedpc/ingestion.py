@@ -165,12 +165,7 @@ def load_events(
     doubt in either half the whole file is read again as one, so a bad row is
     named as it would be without the split.
     """
-    # Concept ids, dates and domains repeat across rows: each distinct text is
-    # parsed and checked once, and its value is held once.
-    concept_ids = Memo(int)
-    days = Memo(_event_day)
-    domains = Memo(Domain.parse)
-    parsers = (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
+    parsers = _event_parsers()
     scan = partial(_scan, concepts=concepts, known_persons=known_persons, labels=labels or {})
     result = _scan_halves(path, parsers, scan) or scan(columns(path, EVENT_HEADER, parsers))
     by_person, quarantined, total, mismatches, sample, firsts = result
@@ -186,6 +181,29 @@ def load_events(
         )
     logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
     return EventTable(by_person, quarantined, total, mismatches, firsts)
+
+
+def grouped_events(
+    path: Path | str, concepts: dict[int, Domain | None], known_persons: Container[int]
+) -> dict[int, list[int]]:
+    """The per-person lists `load_events` groups, read again in one process, with nothing logged.
+
+    For a caller that has freed some of them and needs them back: the file was
+    read, and its warnings logged, once already.
+    """
+    return _scan(columns(path, EVENT_HEADER, _event_parsers()), concepts, known_persons, {})[0]
+
+
+def _event_parsers() -> tuple:
+    """The parsers of an events row's four fields.
+
+    Concept ids, dates and domains repeat across rows: each distinct text is
+    parsed and checked once, and its value is held once.
+    """
+    concept_ids = Memo(int)
+    days = Memo(_event_day)
+    domains = Memo(Domain.parse)
+    return (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
 
 
 # What `_scan` returns: grouped lists, quarantined rows, rows read, domain mismatches, the first mismatched row
@@ -248,10 +266,10 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
         return by_person, quarantined, total, mismatches, sample, flat_firsts
 
     try:
-        halves = forked(second_half, lambda: scan(span_columns(path, EVENT_HEADER, parsers, 0, cut)))
-        if halves is None:
+        ours, theirs = forked(second_half, lambda: scan(span_columns(path, EVENT_HEADER, parsers, 0, cut)))
+        if theirs is None:
             return None
-        (by_person, quarantined, total, mismatches, sample, firsts), theirs = halves
+        by_person, quarantined, total, mismatches, sample, firsts = ours
         their_by_person, their_quarantined, their_total, their_mismatches, their_sample, their_firsts = theirs
         for person_id, flat in their_by_person.items():
             mine = by_person.get(person_id)

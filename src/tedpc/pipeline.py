@@ -9,24 +9,28 @@ map, the engine concepts or the index set, as one flat `[day, concept id, ...]`
 list of ints per person; stats groups none and keeps one first day per person
 and label, the index set labelled None and each condition set by its name.
 
-Only that scan uses a second CPU: a large events.csv is read in two
-processes, the second half by a forked child, and joined in file order, so
-every command gets the table, and writes the bytes, that one process would.
-Inference is one loop over the persons in id order, in one thread. Each
-person's list is popped off the table as the loop reaches it, so it is freed
-once that person is done. Each engine reads it as `(day, concept id)` pairs in
-file order (`event_pairs`) and sorts its own candidate pool natively. Starts
-and deliveries are kept only for `--emit-cohorts`; otherwise summary.json
-counts them as they go. Timeline sorts one person's pairs at a time and walks
-each episode's events once (`analytics.episode_exposures`); stats reads each
-episode's index week and condition sets off the first days
-(`analytics.first_day_exposures`).
+Where two CPUs are usable, a large events.csv is read in two processes, the
+second half by a forked child, and joined in file order, so every command
+gets the table, and writes the bytes, that one process would.
+Inference is one loop over the persons in id order (`_infer_persons`). Over a
+large cohort it runs in two processes (`person_halves`): a forked child runs it
+over the upper half of the person ids, this process over the lower half, and
+the child's results are appended to this process's, so the lists are those of
+one loop. Each person's list is popped off the table as the loop reaches it,
+so it is freed once that person is done. Each engine reads it as
+`(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
+candidate pool natively. Starts and deliveries are kept only for
+`--emit-cohorts`; otherwise summary.json counts them as they go. Timeline
+sorts one person's pairs at a time and walks each episode's events once
+(`analytics.episode_exposures`); stats reads each episode's index week and
+condition sets off the first days (`analytics.first_day_exposures`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -57,7 +61,7 @@ from .episode_builder import (
 )
 from .errors import ConfigError, InvariantError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
-from .ingestion import EVENT_HEADER, event_pairs, load_events, load_persons
+from .ingestion import EVENT_HEADER, event_pairs, grouped_events, load_events, load_persons
 
 logger = logging.getLogger(__name__)
 
@@ -100,36 +104,15 @@ def run_infer(config: RunConfig) -> dict:
     concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
     table = load_events(config.events_path, concepts, known_persons=persons)
 
-    by_person = table.events_by_person
-    # Starts and deliveries are written only with --emit-cohorts; otherwise only their counts are kept.
-    all_starts: list[GestationStart] = []
-    all_records: list[DeliveryRecord] = []
-    start_count = record_count = 0
-    episodes: list[PregnancyEpisode] = []
-    unmatched_starts: list[GestationStart] = []
-    unmatched_dods: list[DeliveryRecord] = []
-    for person_id in sorted(by_person):
-        events = by_person.pop(person_id)
-        starts = infer_gestation_starts(
-            person_id,
-            build_candidates(event_pairs(events), ga_table),
-            window_days=config.window_days,
-            conflict_days=config.conflict_days,
-        )
-        records = infer_delivery_dates(person_id, event_pairs(events), dod_ranks, window_days=config.window_days)
-        person_episodes, diagnostics = match_episodes(
-            starts, records, min_days=config.match_min_days, max_days=config.match_max_days
-        )
-        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
-        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
-        start_count += len(starts)
-        record_count += len(records)
-        if config.emit_cohorts:
-            all_starts.extend(starts)
-            all_records.extend(records)
-        episodes.extend(person_episodes)
-        unmatched_starts.extend(diagnostics.unmatched_starts)
-        unmatched_dods.extend(diagnostics.unmatched_dods)
+    # Imported here: only infer runs it, and the other commands would compile it for nothing.
+    from .person_halves import infer_halves
+
+    # The one loop body, over the persons given: the run in one process and each half call it.
+    loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
+    inferred = infer_halves(
+        table.events_by_person, loop, lambda: grouped_events(config.events_path, concepts, persons)
+    )
+    start_count, record_count, all_starts, all_records, episodes, unmatched_starts, unmatched_dods = inferred
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
     if config.apply_filters:
@@ -196,6 +179,47 @@ def run_infer(config: RunConfig) -> dict:
         fh.write("\n")
     logger.info("inference summary: %s", summary)
     return summary
+
+
+def _infer_persons(
+    by_person: dict[int, list[int]], person_ids: list[int], config: RunConfig, ga_table: dict, dod_ranks: dict
+) -> tuple:
+    """Both engines, matching and the separation checks over the persons of `person_ids`, in that order.
+
+    Each person's list is popped off `by_person` as the loop reaches it, so it
+    is freed once that person is done. Returns the start and delivery counts,
+    then the lists of starts and deliveries (empty unless --emit-cohorts),
+    episodes, unmatched starts and unmatched deliveries, each in person order.
+    """
+    all_starts: list[GestationStart] = []
+    all_records: list[DeliveryRecord] = []
+    start_count = record_count = 0
+    episodes: list[PregnancyEpisode] = []
+    unmatched_starts: list[GestationStart] = []
+    unmatched_dods: list[DeliveryRecord] = []
+    for person_id in person_ids:
+        events = by_person.pop(person_id)
+        starts = infer_gestation_starts(
+            person_id,
+            build_candidates(event_pairs(events), ga_table),
+            window_days=config.window_days,
+            conflict_days=config.conflict_days,
+        )
+        records = infer_delivery_dates(person_id, event_pairs(events), dod_ranks, window_days=config.window_days)
+        person_episodes, diagnostics = match_episodes(
+            starts, records, min_days=config.match_min_days, max_days=config.match_max_days
+        )
+        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
+        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
+        start_count += len(starts)
+        record_count += len(records)
+        if config.emit_cohorts:
+            all_starts.extend(starts)
+            all_records.extend(records)
+        episodes.extend(person_episodes)
+        unmatched_starts.extend(diagnostics.unmatched_starts)
+        unmatched_dods.extend(diagnostics.unmatched_dods)
+    return start_count, record_count, all_starts, all_records, episodes, unmatched_starts, unmatched_dods
 
 
 def run_timeline(config: RunConfig) -> int:

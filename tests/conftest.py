@@ -1,3 +1,6 @@
+import logging
+import os
+from contextlib import contextmanager
 from datetime import date
 
 import numpy as np
@@ -85,3 +88,45 @@ def render_table(header, data, blanks, mutated, quoted, final_newline, bom):
         end = "\n"
     text = end.join(texts) + (end if final_newline else "")
     return ("\ufeff" if bom else "") + text
+
+
+@contextmanager
+def usable_cpus(count):
+    """Count `os.fork` calls, and let `csvio.forkable` see `count` usable CPUs whatever the machine has."""
+    forks = []
+    real_fork, real_affinity = os.fork, getattr(os, "sched_getaffinity", None)
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    os.fork, os.sched_getaffinity = fork, lambda pid: set(range(count))
+    try:
+        yield forks
+    finally:
+        os.fork = real_fork
+        if real_affinity is None:
+            del os.sched_getaffinity
+        else:
+            os.sched_getaffinity = real_affinity
+
+
+def assert_no_child_left(pid):
+    """This is the process `pid`, not a forked child that returned, and it has no child left unreaped."""
+    assert os.getpid() == pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def logged_warnings(name):
+    """The texts logged at WARNING through the logger `name` or below it, in order."""
+    texts = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: texts.append(record.getMessage())
+    logger = logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield texts
+    finally:
+        logger.removeHandler(handler)

@@ -249,5 +249,5 @@ def test_9_throughput(ga_registry, dod_registry, tmp_path):
     assert elapsed <= 60.0, f"infer took {elapsed:.1f}s for {cohort.event_count} events"
     print(
         f"ACCEPTANCE 9 throughput: PASS ({cohort.event_count} events, "
-        f"{summary['episodes']} episodes in {elapsed:.1f}s single-threaded)"
+        f"{summary['episodes']} episodes in {elapsed:.1f}s)"
     )

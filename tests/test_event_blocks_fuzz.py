@@ -16,7 +16,6 @@ a read in one process, and no child may be left behind.
 """
 
 import csv
-import logging
 import marshal
 import os
 import signal
@@ -24,7 +23,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import render_table
+from conftest import assert_no_child_left, logged_warnings, render_table, usable_cpus
 from oracles import load_events_reference
 from tedpc import csvio
 from tedpc.concept_registry import Domain
@@ -135,41 +134,6 @@ quirks = st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(["quote", 
 
 
 @contextmanager
-def usable_cpus(count):
-    """Count `os.fork` calls, and let `csvio.split_point` see `count` usable CPUs whatever the machine has."""
-    forks = []
-    real_fork, real_affinity = os.fork, getattr(os, "sched_getaffinity", None)
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    os.fork, os.sched_getaffinity = fork, lambda pid: set(range(count))
-    try:
-        yield forks
-    finally:
-        os.fork = real_fork
-        if real_affinity is None:
-            del os.sched_getaffinity
-        else:
-            os.sched_getaffinity = real_affinity
-
-
-@contextmanager
-def warnings_of_load_events():
-    """The texts `load_events` logs at WARNING, in order."""
-    texts = []
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = lambda record: texts.append(record.getMessage())
-    logger = logging.getLogger(ingestion.__name__)
-    logger.addHandler(handler)
-    try:
-        yield texts
-    finally:
-        logger.removeHandler(handler)
-
-
-@contextmanager
 def block_chars(size):
     saved, csvio.BLOCK_CHARS = csvio.BLOCK_CHARS, size
     try:
@@ -193,12 +157,6 @@ def serial_reads():
         yield calls
     finally:
         ingestion.columns = real_columns
-
-
-def assert_no_child_left(pid):
-    assert os.getpid() == pid
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -255,9 +213,9 @@ def test_two_processes_match_the_row_loop(
     splits = size * csvio.SPLIT_BLOCKS < len(data) and b"\n" in data[len(data) // 2 : -1]
     pid = os.getpid()
     with block_chars(size):
-        with usable_cpus(1), warnings_of_load_events() as expected_warnings:
+        with usable_cpus(1), logged_warnings(ingestion.__name__) as expected_warnings:
             serial = outcome(load_events, path, SPLIT_CONCEPTS, known_persons, labels)
-        with usable_cpus(2) as forks, serial_reads() as reads, warnings_of_load_events() as warnings:
+        with usable_cpus(2) as forks, serial_reads() as reads, logged_warnings(ingestion.__name__) as warnings:
             split = outcome(load_events, path, SPLIT_CONCEPTS, known_persons, labels)
     assert_no_child_left(pid)
     assert forks == ([pid] if splits else [])

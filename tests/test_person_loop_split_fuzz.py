@@ -1,0 +1,238 @@
+"""`run_infer` runs its person loop in two processes; the loop in one process is its reference.
+
+With the loop's threshold (`person_halves.SPLIT_EVENTS`) patched low, small drawn
+cohorts qualify: noise on or off, persons missing from persons.csv, events
+rows shuffled, with `--emit-cohorts` or not and with the cohort filters or
+not. Every file `run_infer` writes, and every warning it logs, must be the
+same with one usable CPU and with two, and `os.fork` must be called for the
+loop exactly when the loop qualifies. events.csv stays far below the size at
+which it is read in two processes, so every fork is the loop's.
+
+A child that raises, exits or is killed before it writes, a payload cut
+short, a fork that fails and an InvariantError for a person in either half
+must each end as the run in one process ends: the same bytes, or the same
+exit code and message. No child may be left behind.
+"""
+
+import marshal
+import os
+import random
+import signal
+from contextlib import contextmanager
+from functools import partial
+from itertools import accumulate
+
+import pytest
+
+from conftest import assert_no_child_left, event_triples, logged_warnings, usable_cpus
+from tedpc import cli, person_halves, pipeline
+from tedpc.config import RunConfig
+from tedpc.dod_engine import rank_table
+from tedpc.errors import InvariantError
+from tedpc.ga_engine import candidate_table
+from tedpc.ingestion import load_events, load_persons, write_events, write_persons
+from tedpc.synthgen import NoiseSpec, SynthConfig, generate_cohort
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+NOISE = NoiseSpec(
+    drop_ga_rate=0.1, conflict_ga_rate=0.3, shift_rate=0.3, shift_max_days=30, drop_dod_rate=0.1,
+    pre_pregnancy_index_rate=0.3,
+)
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def write_cohort(directory, cohort, drop_every, shuffle_seed):
+    """Write persons.csv without every `drop_every`-th person, and events.csv, shuffled unless the seed is None."""
+    persons = [p for p in cohort.persons if not drop_every or p.person_id % drop_every]
+    write_persons(directory / "persons.csv", persons)
+    triples = event_triples(cohort)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(triples)
+    write_events(directory / "events.csv", [field for triple in triples for field in triple], cohort.domains)
+
+
+def outputs(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@contextmanager
+def split_events(count):
+    saved, person_halves.SPLIT_EVENTS = person_halves.SPLIT_EVENTS, count
+    try:
+        yield
+    finally:
+        person_halves.SPLIT_EVENTS = saved
+
+
+@pytest.fixture(scope="module")
+def concepts(ga_registry, dod_registry):
+    return {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+
+
+def grouped(directory, concepts):
+    """The lists `run_infer` infers from: each person's engine events, for the persons in persons.csv."""
+    persons = load_persons(directory / "persons.csv")
+    return load_events(directory / "events.csv", concepts, known_persons=persons).events_by_person
+
+
+def loop_splits(directory, threshold, concepts):
+    """Whether the loop qualifies for two processes: more grouped events than `threshold`, and a person on
+    each side of the cut after the person at which the running count first reaches half."""
+    by_person = grouped(directory, concepts)
+    sizes = [len(by_person[person_id]) // 2 for person_id in sorted(by_person)]
+    total = sum(sizes)
+    if total <= threshold:
+        return False
+    cut = next(i for i, running in enumerate(accumulate(sizes), 1) if 2 * running >= total)
+    return cut < len(sizes)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("loop")
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_persons=st.integers(0, 30),
+    noisy=st.booleans(),
+    drop_every=st.sampled_from([0, 2, 5]),
+    shuffle_seed=st.none() | st.integers(0, 2**16),
+    emit_cohorts=st.booleans(),
+    apply_filters=st.booleans(),
+    threshold=st.sampled_from([0, 1, 40, 400]),
+)
+def test_two_processes_write_what_one_does(
+    scratch, ga_registry, dod_registry, concepts, seed, n_persons, noisy, drop_every, shuffle_seed, emit_cohorts,
+    apply_filters, threshold,
+):
+    noise = NOISE if noisy else NoiseSpec()
+    cohort = generate_cohort(SynthConfig(seed=seed, n_persons=n_persons, noise=noise), ga_registry, dod_registry)
+    write_cohort(scratch, cohort, drop_every, shuffle_seed)
+    pid = os.getpid()
+    runs = {}
+    with split_events(threshold):
+        for cpus in (1, 2):
+            out = scratch / f"cpus{cpus}"
+            config = RunConfig(
+                persons_path=scratch / "persons.csv", events_path=scratch / "events.csv", out_dir=out,
+                emit_cohorts=emit_cohorts, apply_filters=apply_filters,
+            )
+            with usable_cpus(cpus) as forks, logged_warnings("tedpc") as warnings:
+                summary = pipeline.run_infer(config)
+            runs[cpus] = summary, outputs(out), warnings, forks
+    assert_no_child_left(pid)
+    assert runs[1][:3] == runs[2][:3]
+    assert runs[1][3] == []
+    assert runs[2][3] == ([pid] if loop_splits(scratch, threshold, concepts) else [])
+
+
+@pytest.fixture(scope="module")
+def cohort_dir(tmp_path_factory, ga_registry, dod_registry, concepts):
+    """A noisy cohort with persons missing from persons.csv, whose loop splits at a threshold of 0."""
+    directory = tmp_path_factory.mktemp("faults")
+    cohort = generate_cohort(SynthConfig(seed=5, n_persons=40, noise=NOISE), ga_registry, dod_registry)
+    write_cohort(directory, cohort, 7, 11)
+    assert loop_splits(directory, 0, concepts)
+    return directory
+
+
+def run_cli(cohort_dir, out, capsys):
+    """`tedpc infer --emit-cohorts` on the cohort: exit code, stdout, stderr, warnings and the files written."""
+    argv = ["infer", "--persons", str(cohort_dir / "persons.csv"), "--events", str(cohort_dir / "events.csv"),
+            "--out", str(out), "--emit-cohorts"]
+    with logged_warnings("tedpc") as warnings:
+        code = cli.main(argv)
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err, warnings, outputs(out)
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", ["raises", "exits", "killed", "cut-short", "fork-fails"])
+def test_a_failing_child_gives_the_result_of_one_process(cohort_dir, tmp_path, monkeypatch, capsys, fault):
+    pid = os.getpid()
+    real_loop, real_dumps = pipeline._infer_persons, marshal.dumps
+
+    def loop(*args, **kwargs):
+        if os.getpid() != pid:
+            if fault == "raises":
+                raise RuntimeError("child loop failed")
+            if fault == "exits":
+                os._exit(0)
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return real_loop(*args, **kwargs)
+
+    def dumps(value, *args):
+        payload = real_dumps(value, *args)
+        return payload[: len(payload) // 2] if os.getpid() != pid else payload
+
+    def fork():
+        forks.append(os.getpid())
+        raise OSError("no fork")
+
+    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    with usable_cpus(1):
+        expected = run_cli(cohort_dir, tmp_path / "one", capsys)
+    monkeypatch.setattr(pipeline, "_infer_persons", loop)
+    if fault == "cut-short":
+        monkeypatch.setattr(marshal, "dumps", dumps)
+    with usable_cpus(2) as forks:
+        if fault == "fork-fails":
+            monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(cohort_dir, tmp_path / "two", capsys) == expected
+    assert expected[0] == 0
+    assert forks == [pid]
+    assert_no_child_left(pid)
+
+
+@needs_fork
+@pytest.mark.parametrize("half", ["lower", "upper"])
+def test_an_invariant_error_in_either_half_exits_4_as_in_one_process(
+    cohort_dir, tmp_path, monkeypatch, capsys, concepts, half
+):
+    # The first person with grouped events is inferred in this process, the last in the child.
+    ids = sorted(grouped(cohort_dir, concepts))
+    target = ids[0] if half == "lower" else ids[-1]
+    real_check = pipeline._check_separation
+
+    def check(days, window_days, kind, person_id):
+        if person_id == target:
+            raise InvariantError(f"person {person_id}: injected {kind} violation")
+        real_check(days, window_days, kind, person_id)
+
+    pid = os.getpid()
+    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    monkeypatch.setattr(pipeline, "_check_separation", check)
+    with usable_cpus(1):
+        expected = run_cli(cohort_dir, tmp_path / "one", capsys)
+    with usable_cpus(2) as forks:
+        assert run_cli(cohort_dir, tmp_path / "two", capsys) == expected
+    assert expected[0] == 4
+    assert expected[2] == f"invariant violated: person {target}: injected start violation\n"
+    assert forks == [pid]
+    assert_no_child_left(pid)
+
+
+@needs_fork
+def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_registry, dod_registry, concepts):
+    # Rows equal as tuples could still differ in type: AccuracyLevel.HIGH == 1, and ExtremeFlag.NONE == "none".
+    config = RunConfig(emit_cohorts=True)
+    tables = {"ga_table": candidate_table(ga_registry), "dod_ranks": rank_table(dod_registry)}
+    loop = partial(pipeline._infer_persons, config=config, **tables)
+    by_person = grouped(cohort_dir, concepts)
+    expected = loop(by_person, sorted(by_person))
+    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    with usable_cpus(2) as forks:
+        joined = person_halves.infer_halves(grouped(cohort_dir, concepts), loop, partial(grouped, cohort_dir, concepts))
+    assert forks == [os.getpid()]
+    assert joined == expected
+    assert [[list(map(type, row)) for row in rows] for rows in joined[2:]] == [
+        [list(map(type, row)) for row in rows] for rows in expected[2:]
+    ]
+    assert all(expected[2:])
