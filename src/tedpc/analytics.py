@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .csvio import Memo
-from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, Trimester, age_at, trimester_of, week_of
+from .episode_builder import SECOND_TRIMESTER_MAX_WEEK, PregnancyEpisode, age_at, trimester_of, week_of
 from .ingestion import Event, Person, event_pairs
 
 PANDEMIC_CUTOFF = date(2020, 3, 1)
@@ -164,8 +164,8 @@ def _columns_of(stratum: PandemicStratum, week: int | None, long_gestation: bool
     """Indices of the columns an episode of this stratum, index week and gestation length counts in."""
     peri = stratum is PandemicStratum.PERI
     trimester = None if week is None else trimester_of(week)
-    t12 = trimester in (Trimester.FIRST, Trimester.SECOND)
-    t3 = trimester is Trimester.THIRD
+    t12 = trimester in ("first", "second")
+    t3 = trimester == "third"
     # One flag per column, in COLUMN_LABELS order.
     flags = [
         stratum is PandemicStratum.PRE,

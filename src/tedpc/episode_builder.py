@@ -6,18 +6,20 @@ episodes; everything unmatched is reported. Episodes can then be filtered by
 the cohort inclusion rules (delivery window, maternal age) and queried for
 the gestational week of arbitrary index events. Episodes hold day ordinals,
 as starts and deliveries do; of them, only the cohort rules build a `date`.
+An episode holds its GA accuracy as an `AccuracyLevel`'s int and its extreme
+flag as the text written ("none", "short" or "long"); a timing holds its
+trimester as text too ("pre", "first", "second" or "third").
 """
 
 from __future__ import annotations
 
 from datetime import date
-from enum import Enum
 from functools import partial
 from operator import itemgetter, lt, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import ACCURACY_TOKENS, DOMAIN_RANKS, TOKEN_BY_ACCURACY, AccuracyLevel
+from .concept_registry import ACCURACY_TOKENS, DOMAIN_RANKS, TOKEN_BY_ACCURACY
 from .dod_engine import DOD_DAY, DeliveryRecord
 from .csvio import BOOL_TEXT, BOOL_TOKENS, Memo, columns, iso_date, iso_text, write_lines
 from .errors import InvariantError
@@ -42,24 +44,11 @@ FIRST_TRIMESTER_MAX_WEEK = 13
 SECOND_TRIMESTER_MAX_WEEK = 27
 
 
-class Trimester(str, Enum):
-    PRE = "pre"
-    FIRST = "first"
-    SECOND = "second"
-    THIRD = "third"
-
-
-class ExtremeFlag(str, Enum):
-    NONE = "none"
-    SHORT = "short"
-    LONG = "long"
-
-
 class GestationalTiming(NamedTuple):
     """Gestational week (0 = pre-pregnancy) and trimester of one event."""
 
     week: int
-    trimester: Trimester
+    trimester: str  # "pre", "first", "second" or "third"
 
 
 class PregnancyEpisode(NamedTuple):
@@ -70,9 +59,9 @@ class PregnancyEpisode(NamedTuple):
     start_day: int
     dod_day: int
     gestation_days: int
-    ga_accuracy: AccuracyLevel
+    ga_accuracy: int  # an AccuracyLevel's value
     dod_domain_rank: int
-    extreme_flag: ExtremeFlag
+    extreme_flag: str  # "none", "short" or "long"
     conflict_flag: bool
 
 
@@ -83,12 +72,12 @@ class MatchDiagnostics(NamedTuple):
     unmatched_dods: list[DeliveryRecord]
 
 
-def extreme_flag_of(gestation_days: int) -> ExtremeFlag:
+def extreme_flag_of(gestation_days: int) -> str:
     if gestation_days < SHORT_GESTATION_DAYS:
-        return ExtremeFlag.SHORT
+        return "short"
     if gestation_days > LONG_GESTATION_DAYS:
-        return ExtremeFlag.LONG
-    return ExtremeFlag.NONE
+        return "long"
+    return "none"
 
 
 def match_episodes(
@@ -176,17 +165,17 @@ def week_of(start_day: int, day: int) -> int:
     return 0 if day < start_day else (day - start_day) // 7 + 1
 
 
-def trimester_of(week: int) -> Trimester:
+def trimester_of(week: int) -> str:
     """Trimester of a gestational week; week 0 is pre-pregnancy."""
     if week < 0:
         raise ValueError(f"negative gestational week {week}")
     if week == 0:
-        return Trimester.PRE
+        return "pre"
     if week <= FIRST_TRIMESTER_MAX_WEEK:
-        return Trimester.FIRST
+        return "first"
     if week <= SECOND_TRIMESTER_MAX_WEEK:
-        return Trimester.SECOND
-    return Trimester.THIRD
+        return "second"
+    return "third"
 
 
 def gestational_week_of(day: int, start_day: int) -> GestationalTiming:
@@ -200,8 +189,9 @@ def gestational_week_of(day: int, start_day: int) -> GestationalTiming:
 
 EPISODE_HEADER = ["person_id", "episode_index", "start_date", "dod", "gestation_days", "ga_accuracy", "dod_domain_rank",
                   "extreme_flag", "conflict_flag"]
-_EXTREME_TEXT = {flag: flag.value for flag in ExtremeFlag}
-_EXTREME_TOKENS = {flag.value: flag for flag in ExtremeFlag}
+# The parsers of ga_accuracy, a token to its AccuracyLevel's int, and of extreme_flag, a flag's text to itself.
+_ACCURACY_RANKS = {token: level.value for token, level in ACCURACY_TOKENS.items()}
+_EXTREME_FLAGS = {flag: flag for flag in ("none", "short", "long")}
 _EPISODE_KEY = itemgetter(0, 1)  # (person_id, episode_index)
 _DOD_RANKS = frozenset(DOMAIN_RANKS.values())
 # A PregnancyEpisode from a tuple of its fields, with no Python call of its own.
@@ -216,7 +206,7 @@ def write_episodes(path: Path | str, episodes: Iterable[PregnancyEpisode]) -> No
         EPISODE_HEADER,
         (
             f"{person_id},{index},{day_text[start]},{day_text[dod]},{days},{TOKEN_BY_ACCURACY[accuracy]},"
-            f"{rank},{_EXTREME_TEXT[flag]},{BOOL_TEXT[conflict]}\n"
+            f"{rank},{flag},{BOOL_TEXT[conflict]}\n"
             for person_id, index, start, dod, days, accuracy, rank, flag, conflict in sorted(episodes, key=_EPISODE_KEY)
         ),
     )
@@ -236,7 +226,7 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
     """
     days, ints, flags = Memo(lambda text: iso_date(text).toordinal()), Memo(int), Memo(extreme_flag_of)
     parsers = (int, ints.__getitem__, days.__getitem__, days.__getitem__, ints.__getitem__,
-               ACCURACY_TOKENS.__getitem__, ints.__getitem__, _EXTREME_TOKENS.__getitem__, BOOL_TOKENS.__getitem__)
+               _ACCURACY_RANKS.__getitem__, ints.__getitem__, _EXTREME_FLAGS.__getitem__, BOOL_TOKENS.__getitem__)
     episodes: list[PregnancyEpisode] = []
     last_key: tuple = ()  # the last key read, while the keys ascend; () is below every key
     seen: set[tuple[int, int]] | None = None  # every key read, once they do not
@@ -255,7 +245,7 @@ def read_episodes(path: Path | str) -> list[PregnancyEpisode]:
                     raise ValueError(f"episode_index {row[1]} is below 1")
                 if rank not in _DOD_RANKS:
                     raise ValueError(f"dod_domain_rank {row[6]} is not one of {sorted(_DOD_RANKS)}")
-                if gestation != length or flag is not flags[length]:
+                if gestation != length or flag != flags[length]:
                     raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {length} days apart")
                 if length < 1:
                     raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")

@@ -6,7 +6,8 @@ for one person are collapsed into gestations by repeatedly anchoring on the
 most accurate remaining candidate and absorbing everything whose implied start
 falls within the separation window of the anchor's.
 Days are ordinals throughout: a candidate is an `(accuracy, day, concept id,
-start day)` tuple whose native order is the anchor order.
+start day)` tuple whose native order is the anchor order. A start holds its
+accuracy as the `AccuracyLevel`'s int (its rank), as candidates do.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ SEPARATION_WINDOW_DAYS = 270
 # An absorbed high-accuracy candidate further than this from its anchor flags a conflict.
 CONFLICT_WINDOW_DAYS = 14
 
-_HIGH = int(AccuracyLevel.HIGH)
-_LEVEL_OF_RANK = {int(level): level for level in AccuracyLevel}
+_HIGH = AccuracyLevel.HIGH.value
 _START_DAY = itemgetter(1)  # GestationStart.start_day
 
 # One GA candidate: (accuracy rank, event day, concept id, implied start day).
@@ -34,7 +34,7 @@ class GestationStart(NamedTuple):
 
     person_id: int
     start_day: int
-    accuracy: AccuracyLevel
+    accuracy: int  # an AccuracyLevel's value
     anchor_concept_id: int
     anchor_day: int
     conflict_flag: bool
@@ -52,7 +52,7 @@ def ga_days(spec: GAConceptSpec) -> int:
 
 def candidate_table(registry: ConceptRegistry) -> dict[int, tuple[int, int]]:
     """The registry as `build_candidates` reads it: concept -> (gestation days, accuracy rank)."""
-    return {spec.concept_id: (ga_days(spec), int(spec.accuracy)) for spec in registry}
+    return {spec.concept_id: (ga_days(spec), spec.accuracy.value) for spec in registry}
 
 
 def build_candidates(events: Iterable[tuple[int, int]], table: dict[int, tuple[int, int]]) -> list[Candidate]:
@@ -113,8 +113,6 @@ def infer_gestation_starts(
             if pool[j][0] == _HIGH and abs(starts[j] - start) > conflict_days:
                 conflict = True
                 break
-        results.append(
-            GestationStart(person_id, start, _LEVEL_OF_RANK[accuracy], concept_id, day, conflict, len(members))
-        )
+        results.append(GestationStart(person_id, start, accuracy, concept_id, day, conflict, len(members)))
     results.sort(key=_START_DAY)
     return results

@@ -75,13 +75,15 @@ class EventTable(NamedTuple):
     The ints are the loader's shared objects, two list slots per event; read a
     person's events through `event_pairs`. Quarantined rows are
     `(person id, day ordinal, concept id, domain)` tuples in file order, whose
-    native order is the order quarantine.csv is written in. `first_days` holds
-    each label's first day per person, `{label: {person_id: day ordinal}}`,
-    one dict for every label `load_events` was given, and is empty without labels.
+    native order is the order quarantine.csv is written in. A row's domain is
+    its canonical text, a `Domain`'s value, which equals (`==`) the member.
+    `first_days` holds each label's first day per person, `{label: {person_id:
+    day ordinal}}`, one dict for every label `load_events` was given, and is
+    empty without labels.
     """
 
     events_by_person: dict[int, list[int]]
-    quarantined: list[tuple[int, int, int, Domain]]
+    quarantined: list[tuple[int, int, int, str]]
     total_rows: int
     domain_mismatches: int
     first_days: dict[object, dict[int, int]]
@@ -177,7 +179,7 @@ def load_events(
             "%s: %d events disagree with the registry domain for their concept, e.g. %s",
             path,
             mismatches,
-            ClinicalEvent(person_id, concept_id, domain, date.fromordinal(day)),
+            ClinicalEvent(person_id, concept_id, Domain(domain), date.fromordinal(day)),
         )
     logger.info("loaded %d events for %d persons from %s", total - len(quarantined), len(by_person), path)
     return EventTable(by_person, quarantined, total, mismatches, firsts)
@@ -198,11 +200,12 @@ def _event_parsers() -> tuple:
     """The parsers of an events row's four fields.
 
     Concept ids, dates and domains repeat across rows: each distinct text is
-    parsed and checked once, and its value is held once.
+    parsed and checked once, and its value is held once. A domain is held as
+    its canonical text (`Domain.parse`, then the member's value).
     """
     concept_ids = Memo(int)
     days = Memo(_event_day)
-    domains = Memo(Domain.parse)
+    domains = Memo(lambda text: Domain.parse(text).value)
     return (int, concept_ids.__getitem__, domains.__getitem__, days.__getitem__)
 
 
@@ -220,7 +223,7 @@ def _scan(blocks: Iterable[list[list]], concepts, known_persons, labels: dict[in
         concept_id: tuple(firsts.setdefault(label, {}) for label in concept_labels)
         for concept_id, concept_labels in labels.items()
     }
-    quarantined: list[tuple[int, int, int, Domain]] = []
+    quarantined: list[tuple[int, int, int, str]] = []
     mismatches = 0
     sample = None
     grouped, labelled = concepts.__contains__, targets.__contains__
@@ -233,7 +236,7 @@ def _scan(blocks: Iterable[list[list]], concepts, known_persons, labels: dict[in
             quarantined.extend(compress(rows, map(not_, known)))
         for person_id, day, concept_id, domain in _kept(person_col, day_col, concept_col, domain_col, grouped, known):
             expected = concepts[concept_id]
-            if expected is not None and expected is not domain:
+            if expected is not None and expected != domain:
                 mismatches += 1
                 if sample is None:
                     sample = (person_id, day, concept_id, domain)
@@ -257,11 +260,9 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
         return None
 
     def second_half() -> tuple:
-        # The child's result as plain data: domains as their texts, and each label's first days, in label
-        # order, as a flat `[person id, day, ...]` list, which this process holds beside its own in less room.
+        # The child's result, with each label's first days, in label order, as a flat `[person id, day, ...]`
+        # list, which this process holds beside its own in less room.
         by_person, quarantined, total, mismatches, sample, firsts = scan(span_columns(path, EVENT_HEADER, parsers, cut))
-        sample = None if sample is None else (*sample[:3], sample[3].value)
-        quarantined = [(*row[:3], row[3].value) for row in quarantined]
         flat_firsts = [list(chain.from_iterable(first.items())) for first in firsts.values()]
         return by_person, quarantined, total, mismatches, sample, flat_firsts
 
@@ -277,14 +278,14 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
                 by_person[person_id] = flat
             else:
                 mine.extend(flat)
-        quarantined += [(*row[:3], Domain(row[3])) for row in their_quarantined]
+        quarantined += their_quarantined
         for first, their_first in zip(firsts.values(), their_firsts, strict=True):
             pairs = iter(their_first)
             for person_id, day in zip(pairs, pairs):
                 if first.setdefault(person_id, day) > day:
                     first[person_id] = day
-        if sample is None and their_sample is not None:
-            sample = (*their_sample[:3], Domain(their_sample[3]))
+        if sample is None:
+            sample = their_sample
         return by_person, quarantined, total + their_total, mismatches + their_mismatches, sample, firsts
     except Exception:
         # Any doubt: the caller reads the whole file in one process, which names a bad row.
@@ -292,7 +293,7 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
         return None
 
 
-def _kept(person_col, day_col, concept_col, domain_col, wanted, known) -> Iterator[tuple[int, int, int, Domain]]:
+def _kept(person_col, day_col, concept_col, domain_col, wanted, known) -> Iterator[tuple[int, int, int, str]]:
     """A block's `(person id, day, concept id, domain)` rows whose concept is `wanted`, of known persons only."""
     keep = map(wanted, concept_col)
     if known is not None:

@@ -6,7 +6,12 @@ runs it over the upper half of the person ids while this process runs it over
 the lower half, and the child's results are appended to this process's. Ids
 ascend, so every list is the one a single loop builds, and every output byte
 is the same. The loop is given as a function of `(by_person, person ids)`,
-so that one body serves the run in one process and each half.
+so that one body serves the run in one process and each half. The loop's
+rows hold ints, texts and bools only (a field of an enum holds the enum's
+value), so the child sends them through `marshal` as they are, a column per
+field. A child that fails leaves its persons to this process, which reads
+their events again: over an events.csv that can be read only once, a pipe,
+the loop runs in one process.
 
 Only `infer` imports this module, when it runs: every tedpc command imports
 `tedpc.pipeline`, and the others would compile this for nothing.
@@ -18,10 +23,9 @@ import logging
 from functools import partial
 from typing import Callable
 
-from .concept_registry import AccuracyLevel
 from .csvio import forkable, forked
 from .dod_engine import DeliveryRecord
-from .episode_builder import ExtremeFlag, PregnancyEpisode
+from .episode_builder import PregnancyEpisode
 from .ga_engine import GestationStart
 
 logger = logging.getLogger(__name__)
@@ -31,18 +35,9 @@ logger = logging.getLogger(__name__)
 # persons of the generator's default shape); over 5,000 the split saved 20 %.
 SPLIT_EVENTS = 5_000
 
-# Each enum a result field holds, by its members' values: marshal sends a member as its value.
-_ACCURACY = {level.value: level for level in AccuracyLevel}
-_EXTREME = {flag.value: flag for flag in ExtremeFlag}
-# The type of each list the loop returns after its two counts (starts, deliveries, episodes, unmatched
-# starts, unmatched deliveries), and the positions of its enum fields.
-_RESULT_TYPES = (
-    (GestationStart, {2: _ACCURACY}),
-    (DeliveryRecord, {}),
-    (PregnancyEpisode, {5: _ACCURACY, 7: _EXTREME}),
-    (GestationStart, {2: _ACCURACY}),
-    (DeliveryRecord, {}),
-)
+# The type of each list the loop returns after its two counts: starts, deliveries, episodes, unmatched
+# starts and unmatched deliveries.
+_RESULT_TYPES = (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord)
 
 
 def _person_cut(by_person: dict[int, list[int]], person_ids: list[int]) -> int | None:
@@ -70,7 +65,7 @@ def _person_cut(by_person: dict[int, list[int]], person_ids: list[int]) -> int |
 def infer_halves(
     by_person: dict[int, list[int]],
     loop: Callable[[dict[int, list[int]], list[int]], tuple],
-    grouped_again: Callable[[], dict[int, list[int]]],
+    grouped_again: Callable[[], dict[int, list[int]]] | None,
 ) -> tuple:
     """`loop` over every person in id order, the upper ids in a forked child where the loop qualifies (`_person_cut`).
 
@@ -81,10 +76,11 @@ def infer_halves(
     load) this process runs the loop over the child's persons too, with their
     lists, freed here, read again through `grouped_again`; an InvariantError
     for one of them is then raised here, as in one process. An exception in
-    this process's half propagates as it would in one process.
+    this process's half propagates as it would in one process. With no
+    `grouped_again` (the events cannot be read again) the loop runs in one process.
     """
     person_ids = sorted(by_person)
-    cut = _person_cut(by_person, person_ids)
+    cut = None if grouped_again is None else _person_cut(by_person, person_ids)
     if cut is None:
         return loop(by_person, person_ids)
     mine, theirs = person_ids[:cut], person_ids[cut:]
@@ -96,11 +92,9 @@ def infer_halves(
         # Each row's person id goes as its position in `theirs`, so that the row rebuilt from it holds
         # this process's id object, as a row the loop builds here does, and not a copy from the payload.
         position = dict(zip(theirs, range(len(theirs))))
-        for rows, (cls, members) in zip(inferred[2:], _RESULT_TYPES):
+        for rows, cls in zip(inferred[2:], _RESULT_TYPES):
             columns = list(zip(*rows)) or [()] * len(cls._fields)
             columns[0] = list(map(position.__getitem__, columns[0]))
-            for i in members:
-                columns[i] = [member.value for member in columns[i]]
             plain.append(columns)
         return plain
 
@@ -119,14 +113,12 @@ def infer_halves(
     try:
         # A payload that did not load is None, and fails here like one of another shape. Each list is
         # rebuilt in full before any is appended, so a failure leaves this process's lists as they were;
-        # the columns are mapped lazily, as a list per mapped column raised infer_clean's peak RSS by 1.6 %.
+        # the id column is mapped lazily, as a list per mapped column raised infer_clean's peak RSS by 1.6 %.
         their_counts, their_rows = plain[:2], []
-        for columns, (cls, members) in zip(plain[2:], _RESULT_TYPES, strict=True):
+        for columns, cls in zip(plain[2:], _RESULT_TYPES, strict=True):
             columns[0] = map(theirs.__getitem__, columns[0])
-            for i, by_value in members.items():
-                columns[i] = map(by_value.__getitem__, columns[i])
             their_rows.append(list(map(partial(tuple.__new__, cls), zip(*columns, strict=True))))
-    except (TypeError, ValueError, KeyError, IndexError):
+    except (TypeError, ValueError, IndexError):
         logger.debug("inferring the child's persons here, as it failed", exc_info=True)
         inferred = loop(grouped_again(), theirs)
         their_counts, their_rows = inferred[:2], inferred[2:]

@@ -16,7 +16,8 @@ Inference is one loop over the persons in id order (`_infer_persons`). Over a
 large cohort it runs in two processes (`person_halves`): a forked child runs it
 over the upper half of the person ids, this process over the lower half, and
 the child's results are appended to this process's, so the lists are those of
-one loop. Each person's list is popped off the table as the loop reaches it,
+one loop. Over a piped events.csv, which could not be read again for a failed
+child's persons, it runs in one. Each person's list is popped off the table as the loop reaches it,
 so it is freed once that person is done. Each engine reads it as
 `(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
 candidate pool natively. Starts and deliveries are kept only for
@@ -109,9 +110,9 @@ def run_infer(config: RunConfig) -> dict:
 
     # The one loop body, over the persons given: the run in one process and each half call it.
     loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
-    inferred = infer_halves(
-        table.events_by_person, loop, lambda: grouped_events(config.events_path, concepts, persons)
-    )
+    # A failed child's persons are read again from events.csv, which a pipe cannot give twice.
+    grouped_again = partial(grouped_events, config.events_path, concepts, persons)
+    inferred = infer_halves(table.events_by_person, loop, grouped_again if Path(config.events_path).is_file() else None)
     start_count, record_count, all_starts, all_records, episodes, unmatched_starts, unmatched_dods = inferred
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
@@ -135,7 +136,7 @@ def run_infer(config: RunConfig) -> dict:
     )
     # Sorted natively on the whole row (person, day, concept, domain), so rows that differ only in
     # domain do not keep their input order.
-    lines = (f"{pid},{concept},{domain.value},{day_text[day]}\n" for pid, day, concept, domain in sorted(table.quarantined))
+    lines = (f"{pid},{concept},{domain},{day_text[day]}\n" for pid, day, concept, domain in sorted(table.quarantined))
     write_lines(out / "quarantine.csv", EVENT_HEADER, lines)
     write_rows(
         out / "excluded_episodes.csv",
@@ -239,7 +240,7 @@ def run_timeline(config: RunConfig) -> int:
         prefix = f"{episode.person_id},{episode.episode_index},"
         for day, concept_id in index_events:
             week, trimester = gestational_week_of(day, episode.start_day)
-            lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester.value}\n")
+            lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester}\n")
     write_lines(
         out / "timing.csv",
         ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"],

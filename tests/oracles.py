@@ -310,7 +310,7 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
     by_person, quarantined = {}, []
     firsts = {label: {} for concept_labels in (labels or {}).values() for label in concept_labels}
     mismatches = total = 0
-    concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(Domain.parse)
+    concept_ids, days, domains = Memo(int), Memo(_event_day), Memo(lambda text: Domain.parse(text).value)
     with table(path, EVENT_HEADER) as rows:
         for row in rows:
             total += 1
@@ -325,7 +325,7 @@ def load_events_reference(path, concepts, known_persons=None, labels=None):
             if concept_id not in concepts:
                 continue
             expected = concepts[concept_id]
-            if expected is not None and expected is not domain:
+            if expected is not None and expected != domain:
                 mismatches += 1
             by_person.setdefault(person_id, []).extend((day, concept_id))
     return EventTable(by_person, quarantined, total, mismatches, firsts)
@@ -367,22 +367,22 @@ def episodes_reference(path):
     """`episode_builder.read_episodes` as one loop over `csvio.table`'s rows, repeats found in a dict of keys."""
     from tedpc.concept_registry import ACCURACY_TOKENS
     from tedpc.csvio import BOOL_TOKENS, iso_date, table
-    from tedpc.episode_builder import EPISODE_HEADER, ExtremeFlag, PregnancyEpisode, extreme_flag_of
+    from tedpc.episode_builder import EPISODE_HEADER, PregnancyEpisode, extreme_flag_of
 
-    flags = {flag.value: flag for flag in ExtremeFlag}
+    flags = {flag: flag for flag in ("none", "short", "long")}
     episodes = {}
     with table(path, EPISODE_HEADER) as rows:
         for row in rows:
             episode = PregnancyEpisode(
                 int(row[0]), int(row[1]), iso_date(row[2]).toordinal(), iso_date(row[3]).toordinal(), int(row[4]),
-                ACCURACY_TOKENS[row[5]], int(row[6]), flags[row[7]], BOOL_TOKENS[row[8]],
+                ACCURACY_TOKENS[row[5]].value, int(row[6]), flags[row[7]], BOOL_TOKENS[row[8]],
             )
             if episode.episode_index < 1:
                 raise ValueError(f"episode_index {row[1]} is below 1")
             if episode.dod_domain_rank not in (1, 2, 3):
                 raise ValueError(f"dod_domain_rank {row[6]} is not one of [1, 2, 3]")
             days = episode.dod_day - episode.start_day
-            if episode.gestation_days != days or episode.extreme_flag is not extreme_flag_of(days):
+            if episode.gestation_days != days or episode.extreme_flag != extreme_flag_of(days):
                 raise ValueError(f"gestation_days {row[4]}, extreme_flag {row[7]!r} contradict dates {days} days apart")
             if days < 1:
                 raise ValueError(f"gestation_days {row[4]}: dod {row[3]} is not after start_date {row[2]}")
@@ -413,6 +413,7 @@ def persons_reference(path):
 
 def episodes_csv_reference(path, episodes):
     """`episodes.csv` as a list per episode, stably sorted on (person, episode index), through `csvio.write_rows`."""
+    from tedpc.concept_registry import AccuracyLevel
     from tedpc.csvio import write_rows
     from tedpc.episode_builder import EPISODE_HEADER
 
@@ -422,7 +423,7 @@ def episodes_csv_reference(path, episodes):
         (
             [e.person_id, e.episode_index, date.fromordinal(e.start_day).isoformat(),
              date.fromordinal(e.dod_day).isoformat(), e.gestation_days,
-             e.ga_accuracy.name.lower(), e.dod_domain_rank, e.extreme_flag.value, str(e.conflict_flag).lower()]
+             AccuracyLevel(e.ga_accuracy).name.lower(), e.dod_domain_rank, e.extreme_flag, str(e.conflict_flag).lower()]
             for e in sorted(episodes, key=lambda e: (e.person_id, e.episode_index))
         ),
     )

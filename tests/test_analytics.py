@@ -33,7 +33,7 @@ def episode(start, dod, person_id=1, index=1):
     """An episode from its start and delivery dates, which it holds as day ordinals."""
     gestation = (dod - start).days
     return PregnancyEpisode(
-        person_id, index, start.toordinal(), dod.toordinal(), gestation, AccuracyLevel.HIGH, 1,
+        person_id, index, start.toordinal(), dod.toordinal(), gestation, AccuracyLevel.HIGH.value, 1,
         extreme_flag_of(gestation), False,
     )
 

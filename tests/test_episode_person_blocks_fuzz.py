@@ -43,7 +43,7 @@ FLAGS = ("none", "short", "long")
 def episode_fields(person_id, index, start, gestation, accuracy, rank, conflict):
     first = BASE + timedelta(days=start)
     dod = first + timedelta(days=gestation)
-    flag = extreme_flag_of(gestation).value
+    flag = extreme_flag_of(gestation)
     return [str(person_id), str(index), first.isoformat(), dod.isoformat(), str(gestation), accuracy, str(rank), flag,
             "true" if conflict else "false"]
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import kappa_reference
 from tedpc.concept_registry import AccuracyLevel
-from tedpc.episode_builder import ExtremeFlag, PregnancyEpisode
+from tedpc.episode_builder import PregnancyEpisode
 from tedpc.errors import DataFormatError
 from tedpc.evaluation import (
     ConfusionMatrix,
@@ -135,8 +135,8 @@ class TestMatrixCsv:
 def make_episode(person_id, index, start, dod):
     """An episode from its start and delivery dates, which it holds as day ordinals."""
     return PregnancyEpisode(
-        person_id, index, start.toordinal(), dod.toordinal(), (dod - start).days, AccuracyLevel.HIGH, 1,
-        ExtremeFlag.NONE, False,
+        person_id, index, start.toordinal(), dod.toordinal(), (dod - start).days, AccuracyLevel.HIGH.value, 1,
+        "none", False,
     )
 
 

@@ -20,6 +20,7 @@ import marshal
 import os
 import signal
 from contextlib import contextmanager
+from datetime import date, timedelta
 
 import pytest
 
@@ -289,4 +290,55 @@ def test_a_failing_child_falls_back_to_one_read(tmp_path, split_blocks, monkeypa
     with usable_cpus(2) as forks, serial_reads() as reads:
         assert outcome(load_events, path, {400: None}, None, {500: ("x",)}) == expected
     assert forks == [pid] and reads == [path]
+    assert_no_child_left(pid)
+
+
+@needs_fork
+def test_an_earlier_first_day_in_the_second_half_wins(tmp_path, split_blocks):
+    # Days fall through the file, so each person's first day of each label is in the child's half.
+    last = date(2020, 12, 31)
+    rows = [f"{1 + i % 7},{(400, 500)[i % 2]},Condition,{last - timedelta(days=i)}" for i in range(200)]
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join([",".join(EVENT_HEADER), *rows]) + "\n")
+    labels = {400: ("a",), 500: (None, "a")}
+    pid = os.getpid()
+    expected = outcome(load_events_reference, path, {}, None, labels)
+    with usable_cpus(2) as forks, serial_reads() as reads:
+        split = outcome(load_events, path, {}, None, labels)
+    assert forks == [pid] and reads == []
+    assert_no_child_left(pid)
+    assert split == expected
+    assert expected.first_days["a"] == {1 + i % 7: (last - timedelta(days=i)).toordinal() for i in range(193, 200)}
+
+
+class _DyingEnd:
+    """A forked child's end of the pipe: it writes the 8-byte length, then half the payload, and exits."""
+
+    def __init__(self, fd):
+        self.fd, self.writes = fd, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 1:
+            return os.write(self.fd, data)
+        os.write(self.fd, data[: len(data) // 2])
+        os._exit(0)
+
+
+@needs_fork
+def test_a_child_that_dies_after_writing_its_length_gives_none(monkeypatch):
+    pid = os.getpid()
+
+    def child_open(file, mode="r", *args, **kwargs):
+        return _DyingEnd(file) if os.getpid() != pid and mode == "wb" else open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "open", child_open, raising=False)
+    # A text cut short still loads, its tail read as NUL bytes: only the length check sees it.
+    assert csvio.forked(lambda: "x" * 1000, lambda: "mine") == ("mine", None)
     assert_no_child_left(pid)

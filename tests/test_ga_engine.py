@@ -118,7 +118,7 @@ class TestInferGestationStarts:
         starts = run_engine([(day(2020, 7, 1), 4051642)], ga_registry)
         assert len(starts) == 1
         assert starts[0].start_day == day(2020, 2, 12)
-        assert starts[0].accuracy is AccuracyLevel.HIGH
+        assert starts[0].accuracy == AccuracyLevel.HIGH and type(starts[0].accuracy) is int
         assert (starts[0].anchor_concept_id, starts[0].anchor_day) == (4051642, day(2020, 7, 1))
         assert starts[0].cluster_size == 1
         assert not starts[0].conflict_flag
@@ -131,7 +131,7 @@ class TestInferGestationStarts:
         starts = run_engine(events, ga_registry)
         assert len(starts) == 1
         assert starts[0].start_day == day(2019, 12, 8)
-        assert starts[0].accuracy is AccuracyLevel.HIGH
+        assert starts[0].accuracy == AccuracyLevel.HIGH and type(starts[0].accuracy) is int
         assert starts[0].cluster_size == 2
         # Absorbed candidate implies 2020-01-09, 32 days off the anchor.
         assert abs(day(2020, 1, 9) - starts[0].start_day) == 32
@@ -168,8 +168,8 @@ class TestInferGestationStarts:
         starts = infer_gestation_starts(1, build_candidates(events, ga_table), window_days=1)
         assert [s.start_day for s in starts] == [base, base + 2, base + 4]
         assert [s.cluster_size for s in starts] == [1, 1, 1]
-        assert starts[2].accuracy is AccuracyLevel.HIGH and starts[0].accuracy is not AccuracyLevel.HIGH
-        assert all(type(s.accuracy) is AccuracyLevel for s in starts)
+        assert starts[2].accuracy == AccuracyLevel.HIGH and starts[0].accuracy != AccuracyLevel.HIGH
+        assert all(type(s.accuracy) is int for s in starts)
 
     def test_boundary_exactly_window_days_absorbs(self, ga_registry):
         first = day(2020, 7, 1)
@@ -204,13 +204,13 @@ class TestProperties:
                 assert min(cluster["member_ranks"]) == cluster["anchor_rank"]
 
     def test_output_types_and_order(self, ga_registry, ga_table):
-        # The writers index TOKEN_BY_ACCURACY, which takes a plain int too, so only a test sees the type.
+        # The writers index TOKEN_BY_ACCURACY, which takes an AccuracyLevel too, so only a test sees the type.
         rng = np.random.default_rng(14)
         for _ in range(self.N_INSTANCES):
             candidates = build_candidates(random_events(rng, ga_registry, max_events=20), ga_table)
             for window in (1, 270):
                 starts = infer_gestation_starts(1, candidates, window_days=window)
-                assert all(type(s.accuracy) is AccuracyLevel for s in starts)
+                assert all(type(s.accuracy) is int for s in starts)
                 assert all(a.start_day < b.start_day for a, b in zip(starts, starts[1:]))
 
     def test_permutation_invariance(self, ga_registry):

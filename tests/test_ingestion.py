@@ -3,7 +3,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from conftest import write_clinical_events
+from conftest import logged_warnings, write_clinical_events
 from tedpc.concept_registry import Domain
 from tedpc.errors import DataFormatError
 from tedpc.ingestion import (
@@ -119,7 +119,9 @@ class TestLoadEvents:
         )
         table = load_events(path, {400: None}, known_persons={1})
         assert len(table.quarantined) == 1
-        assert table.quarantined == [(2, date(2020, 1, 1).toordinal(), 400, Domain.CONDITION)]
+        assert table.quarantined == [(2, date(2020, 1, 1).toordinal(), 400, "Condition")]
+        # The domain's canonical text, not the Domain member, which compares equal to it.
+        assert type(table.quarantined[0][3]) is str
 
     def test_row_conservation(self, tmp_path):
         path = write(
@@ -286,12 +288,18 @@ class TestConceptFilter:
         )
         # 400 maps to None: grouped, never a mismatch. 500 maps to a domain: grouped, and a mismatch
         # where a row's domain differs. 600 is outside the map: counted, not grouped, never a mismatch.
-        table = load_events(path, {400: None, 500: Domain.CONDITION})
+        with logged_warnings("tedpc") as warnings:
+            table = load_events(path, {400: None, 500: Domain.CONDITION})
         day = date(2020, 1, 1).toordinal()
         assert {person_id: list(event_pairs(flat)) for person_id, flat in table.events_by_person.items()} == {
             1: [(day, 400), (day + 1, 400), (day + 2, 500), (day + 3, 500)]
         }
         assert (table.total_rows, table.domain_mismatches, table.quarantined) == (6, 1, [])
+        # The first mismatch is shown as a ClinicalEvent, its domain a Domain, though the table holds its text.
+        assert warnings == [
+            f"{path}: 1 events disagree with the registry domain for their concept, e.g. ClinicalEvent(person_id=1, "
+            "concept_id=500, domain=<Domain.OBSERVATION: 'Observation'>, event_date=datetime.date(2020, 1, 4))"
+        ]
         # A row outside the map is still parsed and checked.
         bad = write(tmp_path / "bad.csv", EVENT_HEADER + "1,400,Procedure,2020-01-01\n2,600,Condition,2020-13-01\n")
         with pytest.raises(DataFormatError, match=r"bad.csv:3: "):

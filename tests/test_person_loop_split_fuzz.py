@@ -11,20 +11,25 @@ which it is read in two processes, so every fork is the loop's.
 A child that raises, exits or is killed before it writes, a payload cut
 short, a fork that fails and an InvariantError for a person in either half
 must each end as the run in one process ends: the same bytes, or the same
-exit code and message. No child may be left behind.
+exit code and message. No child may be left behind. So must a killed child
+when events.csv comes on stdin, through a pipe or from a regular file.
 """
 
 import marshal
 import os
 import random
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
 from conftest import assert_no_child_left, event_triples, logged_warnings, usable_cpus
+import tedpc
 from tedpc import cli, person_halves, pipeline
 from tedpc.config import RunConfig
 from tedpc.dod_engine import rank_table
@@ -221,7 +226,7 @@ def test_an_invariant_error_in_either_half_exits_4_as_in_one_process(
 
 @needs_fork
 def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_registry, dod_registry, concepts):
-    # Rows equal as tuples could still differ in type: AccuracyLevel.HIGH == 1, and ExtremeFlag.NONE == "none".
+    # Rows equal as tuples could still differ in type: True == 1, and an enum's member equals its value.
     config = RunConfig(emit_cohorts=True)
     tables = {"ga_table": candidate_table(ga_registry), "dod_ranks": rank_table(dod_registry)}
     loop = partial(pipeline._infer_persons, config=config, **tables)
@@ -236,3 +241,55 @@ def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_re
         [list(map(type, row)) for row in rows] for rows in expected[2:]
     ]
     assert all(expected[2:])
+
+
+# `tedpc infer` with two usable CPUs, the loop's threshold at 0 and its forked child killed; then prints the
+# number of forks.
+KILLED_CHILD_RUN = """
+import os, signal, sys
+from tedpc import cli, person_halves, pipeline
+
+pid, real_loop, real_fork, forks = os.getpid(), pipeline._infer_persons, os.fork, []
+
+def loop(*args, **kwargs):
+    if os.getpid() != pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_loop(*args, **kwargs)
+
+def fork():
+    forks.append(pid)
+    return real_fork()
+
+person_halves.SPLIT_EVENTS, pipeline._infer_persons = 0, loop
+os.fork, os.sched_getaffinity = fork, lambda _: {0, 1}
+code = cli.main(sys.argv[1:])
+print(len(forks))
+sys.exit(code)
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("stdin", ["pipe", "file"])
+def test_events_on_stdin_with_a_killed_child_give_the_result_of_one_process(cohort_dir, tmp_path, capsys, stdin):
+    # A failed child's persons are read again from events.csv. A pipe is at its end by then, so over one
+    # the loop runs in one process; a regular file on stdin is opened again from its start.
+    with usable_cpus(1), split_events(0):
+        expected = run_cli(cohort_dir, tmp_path / "one", capsys)
+    argv = ["infer", "--persons", str(cohort_dir / "persons.csv"), "--events", "/dev/stdin",
+            "--out", str(tmp_path / "two"), "--emit-cohorts"]
+    src = str(Path(tedpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-c", KILLED_CHILD_RUN, *argv]
+    events = cohort_dir / "events.csv"
+    if stdin == "pipe":
+        # input= hands the bytes to the child through a pipe, not as a regular file.
+        result = subprocess.run(command, env=env, input=events.read_bytes(), capture_output=True)
+    else:
+        with open(events, "rb") as fh:
+            result = subprocess.run(command, env=env, stdin=fh, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    # The run's own output, then the forks: none over a pipe, one over a regular file.
+    assert result.stdout.decode() == expected[1] + ("0\n" if stdin == "pipe" else "1\n")
+    assert expected[0] == 0
+    assert outputs(tmp_path / "two") == expected[4]
