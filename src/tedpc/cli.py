@@ -146,9 +146,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     config = SynthConfig(seed=args.seed, n_persons=args.n_persons, index_event_rate=args.index_rate, noise=noise)
     ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
     dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
-    out = make_output_dir(args.out_dir)
+    # The output directory is made only for a cohort that was generated: a bad setting leaves nothing.
     cohort = generate_cohort(config, ga_registry, dod_registry)
-    paths = cohort.write(out)
+    paths = cohort.write(make_output_dir(args.out_dir))
     print(
         f"persons={len(cohort.persons)} events={cohort.event_count} "
         f"gestations={len(cohort.truth)} out={paths['events'].parent}"

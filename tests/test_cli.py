@@ -19,7 +19,7 @@ from tedpc.dod_engine import rank_table
 from tedpc.episode_builder import EPISODE_HEADER
 from tedpc.evaluation import Weighting
 from tedpc.ga_engine import candidate_table
-from tedpc.concept_registry import read_concept_ids
+from tedpc.concept_registry import default_ga_concepts_path, read_concept_ids
 from tedpc.ingestion import event_pairs, load_events, load_persons
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
@@ -959,6 +959,31 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path / "sim"), flag, str(2**32)]) == 3
         err = capsys.readouterr().err
         assert flag.lstrip("-").replace("-", "_") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed must be an int in [0, 4294967295], got -1"),
+            ("--n-persons", "-5", "n_persons must be an int in [0, 4294967295], got -5"),
+            ("--index-rate", "2", "index_event_rate must be a number in [0, 1], got 2.0"),
+            ("--shift-max-days", "0", "shift_max_days must be an int of at least 1, got 0"),
+        ],
+    )
+    def test_bad_setting_exits_3_before_making_the_output_directory(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), flag, value]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_index_concept_collision_exits_3_before_making_the_output_directory(self, tmp_path, capsys):
+        # The shipped GA concept set with its first concept renamed to the index concept.
+        ga = tmp_path / "ga.csv"
+        shipped = default_ga_concepts_path().read_text(encoding="utf-8")
+        ga.write_text(shipped.replace("\n2793352,", "\n900000001,", 1), encoding="utf-8")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--ga-concepts", str(ga)]) == 3
+        assert capsys.readouterr().err == "config error: index concept 900000001 collides with a registry concept\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "persons, max_days", [("5", "10000000"), ("50", "40000")], ids=["past-date-max", "past-2100"]
