@@ -14,6 +14,7 @@ import gc
 import logging
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .analytics import BUILT_IN_SECTIONS
@@ -144,11 +145,21 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         pre_pregnancy_index_rate=args.pre_index,
     )
     config = SynthConfig(seed=args.seed, n_persons=args.n_persons, index_event_rate=args.index_rate, noise=noise)
-    ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
-    dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
-    # The output directory is made only for a cohort that was generated: a bad setting leaves nothing.
-    cohort = generate_cohort(config, ga_registry, dod_registry)
-    paths = cohort.write(make_output_dir(args.out_dir))
+    config.validate()
+    # An output path that cannot be a directory fails before any input is read. The directories made for it
+    # go again if the run fails before it writes, so a bad path, input or setting leaves nothing.
+    made = [path for path in (args.out_dir, *args.out_dir.parents) if not os.path.lexists(path)]
+    try:
+        out = make_output_dir(args.out_dir)
+        ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
+        dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
+        cohort = generate_cohort(config, ga_registry, dod_registry)
+    except BaseException:
+        for path in made:
+            with suppress(OSError):
+                os.rmdir(path)
+        raise
+    paths = cohort.write(out)
     print(
         f"persons={len(cohort.persons)} events={cohort.event_count} "
         f"gestations={len(cohort.truth)} out={paths['events'].parent}"

@@ -42,13 +42,16 @@ file in two processes: `split_point` finds where the second half starts, and
 `forked` runs one half in a forked child, which sends back its result as one
 `marshal` payload through a pipe, while this process reads the other. A reader
 that has any doubt about either half reads the whole file through `columns`.
-`forkable` is the one rule for when a second process may be forked at all;
-`tedpc.person_halves` forks by it too, to infer persons on two CPUs.
+`forkable` is the one rule for when a second process may be forked at all.
+A loop over ids whose rows for one id depend on that id alone (`infer`'s
+person loop, the generator's) runs its upper ids in a forked child through
+`halves`, which appends the child's rows to this process's in id order.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import marshal
 import math
 import os
@@ -56,11 +59,13 @@ import stat
 import threading
 from contextlib import contextmanager
 from datetime import date
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataFormatError, TedpcError
+
+logger = logging.getLogger(__name__)
 
 
 def iso_date(text: str) -> date:
@@ -457,6 +462,74 @@ def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, obj
             return mine, marshal.loads(payload)
         except (EOFError, ValueError, TypeError):
             return mine, None
+
+
+def halves(
+    run: Callable[[Sequence], tuple], ids: Sequence, weight: Callable[[object], int], minimum: int, doing: str,
+    send: Callable[[Sequence, tuple], object], load: Callable[[Sequence, object], Iterable],
+    again: Callable[[Sequence], tuple] | None, release: Callable[[Sequence], object] = lambda ids: None,
+) -> tuple:
+    """`run(ids)`, the ids after the cut run by a forked child where the run qualifies.
+
+    It qualifies when this process can fork onto a second CPU (`forkable`),
+    `again` is given, and the ids' summed `weight` is over `minimum`. The cut
+    follows the id at which the running weight first reaches half the total,
+    and both sides must keep an id. `run` returns a tuple of row lists and
+    tallies (dicts of name -> number); an id's rows depend on that id alone.
+    The child sends `send(its ids, run(its ids))`. This process calls
+    `release(the child's ids)`, runs its own, then appends the rows of
+    `load(the child's ids, payload)` to its lists, freeing each table once
+    appended, and adds the tallies key by key. When the fork fails, this
+    process runs every id; on any doubt about the child, every list and tally
+    is set back and `again(the child's ids)` runs here. Either way the
+    result, or an exception, is that of one process.
+    """
+    if again is None or not forkable() or (total := sum(map(weight, ids))) <= minimum:
+        return run(ids)
+    cut = next((cut for cut, running in enumerate(accumulate(map(weight, ids)), 1) if 2 * running >= total), 0)
+    if not 0 < cut < len(ids):
+        return run(ids)
+    mine, theirs = ids[:cut], ids[cut:]
+    logger.info("%s in two processes: %d here, %d in a forked child", doing, len(mine), len(theirs))
+
+    def lower_half() -> tuple:
+        release(theirs)
+        return run(mine)
+
+    try:
+        ours, payload = forked(lambda: send(theirs, run(theirs)), lower_half)
+    except OSError:
+        # No pipe or no fork: nothing has run, and nothing is released.
+        logger.debug("%s in one process, as the fork failed", doing, exc_info=True)
+        return run(ids)
+    saved = [dict(part) if isinstance(part, dict) else len(part) for part in ours]
+    try:
+        # A payload that did not load is None, and fails here like one of another shape. It is let go here,
+        # so that only `parts` holds each loaded table, which the join frees once it is appended.
+        parts, payload = list(load(theirs, payload)), None
+        _join(ours, parts)
+    except (TypeError, ValueError, LookupError):
+        logger.debug("%s: the child's ids run here, as it failed", doing, exc_info=True)
+        for part, size in zip(ours, saved):
+            if isinstance(part, dict):
+                part.update(size)
+            else:
+                del part[size:]
+        _join(ours, list(again(theirs)))
+    return ours
+
+
+def _join(ours: tuple, theirs: list) -> None:
+    """Extend each list of `ours` by the row iterable at its place in `theirs`, freed once appended; then add
+    each tally of `theirs` to the one at its place in `ours`."""
+    for i, own in enumerate(ours):
+        if isinstance(own, list):
+            own += theirs[i]
+            theirs[i] = None
+    for own, their in zip(ours, theirs, strict=True):
+        if isinstance(own, dict):
+            for key in own:
+                own[key] += their[key]
 
 
 def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str, ...]]]:

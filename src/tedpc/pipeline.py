@@ -13,12 +13,13 @@ Where two CPUs are usable, a large events.csv is read in two processes, the
 second half by a forked child, and joined in file order, so every command
 gets the table, and writes the bytes, that one process would.
 Inference is one loop over the persons in id order (`_infer_persons`). Over a
-large cohort it runs in two processes (`person_halves`): a forked child runs it
+large cohort it runs in two processes (`csvio.halves`): a forked child runs it
 over the upper half of the person ids, this process over the lower half, and
 the child's results are appended to this process's, so the lists are those of
-one loop. Over a piped events.csv, which could not be read again for a failed
-child's persons, it runs in one. Each person's list is popped off the table as the loop reaches it,
-so it is freed once that person is done. Each engine reads it as
+one loop, and the loop's tally of counts is added up. Over a piped events.csv,
+which could not be read again for a failed child's persons, it runs in one.
+Each person's list is popped off the table as the loop reaches it, so it is
+freed once that person is done. Each engine reads it as
 `(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
 candidate pool natively. Starts and deliveries are kept only for
 `--emit-cohorts`; otherwise summary.json counts them as they go. Timeline
@@ -50,7 +51,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import BOOL_TEXT, Memo, iso_text, write_lines, write_rows
+from .csvio import BOOL_TEXT, Memo, halves, iso_text, write_lines, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     PregnancyEpisode,
@@ -65,6 +66,14 @@ from .ga_engine import GestationStart, build_candidates, candidate_table, infer_
 from .ingestion import EVENT_HEADER, event_pairs, grouped_events, load_events, load_persons
 
 logger = logging.getLogger(__name__)
+
+# The person loop runs in two processes only over more grouped events than this. On a 2-vCPU Xeon the fork
+# and the payload cost about 1.5 ms in a small process, as much as half the loop saves over about 2,500 events
+# (250 persons of the generator's default shape); over 5,000 the split saved 20 %.
+SPLIT_EVENTS = 5_000
+
+# The row type of each list the person loop returns: starts, deliveries, episodes, unmatched starts and deliveries.
+_RESULT_TYPES = (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord)
 
 
 def _check_separation(days: list[int], window_days: int, kind: str, person_id: int) -> None:
@@ -105,15 +114,23 @@ def run_infer(config: RunConfig) -> dict:
     concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
     table = load_events(config.events_path, concepts, known_persons=persons)
 
-    # Imported here: only infer runs it, and the other commands would compile it for nothing.
-    from .person_halves import infer_halves
-
     # The one loop body, over the persons given: the run in one process and each half call it.
     loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
-    # A failed child's persons are read again from events.csv, which a pipe cannot give twice.
-    grouped_again = partial(grouped_events, config.events_path, concepts, persons)
-    inferred = infer_halves(table.events_by_person, loop, grouped_again if Path(config.events_path).is_file() else None)
-    start_count, record_count, all_starts, all_records, episodes, unmatched_starts, unmatched_dods = inferred
+    by_person = table.events_by_person
+
+    def again(person_ids: list[int]) -> tuple:  # a failed child's persons, their events read again
+        return loop(grouped_events(config.events_path, concepts, persons), person_ids)
+
+    def release(person_ids: list[int]) -> None:  # the child's lists, freed before its payload is read
+        for person_id in person_ids:
+            del by_person[person_id]
+
+    all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = halves(
+        partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
+        # Two list slots per event. A pipe cannot give the events twice: over one, the loop runs in one process.
+        2 * SPLIT_EVENTS, "inferring persons", _send_inferred, _load_inferred,
+        again if Path(config.events_path).is_file() else None, release,
+    )
 
     excluded: list[tuple[PregnancyEpisode, str]] = []
     if config.apply_filters:
@@ -168,8 +185,7 @@ def run_infer(config: RunConfig) -> dict:
         "event_rows": table.total_rows,
         "events_quarantined": len(table.quarantined),
         "domain_mismatches": table.domain_mismatches,
-        "gestation_starts": start_count,
-        "delivery_records": record_count,
+        **tally,
         "episodes": len(episodes),
         "episodes_excluded_by_filters": len(excluded),
         "unmatched_starts": len(unmatched_starts),
@@ -188,13 +204,13 @@ def _infer_persons(
     """Both engines, matching and the separation checks over the persons of `person_ids`, in that order.
 
     Each person's list is popped off `by_person` as the loop reaches it, so it
-    is freed once that person is done. Returns the start and delivery counts,
-    then the lists of starts and deliveries (empty unless --emit-cohorts),
-    episodes, unmatched starts and unmatched deliveries, each in person order.
+    is freed once that person is done. Returns the lists of starts and
+    deliveries (empty unless --emit-cohorts), episodes, unmatched starts and
+    unmatched deliveries, each in person order, then the tally of counts.
     """
     all_starts: list[GestationStart] = []
     all_records: list[DeliveryRecord] = []
-    start_count = record_count = 0
+    tally = {"gestation_starts": 0, "delivery_records": 0}
     episodes: list[PregnancyEpisode] = []
     unmatched_starts: list[GestationStart] = []
     unmatched_dods: list[DeliveryRecord] = []
@@ -212,15 +228,35 @@ def _infer_persons(
         )
         _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
         _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
-        start_count += len(starts)
-        record_count += len(records)
+        tally["gestation_starts"] += len(starts)
+        tally["delivery_records"] += len(records)
         if config.emit_cohorts:
             all_starts.extend(starts)
             all_records.extend(records)
         episodes.extend(person_episodes)
         unmatched_starts.extend(diagnostics.unmatched_starts)
         unmatched_dods.extend(diagnostics.unmatched_dods)
-    return start_count, record_count, all_starts, all_records, episodes, unmatched_starts, unmatched_dods
+    return all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally
+
+
+def _send_inferred(person_ids: list[int], inferred: tuple) -> list:
+    """The person loop's result as plain data: each list as one column per field, then the tally."""
+    # Each row's person id goes as its position in `person_ids`, so that the row rebuilt from it holds
+    # this process's id object, as a row the loop builds here does, and not a copy from the payload.
+    position = dict(zip(person_ids, range(len(person_ids))))
+    plain = [list(zip(*rows)) or [()] * len(cls._fields) for rows, cls in zip(inferred, _RESULT_TYPES)]
+    for columns in plain:
+        columns[0] = list(map(position.__getitem__, columns[0]))
+    return [*plain, inferred[-1]]
+
+
+def _load_inferred(person_ids: list[int], plain: list) -> list:
+    """The rows of `_send_inferred`'s lists, rebuilt lazily as they are appended, then the tally."""
+    *tables, tally = plain
+    return [
+        map(partial(tuple.__new__, cls), zip(map(person_ids.__getitem__, ids), *rest, strict=True))
+        for (ids, *rest), cls in zip(tables, _RESULT_TYPES, strict=True)
+    ] + [tally]
 
 
 def run_timeline(config: RunConfig) -> int:

@@ -19,7 +19,7 @@ therefore depend only on the seed, the config and their own id: persons 1-30
 are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions. So a forked child can generate the
-upper ids and the cohort still be that of one process (`_generate_halves`).
+upper ids and the cohort still be that of one process (`csvio.halves`).
 
 Every draw calls one of three methods of a stream: `getrandbits`, `random()`
 or `gauss`. `_below`, `_sample` and `_pick` make the draws of `randrange` and
@@ -51,7 +51,6 @@ and three gestations (`GESTATION_COUNT_PROBS`) and the index concept
 
 from __future__ import annotations
 
-import logging
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
@@ -61,16 +60,14 @@ from itertools import accumulate
 from math import ceil, log
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
-from .csvio import Memo, forkable, forked, iso_date, iso_text, table, write_lines, write_rows
+from .csvio import Memo, halves, iso_date, iso_text, table, write_lines, write_rows
 from .episode_builder import COHORT_WINDOW
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
 from .ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE, Person, write_events, write_persons
-
-logger = logging.getLogger(__name__)
 
 # Sub-stream tags so base generation and noise never share a random stream.
 _BASE_STREAM = 0
@@ -456,7 +453,7 @@ def generate_cohort(
     # Each distinct day's int is held once in this process's flat events and noise rows.
     days: dict[int, int] = {}
 
-    def generate(person_ids: range) -> tuple[list[Person], list[int], list[TruthRecord], list[_NoiseRow]]:
+    def generate(person_ids: range) -> tuple[list[int], list[_NoiseRow], list[Person], list[TruthRecord]]:
         persons: list[Person] = []
         flat_events: list[int] = []
         truth: list[TruthRecord] = []
@@ -505,56 +502,30 @@ def generate_cohort(
                 if earliest is not None and earliest <= dod:
                     week = 0 if earliest < start else (earliest - start) // 7 + 1
                 truth.append(TruthRecord(person_id, index, start, dod, week))
-        return persons, flat_events, truth, noise_rows
+        return flat_events, noise_rows, persons, truth
 
-    persons, flat_events, truth, noise_rows = _generate_halves(generate, config.n_persons)
+    # The events go first: they are appended while the child's persons and truth are still columns.
+    flat_events, noise_rows, persons, truth = halves(
+        generate, range(1, config.n_persons + 1), lambda person_id: 1, SPLIT_PERSONS, "generating persons",
+        _send_generated, _load_generated, generate,
+    )
     return SyntheticCohort(persons, flat_events, domains, truth, noise_rows)
 
 
-def _generate_halves(generate: Callable[[range], tuple], n_persons: int) -> tuple:
-    """`generate` over ids 1 to `n_persons`; over SPLIT_PERSONS persons, the upper half in a forked child.
+def _send_generated(person_ids: range, generated: tuple) -> list:
+    """Generated tables as plain data: persons, births as ordinals, and truth as columns; the rest as they are."""
+    flat_events, noise_rows, persons, truth = generated
+    ids, births, *texts = zip(*persons)
+    return [[ids, list(map(date.toordinal, births)), *texts], flat_events, list(zip(*truth)), noise_rows]
 
-    The child sends its persons and truth as columns; this process appends the
-    rows after its own. A failed fork or child leaves its persons to this
-    process, so the rows and any GenerationError are those of one process.
-    """
-    person_ids = range(1, n_persons + 1)
-    if n_persons <= SPLIT_PERSONS or not forkable():
-        return generate(person_ids)
-    mine, theirs = person_ids[: n_persons // 2], person_ids[n_persons // 2 :]
-    logger.info("generating persons in two processes: %d here, %d in a forked child", len(mine), len(theirs))
 
-    def upper_half() -> list:
-        persons, flat_events, truth, noise_rows = generate(theirs)
-        ids, births, *texts = zip(*persons)
-        return [[ids, list(map(date.toordinal, births)), *texts], flat_events, list(zip(*truth)), noise_rows]
-
-    try:
-        ours, plain = forked(upper_half, partial(generate, mine))
-    except OSError:
-        logger.debug("generating persons in one process, as the fork failed", exc_info=True)
-        return generate(person_ids)
-    persons, flat_events, truth, noise_rows = ours
-    sizes = list(map(len, ours))
-    try:
-        # A payload that did not load is None, and fails here like one of another shape.
-        person_columns, their_events, truth_columns, their_noise = plain
-        del plain
-        # The events go first, while the child's persons and truth are columns, their smallest form, and
-        # their list is freed once appended: it is held beside this one only while this one grows.
-        flat_events += their_events
-        del their_events
-        noise_rows += their_noise
-        person_columns[1] = map(date.fromordinal, person_columns[1])
-        persons += map(partial(tuple.__new__, Person), zip(*person_columns, strict=True))
-        del person_columns
-        truth += map(partial(tuple.__new__, TruthRecord), zip(*truth_columns, strict=True))
-    except (TypeError, ValueError, IndexError):
-        logger.debug("generating the child's persons here, as it failed", exc_info=True)
-        for rows, size, more in zip(ours, sizes, generate(theirs)):
-            del rows[size:]
-            rows += more
-    return ours
+def _load_generated(person_ids: range, plain: list) -> list:
+    """`generate`'s tables from `_send_generated`'s payload, persons and truth rebuilt lazily as they are appended."""
+    person_columns, flat_events, truth_columns, noise_rows = plain
+    person_columns[1] = map(date.fromordinal, person_columns[1])
+    persons = map(partial(tuple.__new__, Person), zip(*person_columns, strict=True))
+    truth = map(partial(tuple.__new__, TruthRecord), zip(*truth_columns, strict=True))
+    return [flat_events, noise_rows, persons, truth]
 
 
 def _add_noise(

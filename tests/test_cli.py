@@ -1173,6 +1173,39 @@ class TestPathsUnderAFile:
         assert main(["simulate", "--out", str(tmp_path / "afile" / "sim"), "--n-persons", "2"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_simulate_out_under_a_file_exits_3_before_generating(self, tmp_path, capsys, monkeypatch):
+        from tedpc import synthgen
+
+        def generate_cohort(*args):
+            raise AssertionError("generate_cohort called")
+
+        monkeypatch.setattr(synthgen, "generate_cohort", generate_cohort)
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        assert main(["simulate", "--out", str(target), "--n-persons", "100000"]) == 3
+        assert capsys.readouterr().err == f"config error: cannot create output directory {target}: Not a directory\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "afile"]
+
+    def test_simulate_out_name_too_long_leaves_no_parent_behind(self, tmp_path, capsys):
+        # The missing parents are made before the last name fails; they go again.
+        target = tmp_path / "new" / ("x" * 300)
+        assert main(["simulate", "--out", str(target), "--n-persons", "2"]) == 3
+        assert capsys.readouterr().err == f"config error: cannot create output directory {target}: File name too long\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_generation_error_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # The output directory and the missing parent made for it are taken away again; `tmp_path` stays.
+        from tedpc import synthgen
+        from tedpc.errors import GenerationError
+
+        def generate_cohort(*args):
+            raise GenerationError("cannot place 3 gestations")
+
+        monkeypatch.setattr(synthgen, "generate_cohort", generate_cohort)
+        assert main(["simulate", "--out", str(tmp_path / "new" / "sim")]) == 3
+        assert capsys.readouterr().err == "config error: cannot place 3 gestations\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_under_a_file_exit_2_naming_path(self, sim_dir, tmp_path, capsys):
         (tmp_path / "afile").write_text("")
         events = tmp_path / "afile" / "x.csv"

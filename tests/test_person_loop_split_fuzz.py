@@ -1,6 +1,6 @@
 """`run_infer` runs its person loop in two processes; the loop in one process is its reference.
 
-With the loop's threshold (`person_halves.SPLIT_EVENTS`) patched low, small drawn
+With the loop's threshold (`pipeline.SPLIT_EVENTS`) patched low, small drawn
 cohorts qualify: noise on or off, persons missing from persons.csv, events
 rows shuffled, with `--emit-cohorts` or not and with the cohort filters or
 not. Every file `run_infer` writes, and every warning it logs, must be the
@@ -12,7 +12,8 @@ A child that raises, exits or is killed before it writes, a payload cut
 short, a fork that fails and an InvariantError for a person in either half
 must each end as the run in one process ends: the same bytes, or the same
 exit code and message. No child may be left behind. So must a killed child
-when events.csv comes on stdin, through a pipe or from a regular file.
+when events.csv comes on stdin, through a pipe or from a regular file. And
+summary.json's funnel must add up however the loop's tally was merged.
 """
 
 import marshal
@@ -30,7 +31,7 @@ import pytest
 
 from conftest import assert_no_child_left, event_triples, logged_warnings, usable_cpus
 import tedpc
-from tedpc import cli, person_halves, pipeline
+from tedpc import cli, csvio, pipeline
 from tedpc.config import RunConfig
 from tedpc.dod_engine import rank_table
 from tedpc.errors import InvariantError
@@ -65,11 +66,11 @@ def outputs(directory):
 
 @contextmanager
 def split_events(count):
-    saved, person_halves.SPLIT_EVENTS = person_halves.SPLIT_EVENTS, count
+    saved, pipeline.SPLIT_EVENTS = pipeline.SPLIT_EVENTS, count
     try:
         yield
     finally:
-        person_halves.SPLIT_EVENTS = saved
+        pipeline.SPLIT_EVENTS = saved
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +182,7 @@ def test_a_failing_child_gives_the_result_of_one_process(cohort_dir, tmp_path, m
         forks.append(os.getpid())
         raise OSError("no fork")
 
-    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
     with usable_cpus(1):
         expected = run_cli(cohort_dir, tmp_path / "one", capsys)
     monkeypatch.setattr(pipeline, "_infer_persons", loop)
@@ -212,7 +213,7 @@ def test_an_invariant_error_in_either_half_exits_4_as_in_one_process(
         real_check(days, window_days, kind, person_id)
 
     pid = os.getpid()
-    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
     monkeypatch.setattr(pipeline, "_check_separation", check)
     with usable_cpus(1):
         expected = run_cli(cohort_dir, tmp_path / "one", capsys)
@@ -232,22 +233,64 @@ def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_re
     loop = partial(pipeline._infer_persons, config=config, **tables)
     by_person = grouped(cohort_dir, concepts)
     expected = loop(by_person, sorted(by_person))
-    monkeypatch.setattr(person_halves, "SPLIT_EVENTS", 0)
+    monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
+    by_person = grouped(cohort_dir, concepts)
     with usable_cpus(2) as forks:
-        joined = person_halves.infer_halves(grouped(cohort_dir, concepts), loop, partial(grouped, cohort_dir, concepts))
+        joined = csvio.halves(
+            partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
+            2 * pipeline.SPLIT_EVENTS, "inferring persons", pipeline._send_inferred, pipeline._load_inferred,
+            lambda person_ids: loop(grouped(cohort_dir, concepts), person_ids),
+        )
     assert forks == [os.getpid()]
     assert joined == expected
-    assert [[list(map(type, row)) for row in rows] for rows in joined[2:]] == [
-        [list(map(type, row)) for row in rows] for rows in expected[2:]
+    assert [[list(map(type, row)) for row in rows] for rows in joined[:5]] == [
+        [list(map(type, row)) for row in rows] for rows in expected[:5]
     ]
-    assert all(expected[2:])
+    assert all(expected[:5])
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [3, 5])
+@pytest.mark.parametrize("apply_filters", [True, False])
+def test_the_funnel_adds_up_in_one_process_and_in_two(tmp_path, monkeypatch, ga_registry, dod_registry, seed,
+                                                      apply_filters):
+    # Every start and every delivery ends in an episode, kept or excluded, or unmatched, however the loop's
+    # tally was merged: in one process, from the child's payload, or from a cut-short payload's fallback.
+    cohort = generate_cohort(SynthConfig(seed=seed, n_persons=400, noise=NOISE), ga_registry, dod_registry)
+    write_cohort(tmp_path, cohort, 0, None)
+    pid, real_dumps = os.getpid(), marshal.dumps
+
+    def cut_short(value, *args):
+        payload = real_dumps(value, *args)
+        return payload[: len(payload) // 2] if os.getpid() != pid else payload
+
+    monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
+    summaries = []
+    for cpus, fault in [(1, False), (2, False), (2, True)]:
+        if fault:
+            monkeypatch.setattr(marshal, "dumps", cut_short)
+        config = RunConfig(
+            persons_path=tmp_path / "persons.csv", events_path=tmp_path / "events.csv",
+            out_dir=tmp_path / f"out{len(summaries)}", apply_filters=apply_filters,
+        )
+        with usable_cpus(cpus) as forks:
+            summaries.append(pipeline.run_infer(config))
+        assert forks == ([pid] if cpus == 2 else [])
+    assert_no_child_left(pid)
+    summary = summaries[0]
+    assert summaries == [summary] * 3
+    ended = summary["episodes"] + summary["episodes_excluded_by_filters"]
+    assert summary["gestation_starts"] == ended + summary["unmatched_starts"]
+    assert summary["delivery_records"] == ended + summary["unmatched_dods"]
+    assert summary["unmatched_starts"] and summary["unmatched_dods"]
+    assert bool(summary["episodes_excluded_by_filters"]) == apply_filters
 
 
 # `tedpc infer` with two usable CPUs, the loop's threshold at 0 and its forked child killed; then prints the
 # number of forks.
 KILLED_CHILD_RUN = """
 import os, signal, sys
-from tedpc import cli, person_halves, pipeline
+from tedpc import cli, pipeline
 
 pid, real_loop, real_fork, forks = os.getpid(), pipeline._infer_persons, os.fork, []
 
@@ -260,7 +303,7 @@ def fork():
     forks.append(pid)
     return real_fork()
 
-person_halves.SPLIT_EVENTS, pipeline._infer_persons = 0, loop
+pipeline.SPLIT_EVENTS, pipeline._infer_persons = 0, loop
 os.fork, os.sched_getaffinity = fork, lambda _: {0, 1}
 code = cli.main(sys.argv[1:])
 print(len(forks))

@@ -4,7 +4,7 @@ With the split's threshold (`synthgen.SPLIT_PERSONS`) patched low, small drawn
 cohorts qualify: any seed, index rate, noise rates and shift bound. The
 persons, flat events, truth and noise rows, and every byte `write` makes, must
 be the same with one usable CPU and with two, and `os.fork` must be called
-exactly when the cohort has more persons than the threshold.
+exactly when the cohort has more persons than the threshold, and more than one.
 
 A fork that fails, a child that raises, one that exits after writing only its
 payload's length, a payload that `marshal` cannot make and one whose columns
@@ -87,7 +87,7 @@ def test_two_processes_generate_what_one_does(
     assert_no_child_left(pid)
     assert runs[1][:2] == runs[2][:2]
     assert runs[1][2] == []
-    assert runs[2][2] == ([pid] if n_persons > threshold else [])
+    assert runs[2][2] == ([pid] if n_persons > threshold and n_persons > 1 else [])
 
 
 NOISE = NoiseSpec(
