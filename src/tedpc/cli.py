@@ -14,7 +14,6 @@ import gc
 import logging
 import os
 import sys
-from contextlib import suppress
 from pathlib import Path
 
 from .analytics import BUILT_IN_SECTIONS
@@ -32,7 +31,7 @@ from .config import RunConfig, build_config, resolve_input_path
 from .csvio import BOOL_TEXT, write_rows
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
-from .pipeline import make_output_dir, run_infer, run_stats, run_timeline
+from .pipeline import make_output_dir, run_infer, run_stats, run_timeline, taken_back_on_failure
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -104,13 +103,15 @@ def _cmd_infer(args: argparse.Namespace) -> None:
             f"got {args.threads}"
         )
     config = _load_run_config(args, "persons_path", "events_path")
-    summary = run_infer(config)
+    with taken_back_on_failure(config.out_dir):
+        summary = run_infer(config)
     print(f"episodes={summary['episodes']} unmatched_starts={summary['unmatched_starts']} unmatched_dods={summary['unmatched_dods']}")
 
 
 def _cmd_timeline(args: argparse.Namespace) -> None:
     config = _load_run_config(args, "episodes_path", "events_path", "index_events_path")
-    rows = run_timeline(config)
+    with taken_back_on_failure(config.out_dir):
+        rows = run_timeline(config)
     print(f"timing_rows={rows}")
 
 
@@ -128,7 +129,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         if any(char in name for char in "|\r\n"):
             raise ConfigError(f"--condition name {name!r} must not contain '|' or a line break")
         condition_sets[name] = resolve_input_path(raw_path)
-    run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
+    with taken_back_on_failure(config.out_dir):
+        run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")
 
 
@@ -146,20 +148,13 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
     config = SynthConfig(seed=args.seed, n_persons=args.n_persons, index_event_rate=args.index_rate, noise=noise)
     config.validate()
-    # An output path that cannot be a directory fails before any input is read. The directories made for it
-    # go again if the run fails before it writes, so a bad path, input or setting leaves nothing.
-    made = [path for path in (args.out_dir, *args.out_dir.parents) if not os.path.lexists(path)]
-    try:
+    # An output path that cannot be a directory fails before any input is read.
+    with taken_back_on_failure(args.out_dir):
         out = make_output_dir(args.out_dir)
         ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
         dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
         cohort = generate_cohort(config, ga_registry, dod_registry)
-    except BaseException:
-        for path in made:
-            with suppress(OSError):
-                os.rmdir(path)
-        raise
-    paths = cohort.write(out)
+        paths = cohort.write(out)
     print(
         f"persons={len(cohort.persons)} events={cohort.event_count} "
         f"gestations={len(cohort.truth)} out={paths['events'].parent}"

@@ -21,7 +21,9 @@ which could not be read again for a failed child's persons, it runs in one.
 Each person's list is popped off the table as the loop reaches it, so it is
 freed once that person is done. Each engine reads it as
 `(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
-candidate pool natively. Starts and deliveries are kept only for
+candidate pool natively. One person's starts, or deliveries, are more than the
+window apart by construction (`anchor_and_absorb`; property tests assert it),
+so nothing checks that again. Starts and deliveries are kept only for
 `--emit-cohorts`; otherwise summary.json counts them as they go. Timeline
 sorts one person's pairs at a time and walks each episode's events once
 (`analytics.episode_exposures`); stats reads each episode's index week and
@@ -32,9 +34,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from contextlib import contextmanager, suppress
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .analytics import (
     episode_exposures,
@@ -61,7 +66,7 @@ from .episode_builder import (
     read_episodes,
     write_episodes,
 )
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from .ga_engine import GestationStart, build_candidates, candidate_table, infer_gestation_starts
 from .ingestion import EVENT_HEADER, event_pairs, grouped_events, load_events, load_persons
 
@@ -76,18 +81,6 @@ SPLIT_EVENTS = 5_000
 _RESULT_TYPES = (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord)
 
 
-def _check_separation(days: list[int], window_days: int, kind: str, person_id: int) -> None:
-    if len(days) < 2:
-        return
-    ordinals = sorted(days)
-    for a, b in zip(ordinals, ordinals[1:]):
-        if b - a <= window_days:
-            raise InvariantError(
-                f"person {person_id}: two {kind} values {b - a} days apart, "
-                f"expected more than {window_days}"
-            )
-
-
 def make_output_dir(path: Path | str) -> Path:
     """Create an output directory; a path that cannot be one is a config error."""
     out = Path(path)
@@ -96,6 +89,22 @@ def make_output_dir(path: Path | str) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     return out
+
+
+@contextmanager
+def taken_back_on_failure(path: Path | str) -> Iterator[None]:
+    """Run the block; if it fails, remove each directory of `path` and its parents that did not exist before.
+
+    Deepest first, and only while empty (`os.rmdir`): a directory that holds a file stays.
+    """
+    made = [part for part in (Path(path), *Path(path).parents) if not os.path.lexists(part)]
+    try:
+        yield
+    except BaseException:
+        for part in made:
+            with suppress(OSError):
+                os.rmdir(part)
+        raise
 
 
 def run_infer(config: RunConfig) -> dict:
@@ -201,7 +210,7 @@ def run_infer(config: RunConfig) -> dict:
 def _infer_persons(
     by_person: dict[int, list[int]], person_ids: list[int], config: RunConfig, ga_table: dict, dod_ranks: dict
 ) -> tuple:
-    """Both engines, matching and the separation checks over the persons of `person_ids`, in that order.
+    """Both engines and matching over the persons of `person_ids`, in that order.
 
     Each person's list is popped off `by_person` as the loop reaches it, so it
     is freed once that person is done. Returns the lists of starts and
@@ -226,8 +235,6 @@ def _infer_persons(
         person_episodes, diagnostics = match_episodes(
             starts, records, min_days=config.match_min_days, max_days=config.match_max_days
         )
-        _check_separation([s.start_day for s in starts], config.window_days, "start", person_id)
-        _check_separation([r.dod_day for r in records], config.window_days, "delivery", person_id)
         tally["gestation_starts"] += len(starts)
         tally["delivery_records"] += len(records)
         if config.emit_cohorts:

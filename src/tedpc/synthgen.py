@@ -64,7 +64,7 @@ from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
 from .csvio import Memo, halves, iso_date, iso_text, table, write_lines, write_rows
-from .episode_builder import COHORT_WINDOW
+from .episode_builder import COHORT_WINDOW, week_of
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
 from .ingestion import MAX_EVENT_DATE, MIN_EVENT_DATE, Person, write_events, write_persons
@@ -498,9 +498,7 @@ def generate_cohort(
             # earliest index event on or before the delivery, week 0 when pre-start.
             earliest = next((day for day, concept_id in person_events if concept_id == INDEX_CONCEPT_ID), None)
             for index, (start, dod, _) in enumerate(triples, start=1):
-                week = None
-                if earliest is not None and earliest <= dod:
-                    week = 0 if earliest < start else (earliest - start) // 7 + 1
+                week = week_of(start, earliest) if earliest is not None and earliest <= dod else None
                 truth.append(TruthRecord(person_id, index, start, dod, week))
         return flat_events, noise_rows, persons, truth
 

@@ -1217,6 +1217,46 @@ class TestPathsUnderAFile:
         assert str(events) in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def sim_episodes(sim_dir, tmp_path_factory):
+    """episodes.csv of an `infer` run over sim_dir's cohort, outside each test's own directory."""
+    out = tmp_path_factory.mktemp("episodes")
+    assert run_infer(sim_dir, out) == 0
+    return out / "episodes.csv"
+
+
+def failing_argv(command, sim_dir, episodes, out_dir, missing=None):
+    """Arguments of a run of `command` into out_dir; `missing`, if given, is its events, episodes or condition set."""
+    if command == "infer":
+        events = missing or sim_dir / "events.csv"
+        return ["infer", "--persons", str(sim_dir / "persons.csv"), "--events", str(events), "--out", str(out_dir)]
+    if command == "timeline":
+        return analytics_argv(command, sim_dir, missing or episodes, out_dir)
+    return analytics_argv(command, sim_dir, episodes, out_dir) + (["--condition", f"a={missing}"] if missing else [])
+
+
+@pytest.mark.parametrize("command", ["infer", "timeline", "stats"])
+class TestFailedRunLeavesNoDirectory:
+    def test_missing_input_exits_2_and_leaves_no_directory(self, sim_dir, sim_episodes, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        assert main(failing_argv(command, sim_dir, sim_episodes, tmp_path / "new" / "out", missing)) == 2
+        assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_name_too_long_exits_3_and_leaves_no_parent(self, sim_dir, sim_episodes, tmp_path, capsys, command):
+        # The missing parents are made before the last name fails; they go again.
+        target = tmp_path / "new1" / "new2" / ("x" * 300)
+        assert main(failing_argv(command, sim_dir, sim_episodes, target)) == 3
+        assert capsys.readouterr().err == f"config error: cannot create output directory {target}: File name too long\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_out_directory_is_never_removed(self, sim_dir, sim_episodes, tmp_path, command):
+        (tmp_path / "out").mkdir()
+        assert main(failing_argv(command, sim_dir, sim_episodes, tmp_path / "out", tmp_path / "missing.csv")) == 2
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 NUMPY_FREE_RUN = """
 import json, sys
 sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError

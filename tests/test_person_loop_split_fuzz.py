@@ -149,13 +149,16 @@ def cohort_dir(tmp_path_factory, ga_registry, dod_registry, concepts):
 
 
 def run_cli(cohort_dir, out, capsys):
-    """`tedpc infer --emit-cohorts` on the cohort: exit code, stdout, stderr, warnings and the files written."""
+    """`tedpc infer --emit-cohorts` on the cohort: exit code, stdout, stderr, warnings and the files written.
+
+    The files are None when the run left no `out` directory, as a run that fails before it writes does.
+    """
     argv = ["infer", "--persons", str(cohort_dir / "persons.csv"), "--events", str(cohort_dir / "events.csv"),
             "--out", str(out), "--emit-cohorts"]
     with logged_warnings("tedpc") as warnings:
         code = cli.main(argv)
     printed = capsys.readouterr()
-    return code, printed.out, printed.err, warnings, outputs(out)
+    return code, printed.out, printed.err, warnings, outputs(out) if out.exists() else None
 
 
 @needs_fork
@@ -205,22 +208,24 @@ def test_an_invariant_error_in_either_half_exits_4_as_in_one_process(
     # The first person with grouped events is inferred in this process, the last in the child.
     ids = sorted(grouped(cohort_dir, concepts))
     target = ids[0] if half == "lower" else ids[-1]
-    real_check = pipeline._check_separation
+    real_match = pipeline.match_episodes
 
-    def check(days, window_days, kind, person_id):
-        if person_id == target:
-            raise InvariantError(f"person {person_id}: injected {kind} violation")
-        real_check(days, window_days, kind, person_id)
+    def match(starts, records, **bounds):
+        # A person with grouped events has a start or a delivery; each names that person.
+        if (starts or records)[0].person_id == target:
+            raise InvariantError(f"person {target}: injected start violation")
+        return real_match(starts, records, **bounds)
 
     pid = os.getpid()
     monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
-    monkeypatch.setattr(pipeline, "_check_separation", check)
+    monkeypatch.setattr(pipeline, "match_episodes", match)
     with usable_cpus(1):
         expected = run_cli(cohort_dir, tmp_path / "one", capsys)
     with usable_cpus(2) as forks:
         assert run_cli(cohort_dir, tmp_path / "two", capsys) == expected
     assert expected[0] == 4
     assert expected[2] == f"invariant violated: person {target}: injected start violation\n"
+    assert expected[4] is None
     assert forks == [pid]
     assert_no_child_left(pid)
 
