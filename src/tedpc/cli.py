@@ -28,10 +28,10 @@ from .concept_registry import (
     phenotype_search,
 )
 from .config import RunConfig, build_config, resolve_input_path
-from .csvio import BOOL_TEXT, write_rows
+from .csvio import BOOL_TEXT, output_dir, write_rows
 from .episode_builder import read_episodes
 from .errors import ConfigError, DataFormatError, GenerationError, InvariantError
-from .pipeline import make_output_dir, run_infer, run_stats, run_timeline, taken_back_on_failure
+from .pipeline import run_infer, run_stats, run_timeline
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -48,17 +48,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--print-config", action="store_true", help="print the effective config and exit")
 
 
-def _load_run_config(args: argparse.Namespace, *required: str) -> RunConfig:
-    """The run config of the subcommand's flags and config file; each `required` path must be set."""
+def _load_run_config(args: argparse.Namespace) -> RunConfig:
+    """The run config of the subcommand's flags and config file; the run function checks the paths it needs."""
     # The RunConfig fields this subcommand has flags for, as parsed (None if not given).
     overrides = {name: getattr(args, name) for name in RunConfig._fields if hasattr(args, name)}
     config = build_config(getattr(args, "config", None), overrides)
     if getattr(args, "print_config", False):
         print(config.to_json())
         raise SystemExit(EXIT_OK)
-    for name in required:
-        if getattr(config, name) is None:
-            raise ConfigError(f"{name.replace('_path', '')} file is required for {args.command}")
     return config
 
 
@@ -102,21 +99,17 @@ def _cmd_infer(args: argparse.Namespace) -> None:
             f"--threads accepts only 1, and sets nothing (infer uses a second CPU wherever one is usable), "
             f"got {args.threads}"
         )
-    config = _load_run_config(args, "persons_path", "events_path")
-    with taken_back_on_failure(config.out_dir):
-        summary = run_infer(config)
+    summary = run_infer(_load_run_config(args))
     print(f"episodes={summary['episodes']} unmatched_starts={summary['unmatched_starts']} unmatched_dods={summary['unmatched_dods']}")
 
 
 def _cmd_timeline(args: argparse.Namespace) -> None:
-    config = _load_run_config(args, "episodes_path", "events_path", "index_events_path")
-    with taken_back_on_failure(config.out_dir):
-        rows = run_timeline(config)
+    rows = run_timeline(_load_run_config(args))
     print(f"timing_rows={rows}")
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    config = _load_run_config(args, "episodes_path", "persons_path", "events_path", "index_events_path")
+    config = _load_run_config(args)
     condition_sets: dict[str, Path] = {}
     for item in args.condition or []:
         name, _, raw_path = item.partition("=")
@@ -129,8 +122,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
         if any(char in name for char in "|\r\n"):
             raise ConfigError(f"--condition name {name!r} must not contain '|' or a line break")
         condition_sets[name] = resolve_input_path(raw_path)
-    with taken_back_on_failure(config.out_dir):
-        run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
+    run_stats(config, condition_sets, unsuppressed=args.unsuppressed)
     print(f"report written to {config.out_dir}")
 
 
@@ -149,8 +141,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     config = SynthConfig(seed=args.seed, n_persons=args.n_persons, index_event_rate=args.index_rate, noise=noise)
     config.validate()
     # An output path that cannot be a directory fails before any input is read.
-    with taken_back_on_failure(args.out_dir):
-        out = make_output_dir(args.out_dir)
+    with output_dir(args.out_dir) as out:
         ga_registry = load_ga_concepts(resolve_input_path(args.ga_concepts_path) or default_ga_concepts_path())
         dod_registry = load_dod_concepts(resolve_input_path(args.dod_concepts_path) or default_dod_concepts_path())
         cohort = generate_cohort(config, ga_registry, dod_registry)
@@ -323,7 +314,7 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except (FileNotFoundError, NotADirectoryError) as exc:
-        # Output directories are made by make_output_dir, so these name an input.
+        # Output directories are made by csvio.output_dir, which reports its own failure, so these name an input.
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return EXIT_DATA
     except IsADirectoryError as exc:

@@ -18,7 +18,12 @@ from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, PandemicStratum, 
 ENV_DATA_DIR = "TEDPC_DATA_DIR"
 
 _DATE_FIELDS = {"pandemic_cutoff"}
-_WINDOW_FIELDS = {"pre_window", "peri_window"}
+_WINDOW_FIELDS = ("pre_window", "peri_window")
+# The type of each field but the paths and windows, exact: bool subclasses int, and datetime subclasses date.
+_FIELD_TYPES = {
+    **dict.fromkeys(("window_days", "match_min_days", "match_max_days", "conflict_days", "suppression_threshold"), int),
+    "pandemic_cutoff": date, "apply_filters": bool, "emit_cohorts": bool,
+}
 _PATH_FIELDS = {
     "persons_path",
     "events_path",
@@ -70,6 +75,16 @@ class RunConfig(NamedTuple):
     emit_cohorts: bool = False
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if type(value) is not kind:
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        for name in _WINDOW_FIELDS:
+            window = getattr(self, name)
+            if window is not None and (
+                type(window) is not tuple or len(window) != 2 or any(type(day) is not date for day in window)
+            ):
+                raise ConfigError(f"{name} must be None or a tuple of two dates, got {window!r}")
         positive = {
             "window_days": self.window_days,
             "match_min_days": self.match_min_days,

@@ -46,6 +46,9 @@ that has any doubt about either half reads the whole file through `columns`.
 A loop over ids whose rows for one id depend on that id alone (`infer`'s
 person loop, the generator's) runs its upper ids in a forked child through
 `halves`, which appends the child's rows to this process's in id order.
+
+Every command's output directory is made by `output_dir`, which takes back
+the directories it made when the run fails.
 """
 
 from __future__ import annotations
@@ -57,13 +60,13 @@ import math
 import os
 import stat
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import date
 from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
-from .errors import DataFormatError, TedpcError
+from .errors import ConfigError, DataFormatError, TedpcError
 
 logger = logging.getLogger(__name__)
 
@@ -543,6 +546,30 @@ def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str,
 def _describe(exc: ValueError | KeyError) -> str:
     # str(KeyError('x')) is just "'x'", which says nothing about what was wrong.
     return f"unknown value {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+@contextmanager
+def output_dir(path: Path | str) -> Iterator[Path]:
+    """Make the output directory `path` and yield it; a path that cannot be one is a config error.
+
+    If the block, or the making, fails, each directory of `path` and its parents that did
+    not exist before is removed again, deepest first and only while empty (`os.rmdir`): a
+    directory that holds a file, or that was there before, stays. A forked child ends in
+    `os._exit` (`forked`), so it never unwinds through here: only this process removes anything.
+    """
+    out = Path(path)
+    made = [part for part in (out, *out.parents) if not os.path.lexists(part)]
+    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+        yield out
+    except BaseException:
+        for part in made:
+            with suppress(OSError):
+                os.rmdir(part)
+        raise
 
 
 def write_rows(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -28,18 +28,20 @@ so nothing checks that again. Starts and deliveries are kept only for
 sorts one person's pairs at a time and walks each episode's events once
 (`analytics.episode_exposures`); stats reads each episode's index week and
 condition sets off the first days (`analytics.first_day_exposures`).
+
+Each `run_*` function validates its config and checks that the paths it reads
+are set, before it makes anything. Then it makes its output directory through
+`csvio.output_dir`, which removes again the directories it made if the run
+fails, so a library caller is left what the CLI is left.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
-from contextlib import contextmanager, suppress
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
 
 from .analytics import (
     episode_exposures,
@@ -56,7 +58,7 @@ from .concept_registry import (
     read_concept_ids,
 )
 from .config import RunConfig
-from .csvio import BOOL_TEXT, Memo, halves, iso_text, write_lines, write_rows
+from .csvio import BOOL_TEXT, Memo, halves, iso_text, output_dir, write_lines, write_rows
 from .dod_engine import DeliveryRecord, infer_delivery_dates, rank_table
 from .episode_builder import (
     PregnancyEpisode,
@@ -81,130 +83,113 @@ SPLIT_EVENTS = 5_000
 _RESULT_TYPES = (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord)
 
 
-def make_output_dir(path: Path | str) -> Path:
-    """Create an output directory; a path that cannot be one is a config error."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
-    return out
-
-
-@contextmanager
-def taken_back_on_failure(path: Path | str) -> Iterator[None]:
-    """Run the block; if it fails, remove each directory of `path` and its parents that did not exist before.
-
-    Deepest first, and only while empty (`os.rmdir`): a directory that holds a file stays.
-    """
-    made = [part for part in (Path(path), *Path(path).parents) if not os.path.lexists(part)]
-    try:
-        yield
-    except BaseException:
-        for part in made:
-            with suppress(OSError):
-                os.rmdir(part)
-        raise
+def _checked(config: RunConfig, command: str, *required: str) -> None:
+    """`config.validate()`, then each `required` path must be set."""
+    config.validate()
+    for name in required:
+        if getattr(config, name) is None:
+            raise ConfigError(f"{name.replace('_path', '')} file is required for {command}")
 
 
 def run_infer(config: RunConfig) -> dict:
-    """Run ingestion, both engines, and episode consolidation; write outputs.
+    """Run ingestion, both engines, and episode consolidation; write outputs into `config.out_dir`.
 
-    Returns the summary that is also written to summary.json.
+    Returns the summary that is also written to summary.json. A path it reads that is
+    unset is a ConfigError; the output directory is taken back if the run fails.
     """
-    config.validate()
-    out = make_output_dir(config.out_dir)
-    ga_registry = load_ga_concepts(config.ga_concepts_path)
-    dod_registry = load_dod_concepts(config.dod_concepts_path)
-    ga_table = candidate_table(ga_registry)
-    dod_ranks = rank_table(dod_registry)
-    persons = load_persons(config.persons_path)
-    # Each engine concept with its registry's domain; the GA registry's wins where a concept is in both.
-    concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
-    table = load_events(config.events_path, concepts, known_persons=persons)
+    _checked(config, "infer", "persons_path", "events_path")
+    with output_dir(config.out_dir) as out:
+        ga_registry = load_ga_concepts(config.ga_concepts_path)
+        dod_registry = load_dod_concepts(config.dod_concepts_path)
+        ga_table = candidate_table(ga_registry)
+        dod_ranks = rank_table(dod_registry)
+        persons = load_persons(config.persons_path)
+        # Each engine concept with its registry's domain; the GA registry's wins where a concept is in both.
+        concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+        table = load_events(config.events_path, concepts, known_persons=persons)
 
-    # The one loop body, over the persons given: the run in one process and each half call it.
-    loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
-    by_person = table.events_by_person
+        # The one loop body, over the persons given: the run in one process and each half call it.
+        loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
+        by_person = table.events_by_person
 
-    def again(person_ids: list[int]) -> tuple:  # a failed child's persons, their events read again
-        return loop(grouped_events(config.events_path, concepts, persons), person_ids)
+        def again(person_ids: list[int]) -> tuple:  # a failed child's persons, their events read again
+            return loop(grouped_events(config.events_path, concepts, persons), person_ids)
 
-    def release(person_ids: list[int]) -> None:  # the child's lists, freed before its payload is read
-        for person_id in person_ids:
-            del by_person[person_id]
+        def release(person_ids: list[int]) -> None:  # the child's lists, freed before its payload is read
+            for person_id in person_ids:
+                del by_person[person_id]
 
-    all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = halves(
-        partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
-        # Two list slots per event. A pipe cannot give the events twice: over one, the loop runs in one process.
-        2 * SPLIT_EVENTS, "inferring persons", _send_inferred, _load_inferred,
-        again if Path(config.events_path).is_file() else None, release,
-    )
-
-    excluded: list[tuple[PregnancyEpisode, str]] = []
-    if config.apply_filters:
-        episodes, excluded = apply_cohort_filters(episodes, persons)
-
-    day_text = Memo(iso_text)
-    write_episodes(out / "episodes.csv", episodes)
-    # Every table but excluded_episodes.csv (whose reasons hold commas) is ints, ISO dates and fixed tokens:
-    # each of its rows goes out as one text line.
-    write_lines(
-        out / "unmatched_starts.csv",
-        ["person_id", "start_date", "anchor_concept_id", "accuracy"],
-        (f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{TOKEN_BY_ACCURACY[s.accuracy]}\n"
-         for s in unmatched_starts),
-    )
-    write_lines(
-        out / "unmatched_dods.csv",
-        ["person_id", "dod", "anchor_concept_id", "domain_rank"],
-        (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank}\n" for r in unmatched_dods),
-    )
-    # Sorted natively on the whole row (person, day, concept, domain), so rows that differ only in
-    # domain do not keep their input order.
-    lines = (f"{pid},{concept},{domain},{day_text[day]}\n" for pid, day, concept, domain in sorted(table.quarantined))
-    write_lines(out / "quarantine.csv", EVENT_HEADER, lines)
-    write_rows(
-        out / "excluded_episodes.csv",
-        ["person_id", "episode_index", "start_date", "dod", "reason"],
-        [
-            [e.person_id, e.episode_index, day_text[e.start_day], day_text[e.dod_day], reason]
-            for e, reason in excluded
-        ],
-    )
-    if config.emit_cohorts:
-        write_lines(
-            out / "ga_cohort.csv",
-            ["person_id", "start_date", "anchor_concept_id", "anchor_event_date", "accuracy", "cluster_size", "conflict_flag"],
-            (
-                f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{day_text[s.anchor_day]},"
-                f"{TOKEN_BY_ACCURACY[s.accuracy]},{s.cluster_size},{BOOL_TEXT[s.conflict_flag]}\n"
-                for s in all_starts
-            ),
-        )
-        write_lines(
-            out / "dod_cohort.csv",
-            ["person_id", "dod", "anchor_concept_id", "domain_rank", "cluster_size"],
-            (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank},{r.cluster_size}\n"
-             for r in all_records),
+        all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = halves(
+            partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
+            # Two list slots per event. A pipe cannot give the events twice: over one, the loop runs in one process.
+            2 * SPLIT_EVENTS, "inferring persons", _send_inferred, _load_inferred,
+            again if Path(config.events_path).is_file() else None, release,
         )
 
-    summary = {
-        "persons": len(persons),
-        "event_rows": table.total_rows,
-        "events_quarantined": len(table.quarantined),
-        "domain_mismatches": table.domain_mismatches,
-        **tally,
-        "episodes": len(episodes),
-        "episodes_excluded_by_filters": len(excluded),
-        "unmatched_starts": len(unmatched_starts),
-        "unmatched_dods": len(unmatched_dods),
-    }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    logger.info("inference summary: %s", summary)
-    return summary
+        excluded: list[tuple[PregnancyEpisode, str]] = []
+        if config.apply_filters:
+            episodes, excluded = apply_cohort_filters(episodes, persons)
+
+        day_text = Memo(iso_text)
+        write_episodes(out / "episodes.csv", episodes)
+        # Every table but excluded_episodes.csv (whose reasons hold commas) is ints, ISO dates and fixed tokens:
+        # each of its rows goes out as one text line.
+        write_lines(
+            out / "unmatched_starts.csv",
+            ["person_id", "start_date", "anchor_concept_id", "accuracy"],
+            (f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{TOKEN_BY_ACCURACY[s.accuracy]}\n"
+             for s in unmatched_starts),
+        )
+        write_lines(
+            out / "unmatched_dods.csv",
+            ["person_id", "dod", "anchor_concept_id", "domain_rank"],
+            (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank}\n" for r in unmatched_dods),
+        )
+        # Sorted natively on the whole row (person, day, concept, domain), so rows that differ only in
+        # domain do not keep their input order.
+        lines = (f"{pid},{concept},{domain},{day_text[day]}\n" for pid, day, concept, domain in sorted(table.quarantined))
+        write_lines(out / "quarantine.csv", EVENT_HEADER, lines)
+        write_rows(
+            out / "excluded_episodes.csv",
+            ["person_id", "episode_index", "start_date", "dod", "reason"],
+            [
+                [e.person_id, e.episode_index, day_text[e.start_day], day_text[e.dod_day], reason]
+                for e, reason in excluded
+            ],
+        )
+        if config.emit_cohorts:
+            write_lines(
+                out / "ga_cohort.csv",
+                ["person_id", "start_date", "anchor_concept_id", "anchor_event_date", "accuracy", "cluster_size", "conflict_flag"],
+                (
+                    f"{s.person_id},{day_text[s.start_day]},{s.anchor_concept_id},{day_text[s.anchor_day]},"
+                    f"{TOKEN_BY_ACCURACY[s.accuracy]},{s.cluster_size},{BOOL_TEXT[s.conflict_flag]}\n"
+                    for s in all_starts
+                ),
+            )
+            write_lines(
+                out / "dod_cohort.csv",
+                ["person_id", "dod", "anchor_concept_id", "domain_rank", "cluster_size"],
+                (f"{r.person_id},{day_text[r.dod_day]},{r.anchor_concept_id},{r.domain_rank},{r.cluster_size}\n"
+                 for r in all_records),
+            )
+
+        summary = {
+            "persons": len(persons),
+            "event_rows": table.total_rows,
+            "events_quarantined": len(table.quarantined),
+            "domain_mismatches": table.domain_mismatches,
+            **tally,
+            "episodes": len(episodes),
+            "episodes_excluded_by_filters": len(excluded),
+            "unmatched_starts": len(unmatched_starts),
+            "unmatched_dods": len(unmatched_dods),
+        }
+        with open(out / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        logger.info("inference summary: %s", summary)
+        return summary
 
 
 def _infer_persons(
@@ -267,29 +252,30 @@ def _load_inferred(person_ids: list[int], plain: list) -> list:
 
 
 def run_timeline(config: RunConfig) -> int:
-    """Join index events to episodes and write timing.csv; returns row count.
+    """Join index events to episodes and write timing.csv into `config.out_dir`; returns row count.
 
     Each episode is joined with every index event of its person dated on or
     before that episode's delivery; events before the start map to week 0.
+    Its paths and output directory are handled as in `run_infer`.
     """
-    config.validate()
-    out = make_output_dir(config.out_dir)
-    episodes = sorted(read_episodes(config.episodes_path), key=itemgetter(0, 1))
-    table = load_events(config.events_path, dict.fromkeys(read_concept_ids(config.index_events_path)))
-    day_text = Memo(iso_text)
-    # No field can need quoting (ints, ISO dates, trimester tokens): each row is one text line.
-    lines = []
-    for episode, index_events in episode_exposures(episodes, table.events_by_person):
-        prefix = f"{episode.person_id},{episode.episode_index},"
-        for day, concept_id in index_events:
-            week, trimester = gestational_week_of(day, episode.start_day)
-            lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester}\n")
-    write_lines(
-        out / "timing.csv",
-        ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"],
-        lines,
-    )
-    return len(lines)
+    _checked(config, "timeline", "episodes_path", "events_path", "index_events_path")
+    with output_dir(config.out_dir) as out:
+        episodes = sorted(read_episodes(config.episodes_path), key=itemgetter(0, 1))
+        table = load_events(config.events_path, dict.fromkeys(read_concept_ids(config.index_events_path)))
+        day_text = Memo(iso_text)
+        # No field can need quoting (ints, ISO dates, trimester tokens): each row is one text line.
+        lines = []
+        for episode, index_events in episode_exposures(episodes, table.events_by_person):
+            prefix = f"{episode.person_id},{episode.episode_index},"
+            for day, concept_id in index_events:
+                week, trimester = gestational_week_of(day, episode.start_day)
+                lines.append(f"{prefix}{concept_id},{day_text[day]},{week},{trimester}\n")
+        write_lines(
+            out / "timing.csv",
+            ["person_id", "episode_index", "index_concept_id", "event_date", "gestational_week", "trimester"],
+            lines,
+        )
+        return len(lines)
 
 
 def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppressed: bool = False) -> None:
@@ -297,41 +283,42 @@ def run_stats(config: RunConfig, condition_set_paths: dict[str, Path], unsuppres
 
     The strata (`RunConfig.stratum_of`) and the suppression threshold come
     from the run config. report.md is always suppression-masked; the raw CSV
-    exports are written only when `unsuppressed` is set.
+    exports are written only when `unsuppressed` is set. Its paths and output
+    directory are handled as in `run_infer`.
     """
-    config.validate()
+    _checked(config, "stats", "episodes_path", "persons_path", "events_path", "index_events_path")
     threshold = config.suppression_threshold
-    out = make_output_dir(config.out_dir)
-    episodes = read_episodes(config.episodes_path)
-    persons = load_persons(config.persons_path)
-    index_concepts = read_concept_ids(config.index_events_path)
-    condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
-    labels: dict[int, tuple] = {concept_id: (None,) for concept_id in index_concepts}
-    for name, concept_ids in condition_sets.items():
-        for concept_id in concept_ids:
-            labels[concept_id] = labels.get(concept_id, ()) + (name,)
-    first_days = load_events(config.events_path, {}, labels=labels).first_days
+    with output_dir(config.out_dir) as out:
+        episodes = read_episodes(config.episodes_path)
+        persons = load_persons(config.persons_path)
+        index_concepts = read_concept_ids(config.index_events_path)
+        condition_sets = {name: read_concept_ids(path) for name, path in sorted(condition_set_paths.items())}
+        labels: dict[int, tuple] = {concept_id: (None,) for concept_id in index_concepts}
+        for name, concept_ids in condition_sets.items():
+            for concept_id in concept_ids:
+                labels[concept_id] = labels.get(concept_id, ()) + (name,)
+        first_days = load_events(config.events_path, {}, labels=labels).first_days
 
-    histogram = infection_week_histogram(first_day_exposures(episodes, first_days, ()))
-    exposures = first_day_exposures(episodes, first_days, condition_sets)
-    report_table = stratified_table(exposures, persons, condition_sets, config.stratum_of)
+        histogram = infection_week_histogram(first_day_exposures(episodes, first_days, ()))
+        exposures = first_day_exposures(episodes, first_days, condition_sets)
+        report_table = stratified_table(exposures, persons, condition_sets, config.stratum_of)
 
-    lines = [
-        "# Episode statistics",
-        "",
-        f"Episodes: {suppress_small_cells(len(episodes), threshold)}",
-        "",
-        "## Index events by gestational week",
-        "",
-        render_histogram_markdown(histogram, threshold),
-        "## Stratified characteristics",
-        "",
-        report_table.render_markdown(threshold),
-        f"Cells with fewer than {threshold} episodes are shown as \"-\".",
-        "",
-    ]
-    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
-    if unsuppressed:
-        write_rows(out / "histogram.csv", ["gestational_week", "episodes"], sorted(histogram.items()))
-        rows = report_table.csv_rows()
-        write_rows(out / "report.csv", rows[0], rows[1:])
+        lines = [
+            "# Episode statistics",
+            "",
+            f"Episodes: {suppress_small_cells(len(episodes), threshold)}",
+            "",
+            "## Index events by gestational week",
+            "",
+            render_histogram_markdown(histogram, threshold),
+            "## Stratified characteristics",
+            "",
+            report_table.render_markdown(threshold),
+            f"Cells with fewer than {threshold} episodes are shown as \"-\".",
+            "",
+        ]
+        (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
+        if unsuppressed:
+            write_rows(out / "histogram.csv", ["gestational_week", "episodes"], sorted(histogram.items()))
+            rows = report_table.csv_rows()
+            write_rows(out / "report.csv", rows[0], rows[1:])

@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
-from .csvio import Memo, halves, iso_date, iso_text, table, write_lines, write_rows
+from .csvio import Memo, halves, iso_date, iso_text, output_dir, table, write_lines, write_rows
 from .episode_builder import COHORT_WINDOW, week_of
 from .errors import ConfigError, GenerationError
 from .ga_engine import SEPARATION_WINDOW_DAYS, ga_days
@@ -232,25 +232,25 @@ class SyntheticCohort:
         return len(self.flat_events) // 3
 
     def write(self, out_dir: Path | str) -> dict[str, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "persons": out_dir / "persons.csv",
-            "events": out_dir / "events.csv",
-            "truth": out_dir / "truth.csv",
-            "noise_log": out_dir / "noise_log.csv",
-            "index_concepts": out_dir / "index_concepts.csv",
-        }
-        write_persons(paths["persons"], self.persons)
-        write_events(paths["events"], self.flat_events, self.domains)
-        write_truth(paths["truth"], self.truth)
-        iso = Memo(iso_text)
-        write_lines(
-            paths["noise_log"],
-            NOISE_LOG_HEADER,
-            (f"{channel},{p},{c},{iso[day]},{detail}\n" for channel, p, c, day, detail in sorted(self.noise_rows)),
-        )
-        write_rows(paths["index_concepts"], ["concept_id"], [[INDEX_CONCEPT_ID]])
+        """Write the five tables into `out_dir`, made and taken back on failure as every command's (`output_dir`)."""
+        with output_dir(out_dir) as out_dir:
+            paths = {
+                "persons": out_dir / "persons.csv",
+                "events": out_dir / "events.csv",
+                "truth": out_dir / "truth.csv",
+                "noise_log": out_dir / "noise_log.csv",
+                "index_concepts": out_dir / "index_concepts.csv",
+            }
+            write_persons(paths["persons"], self.persons)
+            write_events(paths["events"], self.flat_events, self.domains)
+            write_truth(paths["truth"], self.truth)
+            iso = Memo(iso_text)
+            write_lines(
+                paths["noise_log"],
+                NOISE_LOG_HEADER,
+                (f"{channel},{p},{c},{iso[day]},{detail}\n" for channel, p, c, day, detail in sorted(self.noise_rows)),
+            )
+            write_rows(paths["index_concepts"], ["concept_id"], [[INDEX_CONCEPT_ID]])
         return paths
 
 

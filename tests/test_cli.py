@@ -7,7 +7,7 @@ import os
 import random
 import subprocess
 import sys
-from datetime import date
+from datetime import date, datetime
 from pathlib import Path
 
 import pytest
@@ -17,9 +17,11 @@ from tedpc import pipeline
 from tedpc.cli import EXIT_BROKEN_PIPE, build_parser, main
 from tedpc.dod_engine import rank_table
 from tedpc.episode_builder import EPISODE_HEADER
+from tedpc.errors import ConfigError
 from tedpc.evaluation import Weighting
 from tedpc.ga_engine import candidate_table
 from tedpc.concept_registry import default_ga_concepts_path, read_concept_ids
+from tedpc.config import RunConfig
 from tedpc.ingestion import event_pairs, load_events, load_persons
 
 TABLE4 = ",high,moderate,low\nhigh,33,1,0\nmoderate,2,1,1\nlow,0,1,1\n"
@@ -1255,6 +1257,102 @@ class TestFailedRunLeavesNoDirectory:
         assert main(failing_argv(command, sim_dir, sim_episodes, tmp_path / "out", tmp_path / "missing.csv")) == 2
         assert list(tmp_path.iterdir()) == [tmp_path / "out"]
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_required_path_left_out_exits_3_and_makes_no_directory(
+        self, sim_dir, sim_episodes, tmp_path, capsys, command
+    ):
+        flag, name = {"infer": ("--events", "events"), "timeline": ("--episodes", "episodes"),
+                      "stats": ("--index-events", "index_events")}[command]
+        argv = failing_argv(command, sim_dir, sim_episodes, tmp_path / "new" / "out")
+        at = argv.index(flag)
+        assert main(argv[:at] + argv[at + 2 :]) == 3
+        assert capsys.readouterr().err == f"config error: {name} file is required for {command}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+def run_directly(command, sim_dir, episodes, out_dir, missing=None):
+    """`pipeline.run_<command>` called as a library caller would, on `failing_argv`'s inputs."""
+    inputs = {"events_path": sim_dir / "events.csv", "episodes_path": episodes}
+    if missing and command != "stats":
+        inputs["events_path" if command == "infer" else "episodes_path"] = missing
+    config = RunConfig(
+        persons_path=sim_dir / "persons.csv", index_events_path=sim_dir / "index_concepts.csv", out_dir=out_dir, **inputs
+    )
+    if command == "infer":
+        return pipeline.run_infer(config)
+    if command == "timeline":
+        return pipeline.run_timeline(config)
+    return pipeline.run_stats(config, {"a": missing} if missing else {})
+
+
+@pytest.mark.parametrize("command", ["infer", "timeline", "stats"])
+class TestLibraryFailedRunLeavesNoDirectory:
+    """`TestFailedRunLeavesNoDirectory`'s runs, through the run functions themselves."""
+
+    def test_missing_input_raises_and_leaves_no_directory(self, sim_dir, sim_episodes, tmp_path, command):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            run_directly(command, sim_dir, sim_episodes, tmp_path / "new1" / "new2", missing)
+        assert Path(raised.value.filename) == missing
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_name_too_long_raises_and_leaves_no_parent(self, sim_dir, sim_episodes, tmp_path, command):
+        target = tmp_path / "new1" / "new2" / ("x" * 300)
+        with pytest.raises(ConfigError) as raised:
+            run_directly(command, sim_dir, sim_episodes, target)
+        assert str(raised.value) == f"cannot create output directory {target}: File name too long"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_directory_is_never_removed(self, sim_dir, sim_episodes, tmp_path, command):
+        # The directory made under it goes again; it stays.
+        (tmp_path / "out").mkdir()
+        with pytest.raises(FileNotFoundError):
+            run_directly(command, sim_dir, sim_episodes, tmp_path / "out" / "new", tmp_path / "missing.csv")
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_required_path_unset_raises_config_error_and_makes_no_directory(self, tmp_path, command):
+        run = {"infer": pipeline.run_infer, "timeline": pipeline.run_timeline,
+               "stats": lambda config: pipeline.run_stats(config, {})}[command]
+        name = "persons" if command == "infer" else "episodes"
+        with pytest.raises(ConfigError) as raised:
+            run(RunConfig(out_dir=tmp_path / "new" / "out"))
+        assert str(raised.value) == f"{name} file is required for {command}"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunConfigTypes:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("window_days", True, "window_days must be of type int, got True"),
+            ("window_days", 2.5, "window_days must be of type int, got 2.5"),
+            ("window_days", "30", "window_days must be of type int, got '30'"),
+            ("suppression_threshold", "5", "suppression_threshold must be of type int, got '5'"),
+            ("match_min_days", None, "match_min_days must be of type int, got None"),
+            ("apply_filters", "no", "apply_filters must be of type bool, got 'no'"),
+            ("emit_cohorts", 1, "emit_cohorts must be of type bool, got 1"),
+            ("pandemic_cutoff", "2020-03-01", "pandemic_cutoff must be of type date, got '2020-03-01'"),
+            ("pandemic_cutoff", datetime(2020, 3, 1),
+             "pandemic_cutoff must be of type date, got datetime.datetime(2020, 3, 1, 0, 0)"),
+            ("pre_window", [date(2018, 6, 1), date(2020, 2, 29)],
+             "pre_window must be None or a tuple of two dates, got [datetime.date(2018, 6, 1), "
+             "datetime.date(2020, 2, 29)]"),
+            ("peri_window", (date(2020, 5, 1),),
+             "peri_window must be None or a tuple of two dates, got (datetime.date(2020, 5, 1),)"),
+            ("pre_window", ("2018-06-01", "2020-02-29"),
+             "pre_window must be None or a tuple of two dates, got ('2018-06-01', '2020-02-29')"),
+        ],
+        ids=["int-bool", "int-float", "int-text", "threshold-text", "int-none", "bool-text", "bool-int",
+             "cutoff-text", "cutoff-datetime", "window-list", "window-one-date", "window-texts"],
+    )
+    def test_a_value_of_another_type_raises_config_error_naming_field_and_value(self, field, value, message):
+        with pytest.raises(ConfigError) as raised:
+            RunConfig(**{field: value}).validate()
+        assert str(raised.value) == message
+
+    def test_paths_may_be_text(self, tmp_path):
+        RunConfig(persons_path="persons.csv", events_path="events.csv", out_dir=str(tmp_path)).validate()
 
 
 NUMPY_FREE_RUN = """

@@ -231,6 +231,26 @@ def test_an_invariant_error_in_either_half_exits_4_as_in_one_process(
 
 
 @needs_fork
+def test_a_run_that_fails_after_the_split_leaves_no_directory_and_no_child(cohort_dir, tmp_path, monkeypatch):
+    # Called as a library caller would: the run function itself takes its output directory back.
+    pid = os.getpid()
+
+    def write_episodes(path, episodes):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(pipeline, "SPLIT_EVENTS", 0)
+    monkeypatch.setattr(pipeline, "write_episodes", write_episodes)
+    config = RunConfig(
+        persons_path=cohort_dir / "persons.csv", events_path=cohort_dir / "events.csv", out_dir=tmp_path / "new" / "out"
+    )
+    with usable_cpus(2) as forks, pytest.raises(OSError, match="cannot write"):
+        pipeline.run_infer(config)
+    assert forks == [pid]
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left(pid)
+
+
+@needs_fork
 def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_registry, dod_registry, concepts):
     # Rows equal as tuples could still differ in type: True == 1, and an enum's member equals its value.
     config = RunConfig(emit_cohorts=True)

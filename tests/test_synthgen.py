@@ -417,3 +417,34 @@ class TestTruthIO:
         loaded = read_truth(paths["truth"])
         assert loaded == sorted(cohort.truth, key=lambda t: (t.person_id, t.episode_index))
         assert any(t.index_event_week is not None for t in loaded)
+
+
+class TestCohortWrite:
+    """`write` makes its output directory as the commands do, and takes back what it made when it fails."""
+
+    @pytest.fixture(scope="class")
+    def cohort(self, ga_registry, dod_registry):
+        return generate_cohort(SynthConfig(seed=3, n_persons=2), ga_registry, dod_registry)
+
+    def test_out_under_a_file_raises_config_error(self, cohort, tmp_path):
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        with pytest.raises(ConfigError) as raised:
+            cohort.write(target)
+        assert str(raised.value) == f"cannot create output directory {target}: Not a directory"
+        assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+
+    def test_out_name_too_long_leaves_no_parent(self, cohort, tmp_path):
+        target = tmp_path / "new1" / "new2" / ("x" * 300)
+        with pytest.raises(ConfigError) as raised:
+            cohort.write(target)
+        assert str(raised.value) == f"cannot create output directory {target}: File name too long"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_existing_directory_is_never_removed(self, cohort, tmp_path):
+        # The directory made under it goes again; it stays.
+        (tmp_path / "out").mkdir()
+        with pytest.raises(ConfigError):
+            cohort.write(tmp_path / "out" / "new" / ("x" * 300))
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert list((tmp_path / "out").iterdir()) == []
