@@ -17,21 +17,14 @@ from .analytics import PANDEMIC_CUTOFF, SUPPRESSION_THRESHOLD, PandemicStratum, 
 
 ENV_DATA_DIR = "TEDPC_DATA_DIR"
 
-_DATE_FIELDS = {"pandemic_cutoff"}
 _WINDOW_FIELDS = ("pre_window", "peri_window")
-# The type of each field but the paths and windows, exact: bool subclasses int, and datetime subclasses date.
+# The type of each field but the windows. A path is a str or an os.PathLike (None only where that is the
+# default); every other type is exact: bool subclasses int, and datetime subclasses date.
 _FIELD_TYPES = {
+    **dict.fromkeys(("persons_path", "events_path", "ga_concepts_path", "dod_concepts_path"), Path),
+    **dict.fromkeys(("index_events_path", "episodes_path", "out_dir"), Path),
     **dict.fromkeys(("window_days", "match_min_days", "match_max_days", "conflict_days", "suppression_threshold"), int),
     "pandemic_cutoff": date, "apply_filters": bool, "emit_cohorts": bool,
-}
-_PATH_FIELDS = {
-    "persons_path",
-    "events_path",
-    "ga_concepts_path",
-    "dod_concepts_path",
-    "index_events_path",
-    "episodes_path",
-    "out_dir",
 }
 
 _JSON_NAMES = {str: "string", int: "integer", bool: "boolean"}
@@ -77,7 +70,11 @@ class RunConfig(NamedTuple):
     def validate(self) -> None:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if type(value) is not kind:
+            if kind is Path:
+                unset = value is None and self._field_defaults[name] is None
+                if not unset and not isinstance(value, (str, os.PathLike)):
+                    raise ConfigError(f"{name} must be a path, got {value!r}")
+            elif type(value) is not kind:
                 raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
         for name in _WINDOW_FIELDS:
             window = getattr(self, name)
@@ -142,11 +139,12 @@ def _typed(key: str, value, default):
         if type(value) is not list or len(value) != 2 or any(type(day) is not str for day in value):
             raise ValueError(f"{key} must be a JSON list of two ISO date strings, got {value!r}")
         return tuple(_parse_date(key, day) for day in value)
-    expected = str if key in _DATE_FIELDS or key in _PATH_FIELDS else type(default)
+    kind = _FIELD_TYPES[key]
+    expected = str if kind in (Path, date) else kind
     # Exact type: bool subclasses int, but true is not a window length.
     if type(value) is not expected:
         raise ValueError(f"{key} must be a JSON {_JSON_NAMES[expected]}, got {value!r}")
-    return _parse_date(key, value) if key in _DATE_FIELDS else value
+    return _parse_date(key, value) if kind is date else value
 
 
 def _parse_date(key: str, text: str) -> date:
@@ -180,12 +178,13 @@ def build_config(config_file: Path | str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             try:
-                values[key] = _parse_date(key, value) if key in _DATE_FIELDS else value
+                values[key] = _parse_date(key, value) if _FIELD_TYPES.get(key) is date else value
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-    for key in _PATH_FIELDS & values.keys():
-        # The $TEDPC_DATA_DIR fallback is for inputs: an output directory is always where it is named.
-        values[key] = Path(values[key]) if key == "out_dir" else resolve_input_path(values[key])
+    for key, value in values.items():
+        if _FIELD_TYPES.get(key) is Path and isinstance(value, (str, os.PathLike)):
+            # The $TEDPC_DATA_DIR fallback is for inputs: an output directory is always where it is named.
+            values[key] = Path(value) if key == "out_dir" else resolve_input_path(value)
     config = RunConfig(**values)
     try:
         config.validate()

@@ -45,7 +45,8 @@ that has any doubt about either half reads the whole file through `columns`.
 `forkable` is the one rule for when a second process may be forked at all.
 A loop over ids whose rows for one id depend on that id alone (`infer`'s
 person loop, the generator's) runs its upper ids in a forked child through
-`halves`, which appends the child's rows to this process's in id order.
+`halves`, which alone builds and reads the payload that brings the child's
+rows back, and appends them to this process's in id order.
 
 Every command's output directory is made by `output_dir`, which takes back
 the directories it made when the run fails.
@@ -62,6 +63,7 @@ import stat
 import threading
 from contextlib import contextmanager, suppress
 from datetime import date
+from functools import partial
 from itertools import accumulate, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -469,8 +471,8 @@ def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, obj
 
 def halves(
     run: Callable[[Sequence], tuple], ids: Sequence, weight: Callable[[object], int], minimum: int, doing: str,
-    send: Callable[[Sequence, tuple], object], load: Callable[[Sequence, object], Iterable],
-    again: Callable[[Sequence], tuple] | None, release: Callable[[Sequence], object] = lambda ids: None,
+    rows: Sequence[type | None], again: Callable[[Sequence], tuple] | None,
+    release: Callable[[Sequence], object] = lambda ids: None,
 ) -> tuple:
     """`run(ids)`, the ids after the cut run by a forked child where the run qualifies.
 
@@ -479,13 +481,18 @@ def halves(
     follows the id at which the running weight first reaches half the total,
     and both sides must keep an id. `run` returns a tuple of row lists and
     tallies (dicts of name -> number); an id's rows depend on that id alone.
-    The child sends `send(its ids, run(its ids))`. This process calls
-    `release(the child's ids)`, runs its own, then appends the rows of
-    `load(the child's ids, payload)` to its lists, freeing each table once
-    appended, and adds the tallies key by key. When the fork fails, this
-    process runs every id; on any doubt about the child, every list and tally
-    is set back and `again(the child's ids)` runs here. Either way the
-    result, or an exception, is that of one process.
+    The child sends each part of its result as it is, but a list whose row
+    class `rows` gives (not None) as one column per field, rebuilt with
+    `tuple.__new__` as it is appended. Where `ids` is a list, such a list's
+    first field (one of the child's ids) goes as that id's position among
+    them, so that the rows hold this process's id objects; a range holds none,
+    so its ids go as they are, and marshal sends each id object once. This
+    process calls `release(the child's ids)`, runs its own, appends each of
+    the child's lists to its own, freeing each once appended, and adds the
+    tallies key by key. When the fork fails, this process runs every id; on
+    any doubt about the child, every list and tally is set back and
+    `again(the child's ids)` runs here. Either way the result, or an
+    exception, is that of one process.
     """
     if again is None or not forkable() or (total := sum(map(weight, ids))) <= minimum:
         return run(ids)
@@ -500,7 +507,7 @@ def halves(
         return run(mine)
 
     try:
-        ours, payload = forked(lambda: send(theirs, run(theirs)), lower_half)
+        ours, payload = forked(lambda: _columns(theirs, run(theirs), rows), lower_half)
     except OSError:
         # No pipe or no fork: nothing has run, and nothing is released.
         logger.debug("%s in one process, as the fork failed", doing, exc_info=True)
@@ -509,8 +516,8 @@ def halves(
     try:
         # A payload that did not load is None, and fails here like one of another shape. It is let go here,
         # so that only `parts` holds each loaded table, which the join frees once it is appended.
-        parts, payload = list(load(theirs, payload)), None
-        _join(ours, parts)
+        parts, payload = list(payload), None
+        _join(ours, parts, theirs, rows)
     except (TypeError, ValueError, LookupError):
         logger.debug("%s: the child's ids run here, as it failed", doing, exc_info=True)
         for part, size in zip(ours, saved):
@@ -518,17 +525,36 @@ def halves(
                 part.update(size)
             else:
                 del part[size:]
-        _join(ours, list(again(theirs)))
+        _join(ours, list(again(theirs)), theirs, [None] * len(ours))
     return ours
 
 
-def _join(ours: tuple, theirs: list) -> None:
-    """Extend each list of `ours` by the row iterable at its place in `theirs`, freed once appended; then add
-    each tally of `theirs` to the one at its place in `ours`."""
-    for i, own in enumerate(ours):
+def _columns(ids: Sequence, result: tuple, rows: Sequence[type | None]) -> list:
+    """A child's result as `halves` sends it."""
+    position = dict(zip(ids, range(len(ids)))) if isinstance(ids, list) else None
+    plain = []
+    for part, cls in zip(result, rows, strict=True):
+        if cls is not None:
+            # An empty list goes as one empty column of ids, which rebuilds no row.
+            part = list(zip(*part)) or [()]
+            if position is not None:
+                part[0] = list(map(position.__getitem__, part[0]))
+        plain.append(part)
+    return plain
+
+
+def _join(ours: tuple, theirs: list, ids: Sequence, rows: Sequence[type | None]) -> None:
+    """Extend each list of `ours` by the part at its place in `theirs`, rebuilt from its columns where `rows`
+    gives a class, and freed once appended; then add each tally of `theirs` to the one at its place in `ours`."""
+    for i, (own, cls) in enumerate(zip(ours, rows, strict=True)):
         if isinstance(own, list):
-            own += theirs[i]
-            theirs[i] = None
+            part, theirs[i] = theirs[i], None
+            if cls is not None:
+                if isinstance(ids, list):
+                    part[0] = map(ids.__getitem__, part[0])
+                part = map(partial(tuple.__new__, cls), zip(*part, strict=True))
+            own += part
+            del part
     for own, their in zip(ours, theirs, strict=True):
         if isinstance(own, dict):
             for key in own:
@@ -550,13 +576,16 @@ def _describe(exc: ValueError | KeyError) -> str:
 
 @contextmanager
 def output_dir(path: Path | str) -> Iterator[Path]:
-    """Make the output directory `path` and yield it; a path that cannot be one is a config error.
+    """Make the output directory `path` and yield it; a value that is not a path (a `str` or an
+    `os.PathLike`), or a path that cannot be a directory, is a config error.
 
     If the block, or the making, fails, each directory of `path` and its parents that did
     not exist before is removed again, deepest first and only while empty (`os.rmdir`): a
     directory that holds a file, or that was there before, stays. A forked child ends in
     `os._exit` (`forked`), so it never unwinds through here: only this process removes anything.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"output directory must be a path, got {path!r}")
     out = Path(path)
     made = [part for part in (out, *out.parents) if not os.path.lexists(part)]
     try:

@@ -15,9 +15,10 @@ gets the table, and writes the bytes, that one process would.
 Inference is one loop over the persons in id order (`_infer_persons`). Over a
 large cohort it runs in two processes (`csvio.halves`): a forked child runs it
 over the upper half of the person ids, this process over the lower half, and
-the child's results are appended to this process's, so the lists are those of
-one loop, and the loop's tally of counts is added up. Over a piped events.csv,
-which could not be read again for a failed child's persons, it runs in one.
+the child's results, sent as `halves` describes, are appended to this
+process's, so the lists are those of one loop, and the loop's tally of counts
+is added up. Over a piped events.csv, which could not be read again for a
+failed child's persons, it runs in one.
 Each person's list is popped off the table as the loop reaches it, so it is
 freed once that person is done. Each engine reads it as
 `(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
@@ -79,9 +80,6 @@ logger = logging.getLogger(__name__)
 # (250 persons of the generator's default shape); over 5,000 the split saved 20 %.
 SPLIT_EVENTS = 5_000
 
-# The row type of each list the person loop returns: starts, deliveries, episodes, unmatched starts and deliveries.
-_RESULT_TYPES = (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord)
-
 
 def _checked(config: RunConfig, command: str, *required: str) -> None:
     """`config.validate()`, then each `required` path must be set."""
@@ -122,7 +120,8 @@ def run_infer(config: RunConfig) -> dict:
         all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = halves(
             partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
             # Two list slots per event. A pipe cannot give the events twice: over one, the loop runs in one process.
-            2 * SPLIT_EVENTS, "inferring persons", _send_inferred, _load_inferred,
+            2 * SPLIT_EVENTS, "inferring persons",
+            (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord, None),
             again if Path(config.events_path).is_file() else None, release,
         )
 
@@ -229,26 +228,6 @@ def _infer_persons(
         unmatched_starts.extend(diagnostics.unmatched_starts)
         unmatched_dods.extend(diagnostics.unmatched_dods)
     return all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally
-
-
-def _send_inferred(person_ids: list[int], inferred: tuple) -> list:
-    """The person loop's result as plain data: each list as one column per field, then the tally."""
-    # Each row's person id goes as its position in `person_ids`, so that the row rebuilt from it holds
-    # this process's id object, as a row the loop builds here does, and not a copy from the payload.
-    position = dict(zip(person_ids, range(len(person_ids))))
-    plain = [list(zip(*rows)) or [()] * len(cls._fields) for rows, cls in zip(inferred, _RESULT_TYPES)]
-    for columns in plain:
-        columns[0] = list(map(position.__getitem__, columns[0]))
-    return [*plain, inferred[-1]]
-
-
-def _load_inferred(person_ids: list[int], plain: list) -> list:
-    """The rows of `_send_inferred`'s lists, rebuilt lazily as they are appended, then the tally."""
-    *tables, tally = plain
-    return [
-        map(partial(tuple.__new__, cls), zip(map(person_ids.__getitem__, ids), *rest, strict=True))
-        for (ids, *rest), cls in zip(tables, _RESULT_TYPES, strict=True)
-    ] + [tally]
 
 
 def run_timeline(config: RunConfig) -> int:

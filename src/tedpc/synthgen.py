@@ -19,7 +19,9 @@ therefore depend only on the seed, the config and their own id: persons 1-30
 are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions. So a forked child can generate the
-upper ids and the cohort still be that of one process (`csvio.halves`).
+upper ids and the cohort still be that of one process (`csvio.halves`). A
+`date` is not `marshal` data, so each `Person` holds its birth as a day
+ordinal until the halves are joined.
 
 Every draw calls one of three methods of a stream: `getrandbits`, `random()`
 or `gauss`. `_below`, `_sample` and `_pick` make the draws of `randrange` and
@@ -452,9 +454,10 @@ def generate_cohort(
     domains[INDEX_CONCEPT_ID] = Domain.CONDITION
     # Each distinct day's int is held once in this process's flat events and noise rows.
     days: dict[int, int] = {}
+    person = partial(tuple.__new__, Person)
 
     def generate(person_ids: range) -> tuple[list[int], list[_NoiseRow], list[Person], list[TruthRecord]]:
-        persons: list[Person] = []
+        persons: list[Person] = []  # each birth as its day ordinal: a `date` is not marshal data
         flat_events: list[int] = []
         truth: list[TruthRecord] = []
         noise_rows: list[_NoiseRow] = []
@@ -465,7 +468,7 @@ def generate_cohort(
             birth = triples[0][1] - (16 + _below(getrandbits, 29)) * 365 - _below(getrandbits, 365)
             race = race_labels[_pick(rng.random, race_weights)]
             ethnicity = "Hispanic or Latino" if race == "Hispanic/Latino" else "Not Hispanic or Latino"
-            persons.append(Person(person_id, date.fromordinal(birth), "F", race, ethnicity))
+            persons.append(person((person_id, birth, "F", race, ethnicity)))
             person_events: list[_Event] = []
             for start, dod, gestation_days in triples:
                 schedule = schedules[gestation_days // 7]
@@ -505,25 +508,13 @@ def generate_cohort(
     # The events go first: they are appended while the child's persons and truth are still columns.
     flat_events, noise_rows, persons, truth = halves(
         generate, range(1, config.n_persons + 1), lambda person_id: 1, SPLIT_PERSONS, "generating persons",
-        _send_generated, _load_generated, generate,
+        (None, None, Person, TruthRecord), generate,
     )
+    # Each birth becomes a `date` in place: no second list of persons is held, and each new Person takes the
+    # memory of the one it replaces, which a plain tuple row, one size smaller, would leave unused.
+    for i, (person_id, birth, sex, race, ethnicity) in enumerate(persons):
+        persons[i] = person((person_id, date.fromordinal(birth), sex, race, ethnicity))
     return SyntheticCohort(persons, flat_events, domains, truth, noise_rows)
-
-
-def _send_generated(person_ids: range, generated: tuple) -> list:
-    """Generated tables as plain data: persons, births as ordinals, and truth as columns; the rest as they are."""
-    flat_events, noise_rows, persons, truth = generated
-    ids, births, *texts = zip(*persons)
-    return [[ids, list(map(date.toordinal, births)), *texts], flat_events, list(zip(*truth)), noise_rows]
-
-
-def _load_generated(person_ids: range, plain: list) -> list:
-    """`generate`'s tables from `_send_generated`'s payload, persons and truth rebuilt lazily as they are appended."""
-    person_columns, flat_events, truth_columns, noise_rows = plain
-    person_columns[1] = map(date.fromordinal, person_columns[1])
-    persons = map(partial(tuple.__new__, Person), zip(*person_columns, strict=True))
-    truth = map(partial(tuple.__new__, TruthRecord), zip(*truth_columns, strict=True))
-    return [flat_events, noise_rows, persons, truth]
 
 
 def _add_noise(

@@ -1354,6 +1354,47 @@ class TestRunConfigTypes:
     def test_paths_may_be_text(self, tmp_path):
         RunConfig(persons_path="persons.csv", events_path="events.csv", out_dir=str(tmp_path)).validate()
 
+    # None is a path field's "unset" only where that is its default; the run functions report it as missing.
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field in RunConfig._fields if field.endswith("_path") or field == "out_dir"
+        for value in (True, 5, b"persons.csv", None)
+        if value is not None or RunConfig._field_defaults[field] is not None
+    ])
+    def test_a_path_of_another_type_raises_config_error_before_anything_is_made(self, tmp_path, field, value):
+        paths = {"persons_path": tmp_path / "persons.csv", "events_path": tmp_path / "events.csv",
+                 "out_dir": tmp_path / "out"}
+        with pytest.raises(ConfigError) as raised:
+            pipeline.run_infer(RunConfig(**{**paths, field: value}))
+        assert str(raised.value) == f"{field} must be a path, got {value!r}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_bool_path_leaves_stdout_open(self, tmp_path):
+        # open(True) is open(1): reading the persons would close this process's stdout.
+        src = str(Path(tedpc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", BOOL_PATH_RUN, str(tmp_path / "events.csv"), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == "persons_path must be a path, got True\nstdout still open\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+# `run_infer` with persons_path=True, then a print to stdout.
+BOOL_PATH_RUN = """
+import sys
+from tedpc.config import RunConfig
+from tedpc.errors import ConfigError
+from tedpc.pipeline import run_infer
+try:
+    run_infer(RunConfig(persons_path=True, events_path=sys.argv[1], out_dir=sys.argv[2]))
+except ConfigError as exc:
+    print(exc)
+print("stdout still open", flush=True)
+"""
+
 
 NUMPY_FREE_RUN = """
 import json, sys

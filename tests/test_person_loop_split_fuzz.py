@@ -33,9 +33,10 @@ from conftest import assert_no_child_left, event_triples, logged_warnings, usabl
 import tedpc
 from tedpc import cli, csvio, pipeline
 from tedpc.config import RunConfig
-from tedpc.dod_engine import rank_table
+from tedpc.dod_engine import DeliveryRecord, rank_table
+from tedpc.episode_builder import PregnancyEpisode
 from tedpc.errors import InvariantError
-from tedpc.ga_engine import candidate_table
+from tedpc.ga_engine import GestationStart, candidate_table
 from tedpc.ingestion import load_events, load_persons, write_events, write_persons
 from tedpc.synthgen import NoiseSpec, SynthConfig, generate_cohort
 
@@ -263,7 +264,8 @@ def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_re
     with usable_cpus(2) as forks:
         joined = csvio.halves(
             partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
-            2 * pipeline.SPLIT_EVENTS, "inferring persons", pipeline._send_inferred, pipeline._load_inferred,
+            2 * pipeline.SPLIT_EVENTS, "inferring persons",
+            (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord, None),
             lambda person_ids: loop(grouped(cohort_dir, concepts), person_ids),
         )
     assert forks == [os.getpid()]

@@ -134,7 +134,7 @@ def test_a_failing_child_gives_the_cohort_of_one_process(ga_registry, dod_regist
             if fault == "dumps-fails":
                 raise ValueError("unmarshallable object")
             # The persons' race column one short: the merge fails after the child's events are appended.
-            value[0][3] = value[0][3][:-1]
+            value[2][3] = value[2][3][:-1]
         return real_dumps(value, *args)
 
     def child_open(file, mode="r", *args, **kwargs):

@@ -441,6 +441,12 @@ class TestCohortWrite:
         assert str(raised.value) == f"cannot create output directory {target}: File name too long"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out_dir", [None, 5, True])
+    def test_out_that_is_not_a_path_raises_config_error(self, cohort, out_dir):
+        with pytest.raises(ConfigError) as raised:
+            cohort.write(out_dir)
+        assert str(raised.value) == f"output directory must be a path, got {out_dir!r}"
+
     def test_existing_directory_is_never_removed(self, cohort, tmp_path):
         # The directory made under it goes again; it stays.
         (tmp_path / "out").mkdir()
