@@ -240,6 +240,11 @@ def load_dod_concepts(path: Path | str) -> ConceptRegistry:
     return registry
 
 
+def concept_domains(ga_registry: ConceptRegistry, dod_registry: ConceptRegistry) -> dict[int, Domain]:
+    """Each concept of both registries with its registry's domain; the GA registry's wins where a concept is in both."""
+    return {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+
+
 def _parse_vocabulary_entry(row: list[str]) -> VocabularyEntry:
     return VocabularyEntry(
         int(row[0]),

@@ -25,9 +25,10 @@ go through a `Memo`, which parses and checks each distinct text once.
 
 A reader of a large table whose rows it mostly skips reads it a block at a
 time instead, through `columns`, which parses each column of a block with one
-`map` and leaves the reader's Python code only the rows it keeps. A file with
-no quote, carriage return or NUL is split as text, a block of lines at once;
-any other file is split by `table`. Either way the rules are the ones above:
+`map` and leaves the reader's Python code only the rows it keeps. A file is
+split as text, a block of lines at once, up to the first block that holds a
+quote, carriage return or NUL; from that block's first row on, it is split by
+`table`, a block of rows at once. Either way the rules are the ones above:
 when a block breaks one, or a parser raises, `columns` reads the file again
 one row at a time through `table`, which names the first bad row as it would
 in a row loop. A reader's checks that span fields or rows (dates in order, no
@@ -40,13 +41,14 @@ The text split also reads a span of a file's bytes (`span_columns`), which
 raises where `columns` would read again. A reader can so read a large, regular
 file in two processes: `split_point` finds where the second half starts, and
 `forked` runs one half in a forked child, which sends back its result as one
-`marshal` payload through a pipe, while this process reads the other. A reader
-that has any doubt about either half reads the whole file through `columns`.
+`marshal` payload through a pipe, while this process reads the other.
 `forkable` is the one rule for when a second process may be forked at all.
 A loop over ids whose rows for one id depend on that id alone (`infer`'s
 person loop, the generator's) runs its upper ids in a forked child through
 `halves`, which alone builds and reads the payload that brings the child's
-rows back, and appends them to this process's in id order.
+rows back, and appends them to this process's in id order. Both share one
+rule for a child that fails: the caller does the whole job again in one
+process, the read through `columns`, the loop over every id.
 
 Every command's output directory is made by `output_dir`, which takes back
 the directories it made when the run fails.
@@ -215,18 +217,21 @@ def columns(
 
     Column `i` of a block is `list(map(parsers[i], texts))`, and `check(parsed,
     texts)` gets each parsed block and its columns of field texts before it is
-    yielded. The rows are those `table` yields, and a bad table fails as a row
-    loop over `table` that applies the parsers in field order, then `check`,
-    would: on any doubt, a bad header or width, an over-long line, or a
-    ValueError or KeyError from a parser or the check, the file is read again
-    one row at a time from the first row not yet yielded, and `table` names the
-    first bad row. A check that keeps state across blocks therefore commits it
-    only once a block passes, or is idempotent. A file that is not regular (a
-    pipe, say) can be read only once, so it is read one row at a time from the start.
+    yielded. The rows are those `table` yields. A regular file is split as text
+    (`_text_blocks`) until a block holds a quote, carriage return or NUL, and
+    from the first row not yet yielded on by `table`, a block of rows at once.
+    A bad table fails as a row loop over `table` that applies the parsers in
+    field order, then `check`, would: on any other doubt, a bad header or
+    width, an over-long line, a file that cannot be opened, or a ValueError or
+    KeyError from a parser or the check, the file is read again one row at a
+    time from the first row not yet yielded, and `table` names the first bad
+    row. A check that keeps state across blocks therefore commits it only once
+    a block passes, or is idempotent. A file that is not regular (a pipe, say)
+    can be read only once, so it is read one row at a time from the start.
     """
     done = 0
     if _regular_size(path) is not None:
-        blocks = _text_blocks(path, header) if _plain_text(path) else _row_blocks(path, header)
+        blocks = _text_blocks(path, header)
         while True:
             try:
                 block = next(blocks, None)
@@ -234,7 +239,10 @@ def columns(
                     return
                 parsed = _parsed(parsers, block)
                 check(parsed, block)
-            except (_Reread, DataFormatError, ValueError, KeyError):
+            except _Reread:
+                blocks = _row_blocks(path, header, skip=done)
+                continue
+            except (DataFormatError, OSError, ValueError, KeyError):
                 break
             yield parsed
             done += len(parsed[0])
@@ -276,22 +284,6 @@ def _regular_size(path: Path | str) -> int | None:
     return info.st_size if stat.S_ISREG(info.st_mode) else None
 
 
-def _plain_text(path: Path | str) -> bool:
-    """True when the file holds no quote, carriage return or NUL, so that csv splits each line at every comma."""
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(64 * 1024):
-                if _unplain(chunk):
-                    return False
-    except OSError:
-        return False  # `table` reports it
-    return True
-
-
-def _unplain(data: bytes) -> bool:
-    return b'"' in data or b"\r" in data or b"\0" in data
-
-
 def _text_blocks(
     path: Path | str, header: list[str], start: int = 0, stop: int | None = None
 ) -> Iterator[list[list[str]]]:
@@ -317,7 +309,7 @@ def _text_blocks(
             data = fh.read(min(BLOCK_CHARS, left))
             left -= len(data)
             if data:
-                if _unplain(data):
+                if b'"' in data or b"\r" in data or b"\0" in data:
                     raise _Reread
                 data = rest + data
                 cut = data.rfind(b"\n")
@@ -471,30 +463,29 @@ def forked(child: Callable[[], object], parent: Callable[[], T]) -> tuple[T, obj
 
 def halves(
     run: Callable[[Sequence], tuple], ids: Sequence, weight: Callable[[object], int], minimum: int, doing: str,
-    rows: Sequence[type | None], again: Callable[[Sequence], tuple] | None,
-    release: Callable[[Sequence], object] = lambda ids: None,
-) -> tuple:
-    """`run(ids)`, the ids after the cut run by a forked child where the run qualifies.
+    rows: Sequence[type | None], release: Callable[[Sequence], object] = lambda ids: None,
+) -> tuple | None:
+    """`run(ids)`, the ids after the cut run by a forked child where the run qualifies; None on doubt about the child.
 
-    It qualifies when this process can fork onto a second CPU (`forkable`),
-    `again` is given, and the ids' summed `weight` is over `minimum`. The cut
-    follows the id at which the running weight first reaches half the total,
-    and both sides must keep an id. `run` returns a tuple of row lists and
-    tallies (dicts of name -> number); an id's rows depend on that id alone.
-    The child sends each part of its result as it is, but a list whose row
-    class `rows` gives (not None) as one column per field, rebuilt with
-    `tuple.__new__` as it is appended. Where `ids` is a list, such a list's
-    first field (one of the child's ids) goes as that id's position among
-    them, so that the rows hold this process's id objects; a range holds none,
-    so its ids go as they are, and marshal sends each id object once. This
-    process calls `release(the child's ids)`, runs its own, appends each of
-    the child's lists to its own, freeing each once appended, and adds the
-    tallies key by key. When the fork fails, this process runs every id; on
-    any doubt about the child, every list and tally is set back and
-    `again(the child's ids)` runs here. Either way the result, or an
-    exception, is that of one process.
+    It qualifies when this process can fork onto a second CPU (`forkable`)
+    and the ids' summed `weight` is over `minimum`. The cut follows the id at
+    which the running weight first reaches half the total, and both sides must
+    keep an id. `run` returns a tuple of row lists and tallies (dicts of name
+    -> number); an id's rows depend on that id alone. The child sends each
+    part of its result as it is, but a list whose row class `rows` gives (not
+    None) as one column per field, rebuilt with `tuple.__new__` as it is
+    appended. Where `ids` is a list, such a list's first field (one of the
+    child's ids) goes as that id's position among them, so that the rows hold
+    this process's id objects; a range holds none, so its ids go as they are,
+    and marshal sends each id object once. This process calls `release(the
+    child's ids)`, runs its own, appends each of the child's lists to its own,
+    freeing each once appended, and adds the tallies key by key. When the fork
+    fails, this process runs every id. On any doubt about the child, what ran
+    here is dropped and None returned, and the caller runs every id in one
+    process, with what `release` freed made anew: `halves(...) or run(ids)`.
+    Either way the result, or an exception, is that of one process.
     """
-    if again is None or not forkable() or (total := sum(map(weight, ids))) <= minimum:
+    if not forkable() or (total := sum(map(weight, ids))) <= minimum:
         return run(ids)
     cut = next((cut for cut, running in enumerate(accumulate(map(weight, ids)), 1) if 2 * running >= total), 0)
     if not 0 < cut < len(ids):
@@ -512,20 +503,14 @@ def halves(
         # No pipe or no fork: nothing has run, and nothing is released.
         logger.debug("%s in one process, as the fork failed", doing, exc_info=True)
         return run(ids)
-    saved = [dict(part) if isinstance(part, dict) else len(part) for part in ours]
     try:
         # A payload that did not load is None, and fails here like one of another shape. It is let go here,
         # so that only `parts` holds each loaded table, which the join frees once it is appended.
         parts, payload = list(payload), None
         _join(ours, parts, theirs, rows)
     except (TypeError, ValueError, LookupError):
-        logger.debug("%s: the child's ids run here, as it failed", doing, exc_info=True)
-        for part, size in zip(ours, saved):
-            if isinstance(part, dict):
-                part.update(size)
-            else:
-                del part[size:]
-        _join(ours, list(again(theirs)), theirs, [None] * len(ours))
+        logger.debug("%s: every id runs again in one process, as the child failed", doing, exc_info=True)
+        return None
     return ours
 
 
@@ -561,10 +546,12 @@ def _join(ours: tuple, theirs: list, ids: Sequence, rows: Sequence[type | None])
                 own[key] += their[key]
 
 
-def _row_blocks(path: Path | str, header: list[str]) -> Iterator[list[tuple[str, ...]]]:
-    """`table`'s rows, about a text block's worth at a time, as columns of field texts."""
+def _row_blocks(path: Path | str, header: list[str], skip: int) -> Iterator[list[tuple[str, ...]]]:
+    """`table`'s rows after the first `skip`, about a text block's worth at a time, as columns of field texts."""
     size = max(1, BLOCK_CHARS // 32)
     with table(path, header) as rows:
+        for _ in islice(rows, skip):
+            pass
         while block := list(islice(rows, size)):
             yield list(zip(*block))
 

@@ -17,8 +17,9 @@ large cohort it runs in two processes (`csvio.halves`): a forked child runs it
 over the upper half of the person ids, this process over the lower half, and
 the child's results, sent as `halves` describes, are appended to this
 process's, so the lists are those of one loop, and the loop's tally of counts
-is added up. Over a piped events.csv, which could not be read again for a
-failed child's persons, it runs in one.
+is added up. If the child fails, the loop runs again over every person, from
+events.csv read again; over a piped events.csv, which could not be read
+again, it runs in one process from the start.
 Each person's list is popped off the table as the loop reaches it, so it is
 freed once that person is done. Each engine reads it as
 `(day, concept id)` pairs in file order (`event_pairs`) and sorts its own
@@ -54,6 +55,7 @@ from .analytics import (
 )
 from .concept_registry import (
     TOKEN_BY_ACCURACY,
+    concept_domains,
     load_dod_concepts,
     load_ga_concepts,
     read_concept_ids,
@@ -102,27 +104,28 @@ def run_infer(config: RunConfig) -> dict:
         ga_table = candidate_table(ga_registry)
         dod_ranks = rank_table(dod_registry)
         persons = load_persons(config.persons_path)
-        # Each engine concept with its registry's domain; the GA registry's wins where a concept is in both.
-        concepts = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+        concepts = concept_domains(ga_registry, dod_registry)
         table = load_events(config.events_path, concepts, known_persons=persons)
 
         # The one loop body, over the persons given: the run in one process and each half call it.
         loop = partial(_infer_persons, config=config, ga_table=ga_table, dod_ranks=dod_ranks)
         by_person = table.events_by_person
 
-        def again(person_ids: list[int]) -> tuple:  # a failed child's persons, their events read again
-            return loop(grouped_events(config.events_path, concepts, persons), person_ids)
+        def whole(grouped: dict[int, list[int]]) -> tuple:  # the loop over every person, in this process
+            return loop(grouped, sorted(grouped))
 
         def release(person_ids: list[int]) -> None:  # the child's lists, freed before its payload is read
             for person_id in person_ids:
                 del by_person[person_id]
 
-        all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = halves(
-            partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
-            # Two list slots per event. A pipe cannot give the events twice: over one, the loop runs in one process.
-            2 * SPLIT_EVENTS, "inferring persons",
-            (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord, None),
-            again if Path(config.events_path).is_file() else None, release,
+        # A pipe cannot give the events again for a failed child's fallback: over one, the loop runs in one process.
+        all_starts, all_records, episodes, unmatched_starts, unmatched_dods, tally = (
+            halves(
+                partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
+                2 * SPLIT_EVENTS, "inferring persons",  # two list slots per event
+                (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord, None), release,
+            ) or whole(grouped_events(config.events_path, concepts, persons))
+            if Path(config.events_path).is_file() else whole(by_person)
         )
 
         excluded: list[tuple[PregnancyEpisode, str]] = []

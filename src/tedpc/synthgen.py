@@ -19,7 +19,8 @@ therefore depend only on the seed, the config and their own id: persons 1-30
 are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions. So a forked child can generate the
-upper ids and the cohort still be that of one process (`csvio.halves`). A
+upper ids and the cohort still be that of one process (`csvio.halves`); if
+the child fails, this process generates every person again. A
 `date` is not `marshal` data, so each `Person` holds its birth as a day
 ordinal until the halves are joined.
 
@@ -64,7 +65,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .concept_registry import AccuracyLevel, ConceptRegistry, Domain
+from .concept_registry import AccuracyLevel, ConceptRegistry, Domain, concept_domains
 from .csvio import Memo, halves, iso_date, iso_text, output_dir, table, write_lines, write_rows
 from .episode_builder import COHORT_WINDOW, week_of
 from .errors import ConfigError, GenerationError
@@ -449,8 +450,8 @@ def generate_cohort(
                 if 14 < abs(days - base) <= 200
             ]
     shift_details = Memo(lambda delta: f"shifted {delta:+d}d")
-    # A concept's domain; overlap concepts come only from GA draws (conflicts), so the GA registry wins.
-    domains = {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+    # Overlap concepts come only from GA draws (conflicts), so the GA registry's domain is the one to write.
+    domains = concept_domains(ga_registry, dod_registry)
     domains[INDEX_CONCEPT_ID] = Domain.CONDITION
     # Each distinct day's int is held once in this process's flat events and noise rows.
     days: dict[int, int] = {}
@@ -506,10 +507,10 @@ def generate_cohort(
         return flat_events, noise_rows, persons, truth
 
     # The events go first: they are appended while the child's persons and truth are still columns.
+    ids = range(1, config.n_persons + 1)
     flat_events, noise_rows, persons, truth = halves(
-        generate, range(1, config.n_persons + 1), lambda person_id: 1, SPLIT_PERSONS, "generating persons",
-        (None, None, Person, TruthRecord), generate,
-    )
+        generate, ids, lambda person_id: 1, SPLIT_PERSONS, "generating persons", (None, None, Person, TruthRecord)
+    ) or generate(ids)
     # Each birth becomes a `date` in place: no second list of persons is held, and each new Person takes the
     # memory of the one it replaces, which a plain tuple row, one size smaller, would leave unused.
     for i, (person_id, birth, sex, race, ethnicity) in enumerate(persons):

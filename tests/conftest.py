@@ -111,6 +111,24 @@ def usable_cpus(count):
             os.sched_getaffinity = real_affinity
 
 
+class LengthOnlyEnd:
+    """A forked child's end of the pipe: it writes the payload's 8-byte length, then exits instead of the payload."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def write(self, data):
+        if len(data) != 8:
+            os._exit(0)
+        return os.write(self.fd, data)
+
+
 def assert_no_child_left(pid):
     """This is the process `pid`, not a forked child that returned, and it has no child left unreaped."""
     assert os.getpid() == pid

@@ -10,6 +10,7 @@ from tedpc.concept_registry import (
     Domain,
     VocabularyEntry,
     classify_accuracy,
+    concept_domains,
     default_dod_concepts_path,
     default_ga_concepts_path,
     load_dod_concepts,
@@ -18,7 +19,9 @@ from tedpc.concept_registry import (
     phenotype_search,
     read_concept_ids,
 )
+from tedpc.config import RunConfig
 from tedpc.errors import DataFormatError
+from tedpc.pipeline import run_infer
 
 
 class TestClassifyAccuracy:
@@ -172,6 +175,45 @@ class TestDODLoader:
         )
         with pytest.raises(DataFormatError, match="manifest check failed"):
             load_dod_concepts(path)
+
+
+class TestConceptDomains:
+    """The one concept -> domain map of both registries: the GA registry's domain wins for a concept in both."""
+
+    # Concept 7 is in both registries, as an Observation in the GA set and a Procedure in the DOD set.
+    GA = (
+        "concept_id,name,accuracy_level,week_low,week_high,domain,vocabulary\n"
+        "5,ga5,high,40,40,Condition,X\n7,ga7,high,30,30,Observation,X\n"
+    )
+    DOD = "concept_id,name,domain,vocabulary\n7,dod7,Procedure,X\n9,dod9,Condition,X\n"
+
+    def registries(self, tmp_path):
+        (tmp_path / "ga.csv").write_text(self.GA)
+        (tmp_path / "dod.csv").write_text(self.DOD)
+        return load_ga_concepts(tmp_path / "ga.csv"), load_dod_concepts(tmp_path / "dod.csv")
+
+    def test_the_ga_registry_wins_a_shared_concept(self, tmp_path):
+        domains = concept_domains(*self.registries(tmp_path))
+        assert domains == {5: Domain.CONDITION, 7: Domain.OBSERVATION, 9: Domain.CONDITION}
+
+    def test_infer_counts_a_shared_concept_under_the_dod_domain_as_a_mismatch(self, tmp_path):
+        self.registries(tmp_path)
+        (tmp_path / "persons.csv").write_text(
+            "person_id,birth_date,sex,race,ethnicity\n1,1990-01-01,F,White,Not Hispanic or Latino\n"
+        )
+        (tmp_path / "events.csv").write_text(
+            "person_id,concept_id,domain,event_date\n"
+            "1,7,Procedure,2020-05-01\n1,7,Observation,2020-05-02\n1,9,Condition,2020-07-01\n"
+            "1,7,Procedure,2020-05-03\n"
+        )
+        summary = run_infer(
+            RunConfig(
+                persons_path=tmp_path / "persons.csv", events_path=tmp_path / "events.csv", out_dir=tmp_path / "out",
+                ga_concepts_path=tmp_path / "ga.csv", dod_concepts_path=tmp_path / "dod.csv",
+            )
+        )
+        assert summary["event_rows"] == 4
+        assert summary["domain_mismatches"] == 2
 
 
 def _shipped_with_manifest(path, manifest, shipped, rows=None):

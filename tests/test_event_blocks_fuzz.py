@@ -16,6 +16,7 @@ a read in one process, and no child may be left behind.
 """
 
 import csv
+import errno
 import marshal
 import os
 import signal
@@ -111,6 +112,35 @@ def test_quoted_fields_are_read_by_csv(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b\n"x",y\n')
     assert list(csvio.columns(path, ["a", "b"], (str, str))) == [[["x"], ["y"]]]
+
+
+def test_a_plain_file_is_opened_once(tmp_path, monkeypatch):
+    # The text split itself finds a quote, a carriage return or a NUL: nothing reads the file ahead of it.
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "x,y\n" * 5000)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(csvio, "open", counting_open, raising=False)
+    rows = [row for block in csvio.columns(path, ["a", "b"], (str, str)) for row in zip(*block)]
+    assert rows == [("x", "y")] * 5000
+    assert opened == [path]
+
+
+def test_a_file_the_text_split_cannot_open_is_named_by_open_text(tmp_path, monkeypatch):
+    # A regular file that the OS refuses to open fails as it would in a row loop over `table`.
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\nx,y\n")
+
+    def refusing_open(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(csvio, "open", refusing_open, raising=False)
+    with pytest.raises(DataFormatError, match=rf"t\.csv: cannot open: {os.strerror(errno.EACCES)}$"):
+        list(csvio.columns(path, ["a", "b"], (str, str)))
 
 
 # Concepts with the domain each is registered under; a first-half row of a split file carries its concept's domain.

@@ -5,10 +5,11 @@ row, and tallies the ids and their sum. The `Third` rows cross the pipe as
 columns, their ids as positions when the ids are a list, and are rebuilt as
 they are appended; either side may have none. An id's rows depend on that id
 alone, so the run over every id is the reference for the run split in two. A
-fork that fails, a child that raises or exits after writing only its
-payload's length, and a payload that fails to join after a first list or a
-first count was added, must each end with the result of one process; an
-exception in this process's half propagates. No child may be left behind.
+fork that fails must end with the result of one process. A child that raises
+or exits after writing only its payload's length, and a payload that fails to
+join after a first list or a first count was added, must each end in None, so
+that the caller runs every id in one process; an exception in this process's
+half propagates. No child may be left behind.
 """
 
 import logging
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import pytest
 
-from conftest import assert_no_child_left, usable_cpus
+from conftest import LengthOnlyEnd, assert_no_child_left, usable_cpus
 from tedpc import csvio
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -46,15 +47,9 @@ def run(ids):
 ROWS = (None, None, Third, None)
 
 
-def split(ids, weight=lambda i: 1, minimum=0, run=run, again=run):
-    """`halves` over the toy run; returns its result and the ids `again` was called with."""
-    agains = []
-
-    def again_logged(theirs):
-        agains.append(list(theirs))
-        return again(theirs)
-
-    return csvio.halves(run, ids, weight, minimum, DOING, ROWS, again and again_logged), agains
+def split(ids, weight=lambda i: 1, minimum=0, run=run):
+    """`halves` over the toy run."""
+    return csvio.halves(run, ids, weight, minimum, DOING, ROWS)
 
 
 @needs_fork
@@ -68,9 +63,9 @@ def test_two_cpus_give_the_result_of_one(caplog, n, weight):
     with usable_cpus(2) as forks, caplog.at_level(logging.INFO, logger="tedpc.csvio"):
         two = split(ids, weight)
     assert_no_child_left(pid)
-    assert one == two == (run(ids), [])
+    assert one == two == run(ids)
     # Rows equal as tuples could still differ in type: a rebuilt row must be of its class.
-    assert [list(map(type, part)) for part in two[0]] == [list(map(type, part)) for part in run(ids)]
+    assert [list(map(type, part)) for part in two] == [list(map(type, part)) for part in run(ids)]
     assert no_forks == []
     # The cut follows the id at which the running weight first reaches half; both sides must keep an id.
     weights = list(map(weight, ids))
@@ -92,18 +87,17 @@ def test_a_range_of_ids_gives_the_result_of_one(n):
     with usable_cpus(2) as forks:
         two = split(ids)
     assert_no_child_left(pid)
-    assert one == two == (run(ids), [])
-    assert [list(map(type, part)) for part in two[0]] == [list(map(type, part)) for part in run(ids)]
+    assert one == two == run(ids)
+    assert [list(map(type, part)) for part in two] == [list(map(type, part)) for part in run(ids)]
     assert forks == [pid]
 
 
 @needs_fork
-def test_no_minimum_reached_no_again_or_one_id_never_forks():
+def test_no_minimum_reached_or_one_id_never_forks():
     pid = os.getpid()
     with usable_cpus(2) as forks:
-        assert split([1, 2, 3], minimum=3) == (run([1, 2, 3]), [])
-        assert split([1, 2, 3], again=None) == (run([1, 2, 3]), [])
-        assert split([7], minimum=-1) == (run([7]), [])
+        assert split([1, 2, 3], minimum=3) == run([1, 2, 3])
+        assert split([7], minimum=-1) == run([7])
     assert forks == []
     assert_no_child_left(pid)
 
@@ -119,32 +113,14 @@ def test_a_failed_fork_runs_every_id_here(monkeypatch):
 
     with usable_cpus(2) as forks:
         monkeypatch.setattr(os, "fork", fork)
-        assert split(ids) == (run(ids), [])
+        assert split(ids) == run(ids)
     assert forks == [pid]
     assert_no_child_left(pid)
 
 
-class _LengthOnlyEnd:
-    """A forked child's end of the pipe: it writes the payload's 8-byte length, then exits instead of the payload."""
-
-    def __init__(self, fd):
-        self.fd = fd
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.fd)
-
-    def write(self, data):
-        if len(data) != 8:
-            os._exit(0)
-        return os.write(self.fd, data)
-
-
 @needs_fork
 @pytest.mark.parametrize("fault", ["raises", "length-only"])
-def test_a_failed_child_leaves_its_ids_to_again(monkeypatch, fault):
+def test_a_failed_child_gives_none(monkeypatch, fault):
     pid = os.getpid()
     ids = list(range(1, 11))
 
@@ -154,7 +130,7 @@ def test_a_failed_child_leaves_its_ids_to_again(monkeypatch, fault):
         return run(run_ids)
 
     def child_open(file, mode="r", *args, **kwargs):
-        return _LengthOnlyEnd(file) if os.getpid() != pid and mode == "wb" else open(file, mode, *args, **kwargs)
+        return LengthOnlyEnd(file) if os.getpid() != pid and mode == "wb" else open(file, mode, *args, **kwargs)
 
     if fault == "length-only":
         monkeypatch.setattr(csvio, "open", child_open, raising=False)
@@ -162,16 +138,15 @@ def test_a_failed_child_leaves_its_ids_to_again(monkeypatch, fault):
         result = split(ids, run=failing_run if fault == "raises" else run)
     assert forks == [pid]
     assert_no_child_left(pid)
-    assert result == (run(ids), [ids[5:]])
+    assert result is None
 
 
 @needs_fork
 @pytest.mark.parametrize("fault", ["second-list", "second-count", "extra-part"])
-def test_a_payload_that_fails_to_join_is_cut_back_before_again(caplog, monkeypatch, fault):
+def test_a_payload_that_fails_to_join_gives_none(caplog, monkeypatch, fault):
     # The squares are appended and, for "second-list", the first of the child's `Third` rows, whose last column
     # is one short; for "second-count" and "extra-part" the tally is added in part or in full, before the join
-    # fails: each list is cut back to its length and each count set back, so `again` adds the child's ids and
-    # counts only once.
+    # fails: the partly joined result is dropped, so the caller's run over every id adds no id or count twice.
     pid, real_dumps = os.getpid(), marshal.dumps
     ids = list(range(1, 11))
 
@@ -191,7 +166,7 @@ def test_a_payload_that_fails_to_join_is_cut_back_before_again(caplog, monkeypat
         result = split(ids)
     assert forks == [pid]
     assert_no_child_left(pid)
-    assert result == (run(ids), [ids[5:]])
+    assert result is None
     # The payload came whole, and its join failed: a child that failed would have sent none.
     [failed] = [record.exc_info[1] for record in caplog.records if record.exc_info]
     assert str(failed) == {

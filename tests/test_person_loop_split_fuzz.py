@@ -11,9 +11,11 @@ which it is read in two processes, so every fork is the loop's.
 A child that raises, exits or is killed before it writes, a payload cut
 short, a fork that fails and an InvariantError for a person in either half
 must each end as the run in one process ends: the same bytes, or the same
-exit code and message. No child may be left behind. So must a killed child
-when events.csv comes on stdin, through a pipe or from a regular file. And
-summary.json's funnel must add up however the loop's tally was merged.
+exit code and message; a failed child's half is dropped, and the loop runs
+again over every person in one process. So must a killed child when
+events.csv comes on stdin, through a pipe or from a regular file. No child
+may be left behind. And summary.json's funnel must add up however the loop's
+tally was merged.
 """
 
 import marshal
@@ -32,6 +34,7 @@ import pytest
 from conftest import assert_no_child_left, event_triples, logged_warnings, usable_cpus
 import tedpc
 from tedpc import cli, csvio, pipeline
+from tedpc.concept_registry import concept_domains
 from tedpc.config import RunConfig
 from tedpc.dod_engine import DeliveryRecord, rank_table
 from tedpc.episode_builder import PregnancyEpisode
@@ -76,7 +79,7 @@ def split_events(count):
 
 @pytest.fixture(scope="module")
 def concepts(ga_registry, dod_registry):
-    return {spec.concept_id: spec.domain for registry in (dod_registry, ga_registry) for spec in registry}
+    return concept_domains(ga_registry, dod_registry)
 
 
 def grouped(directory, concepts):
@@ -164,11 +167,14 @@ def run_cli(cohort_dir, out, capsys):
 
 @needs_fork
 @pytest.mark.parametrize("fault", ["raises", "exits", "killed", "cut-short", "fork-fails"])
-def test_a_failing_child_gives_the_result_of_one_process(cohort_dir, tmp_path, monkeypatch, capsys, fault):
+def test_a_failing_child_gives_the_result_of_one_process(
+    cohort_dir, tmp_path, monkeypatch, capsys, concepts, fault
+):
     pid = os.getpid()
     real_loop, real_dumps = pipeline._infer_persons, marshal.dumps
+    loops = []  # the person ids of each loop this process runs
 
-    def loop(*args, **kwargs):
+    def loop(by_person, person_ids, **kwargs):
         if os.getpid() != pid:
             if fault == "raises":
                 raise RuntimeError("child loop failed")
@@ -176,7 +182,9 @@ def test_a_failing_child_gives_the_result_of_one_process(cohort_dir, tmp_path, m
                 os._exit(0)
             if fault == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-        return real_loop(*args, **kwargs)
+        else:
+            loops.append(list(person_ids))
+        return real_loop(by_person, person_ids, **kwargs)
 
     def dumps(value, *args):
         payload = real_dumps(value, *args)
@@ -199,6 +207,11 @@ def test_a_failing_child_gives_the_result_of_one_process(cohort_dir, tmp_path, m
     assert expected[0] == 0
     assert forks == [pid]
     assert_no_child_left(pid)
+    # A failed fork leaves every person to one loop; after a failed child's, the lower half's loop is dropped
+    # and one more runs over every person.
+    ids = sorted(grouped(cohort_dir, concepts))
+    assert len(loops) == (1 if fault == "fork-fails" else 2)
+    assert loops[-1] == ids
 
 
 @needs_fork
@@ -266,7 +279,6 @@ def test_the_joined_rows_are_those_of_one_process(cohort_dir, monkeypatch, ga_re
             partial(loop, by_person), sorted(by_person), lambda person_id: len(by_person[person_id]),
             2 * pipeline.SPLIT_EVENTS, "inferring persons",
             (GestationStart, DeliveryRecord, PregnancyEpisode, GestationStart, DeliveryRecord, None),
-            lambda person_ids: loop(grouped(cohort_dir, concepts), person_ids),
         )
     assert forks == [os.getpid()]
     assert joined == expected
@@ -342,8 +354,9 @@ sys.exit(code)
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
 @pytest.mark.parametrize("stdin", ["pipe", "file"])
 def test_events_on_stdin_with_a_killed_child_give_the_result_of_one_process(cohort_dir, tmp_path, capsys, stdin):
-    # A failed child's persons are read again from events.csv. A pipe is at its end by then, so over one
-    # the loop runs in one process; a regular file on stdin is opened again from its start.
+    # A failed child's loop is run again over every person, whose events are read again from events.csv. A
+    # pipe is at its end by then, so over one the loop runs in one process; a regular file on stdin is opened
+    # again from its start.
     with usable_cpus(1), split_events(0):
         expected = run_cli(cohort_dir, tmp_path / "one", capsys)
     argv = ["infer", "--persons", str(cohort_dir / "persons.csv"), "--events", "/dev/stdin",

@@ -8,10 +8,11 @@ exactly when the cohort has more persons than the threshold, and more than one.
 
 A fork that fails, a child that raises, one that exits after writing only its
 payload's length, a payload that `marshal` cannot make and one whose columns
-do not line up must each end with the cohort of one process, and a GenerationError among the child's persons
-with the message of one process. No child may be left behind. Nor may the
-merge raise this process's peak of traced memory much above that of one
-process.
+do not line up must each end with the cohort of one process, which this
+process generates again from its first person, and a GenerationError among
+the child's persons with the message of one process. No child may be left
+behind. Nor may the merge raise this process's peak of traced memory much
+above that of one process.
 """
 
 import marshal
@@ -22,7 +23,7 @@ from datetime import date
 
 import pytest
 
-from conftest import assert_no_child_left, usable_cpus
+from conftest import LengthOnlyEnd, assert_no_child_left, usable_cpus
 from tedpc import csvio, synthgen
 from tedpc.concept_registry import AccuracyLevel
 from tedpc.errors import GenerationError
@@ -96,24 +97,6 @@ NOISE = NoiseSpec(
 )
 
 
-class _LengthOnlyEnd:
-    """A forked child's end of the pipe: it writes the payload's 8-byte length, then exits instead of the payload."""
-
-    def __init__(self, fd):
-        self.fd = fd
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.fd)
-
-    def write(self, data):
-        if len(data) != 8:
-            os._exit(0)
-        return os.write(self.fd, data)
-
-
 @needs_fork
 @pytest.mark.parametrize("fault", ["fork-fails", "raises", "length-only", "dumps-fails", "short-column"])
 def test_a_failing_child_gives_the_cohort_of_one_process(ga_registry, dod_registry, monkeypatch, tmp_path, fault):
@@ -123,11 +106,15 @@ def test_a_failing_child_gives_the_cohort_of_one_process(ga_registry, dod_regist
     with usable_cpus(1):
         expected = generate_cohort(config, ga_registry, dod_registry)
     real_rng, real_dumps = synthgen._person_rng, marshal.dumps
+    generated = []  # the persons this process generates, in order
 
-    def person_rng(*args):
+    def person_rng(seed, stream, person_id):
         if os.getpid() != pid:
-            raise RuntimeError("child generation failed")
-        return real_rng(*args)
+            if fault == "raises":
+                raise RuntimeError("child generation failed")
+        elif stream == synthgen._BASE_STREAM:
+            generated.append(person_id)
+        return real_rng(seed, stream, person_id)
 
     def dumps(value, *args):
         if os.getpid() != pid:
@@ -138,14 +125,13 @@ def test_a_failing_child_gives_the_cohort_of_one_process(ga_registry, dod_regist
         return real_dumps(value, *args)
 
     def child_open(file, mode="r", *args, **kwargs):
-        return _LengthOnlyEnd(file) if os.getpid() != pid and mode == "wb" else open(file, mode, *args, **kwargs)
+        return LengthOnlyEnd(file) if os.getpid() != pid and mode == "wb" else open(file, mode, *args, **kwargs)
 
     def fork():
         forks.append(os.getpid())
         raise OSError("no fork")
 
-    if fault == "raises":
-        monkeypatch.setattr(synthgen, "_person_rng", person_rng)
+    monkeypatch.setattr(synthgen, "_person_rng", person_rng)
     if fault == "length-only":
         monkeypatch.setattr(csvio, "open", child_open, raising=False)
     if fault in ("dumps-fails", "short-column"):
@@ -158,6 +144,10 @@ def test_a_failing_child_gives_the_cohort_of_one_process(ga_registry, dod_regist
     assert_no_child_left(pid)
     assert cohort_tables(cohort) == cohort_tables(expected)
     assert written(cohort, tmp_path / "two") == written(expected, tmp_path / "one")
+    # A failed fork leaves every person to this process; a failed child's half is dropped, and every person
+    # is generated again.
+    ids = list(range(1, 61))
+    assert generated == (ids if fault == "fork-fails" else ids[:30] + ids)
 
 
 @needs_fork
