@@ -239,17 +239,17 @@ def stratified_table(
     condition_yes = {name: [0] * width for name in sorted(condition_names)}
     # Episodes per (columns, age band, race category, condition sets met): the keys are few, however many episodes.
     counts: dict[tuple, int] = {}
-    # Columns and race category each follow from a few distinct values: each value is worked out once.
+    # Stratum, columns and race category each follow from a few distinct values: each value is worked out once.
+    strata = Memo(lambda day: stratum_of(date.fromordinal(day)))
     columns_of, races = Memo(lambda key: _columns_of(*key)), Memo(lambda texts: race_category_of(*texts))
     for episode, week, conditions in exposures:
-        dod = date.fromordinal(episode.dod_day)
-        stratum = stratum_of(dod)
+        stratum = strata[episode.dod_day]
         if stratum is None:
             continue
         person = persons.get(episode.person_id)
         band = race = None
         if person is not None:
-            band, race = age_band_of(age_at(person.birth_date, dod)), races[person.race, person.ethnicity]
+            band, race = age_band_of(age_at(person.birth_day, episode.dod_day)), races[person.race, person.ethnicity]
         columns = columns_of[stratum, week, episode.gestation_days > SECOND_TRIMESTER_MAX_WEEK * 7]
         key = (columns, band, race, *conditions)
         counts[key] = counts.get(key, 0) + 1

@@ -5,7 +5,7 @@ gestation length is plausible and closest to 280 days. Matched pairs become
 episodes; everything unmatched is reported. Episodes can then be filtered by
 the cohort inclusion rules (delivery window, maternal age) and queried for
 the gestational week of arbitrary index events. Episodes hold day ordinals,
-as starts and deliveries do; of them, only the cohort rules build a `date`.
+as starts, deliveries and births do; of them, only `age_at` builds `date`s.
 An episode holds its GA accuracy as an `AccuracyLevel`'s int and its extreme
 flag as the text written ("none", "short" or "long"); a timing holds its
 trimester as text too ("pre", "first", "second" or "third").
@@ -125,12 +125,10 @@ def match_episodes(
     return episodes, diagnostics
 
 
-def age_at(birth_date: date, on_date: date) -> int:
-    """Whole years elapsed between birth_date and on_date."""
-    years = on_date.year - birth_date.year
-    if (on_date.month, on_date.day) < (birth_date.month, birth_date.day):
-        years -= 1
-    return years
+def age_at(birth_day: int, on_day: int) -> int:
+    """Whole years elapsed between two day ordinals, a birth day and a later day."""
+    born, on = date.fromordinal(birth_day), date.fromordinal(on_day)
+    return on.year - born.year - ((on.month, on.day) < (born.month, born.day))
 
 
 def apply_cohort_filters(
@@ -141,6 +139,7 @@ def apply_cohort_filters(
     Age is whole years at delivery, bounds inclusive. Episodes whose person is
     missing from the persons table are excluded with a diagnostic.
     """
+    first, last = (day.toordinal() for day in COHORT_WINDOW)
     kept: list[PregnancyEpisode] = []
     excluded: list[tuple[PregnancyEpisode, str]] = []
     for episode in episodes:
@@ -148,11 +147,10 @@ def apply_cohort_filters(
         if person is None:
             excluded.append((episode, "person missing from persons table"))
             continue
-        dod = date.fromordinal(episode.dod_day)
-        if not (COHORT_WINDOW[0] <= dod <= COHORT_WINDOW[1]):
+        if not (first <= episode.dod_day <= last):
             excluded.append((episode, "delivery outside cohort window"))
             continue
-        age = age_at(person.birth_date, dod)
+        age = age_at(person.birth_day, episode.dod_day)
         if not (MIN_AGE_AT_DELIVERY <= age <= MAX_AGE_AT_DELIVERY):
             excluded.append((episode, f"age {age} at delivery outside [{MIN_AGE_AT_DELIVERY}, {MAX_AGE_AT_DELIVERY}]"))
             continue

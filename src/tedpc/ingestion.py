@@ -6,8 +6,8 @@ event. `event_pairs` reads a person's list as `(day ordinal, concept id)`
 pairs, still in file order: a reader whose output depends on event order
 sorts the pairs itself, so that every "first" selection is deterministic
 regardless of input row order.
-Days stay ints up to the writers, episodes' days too; dates come back only in
-the calendar rules and in written text.
+Days stay ints up to the writers, births and episodes' days too; dates come
+back only in the calendar rules and in written text.
 Events referencing unknown persons are quarantined as whole rows, never
 dropped silently. `load_events` is the one reader of events.csv: it groups the
 events of one concept map and, given labels, keeps each label's first day per
@@ -31,7 +31,7 @@ import logging
 from datetime import date
 from functools import partial
 from itertools import chain, compress
-from operator import and_, not_
+from operator import and_, itemgetter, not_
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
@@ -56,7 +56,7 @@ Event = tuple[int, int]
 
 class Person(NamedTuple):
     person_id: int
-    birth_date: date
+    birth_day: int  # a day ordinal, written as the `birth_date` field
     sex: str
     race: str
     ethnicity: str
@@ -99,17 +99,17 @@ def load_persons(path: Path | str) -> dict[int, Person]:
     """Load the persons table keyed by person id.
 
     Identical duplicate rows collapse; conflicting duplicates fail. Birth
-    dates must be `YYYY-MM-DD` and lie in [1900-01-01, today]. Read a block at
-    a time (`csvio.columns`), with no Python code per row.
+    dates must be `YYYY-MM-DD` in [1900-01-01, today], held as day ordinals.
+    Read a block at a time (`csvio.columns`), with no Python code per row.
     """
     today = date.today()
     persons: dict[int, Person] = {}
 
-    def birth_date(text: str) -> date:
+    def birth_day(text: str) -> int:
         day = iso_date(text)
         if not (MIN_EVENT_DATE <= day <= today):
             raise ValueError(f"birth_date {day} outside [{MIN_EVENT_DATE}, {today}]")
-        return day
+        return day.toordinal()
 
     def check(block: list[list], _texts: list) -> None:
         # tuple.__new__ makes each Person with no Python call of its own. The setdefault is
@@ -121,8 +121,8 @@ def load_persons(path: Path | str) -> dict[int, Person]:
 
     # Birth dates and the sex, race and ethnicity texts repeat across rows:
     # each distinct value is parsed and checked once, and held once.
-    birth_dates, texts = Memo(birth_date), Memo(str)
-    parsers = (int, birth_dates.__getitem__, texts.__getitem__, texts.__getitem__, texts.__getitem__)
+    birth_days, texts = Memo(birth_day), Memo(str)
+    parsers = (int, birth_days.__getitem__, texts.__getitem__, texts.__getitem__, texts.__getitem__)
     for _ in columns(path, PERSON_HEADER, parsers, check):
         pass
     logger.info("loaded %d persons from %s", len(persons), path)
@@ -272,6 +272,7 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
             return None
         by_person, quarantined, total, mismatches, sample, firsts = ours
         their_by_person, their_quarantined, their_total, their_mismatches, their_sample, their_firsts = theirs
+        del theirs  # each part of the child's result is let go once merged: this process's dicts grow into its room
         for person_id, flat in their_by_person.items():
             mine = by_person.get(person_id)
             if mine is None:
@@ -279,11 +280,13 @@ def _scan_halves(path: Path | str, parsers: tuple, scan: Callable[[Iterable], _S
             else:
                 mine.extend(flat)
         quarantined += their_quarantined
+        del their_by_person, their_quarantined
         for first, their_first in zip(firsts.values(), their_firsts, strict=True):
             pairs = iter(their_first)
             for person_id, day in zip(pairs, pairs):
                 if first.setdefault(person_id, day) > day:
                     first[person_id] = day
+            their_first.clear()
         if sample is None:
             sample = their_sample
         return by_person, quarantined, total + their_total, mismatches + their_mismatches, sample, firsts
@@ -302,13 +305,13 @@ def _kept(person_col, day_col, concept_col, domain_col, wanted, known) -> Iterat
 
 
 def write_persons(path: Path | str, persons: Iterable[Person]) -> None:
-    """Write a persons table in canonical (person id) order."""
+    """Write a persons table in canonical (person id) order, each birth day as its `YYYY-MM-DD` text."""
     write_rows(
         path,
         PERSON_HEADER,
         (
-            [p.person_id, p.birth_date.isoformat(), p.sex, p.race, p.ethnicity]
-            for p in sorted(persons, key=lambda p: p.person_id)
+            [person_id, iso_text(birth), sex, race, ethnicity]
+            for person_id, birth, sex, race, ethnicity in sorted(persons, key=itemgetter(0))
         ),
     )
 

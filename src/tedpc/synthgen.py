@@ -20,9 +20,7 @@ are the same in a 30-person cohort as in a 60-person one. The key is built
 by arithmetic, never by `hash()`, which is salted per process for strings
 and may change between Python versions. So a forked child can generate the
 upper ids and the cohort still be that of one process (`csvio.halves`); if
-the child fails, this process generates every person again. A
-`date` is not `marshal` data, so each `Person` holds its birth as a day
-ordinal until the halves are joined.
+the child fails, this process generates every person again.
 
 Every draw calls one of three methods of a stream: `getrandbits`, `random()`
 or `gauss`. `_below`, `_sample` and `_pick` make the draws of `randrange` and
@@ -37,8 +35,8 @@ three slots of one flat list, `[person id, day ordinal, concept id, ...]` in
 write order, each distinct day int held once by each process that generates
 (a day of both halves twice), and each concept's domain comes from one map.
 No object exists per event: `SyntheticCohort.write` streams the flat list to
-`events.csv`. Each distinct day becomes a `date` once per run, for
-the persons and truth alike.
+`events.csv`. Persons' births and truth are day ordinals too, so every row
+crosses the fork in its final form.
 
 The noise log is kept the same way. Each perturbation is a plain tuple
 `(channel, person id, concept id, day ordinal, detail)` of shared values: the
@@ -57,7 +55,6 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
-from datetime import date
 from functools import partial
 from itertools import accumulate
 from math import ceil, log
@@ -458,7 +455,7 @@ def generate_cohort(
     person = partial(tuple.__new__, Person)
 
     def generate(person_ids: range) -> tuple[list[int], list[_NoiseRow], list[Person], list[TruthRecord]]:
-        persons: list[Person] = []  # each birth as its day ordinal: a `date` is not marshal data
+        persons: list[Person] = []
         flat_events: list[int] = []
         truth: list[TruthRecord] = []
         noise_rows: list[_NoiseRow] = []
@@ -511,10 +508,6 @@ def generate_cohort(
     flat_events, noise_rows, persons, truth = halves(
         generate, ids, lambda person_id: 1, SPLIT_PERSONS, "generating persons", (None, None, Person, TruthRecord)
     ) or generate(ids)
-    # Each birth becomes a `date` in place: no second list of persons is held, and each new Person takes the
-    # memory of the one it replaces, which a plain tuple row, one size smaller, would leave unused.
-    for i, (person_id, birth, sex, race, ethnicity) in enumerate(persons):
-        persons[i] = person((person_id, date.fromordinal(birth), sex, race, ethnicity))
     return SyntheticCohort(persons, flat_events, domains, truth, noise_rows)
 
 

@@ -171,9 +171,9 @@ def table_reference(
     """Raw rows of the stratified table, counted cell by cell.
 
     episodes need person_id, episode_index, start_day, dod_day (day ordinals)
-    and gestation_days; persons need birth_date, race, ethnicity; events need
-    concept_id, event_date. Returns the header row, the totals row and one row
-    per category, like csv_rows().
+    and gestation_days; persons need birth_day (a day ordinal), race,
+    ethnicity; events need concept_id, event_date. Returns the header row, the
+    totals row and one row per category, like csv_rows().
     """
     episodes = _dated(episodes)
 
@@ -220,7 +220,7 @@ def table_reference(
         person = persons.get(ep.person_id)
         if person is None:
             return None
-        birth = person.birth_date
+        birth = date.fromordinal(person.birth_day)
         age = ep.dod.year - birth.year - ((ep.dod.month, ep.dod.day) < (birth.month, birth.day))
         for low, high in AGE_BAND_LIMITS:
             if low <= age <= high:
@@ -400,15 +400,50 @@ def persons_reference(path):
     persons = {}
     with table(path, PERSON_HEADER) as rows:
         for row in rows:
-            person = Person(int(row[0]), iso_date(row[1]), row[2], row[3], row[4])
-            if not (MIN_EVENT_DATE <= person.birth_date <= today):
+            birth = iso_date(row[1])
+            if not (MIN_EVENT_DATE <= birth <= today):
                 raise ValueError(
-                    f"birth_date {person.birth_date.isoformat()} outside "
-                    f"[{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
+                    f"birth_date {birth.isoformat()} outside [{MIN_EVENT_DATE.isoformat()}, {today.isoformat()}]"
                 )
+            person = Person(int(row[0]), birth.toordinal(), row[2], row[3], row[4])
             if persons.setdefault(person.person_id, person) != person:
                 raise ValueError(f"conflicting duplicate for person {person.person_id}")
     return persons
+
+
+def _birthday(birth, year):
+    """The day someone born on `birth` turns a year older in `year`: March 1 for February 29 in a common year."""
+    try:
+        return birth.replace(year=year)
+    except ValueError:
+        return date(year, 3, 1)
+
+
+def cohort_filters_reference(episodes, persons):
+    """`apply_cohort_filters` from README: the kept episodes, and each excluded one with its reason, in input order.
+
+    An episode is kept when its mother is in `persons`, its delivery falls in
+    2018-06-01 to 2021-05-31 and she is aged 15-49 at delivery, every bound
+    inclusive. Her age is the number of birthdays she has had by the delivery
+    day. A missing mother is the first reason, the window the second.
+    """
+    kept, excluded = [], []
+    for ep in episodes:
+        person = persons.get(ep.person_id)
+        dod = date.fromordinal(ep.dod_day)
+        if person is None:
+            excluded.append((ep, "person missing from persons table"))
+            continue
+        if dod < date(2018, 6, 1) or dod > date(2021, 5, 31):
+            excluded.append((ep, "delivery outside cohort window"))
+            continue
+        birth = date.fromordinal(person.birth_day)
+        age = sum(_birthday(birth, year) <= dod for year in range(birth.year + 1, dod.year + 1))
+        if 15 <= age <= 49:
+            kept.append(ep)
+        else:
+            excluded.append((ep, f"age {age} at delivery outside [15, 49]"))
+    return kept, excluded
 
 
 def episodes_csv_reference(path, episodes):

@@ -248,7 +248,7 @@ def build_cohort(n, with_condition_event, index_week=None):
     for person_id in range(1, n + 1):
         start = date(2020, 6, 1)
         dod = start + timedelta(days=280)
-        persons[person_id] = Person(person_id, date(1992, 3, 5), "F", "White", "Not Hispanic or Latino")
+        persons[person_id] = Person(person_id, date(1992, 3, 5).toordinal(), "F", "White", "Not Hispanic or Latino")
         episodes.append(episode(start, dod, person_id=person_id))
         person_events = []
         if with_condition_event:
@@ -334,13 +334,13 @@ class TestStratifiedTable:
         next_id = 1
         for _ in range(12):
             start = date(2019, 1, 1)
-            persons[next_id] = Person(next_id, date(1990, 1, 1), "F", "Asian", "Not Hispanic or Latino")
+            persons[next_id] = Person(next_id, date(1990, 1, 1).toordinal(), "F", "Asian", "Not Hispanic or Latino")
             events[next_id] = []
             episodes.append(episode(start, start + timedelta(days=280), person_id=next_id))
             next_id += 1
         for i in range(23):
             start = date(2020, 6, 1)
-            persons[next_id] = Person(next_id, date(1990, 1, 1), "F", "Asian", "Not Hispanic or Latino")
+            persons[next_id] = Person(next_id, date(1990, 1, 1).toordinal(), "F", "Asian", "Not Hispanic or Latino")
             events[next_id] = [event_on(start + timedelta(days=4 * 7))] if i < 9 else []
             episodes.append(episode(start, start + timedelta(days=280), person_id=next_id))
             next_id += 1
@@ -366,7 +366,7 @@ class TestTableOracle:
         persons, events, episodes = {}, {}, []
         for person_id in range(1, int(rng.integers(1, 12)) + 1):
             if rng.random() < 0.8:
-                birth = date.fromordinal(date(1960, 1, 1).toordinal() + int(rng.integers(0, 52 * 365)))
+                birth = date(1960, 1, 1).toordinal() + int(rng.integers(0, 52 * 365))
                 race = self.RACES[int(rng.integers(len(self.RACES)))]
                 ethnicity = self.ETHNICITIES[int(rng.integers(len(self.ETHNICITIES)))]
                 persons[person_id] = Person(person_id, birth, "F", race, ethnicity)
@@ -432,7 +432,7 @@ class TestTableOracle:
                 if person is None:
                     seen.add("missing person")
                 else:
-                    age = dod.year - person.birth_date.year
+                    age = dod.year - date.fromordinal(person.birth_day).year
                     if not 16 <= age <= 49:
                         seen.add("age outside bands")
                     if person.ethnicity in ("Hispanic or Latino", "HISPANIC") and person.race.strip():

@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 from datetime import date, timedelta
 
 import pytest
 
-from conftest import logged_warnings, write_clinical_events
+from conftest import logged_warnings, usable_cpus, write_clinical_events
+from tedpc import synthgen
 from tedpc.concept_registry import Domain
 from tedpc.errors import DataFormatError
 from tedpc.ingestion import (
@@ -39,7 +41,7 @@ class TestLoadPersons:
     def test_single_row(self, tmp_path):
         path = write(tmp_path / "p.csv", PERSON_HEADER + "1,1990-05-01,F,White,Not Hispanic or Latino\n")
         persons = load_persons(path)
-        assert persons[1].birth_date == date(1990, 5, 1)
+        assert persons[1].birth_day == date(1990, 5, 1).toordinal()
 
     def test_invalid_month_names_row(self, tmp_path):
         path = write(tmp_path / "p.csv", PERSON_HEADER + "1,2020-13-01,F,White,x\n")
@@ -67,7 +69,7 @@ class TestLoadPersons:
     def test_birth_date_bound_is_today(self, tmp_path):
         today = date.today()
         path = write(tmp_path / "p.csv", PERSON_HEADER + f"1,{today.isoformat()},F,White,x\n")
-        assert load_persons(path)[1].birth_date == today
+        assert load_persons(path)[1].birth_day == today.toordinal()
         path = write(tmp_path / "p.csv", PERSON_HEADER + f"1,{(today + timedelta(days=1)).isoformat()},F,White,x\n")
         with pytest.raises(DataFormatError, match=r"p.csv:2: birth_date"):
             load_persons(path)
@@ -93,9 +95,23 @@ class TestLoadPersons:
         ]
         persons = load_persons(write(tmp_path / "p.csv", PERSON_HEADER + "".join(rows))).values()
         # One object per distinct value: as many ids as values.
-        for field in ("birth_date", "sex", "race", "ethnicity"):
+        for field in ("birth_day", "sex", "race", "ethnicity"):
             values = [getattr(p, field) for p in persons]
             assert len({id(v) for v in values}) == len(set(values)), field
+
+    @pytest.mark.parametrize(
+        "cpus", [pytest.param(2, marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")), 1]
+    )
+    def test_a_generated_cohort_reads_back(self, tmp_path, ga_registry, dod_registry, cpus):
+        # Over SPLIT_PERSONS persons, two usable CPUs make the generator fork: the child's persons cross the
+        # pipe as they are held, and must read back from persons.csv as the same Persons, birth days as ints.
+        config = synthgen.SynthConfig(seed=5, n_persons=synthgen.SPLIT_PERSONS + 50)
+        with usable_cpus(cpus) as forks:
+            cohort = synthgen.generate_cohort(config, ga_registry, dod_registry)
+        assert len(forks) == (cpus == 2)
+        persons = load_persons(cohort.write(tmp_path)["persons"])
+        assert list(persons.values()) == cohort.persons
+        assert {type(p.birth_day) for p in (*persons.values(), *cohort.persons)} == {int}
 
 
 class TestLoadEvents:
@@ -239,7 +255,7 @@ class TestWriters:
     def test_person_round_trip(self, tmp_path):
         from tedpc.ingestion import Person
 
-        persons = [Person(5, date(1985, 2, 28), "F", "Asian", "Not Hispanic or Latino")]
+        persons = [Person(5, date(1985, 2, 28).toordinal(), "F", "Asian", "Not Hispanic or Latino")]
         path = tmp_path / "p.csv"
         write_persons(path, persons)
         assert load_persons(path)[5] == persons[0]
